@@ -14,31 +14,27 @@ the unsharded path at any worker or shard count.
 
 :class:`ScalePlane` composes the pieces over a
 :class:`repro.world.StreamingWorld`: ingest streams scholars once into
-the sharded interest index and COI maps, and each query touches only
-the retrieved pool — realising candidate blocks on demand instead of
-holding O(world) scholars resident.
+the sharded interest index, COI maps and compact per-scholar scoring
+rows, and each query touches only the retrieved pool — without
+realising a single world block or holding scholars resident.
 """
 
 from repro.scale.features import ShardedFeatureStore
 from repro.scale.plane import PoolMember, ScalePlane, ScaleVerdict
 from repro.scale.sharding import ShardedInvertedIndex, shard_of
 from repro.scale.worker import (
-    ComponentRowsTask,
     RetrieveShardTask,
     ScaleWorkerBootstrap,
-    ScoreRowsTask,
     ScreenShardTask,
     run_scale_task,
 )
 
 __all__ = [
-    "ComponentRowsTask",
     "PoolMember",
     "RetrieveShardTask",
     "ScalePlane",
     "ScaleVerdict",
     "ScaleWorkerBootstrap",
-    "ScoreRowsTask",
     "ScreenShardTask",
     "ShardedFeatureStore",
     "ShardedInvertedIndex",

@@ -8,20 +8,23 @@ population scale:
    interest index (keyword → scholar postings), and the COI screen's
    posting maps — ``institution → (start, end, candidate)`` intervals
    and per-candidate co-author sets — both sharded by
-   :func:`~repro.scale.sharding.shard_of`.  No scholar object stays
-   resident; memory is O(postings), not O(world).
+   :func:`~repro.scale.sharding.shard_of`.  While each block is in
+   hand, ingest also keeps one compact **scoring row** per scholar —
+   ``(name, log1p(citations), review count, on-time rate)``, the exact
+   values :func:`~repro.scoring.features.build_candidate_features`
+   yields for the scoring components.  No scholar object stays
+   resident: rows and postings are both O(world) but a few hundred
+   bytes per scholar, never publications or reviews.
 2. **Retrieval** runs the shard-parallel ranked union
    (:meth:`ShardedInvertedIndex.search`) over the query keywords.
 3. **COI screening** fans per-shard: each shard screens its own pool
    members against its own co-author sets and probes its own
    institution postings with the submitters' affiliation intervals.
-4. **Scoring** realises only the surviving pool through the streaming
-   world (LRU-cached blocks), builds features through the
-   :class:`~repro.scale.features.ShardedFeatureStore`, and ranks in two
-   shard-parallel phases — raw components per shard, a barrier for the
+4. **Scoring** never touches the streaming world: phase A looks each
+   survivor's scoring row up in its shard's table, a barrier takes the
    pool maxima (scores are pool-normalised, so maxima are global state),
-   then totals and a per-shard top-k heap, merged under the canonical
-   ``(-score, candidate_id)`` tie-break.
+   and phase B computes totals and a per-shard top-k heap in parallel,
+   merged under the canonical ``(-score, candidate_id)`` tie-break.
 
 Per-query work is proportional to the *retrieved pool*, not the world:
 that is the sub-linear per-query cost EXP-SCALE measures.  The whole
@@ -36,13 +39,14 @@ accounted per shard (postings scanned, features built, candidates
 scored) feed :func:`modeled_speedup`, the LPT makespan model of what an
 N-worker pool *should* achieve.  A
 :class:`~repro.concurrency.process.ProcessExecutor` (detected via
-``requires_pickling``) turns that model into measured wall-clock: the
-plane routes every shard fan-out through small picklable task
-descriptors (:mod:`repro.scale.worker`) executed against worker-local
-plane replicas rehydrated from the world seed, with results — and the
-workers' telemetry deltas — merged by the parent bit-identically to the
-in-process path.  EXP-SCALE reports the measured speedup next to the
-modeled one.
+``requires_pickling``) measures the model against wall-clock: the
+plane routes the retrieval and screening fan-outs through small
+picklable task descriptors (:mod:`repro.scale.worker`) executed against
+worker-local plane replicas rehydrated from the world seed, with
+results — and the workers' telemetry deltas — merged by the parent
+bit-identically to the in-process path.  Scoring stays parent-side: a
+row lookup and a few multiplies cost less than pickling the row.
+EXP-SCALE reports the measured speedup next to the modeled one.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from dataclasses import dataclass, field
 
 from repro.concurrency import Executor, SequentialExecutor
 from repro.obs import get_obs
-from repro.scale.features import ShardedFeatureStore
 from repro.scale.sharding import ShardedInvertedIndex, merge_scored, shard_of
 from repro.scholarly.records import (
     Metrics,
@@ -62,7 +65,6 @@ from repro.scholarly.records import (
     compute_h_index,
     compute_i10_index,
 )
-from repro.scoring.features import ScoringContext
 
 #: Scale-plane component weights (relevance, impact, experience,
 #: timeliness).  Fixed — the plane ranks with one canonical formula so
@@ -151,9 +153,8 @@ def score_rows(
     """Phase B of scoring: normalise, weight, and cut one shard's rows.
 
     A pure function of ``(rows, pool maxima, k)`` — shared verbatim by
-    the inline scorer, the brute-force reference, and the
-    :class:`~repro.scale.worker.ScoreRowsTask` descriptor, so all three
-    produce the same floats by construction.
+    the sharded scorer and the brute-force reference, so both produce
+    the same floats by construction.
     """
     max_rel, max_imp, max_exp, max_tml = maxima
     hits = []
@@ -209,10 +210,10 @@ class ScalePlane:
         self.n_shards = int(n_shards)
         self._executor = executor or SequentialExecutor()
         self._name = name
-        # A process executor cannot run the index/feature-store closures
-        # (they capture live shard state); the plane drives the process
-        # fan-out itself through task descriptors, and the inner
-        # components run sequentially inside whichever process owns them.
+        # A process executor cannot run the index closures (they capture
+        # live shard state); the plane drives the process fan-out itself
+        # through task descriptors, and the inner components run
+        # sequentially inside whichever process owns them.
         self._remote = bool(getattr(self._executor, "requires_pickling", False))
         inner = SequentialExecutor() if self._remote else self._executor
         if self._remote:
@@ -222,15 +223,13 @@ class ScalePlane:
             from repro.scale.worker import register_parent_plane
 
             register_parent_plane(self)
+        self._inner = inner
         self.index = ShardedInvertedIndex(n_shards, executor=inner, name=name)
-        self.features = ShardedFeatureStore(
-            n_shards,
-            epoch_provider=lambda: self.index.epoch,
-            name=name,
-            executor=inner,
-        )
-        # COI posting maps, partitioned like the index: shard s holds
-        # only candidates with shard_of(id) == s.
+        # Scoring rows and COI posting maps, partitioned like the index:
+        # shard s holds only candidates with shard_of(id) == s.
+        self._rows: list[dict[str, tuple[str, float, float, float]]] = [
+            {} for __ in range(n_shards)
+        ]
         self._institutions: list[dict[str, list[tuple[int, int, str]]]] = [
             {} for __ in range(n_shards)
         ]
@@ -247,13 +246,23 @@ class ScalePlane:
         """Stream the world once into the sharded index structures.
 
         Blocks are realised transiently (not via the world's LRU), so
-        peak memory during ingest is one block plus the indexes being
-        built.  ``shard_ids`` restricts ingestion to the named shards —
-        the worker-bootstrap hook for pools whose scheduler routes
-        shard tasks to dedicated workers; with the default ``None``
-        every shard is built (required for the stock process pool,
-        which hands any task to any worker).  Returns the post-ingest
-        :meth:`stats` snapshot.
+        peak memory during ingest is one block plus the indexes and
+        scoring rows being built.  ``shard_ids`` restricts ingestion to
+        the named shards — the worker-bootstrap hook for pools whose
+        scheduler routes shard tasks to dedicated workers; with the
+        default ``None`` every shard is built (required for the stock
+        process pool, which hands any task to any worker, and for every
+        parent plane, which scores from its own rows).  Returns the
+        post-ingest :meth:`stats` snapshot.
+        """
+        return self._ingest(shard_ids, with_rows=True)
+
+    def _ingest(self, shard_ids: Iterable[int] | None, with_rows: bool) -> dict:
+        """:meth:`ingest`, optionally without scoring rows.
+
+        Worker replicas (:meth:`ScaleWorkerBootstrap.hydrate`) pass
+        ``with_rows=False``: they only retrieve and screen, while the
+        parent scores from its own rows.
         """
         world = self.world
         obs = get_obs()
@@ -283,11 +292,19 @@ class ScalePlane:
                     self._coauthors[shard_id][author.author_id] = frozenset(
                         block.coauthors[author.author_id]
                     )
+                    if with_rows:
+                        self._rows[shard_id][author.author_id] = _scoring_row(
+                            block, author
+                        )
         self._ingested = True
         return self.stats()
 
     def refresh(self) -> int:
-        """Plane-level refresh: bump every shard epoch (features follow)."""
+        """Plane-level refresh: bump every shard epoch.
+
+        Scoring rows are pure functions of the world seed, so they stay
+        valid across epochs.
+        """
         return self.index.bump_epoch()
 
     def stats(self) -> dict:
@@ -296,7 +313,7 @@ class ScalePlane:
             "shards": self.n_shards,
             "authors": self.world.config.author_count,
             "index": index_stats,
-            "features": self.features.stats(),
+            "scoring_rows": sum(len(m) for m in self._rows),
             "coi_institution_terms": sum(len(m) for m in self._institutions),
             "coi_candidates": sum(len(m) for m in self._coauthors),
         }
@@ -456,7 +473,11 @@ class ScalePlane:
 
     def candidate_of(self, candidate_id: str):
         """A pipeline :class:`~repro.core.models.Candidate` realised
-        from the streamed world (the owning block comes via the LRU)."""
+        from the streamed world (the owning block comes via the LRU).
+
+        The bridge to the paper's pipeline; the query path scores from
+        ingest-time rows instead and never calls this.
+        """
         from repro.core.models import Candidate
         from repro.scholarly.records import MergedProfile
 
@@ -556,32 +577,17 @@ class ScalePlane:
     def component_rows(
         self, shard_id: int, members: list[PoolMember]
     ) -> list[tuple]:
-        """Phase A of scoring for one shard: realise, featurise, row-ify.
+        """Phase A of scoring for one shard: look up the ingest-time rows.
 
         Returns ``(candidate_id, name, relevance, log_citations,
-        review_experience, timeliness)`` per member — plain tuples, so
-        :class:`~repro.scale.worker.ComponentRowsTask` can ship the
-        result back across a process boundary.  The scoring context is
-        derived from the world config, which both the parent plane and
-        a rehydrated worker replica share by construction.
+        review_experience, timeliness)`` per member — the row shape
+        :func:`score_rows` and the brute-force reference share.
         """
-        ctx = ScoringContext(
-            current_year=self.world.config.current_year, half_life_years=3.0
-        )
-        candidates = [self.candidate_of(m.candidate_id) for m in members]
-        feats = self.features.features_for_many(candidates, ctx)
+        table = self._rows[shard_id]
         rows = []
-        for member, candidate, features in zip(members, candidates, feats):
-            rows.append(
-                (
-                    member.candidate_id,
-                    candidate.name,
-                    member.relevance,
-                    features.log_citations,
-                    features.review_experience,
-                    features.timeliness,
-                )
-            )
+        for member in members:
+            name, *components = table[member.candidate_id]
+            rows.append((member.candidate_id, name, member.relevance, *components))
         return rows
 
     def _score(
@@ -592,11 +598,13 @@ class ScalePlane:
     ) -> tuple[list[ScaleHit], list[float]]:
         """Two-phase shard-parallel scoring with a global-maxima barrier.
 
-        Phase A computes each shard's raw components; the barrier takes
-        the pool maxima (normalisation couples every candidate to every
-        other, so this is the one genuinely global step); phase B
-        computes totals and a per-shard top-k heap; the merge folds the
-        per-shard heaps under the canonical tie-break.
+        Both phases run parent-side for every backend: the parent always
+        ingests, so it holds every row, and a row costs less to score
+        than to pickle.  Phase A looks up each shard's raw components;
+        the barrier takes the pool maxima (normalisation couples every
+        candidate to every other, so this is the one genuinely global
+        step); phase B computes totals and a per-shard top-k heap; the
+        merge folds the per-shard heaps under the canonical tie-break.
         """
         if not survivors:
             return [], [0.0] * self.n_shards
@@ -611,27 +619,11 @@ class ScalePlane:
         with obs.span(
             "scale.score", shards=len(tasks), candidates=len(survivors)
         ):
-            # Phase A: raw components per shard (features built here).
-            if self._remote:
-                from repro.scale.worker import (
-                    ComponentRowsTask,
-                    ScoreRowsTask,
-                    run_scale_task,
-                )
-
-                per_shard_rows = self._executor.map(
-                    run_scale_task,
-                    [
-                        ComponentRowsTask(
-                            shard_id=shard_id, members=tuple(members)
-                        )
-                        for shard_id, members in tasks
-                    ],
-                )
-            else:
-                per_shard_rows = self._executor.map(
-                    lambda task: self.component_rows(task[0], task[1]), tasks
-                )
+            # Phase A: raw components per shard, from the ingest rows.
+            per_shard_rows = [
+                self.component_rows(shard_id, members)
+                for shard_id, members in tasks
+            ]
 
             # Barrier: pool maxima across every shard.
             maxima = (
@@ -642,18 +634,9 @@ class ScalePlane:
             )
 
             # Phase B: totals and per-shard top-k.
-            if self._remote:
-                per_shard_topk = self._executor.map(
-                    run_scale_task,
-                    [
-                        ScoreRowsTask(rows=tuple(rows), maxima=maxima, k=k)
-                        for rows in per_shard_rows
-                    ],
-                )
-            else:
-                per_shard_topk = self._executor.map(
-                    lambda rows: score_rows(rows, maxima, k), per_shard_rows
-                )
+            per_shard_topk = self._inner.map(
+                lambda rows: score_rows(rows, maxima, k), per_shard_rows
+            )
         for (shard_id, members), rows in zip(tasks, per_shard_rows):
             shard_work[shard_id] += len(rows) * (_COST_FEATURE + _COST_SCORE)
         merged = heapq.nsmallest(
@@ -774,6 +757,29 @@ class ScalePlane:
             max(r[5] for r in rows),
         )
         return score_rows(rows, maxima, k)
+
+
+def _scoring_row(block, author) -> tuple[str, float, float, float]:
+    """One scholar's scoring row, read off their realised block.
+
+    ``(name, log1p(total citations), review count, on-time rate)`` —
+    the values :func:`~repro.scoring.features.build_candidate_features`
+    derives from :meth:`ScalePlane.candidate_of`, without building the
+    candidate.
+    """
+    author_id = author.author_id
+    citations = sum(
+        block.publications[p].citation_count
+        for p in block.pubs_by_author[author_id]
+    )
+    reviews = block.reviews_by_author[author_id]
+    on_time = sum(1 for r in reviews if block.reviews[r].on_time)
+    return (
+        author.name,
+        math.log1p(citations),
+        float(len(reviews)),
+        round(on_time / len(reviews), 4) if reviews else 0.0,
+    )
 
 
 def _normalize_query(

@@ -14,9 +14,8 @@ the bridge that makes the process backend cheap instead:
   the-seed property guarantees the replica is bit-identical to the
   parent's plane, so shard tasks can run against it interchangeably.
 - The task descriptors (:class:`RetrieveShardTask`,
-  :class:`ScreenShardTask`, :class:`ComponentRowsTask`,
-  :class:`ScoreRowsTask`) are small frozen dataclasses holding only
-  per-query data: keywords, idf maps, pool-member ids, pool maxima.
+  :class:`ScreenShardTask`) are small frozen dataclasses holding only
+  per-query data: keywords, idf maps, pool members, submitters.
   Each knows how to :meth:`run` itself against a hydrated plane, and
   each delegates to the *same* plane method the in-process path calls —
   single-sourcing the logic is what makes "bit-identical at 1/2/8
@@ -76,10 +75,12 @@ class ScaleWorkerBootstrap:
     def hydrate(self):
         """Rebuild the plane replica (runs once, inside the worker).
 
-        Streams the world through :meth:`ScalePlane.ingest`, so the
-        worker's index/COI structures equal the parent's for the shards
-        it owns.  All telemetry this emits lands in the worker's local
-        registry, which ships home with the first result batch.
+        Streams the world through the plane's ingest, so the worker's
+        index/COI structures equal the parent's for the shards it owns.
+        The replica keeps no scoring rows: workers only retrieve and
+        screen, and the parent scores from its own rows.  All telemetry
+        this emits lands in the worker's local registry, which ships
+        home with the first result batch.
         """
         from repro.scale.plane import ScalePlane
         from repro.world.streaming import StreamingWorld
@@ -90,7 +91,7 @@ class ScaleWorkerBootstrap:
             cache_blocks=self.cache_blocks,
         )
         plane = ScalePlane(world, n_shards=self.n_shards)
-        plane.ingest(shard_ids=self.shard_ids)
+        plane._ingest(self.shard_ids, with_rows=False)
         return plane
 
 
@@ -131,44 +132,9 @@ class ScreenShardTask:
         )
 
 
-@dataclass(frozen=True)
-class ComponentRowsTask:
-    """Phase A scoring: raw component rows for one shard's survivors."""
-
-    shard_id: int
-    members: tuple[object, ...]
-
-    def run(self, plane) -> list[tuple]:
-        return plane.component_rows(self.shard_id, list(self.members))
-
-
-@dataclass(frozen=True)
-class ScoreRowsTask:
-    """Phase B scoring: normalise one shard's rows under pool maxima.
-
-    Pure data-in/data-out — it never touches the plane replica — but it
-    rides the same descriptor channel so phase B parallelises across
-    processes too.
-    """
-
-    rows: tuple[tuple, ...]
-    maxima: tuple[float, float, float, float]
-    k: int
-
-    def run(self, plane) -> list:
-        from repro.scale.plane import score_rows
-
-        return score_rows(self.rows, self.maxima, self.k)
-
-
 #: Every descriptor type the scale plane ships to workers (the pickle
 #: round-trip test enumerates these).
-TASK_TYPES = (
-    RetrieveShardTask,
-    ScreenShardTask,
-    ComponentRowsTask,
-    ScoreRowsTask,
-)
+TASK_TYPES = (RetrieveShardTask, ScreenShardTask)
 
 
 def run_scale_task(task):

@@ -29,9 +29,15 @@ memory, with co-authorship (and therefore COI structure) intact.
 re-realisation is a pure function of ``(seed, block)``.
 
 Profiles alone (attributes, expertise, affiliations — no publications)
-are much cheaper than full scholars; index-building passes should use
-:meth:`profile` / :meth:`interest_weights` and leave :meth:`scholar`
-for the candidates a query actually touches.
+are much cheaper than full scholars, but a query path that calls
+:meth:`scholar` per candidate re-realises a whole block per cache miss,
+and a population-scale pool spans far more blocks than the LRU holds.
+Consumers that must answer many queries should instead walk the blocks
+once and keep what they need: :class:`~repro.scale.plane.ScalePlane`
+ingests every block a single time and keeps compact per-scholar
+scoring rows, so its queries never realise a block.  :meth:`stats`
+reports hits, realisations, evictions and realisation seconds, so a
+regression back to query-time realisation shows up at a glance.
 
 Only the venue pool (O(``journals_count + conferences_count``)) and the
 ontology are derived eagerly — both are O(config), not O(world).
@@ -43,6 +49,7 @@ import hashlib
 import math
 import random
 import sys
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -180,8 +187,10 @@ class StreamingWorld:
                 self._journal_by_topic.setdefault(topic_id, []).append(venue.venue_id)
         self._all_journal_ids = sorted(v.venue_id for v in journals)
         self._blocks: OrderedDict[int, _Block] = OrderedDict()
+        self.blocks_hit = 0
         self.blocks_realized = 0
         self.blocks_evicted = 0
+        self.realize_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -289,8 +298,11 @@ class StreamingWorld:
         block = self._blocks.get(block_id)
         if block is not None:
             self._blocks.move_to_end(block_id)
+            self.blocks_hit += 1
             return block
+        started = time.perf_counter()
         block = self._realize_block(block_id)
+        self.realize_seconds += time.perf_counter() - started
         self._blocks[block_id] = block
         self.blocks_realized += 1
         while len(self._blocks) > self.cache_blocks:
@@ -460,13 +472,17 @@ class StreamingWorld:
         )
 
     def stats(self) -> dict:
-        """Realisation counters (cache behaviour at a glance)."""
+        """Block-cache counters: every :meth:`block` call is either a hit
+        or a realisation; ``realize_seconds`` is the wall time spent in
+        those realisations."""
         return {
             "authors": self.config.author_count,
             "block_size": self.block_size,
             "blocks_cached": len(self._blocks),
+            "blocks_hit": self.blocks_hit,
             "blocks_realized": self.blocks_realized,
             "blocks_evicted": self.blocks_evicted,
+            "realize_seconds": self.realize_seconds,
         }
 
     # ------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from repro.concurrency import create_executor
 from repro.scale.bench import popular_labels
 from repro.scale.plane import ScalePlane, lpt_makespan, modeled_speedup
+from repro.scale.sharding import shard_of
+from repro.scoring.features import ScoringContext, build_candidate_features
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
 
@@ -119,18 +121,63 @@ class TestIngest:
         assert stats["coi_candidates"] == 200
         assert stats["shards"] == 8
 
-    def test_refresh_invalidates_features(self, scale_world, keywords, submitters):
+    def test_refresh_bumps_epoch_and_keeps_topk(
+        self, scale_world, keywords, submitters
+    ):
         plane = _plane(scale_world, 4)
         first, __ = plane.topk(keywords, submitters, k=5)
-        built = plane.features.built
-        plane.refresh()
+        epoch = plane.index.epoch
+        assert plane.refresh() > epoch
+        assert plane.index.epoch > epoch
         second, __ = plane.topk(keywords, submitters, k=5)
         assert second == first
-        assert plane.features.built == 2 * built
 
     def test_validation(self, scale_world):
         with pytest.raises(ValueError):
             ScalePlane(scale_world, n_shards=0)
+
+
+class TestScoringRows:
+    """Ingest-time scoring rows against the paper-faithful feature build."""
+
+    @pytest.mark.parametrize("n_shards", [1, 4, 16])
+    def test_rows_equal_candidate_features(self, scale_world, n_shards):
+        plane = _plane(scale_world, n_shards)
+        ctx = ScoringContext(
+            current_year=scale_world.config.current_year, half_life_years=3.0
+        )
+        seen = set()
+        for shard_id, table in enumerate(plane._rows):
+            for candidate_id, row in table.items():
+                assert shard_of(candidate_id, n_shards) == shard_id
+                candidate = plane.candidate_of(candidate_id)
+                features = build_candidate_features(candidate, ctx)
+                assert row == (
+                    candidate.name,
+                    features.log_citations,
+                    features.review_experience,
+                    features.timeliness,
+                )
+                seen.add(candidate_id)
+        assert seen == set(scale_world.author_ids())
+
+    def test_shard_restricted_ingest_fills_only_owned_shards(self, scale_world):
+        plane = ScalePlane(scale_world, n_shards=4)
+        plane.ingest(shard_ids={0, 2})
+        assert [bool(table) for table in plane._rows] == [True, False, True, False]
+
+    def test_queries_never_realise_a_block(self, keywords, submitters):
+        """With a one-block cache every query-time realisation would
+        show; after ingest the counter must not move."""
+        world = StreamingWorld(_CONFIG, block_size=32, cache_blocks=1)
+        plane = ScalePlane(world, n_shards=4)
+        plane.ingest()
+        before = world.stats()["blocks_realized"]
+        queries = [keywords, list(keywords), dict(list(keywords.items())[:1])]
+        answers = [plane.topk(query, submitters, k=10)[0] for query in queries]
+        assert world.stats()["blocks_realized"] == before
+        for query, hits in zip(queries, answers):
+            assert hits == plane.brute_force_topk(query, submitters, k=10)
 
 
 class TestCostModel:

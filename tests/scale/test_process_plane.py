@@ -17,10 +17,8 @@ from repro.scale.bench import popular_labels
 from repro.scale.plane import ScalePlane
 from repro.scale.worker import (
     TASK_TYPES,
-    ComponentRowsTask,
     RetrieveShardTask,
     ScaleWorkerBootstrap,
-    ScoreRowsTask,
     ScreenShardTask,
     run_scale_task,
 )
@@ -156,14 +154,6 @@ class TestDescriptorPickling:
                 submitters=frozenset({"author-0"}),
                 submitter_affs=(("mit", 1, 2),),
             ),
-            ComponentRowsTask: ComponentRowsTask(
-                shard_id=2, members=("author-3", "author-7")
-            ),
-            ScoreRowsTask: ScoreRowsTask(
-                rows=(("author-3", 1.0, 2.0, 3.0, 4.0, 0.5),),
-                maxima=(1.0, 2.0, 3.0, 4.0),
-                k=5,
-            ),
         }
 
     def test_every_task_type_round_trips(self, sequential_plane):
@@ -183,9 +173,13 @@ class TestDescriptorPickling:
         assert clone == bootstrap
         replica = clone.hydrate()
         keywords = {labels[0]: 1.0, labels[1]: 0.8}
-        assert replica.topk(keywords, submitters, k=5) == sequential_plane.topk(
-            keywords, submitters, k=5
+        pool = replica.retrieve(keywords)
+        assert pool == sequential_plane.retrieve(keywords)
+        assert replica.screen(pool, submitters) == sequential_plane.screen(
+            pool, submitters
         )
+        # Workers only retrieve and screen; scoring rows stay parent-side.
+        assert replica.stats()["scoring_rows"] == 0
 
     def test_run_scale_task_requires_a_plane(self):
         import repro.scale.worker as worker_module
@@ -194,8 +188,6 @@ class TestDescriptorPickling:
         worker_module._PARENT_PLANE.clear()
         try:
             with pytest.raises(RuntimeError, match="no hydrated ScalePlane"):
-                run_scale_task(
-                    ScoreRowsTask(rows=(), maxima=(0.0, 0.0, 0.0, 0.0), k=1)
-                )
+                run_scale_task(RetrieveShardTask(shard_id=0, terms=("ml",)))
         finally:
             worker_module._PARENT_PLANE.update(saved)

@@ -131,6 +131,16 @@ class TestLru:
         after = streaming_world.stats()["blocks_realized"]
         assert after <= before + 1
 
+    def test_every_block_call_is_a_hit_or_a_realisation(self):
+        world = StreamingWorld(_SMALL, block_size=16, cache_blocks=2)
+        order = [0, 1, 0, 2, 3, 0, 5, 5, 4, 1, 1]
+        for block_id in order:
+            world.block(block_id)
+        stats = world.stats()
+        assert stats["blocks_hit"] + stats["blocks_realized"] == len(order)
+        assert stats["blocks_hit"] == 3  # 0 (2nd), 5 (2nd), 1 (last)
+        assert stats["realize_seconds"] > 0.0
+
 
 class TestPopulationShape:
     def test_collision_groups_planted(self, streaming_world):
