@@ -176,13 +176,20 @@ class SequentialExecutor(Executor):
 
     def map(self, fn: Callable, items: Iterable, chunk_size: int | None = None) -> list:
         tasks: Sequence = list(items)
-        if chunk_size is None:
-            return [
-                _run_task(fn, item, index, "sequential", time.perf_counter())
-                for index, item in enumerate(tasks)
-            ]
         outcomes: list = []
         errors: list[tuple[int, BaseException]] = []
+        if chunk_size is None:
+            for index, item in enumerate(tasks):
+                try:
+                    outcomes.append(
+                        _run_task(fn, item, index, "sequential", time.perf_counter())
+                    )
+                except BaseException as exc:  # noqa: BLE001 — re-raised below
+                    outcomes.append(None)
+                    errors.append((index, exc))
+            if errors:
+                raise errors[0][1]
+            return outcomes
         for start, chunk in _chunked(tasks, chunk_size):
             chunk_outcomes, chunk_errors = _run_chunk(
                 fn, chunk, start, "sequential", time.perf_counter()

@@ -13,21 +13,24 @@ is where the bulk of the pipeline's on-the-fly request volume goes,
 which is what :class:`~repro.core.config.PipelineConfig.max_candidates`
 exists to bound.
 
-Both hot loops fan out through an :class:`~repro.concurrency.Executor`:
-interest queries are independent per expanded keyword, and profile
-assemblies are independent per candidate.  Parallel runs produce the
-same candidate list as sequential runs because the fan-out only
-*computes* outcomes — selection (ranking, budget, name de-duplication)
-is always replayed afterwards in ranked order, and the simulated web's
-latency/fault draws are keyed by request content rather than arrival
-order.
+Both hot loops work in waves through an
+:class:`~repro.concurrency.Executor`: interest queries are independent
+per expanded keyword, and profile assemblies are independent per
+candidate.  Parallel runs produce the same candidate list as sequential
+runs because the fan-out only *computes* outcomes — selection (ranking,
+budget, name de-duplication) is always replayed afterwards in ranked
+order, and the simulated web's latency/fault draws are keyed by request
+content rather than arrival order.
 
 When a :class:`~repro.retrieval.RetrievalPlane` is attached, the
 expensive fetch sequences — interest queries, whole profile assemblies,
 Publons summaries — resolve through its warm path: cached across
 requests, coalesced when issued concurrently, epoch-invalidated when
-the world re-indexes.  The selection replay is unchanged, so warm runs
-rank bit-identically to cold ones.
+the world re-indexes.  Each wave first reads its warm hits from the
+plane in one batched lookup and stamps their outcomes inline; only the
+misses fan out as executor tasks, and a wave with no misses dispatches
+nothing.  Without a plane every wave maps in full.  The selection
+replay is unchanged, so warm runs rank bit-identically to cold ones.
 """
 
 from __future__ import annotations
@@ -109,8 +112,18 @@ class CandidateExtractor:
             groups.setdefault(normalize_keyword(expansion.keyword), []).append(
                 expansion
             )
-        representatives = [group[0] for group in groups.values()]
-        outcomes = self._executor.map(self._query_interest_indexes, representatives)
+        queries = [group[0].keyword for group in groups.values()]
+        warm_users, warm_reviewers = {}, {}
+        if self._plane is not None:
+            limit = self._config.per_keyword_retrieval_limit
+            warm_users = self._plane.cached_interest_ids("scholar", queries, limit)
+            warm_reviewers = self._plane.cached_interest_ids("publons", queries, limit)
+        items = [
+            (query, warm_users.get(i, _UNFETCHED), warm_reviewers.get(i, _UNFETCHED))
+            for i, query in enumerate(queries)
+        ]
+        hits = {i: items[i][1:] for i in warm_users if i in warm_reviewers}
+        outcomes = self._map_misses(self._query_interest_indexes, items, hits)
         failures = 0
         # Merge in input order so the dicts (and their insertion order)
         # are identical at every worker count.
@@ -133,22 +146,27 @@ class CandidateExtractor:
                 self.retrieval_failures += failures
         return scholar_matches, publons_matches
 
-    def _query_interest_indexes(self, expansion: ExpandedKeyword):
+    def _query_interest_indexes(self, item: tuple[str, object, object]):
         """Query both interest indexes for one expanded keyword.
 
-        Each interest query degrades independently: a source outage
-        (``None`` in the returned pair) costs one expanded keyword's
-        contribution, never the run.
+        ``item`` is ``(keyword, users, reviewers)``; a half already
+        served warm rides along and only ``_UNFETCHED`` halves are
+        queried.  Each interest query degrades independently: a source
+        outage (``None`` in the returned pair) costs one expanded
+        keyword's contribution, never the run.
         """
+        keyword, users, reviewers = item
         limit = self._config.per_keyword_retrieval_limit
-        try:
-            users = self._interest_ids("scholar", expansion.keyword, limit)
-        except CrawlError:
-            users = None
-        try:
-            reviewers = self._interest_ids("publons", expansion.keyword, limit)
-        except CrawlError:
-            reviewers = None
+        if users is _UNFETCHED:
+            try:
+                users = self._interest_ids("scholar", keyword, limit)
+            except CrawlError:
+                users = None
+        if reviewers is _UNFETCHED:
+            try:
+                reviewers = self._interest_ids("publons", keyword, limit)
+            except CrawlError:
+                reviewers = None
         return users, reviewers
 
     def _interest_ids(self, source: str, keyword: str, limit: int) -> list[str]:
@@ -203,7 +221,12 @@ class CandidateExtractor:
         while cursor < len(ranked) and len(candidates) < budget:
             wave = ranked[cursor : cursor + (budget - len(candidates))]
             cursor += len(wave)
-            assembled = self._executor.map(self._scholar_assembly_task, wave)
+            assembled = self._assemble_wave(
+                self._scholar_assembly_task,
+                wave,
+                "scholar_profile",
+                [self._profile_key(user) for user, __ in wave],
+            )
             for outcome in assembled:
                 if outcome is _FAILED:
                     # A source stayed down through every retry.  Losing
@@ -229,8 +252,6 @@ class CandidateExtractor:
             template = self._scholar_template(user)
         except CrawlError:
             return _FAILED
-        if template is None:
-            return None
         return _stamp_matched(template, matched)
 
     def _scholar_template(self, user: str) -> Candidate | None:
@@ -239,9 +260,12 @@ class CandidateExtractor:
             return self._assemble_from_scholar(user)
         return self._plane.fetch(
             "scholar_profile",
-            (user, self._config.use_all_sources),
+            self._profile_key(user),
             lambda: self._assemble_from_scholar(user),
         )
+
+    def _profile_key(self, user: str) -> tuple[str, bool]:
+        return (user, self._config.use_all_sources)
 
     def _extend_from_publons(
         self,
@@ -267,7 +291,9 @@ class CandidateExtractor:
         while queue and len(candidates) < budget:
             wave = queue[: budget - len(candidates)]
             queue = queue[len(wave) :]
-            summaries = self._executor.map(self._publons_summary_task, wave)
+            summaries = self._map_misses(
+                self._publons_summary_task, wave, self._known_summaries(wave)
+            )
             chosen: list[tuple[str, dict[str, float], dict]] = []
             wave_keys: set[str] = set()
             deferred = None
@@ -297,7 +323,12 @@ class CandidateExtractor:
                         wave[deferred:], summaries[deferred:]
                     )
                 ] + queue
-            assembled = self._executor.map(self._publons_assembly_task, chosen)
+            assembled = self._assemble_wave(
+                self._publons_assembly_task,
+                chosen,
+                "publons_candidate",
+                [reviewer for reviewer, __, __ in chosen],
+            )
             for (reviewer, matched, summary), outcome in zip(chosen, assembled):
                 if outcome is _FAILED:
                     failures += 1
@@ -312,6 +343,16 @@ class CandidateExtractor:
         if failures:
             with self._counter_lock:
                 self.assembly_failures += failures
+
+    def _known_summaries(self, wave) -> dict[int, object]:
+        """Summaries a wave needs no task for: carried over, or warm hits."""
+        if self._plane is None:
+            return {}
+        known = {i: item[2] for i, item in enumerate(wave) if item[2] is not _UNFETCHED}
+        pending = [i for i in range(len(wave)) if i not in known]
+        found = self._plane.cached("publons_summary", [wave[i][0] for i in pending])
+        known.update((pending[j], summary) for j, summary in found.items())
+        return known
 
     def _publons_summary_task(self, item: tuple[str, dict[str, float], object]):
         reviewer, __, cached = item
@@ -341,9 +382,36 @@ class CandidateExtractor:
                 )
         except CrawlError:
             return _FAILED
-        if template is None:
-            return None
         return _stamp_matched(template, matched)
+
+    def _assemble_wave(self, task, wave: list, layer: str, keys: list) -> list:
+        """Assembly outcomes for ``wave``, warm templates stamped inline.
+
+        ``keys`` are the plane keys of ``layer`` for the wave's items,
+        whose second element is the matched-keyword map to stamp.
+        """
+        hits: dict[int, object] = {}
+        if self._plane is not None:
+            templates = self._plane.cached(layer, keys)
+            hits = {i: _stamp_matched(t, wave[i][1]) for i, t in templates.items()}
+        return self._map_misses(task, wave, hits)
+
+    def _map_misses(self, task, items: list, hits: dict[int, object]) -> list:
+        """``task`` over ``items``, with the warm ``hits`` already resolved.
+
+        Cold (no plane), the whole wave maps through the executor.  Warm,
+        each hit's outcome is stamped inline and only the misses become
+        executor tasks — no ``map`` at all when every item hit.  Outcomes
+        come back in item order either way.
+        """
+        if self._plane is None:
+            return self._executor.map(task, items)
+        misses = [i for i in range(len(items)) if i not in hits]
+        outcomes = dict(hits)
+        if misses:
+            resolved = self._executor.map(task, [items[i] for i in misses])
+            outcomes.update(zip(misses, resolved))
+        return [outcomes[i] for i in range(len(items))]
 
     @staticmethod
     def _rank_matches(
@@ -500,14 +568,17 @@ def _apply_publons_summary(candidate: Candidate, summary: dict | None) -> None:
     candidate.venues_reviewed = list(summary.get("venues_reviewed", ()))
 
 
-def _stamp_matched(template: Candidate, matched: dict[str, float]) -> Candidate:
+def _stamp_matched(template: Candidate | None, matched: dict[str, float]) -> Candidate | None:
     """A per-request copy of a template with the matched keywords stamped.
 
     Templates may be shared across requests through the retrieval plane
     and :class:`Candidate` is mutable, so every request gets its own
     instance with fresh container fields — downstream phases are free to
-    mutate them without corrupting the cache.
+    mutate them without corrupting the cache.  ``None`` (no profile)
+    passes through.
     """
+    if template is None:
+        return None
     return dataclasses.replace(
         template,
         matched_keywords=dict(matched),

@@ -22,13 +22,25 @@ keyword across batch manuscripts, or across workers in one wave —
 collapse into one in-flight request whose result fans out to every
 waiter (:mod:`repro.retrieval.singleflight`).  Because the simulated
 web keys its latency/fault draws by request content, the leader's draw
-is canonical and rankings stay bit-identical at any worker count.
+is canonical and rankings stay bit-identical at any worker count.  The
+leader publishes its value (store put or mirror fold) before its flight
+lands, and a new leader re-checks before loading, so each key loads at
+most once per epoch however the workers interleave.
 
 **Incremental interest index.**  After first contact, interest →
 candidate postings are folded into a local
 :class:`~repro.storage.inverted.InvertedIndex` mirror per source, so
 subsequent recommendations resolve candidate ids locally and only
 assemble profiles not yet cached.
+
+**Batched wave reads.**  :meth:`RetrievalPlane.cached` and
+:meth:`RetrievalPlane.cached_interest_ids` serve a whole extraction
+wave's warm hits in one read — one epoch read, one critical section,
+one counter update per outcome — so a warm candidate costs a lookup,
+not an executor task.  They count only hits; the caller resolves each
+miss through :meth:`RetrievalPlane.fetch` or
+:meth:`RetrievalPlane.interest_ids`, which count it, so every lookup is
+counted once.
 
 Freshness is governed by the **epoch**: :meth:`bump_epoch` (called by
 :meth:`~repro.scholarly.registry.ScholarlyHub.refresh_services` when
@@ -45,7 +57,7 @@ fetches.  ``GET /api/v1/metrics`` serves :meth:`stats`.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Sequence
 
 from repro.obs import get_obs
 from repro.retrieval.singleflight import SingleFlight
@@ -75,16 +87,24 @@ class _InterestMirror:
 
     def lookup(self, keyword: str, limit: int) -> list[str] | None:
         """Locally resolved ids, or ``None`` when the mirror can't answer."""
+        return self.lookup_many([keyword], limit)[0]
+
+    def lookup_many(self, keywords: list[str], limit: int) -> list[list[str] | None]:
+        """:meth:`lookup` for many keywords in one critical section."""
         with self._lock:
-            stored = self._order.get(keyword)
-            if stored is None:
-                return None
-            fetched_limit = self._fetched_limit[keyword]
-            if limit > fetched_limit and len(stored) >= fetched_limit:
-                # The stored ranking may be truncated below what the
-                # caller wants; only the source knows the tail.
-                return None
-            return stored[:limit]
+            return [self._resolve(keyword, limit) for keyword in keywords]
+
+    def _resolve(self, keyword: str, limit: int) -> list[str] | None:
+        # Caller holds self._lock.
+        stored = self._order.get(keyword)
+        if stored is None:
+            return None
+        fetched_limit = self._fetched_limit[keyword]
+        if limit > fetched_limit and len(stored) >= fetched_limit:
+            # The stored ranking may be truncated below what the
+            # caller wants; only the source knows the tail.
+            return None
+        return stored[:limit]
 
     def fold(self, keyword: str, ids: list[str], limit: int) -> None:
         """Record one fetched posting list (idempotent per epoch)."""
@@ -292,22 +312,71 @@ class RetrievalPlane:
         if cached is not None:
             self._count("hit", layer)
             return cached[0]
-        value, leader = self._flight.do(epoch_key, lambda: self._load(layer, loader))
-        if leader:
-            self._store.put(epoch_key, (value,))
-            self._count("miss", layer)
+
+        def load() -> tuple[object]:
+            entry = (self._load(layer, loader),)
+            self._store.put(epoch_key, entry)
+            return entry
+
+        entry, loaded = self._load_once(
+            epoch_key, layer, lambda: self._store.peek(epoch_key), load
+        )
+        if loaded:
             get_obs().gauge(
                 "retrieval_store_entries", float(len(self._store)), plane=self._name
             )
-        else:
-            self._count("coalesced", layer)
-        return value
+        return entry[0]
+
+    def cached(self, layer: str, keys: Sequence[Hashable]) -> dict[int, object]:
+        """Serve a wave's warm hits in one store read: ``{index: value}``.
+
+        Only hits are counted here.  The caller resolves every absent
+        index through :meth:`fetch`, which counts the miss where it is
+        resolved — so each lookup is counted once, batched or not.
+        """
+        epoch = self.epoch
+        entries = self._store.get_hits([(epoch, layer, key) for key in keys])
+        hits = {i: entry[0] for i, entry in enumerate(entries) if entry is not None}
+        if hits:
+            self._count("hit", layer, len(hits))
+        return hits
 
     def _load(self, layer: str, loader: Callable[[], object]) -> object:
         with get_obs().span(
             "retrieval.fetch", clock=self._clock, plane=self._name, layer=layer
         ):
             return loader()
+
+    def _load_once(
+        self,
+        epoch_key: Hashable,
+        layer: str,
+        recheck: Callable[[], object | None],
+        load: Callable[[], object],
+    ) -> tuple[object, bool]:
+        """Coalesce the load of a looked-up miss and count its outcome.
+
+        ``load`` publishes its value (store put, mirror fold) before the
+        flight lands, and a new leader first re-checks with ``recheck``,
+        which counts nothing.  A caller whose lookup missed just before
+        an earlier flight published therefore joins that flight or finds
+        its value — each key loads at most once per epoch, at any worker
+        count.  ``recheck`` and ``load`` return the same shape; the
+        outcome is whichever the leader produced.  ``loaded`` is true
+        only for the caller that ran ``load``: that lookup counts as the
+        miss, every other one as coalesced.
+        """
+
+        def lead() -> tuple[object, bool]:
+            found = recheck()
+            if found is not None:
+                return found, False
+            return load(), True
+
+        (outcome, loaded), leader = self._flight.do(epoch_key, lead)
+        loaded = leader and loaded
+        self._count("miss" if loaded else "coalesced", layer)
+        return outcome, loaded
 
     # ------------------------------------------------------------------
     # Interest index
@@ -329,27 +398,50 @@ class RetrievalPlane:
         within the epoch.
         """
         mirror = self._mirrors[source]
+        layer = f"{source}_interest"
         normalized = normalize_keyword(keyword)
         local = mirror.lookup(normalized, limit)
         if local is not None:
-            self._count("hit", f"{source}_interest")
+            self._count("hit", layer)
             return local
-        epoch_key = (self.epoch, f"{source}_interest", normalized, limit)
-        ids, leader = self._flight.do(
-            epoch_key, lambda: self._load(f"{source}_interest", loader)
-        )
-        if leader:
+
+        def load() -> list[str]:
+            ids = self._load(layer, loader)
             mirror.fold(normalized, ids, limit)
-            self._count("miss", f"{source}_interest")
+            return ids
+
+        ids, loaded = self._load_once(
+            (self.epoch, layer, normalized, limit),
+            layer,
+            lambda: mirror.lookup(normalized, limit),
+            load,
+        )
+        if loaded:
             get_obs().gauge(
                 "retrieval_index_terms",
                 float(mirror.term_count()),
                 plane=self._name,
                 source=source,
             )
-        else:
-            self._count("coalesced", f"{source}_interest")
         return list(ids[:limit])
+
+    def cached_interest_ids(
+        self, source: str, keywords: Sequence[str], limit: int
+    ) -> dict[int, list[str]]:
+        """Serve a wave's locally resolvable interest queries in one read.
+
+        Returns ``{index: ids}`` for the keywords the mirror answers;
+        like :meth:`cached`, only those hits are counted, and the caller
+        resolves the rest through :meth:`interest_ids`.
+        """
+        layer = f"{source}_interest"
+        found = self._mirrors[source].lookup_many(
+            [normalize_keyword(keyword) for keyword in keywords], limit
+        )
+        hits = {i: ids for i, ids in enumerate(found) if ids is not None}
+        if hits:
+            self._count("hit", layer, len(hits))
+        return hits
 
     def local_interest_search(
         self, source: str, keywords: list[str], limit: int | None = None
@@ -361,22 +453,22 @@ class RetrievalPlane:
     # Bookkeeping
     # ------------------------------------------------------------------
 
-    def _count(self, outcome: str, layer: str) -> None:
+    def _count(self, outcome: str, layer: str, n: int = 1) -> None:
         with self._lock:
             if outcome == "hit":
-                self.hits += 1
+                self.hits += n
             elif outcome == "miss":
-                self.misses += 1
+                self.misses += n
             else:
-                self.coalesced += 1
+                self.coalesced += n
             key = (outcome, layer)
-            self._layer_counts[key] = self._layer_counts.get(key, 0) + 1
+            self._layer_counts[key] = self._layer_counts.get(key, 0) + n
         metric = {
             "hit": "retrieval_hits_total",
             "miss": "retrieval_misses_total",
             "coalesced": "retrieval_coalesced_total",
         }[outcome]
-        get_obs().inc(metric, plane=self._name, layer=layer)
+        get_obs().inc(metric, n, plane=self._name, layer=layer)
 
     def hit_rate(self) -> float:
         """Fraction of plane lookups served without a leader fetch."""

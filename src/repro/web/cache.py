@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 
 from repro.obs import get_obs
 from repro.obs.ledger import charge_cache
@@ -114,6 +114,45 @@ class TTLCache:
             get_obs().inc("cache_hits_total", cache=self._name)
             charge_cache(self._name, hit=True)
             return value
+
+    def get_hits(self, keys: Sequence[Hashable]) -> list[object | None]:
+        """Read many keys under one lock, counting only the hits.
+
+        Returns one value per key, ``None`` where :meth:`get` would
+        miss.  A miss is neither counted nor evicted here: the caller
+        resolves it through :meth:`get`, which counts it (and drops an
+        expired entry) exactly once.
+        """
+        with self._lock:
+            found = [self._live(key) for key in keys]
+            hits = 0
+            for key, value in zip(keys, found):
+                if value is not None:
+                    self._entries.move_to_end(key)
+                    hits += 1
+            if hits:
+                self.hits += hits
+                get_obs().inc("cache_hits_total", hits, cache=self._name)
+        for __ in range(hits):
+            charge_cache(self._name, hit=True)
+        return found
+
+    def peek(self, key: Hashable) -> object | None:
+        """The live value for ``key``, touching no counter or LRU order."""
+        with self._lock:
+            return self._live(key)
+
+    def _live(self, key: Hashable) -> object | None:
+        # Caller holds self._lock.
+        if self._ttl == 0:
+            return None
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        stored_at, value = entry
+        if self._ttl is not None and self._clock.now() - stored_at > self._ttl:
+            return None
+        return value
 
     def put(self, key: Hashable, value: object) -> None:
         """Store a value, evicting the LRU entry when over capacity."""

@@ -50,7 +50,8 @@ class TestMapContract:
         with pytest.raises(ValueError, match="^1$"):
             ThreadExecutor(4).map(boom_on_odd, range(10))
 
-    def test_all_tasks_complete_despite_failure(self):
+    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    def test_all_tasks_complete_despite_failure(self, backend):
         executed = set()
         lock = threading.Lock()
 
@@ -62,7 +63,7 @@ class TestMapContract:
             return i
 
         with pytest.raises(RuntimeError):
-            ThreadExecutor(4).map(record, range(12))
+            create_executor(4, backend).map(record, range(12))
         assert executed == set(range(12))
 
     def test_sequential_exception_matches(self):

@@ -51,6 +51,14 @@ class TestFetch:
         clock.advance(11.0)
         assert plane.fetch("layer", "k", lambda: "new") == "new"
 
+    def test_cached_serves_and_counts_hits_only(self, plane):
+        plane.fetch("layer", "a", lambda: "A")
+        plane.fetch("layer", "none", lambda: None)
+        assert plane.cached("layer", ["b", "a", "none"]) == {1: "A", 2: None}
+        assert (plane.hits, plane.misses) == (2, 2)
+        store = plane.store.stats()
+        assert (store["hits"], store["misses"]) == (2, 2)
+
     def test_hit_rate(self, plane):
         assert plane.hit_rate() == 0.0
         plane.fetch("layer", "k", lambda: 1)
@@ -112,6 +120,12 @@ class TestInterestIndex:
         )
         assert ids == ["a", "b"]
         assert calls == []
+
+    def test_cached_interest_ids_counts_hits_only(self, plane):
+        plane.interest_ids("scholar", "RDF", 10, lambda: ["a", "b"])
+        hits = plane.cached_interest_ids("scholar", ["sparql", "rdf"], 1)
+        assert hits == {1: ["a"]}
+        assert plane.stats()["layers"]["scholar_interest"] == {"hit": 1, "miss": 1}
 
     def test_sources_are_independent(self, plane):
         plane.interest_ids("scholar", "rdf", 10, lambda: ["a"])

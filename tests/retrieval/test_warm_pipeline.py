@@ -1,10 +1,16 @@
 """End-to-end warm-path guarantees: determinism, savings, freshness."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.assignment import recommend_batch
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import Minaret
+from repro.obs import Observability, use
 from repro.scholarly.registry import ScholarlyHub
+from repro.world.conference import ConferenceConfig, generate_conference
 from repro.world.config import WorldConfig
 from repro.world.dynamics import WorldDynamics
 from repro.world.generator import generate_world
@@ -86,6 +92,62 @@ class TestRequestSavings:
         assert (hub.total_requests() - first) * 5 <= first
 
 
+class TestConcurrentBatch:
+    """A planted conference through ``recommend_batch`` on a warm plane."""
+
+    @pytest.fixture(scope="class")
+    def entries(self, world):
+        return generate_conference(
+            world, ConferenceConfig(paper_count=24, seed=3)
+        ).entries()
+
+    def test_each_key_loads_once_at_any_worker_count(self, world, entries):
+        """8 workers issue exactly the 1-worker run's loads and requests.
+
+        A caller whose store lookup missed just before another flight
+        published must not lead a second load.  The short switch
+        interval makes that interleaving likely on every run.
+        """
+        baseline = _warm_batch(world, entries, workers=1)
+        outcome = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: outcome.update(
+                    run=_warm_batch(world, entries, workers=8)
+                ),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "8-worker batch did not finish"
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcome["run"] == baseline
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_every_store_lookup_counted_once(self, world, entries, workers):
+        """Batched wave reads and per-key fetches share one count."""
+        obs = Observability()
+        with use(obs):
+            minaret = Minaret(
+                ScholarlyHub.deploy(world), config=PipelineConfig(warm_cache=True)
+            )
+            for __ in range(2):  # a cold batch, then a warm one
+                recommend_batch(minaret, entries, workers=workers)
+        plane = minaret.plane
+        lookups = sum(
+            count
+            for layer, outcomes in plane.stats()["layers"].items()
+            if not layer.endswith("_interest")
+            for count in outcomes.values()
+        )
+        store = plane.store.stats()
+        assert store["hits"] + store["misses"] == lookups
+        assert obs.metrics.counter_total("retrieval_hits_total") == plane.hits
+
+
 class TestFreshness:
     @pytest.fixture()
     def evolving(self):
@@ -123,6 +185,15 @@ class TestFreshness:
         cold_hub = ScholarlyHub.deploy(world)
         cold = signature(Minaret(cold_hub).recommend(manuscript))
         assert warm == cold
+
+
+def _warm_batch(world, entries, workers):
+    """Rankings, requests and plane misses of one batch on a fresh plane."""
+    hub = ScholarlyHub.deploy(world)
+    minaret = Minaret(hub, config=PipelineConfig(warm_cache=True))
+    results = recommend_batch(minaret, entries, workers=workers)
+    rankings = [(paper_id, signature(result)) for paper_id, result in results]
+    return rankings, hub.total_requests(), minaret.plane.stats()["misses"]
 
 
 def _manuscript(world):

@@ -115,6 +115,24 @@ class TestCounters:
         cache = TTLCache(ttl=None, capacity=10, clock=clock)
         assert cache.hit_rate() == 0.0
 
+    def test_get_hits_counts_hits_only(self, clock):
+        """Misses are left for the ``get`` that resolves them to count."""
+        cache = TTLCache(ttl=5.0, capacity=10, clock=clock)
+        cache.put("old", 2)
+        clock.advance(6.0)
+        cache.put("live", 1)
+        assert cache.get_hits(["live", "old", "missing"]) == [1, None, None]
+        assert (cache.hits, cache.misses, cache.evictions_expired) == (1, 0, 0)
+        assert cache.get("old") is None
+        assert (cache.hits, cache.misses, cache.evictions_expired) == (1, 1, 1)
+
+    def test_peek_touches_no_counter(self, clock):
+        cache = TTLCache(ttl=None, capacity=10, clock=clock)
+        cache.put("k", "v")
+        assert cache.peek("k") == "v"
+        assert cache.peek("missing") is None
+        assert (cache.hits, cache.misses) == (0, 0)
+
 
 class TestEvictionCounters:
     def test_expired_on_read_counts(self, clock):
