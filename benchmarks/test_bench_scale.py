@@ -11,14 +11,11 @@ it back, in two regimes:
 - **Population regime** (10^3 → 10^5 scholars): the streamed world +
   sharded scale plane (:mod:`repro.scale`).  Worlds are derived lazily
   from the seed, indexes are hash-sharded, and retrieval/screening/
-  scoring fan out per shard.  Measures per-query cost (deterministic
-  cost units and wall-clock) at each size, the modeled shard-parallel
-  speedup, the *measured* process-backend speedup (seed-rehydrated
-  worker processes vs a sequential baseline, bit-identical across a
-  processes × shards grid), the string-interning savings, and anchors
-  correctness against the brute-force full scan.  Writes
-  ``BENCH_scale.json`` at the repo root, uploaded by CI's
-  ``scale-bench`` job.
+  scoring fan out per shard.  Measures per-query wall time at each
+  size, split into the plane's retrieve / COI / score phases and the
+  rest, the string-interning savings, and anchors correctness against
+  the brute-force full scan.  Writes ``BENCH_scale.json`` at the repo
+  root, uploaded by CI's ``scale-bench`` job.
 """
 
 from __future__ import annotations
@@ -122,9 +119,11 @@ def test_bench_scale_population(benchmark):
             f"{entry['authors']:,}",
             f"{entry['ingest_seconds']:.1f}s",
             f"{entry['index']['postings']:,}",
-            f"{entry['mean_query_cost_units']:,.0f}",
-            f"{entry['mean_modeled_speedup']:.2f}x",
             f"{entry['mean_wall_seconds'] * 1000:.1f}ms",
+            *(
+                f"{seconds * 1000:.2f}ms"
+                for seconds in entry["mean_phase_wall_seconds"].values()
+            ),
             {True: "yes", False: "NO", None: "-"}[
                 entry["topk_matches_brute_force"]
             ],
@@ -138,9 +137,11 @@ def test_bench_scale_population(benchmark):
             "scholars",
             "ingest",
             "postings",
-            "query cost",
-            "speedup@8",
             "wall/query",
+            "retrieve",
+            "coi",
+            "score",
+            "rest",
             "brute=",
         ),
         rows,
@@ -153,38 +154,14 @@ def test_bench_scale_population(benchmark):
     )
     scaling = report["scaling"]
     print(
-        f"population x{scaling['size_ratio']:.0f} -> query cost "
-        f"x{scaling['query_cost_ratio']:.2f} (sublinear={scaling['sublinear']})"
-    )
-    process = report["process"]
-    print(
-        f"process backend at {process['size']:,} scholars "
-        f"({process['workers']} workers on {process['cpus']} cpus): "
-        f"{process['sequential_wall_seconds'] * 1000:.1f}ms sequential -> "
-        f"{process['process_wall_seconds'] * 1000:.1f}ms process per query, "
-        f"measured x{process['measured_speedup']:.2f} "
-        f"(modeled x{process['modeled_speedup']:.2f}); "
-        f"first query {process['first_query_wall_seconds'] * 1000:.0f}ms "
-        f"incl. spawn+rehydrate"
-    )
-    print_table(
-        "EXP-SCALE: process-backend bit-identity vs brute force "
-        f"({process['grid_size']} scholars)",
-        ("processes", "shards", "identical"),
-        [
-            (cell["processes"], cell["shards"], "yes" if cell["identical"] else "NO")
-            for cell in process["grid"]
-        ],
+        f"population x{scaling['size_ratio']:.0f} -> query wall "
+        f"x{scaling['query_wall_ratio']:.2f} (sublinear={scaling['sublinear']})"
     )
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
 
     # The 10^5-scholar world must actually have been swept.
     assert report["sizes"][-1]["authors"] >= 100_000
-    # Shard-parallel scoring models >= 3x over sequential at 8 workers.
-    assert all(
-        entry["mean_modeled_speedup"] >= 3.0 for entry in report["sizes"]
-    )
     # Wherever the brute-force reference ran, the sharded top-k matched
     # it entry-for-entry.
     verified = [
@@ -193,15 +170,10 @@ def test_bench_scale_population(benchmark):
         if entry["topk_matches_brute_force"] is not None
     ]
     assert verified and all(verified)
-    # Per-query cost grows sub-linearly in world size.
+    # Measured per-query wall grows sub-linearly in world size.
     assert scaling["sublinear"]
     # Interning must save memory, not cost it.
     assert interning["saved_bytes"] > 0
-    # The process backend answers exactly like the sequential plane —
-    # at the measured size and across the whole processes x shards grid
-    # against the brute-force reference.  This holds on any host.
-    assert process["topk_identical"]
-    assert process["grid_identical"]
     # The wall-clock claim is on query latency itself: scoring reads
     # ingest-time rows, so a steady-state query up to 10^4 scholars stays
     # under 0.5 s however many world blocks its pool spans.
@@ -210,7 +182,3 @@ def test_bench_scale_population(benchmark):
         for entry in report["sizes"]
         if entry["authors"] <= 10_000
     )
-    assert process["sequential_wall_seconds"] < 0.5
-    # No process speedup is asserted: at ~8 ms per sequential query the
-    # parent-side merge, partitioning and scoring outweigh the shard
-    # work the workers take over, so the measured figure is reported only.

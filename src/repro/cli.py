@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=EXECUTOR_BACKENDS,
         default=None,
         help="executor backend for the shard fan-out (default: thread "
-        "above 1 worker; 'process' adds the measured wall-clock section)",
+        "above 1 worker)",
     )
     scale.add_argument("--seed", type=int, default=42, help="world seed")
     scale.add_argument(
@@ -967,7 +967,6 @@ def _run_scale_bench(args) -> int:
         pool_limit=args.pool_limit if args.pool_limit > 0 else None,
         seed=args.seed,
         backend=args.backend,
-        process_probe_size=10_000 if args.backend == "process" else None,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -981,17 +980,20 @@ def _run_scale_bench(args) -> int:
         f"backend={report['backend']} k={report['k']}"
     )
     print(
-        f"  {'authors':>9s} {'ingest_s':>9s} {'postings':>9s} "
-        f"{'query_units':>11s} {'speedup':>8s} {'wall_s':>8s} {'brute=':>7s}"
+        f"  {'authors':>9s} {'ingest_s':>9s} {'postings':>9s} {'wall_ms':>8s} "
+        f"{'retrieve':>8s} {'coi':>8s} {'score':>8s} {'rest':>8s} {'brute=':>7s}"
     )
     for entry in report["sizes"]:
         verified = entry["topk_matches_brute_force"]
+        phases = entry["mean_phase_wall_seconds"]
         print(
             f"  {entry['authors']:>9d} {entry['ingest_seconds']:>9.2f} "
             f"{entry['index']['postings']:>9d} "
-            f"{entry['mean_query_cost_units']:>11.1f} "
-            f"{entry['mean_modeled_speedup']:>8.2f} "
-            f"{entry['mean_wall_seconds']:>8.4f} "
+            f"{entry['mean_wall_seconds'] * 1000:>8.2f} "
+            f"{phases['scale.retrieve'] * 1000:>8.2f} "
+            f"{phases['scale.coi'] * 1000:>8.2f} "
+            f"{phases['scale.score'] * 1000:>8.2f} "
+            f"{phases['rest'] * 1000:>8.2f} "
             f"{'yes' if verified else ('-' if verified is None else 'NO'):>7s}"
         )
     interning = report["interning"]
@@ -1003,27 +1005,9 @@ def _run_scale_bench(args) -> int:
     if "scaling" in report:
         scaling = report["scaling"]
         print(
-            f"  scaling: size x{scaling['size_ratio']:g} -> query cost "
-            f"x{scaling['query_cost_ratio']:g} "
+            f"  scaling: size x{scaling['size_ratio']:g} -> query wall "
+            f"x{scaling['query_wall_ratio']:g} "
             f"({'sub-linear' if scaling['sublinear'] else 'NOT sub-linear'})"
-        )
-    if "process" in report:
-        process = report["process"]
-        print(
-            f"  process backend ({process['size']} authors, "
-            f"{process['workers']} workers, {process['cpus']} cpus): "
-            f"measured x{process['measured_speedup']:g} "
-            f"(modeled x{process['modeled_speedup']:g}), "
-            f"{process['sequential_wall_seconds']:g}s -> "
-            f"{process['process_wall_seconds']:g}s per query, "
-            f"first query {process['first_query_wall_seconds']:g}s "
-            f"(spawn+rehydrate)"
-        )
-        grid_ok = process["grid_identical"] and process["topk_identical"]
-        print(
-            f"  process bit-identity: {len(process['grid'])}-cell "
-            f"processes x shards grid vs brute force -> "
-            f"{'identical' if grid_ok else 'MISMATCH'}"
         )
     return 0
 

@@ -14,10 +14,6 @@ the rest of the codebase parallelizes through:
 - :class:`~repro.concurrency.executor.ThreadExecutor` — a bounded
   thread-pool backend that propagates :mod:`contextvars` (so request
   accounting scopes follow work into the pool);
-- :class:`~repro.concurrency.process.ProcessExecutor` — a persistent
-  spawned process pool for CPU-bound work the GIL would serialize,
-  with seed-rehydrated worker bootstraps, per-batch telemetry deltas
-  shipped back to the parent, and a nested-fan-out downgrade guard;
 - :func:`~repro.concurrency.executor.create_executor` — backend
   selection from a worker count and a backend name drawn from
   :data:`~repro.concurrency.executor.EXECUTOR_BACKENDS`.
@@ -38,19 +34,11 @@ from repro.concurrency.executor import (
     ThreadExecutor,
     create_executor,
 )
-from repro.concurrency.process import (
-    ProcessExecutor,
-    in_process_worker,
-    worker_state,
-)
 
 __all__ = [
     "EXECUTOR_BACKENDS",
     "Executor",
-    "ProcessExecutor",
     "SequentialExecutor",
     "ThreadExecutor",
     "create_executor",
-    "in_process_worker",
-    "worker_state",
 ]

@@ -1,23 +1,20 @@
 """The worker-pool ``Executor`` abstraction.
 
-Three backends behind one interface: :class:`SequentialExecutor` runs
-tasks inline (no threads, no scheduling — the reference semantics),
+Two backends behind one interface: :class:`SequentialExecutor` runs
+tasks inline (no threads, no scheduling — the reference semantics) and
 :class:`ThreadExecutor` fans tasks out over a bounded
-:class:`concurrent.futures.ThreadPoolExecutor`, and
-:class:`~repro.concurrency.process.ProcessExecutor` (in its own module)
-fans out over spawned worker *processes* that sidestep the GIL for
-pure-Python CPU-bound work.
+:class:`concurrent.futures.ThreadPoolExecutor`.
 
-All backends uphold the same observable contract:
+Both backends uphold the same observable contract:
 
 - ``map(fn, items)`` returns results **in input order**;
 - if any task raises, the exception of the **lowest-index** failing task
   propagates (after every task has finished), so which worker crashed
   first is never observable;
 - the ambient :mod:`contextvars` context at the ``map`` call site is
-  propagated into every task (in-process backends), so request-accounting
-  scopes (see :mod:`repro.web.accounting`) attribute work done in pool
-  threads to the caller that submitted it;
+  propagated into every task, so request-accounting scopes (see
+  :mod:`repro.web.accounting`) attribute work done in pool threads to
+  the caller that submitted it;
 - an optional ``chunk_size`` groups tiny tasks into chunks that share
   one span and one queue observation, amortizing per-task telemetry
   overhead without changing results or error semantics (the
@@ -27,8 +24,6 @@ All backends uphold the same observable contract:
 pools are cheap at this scale, nothing leaks when callers forget to
 close anything, and nested fan-out (a batch of manuscripts each running
 parallel extraction) can never deadlock on a shared bounded pool.
-``ProcessExecutor`` keeps one persistent pool instead — spawning and
-rehydrating workers is the expensive step it amortizes.
 """
 
 from __future__ import annotations
@@ -46,17 +41,11 @@ from repro.obs import get_obs
 #: message, ``PipelineConfig.executor_backend`` validation, the CLI's
 #: ``--backend`` choices, and the API config payload — reads this one
 #: constant, so a new backend cannot drift out of sync between layers.
-EXECUTOR_BACKENDS: tuple[str, ...] = ("auto", "sequential", "thread", "process")
+EXECUTOR_BACKENDS: tuple[str, ...] = ("auto", "sequential", "thread")
 
 
 class Executor(ABC):
     """Ordered fan-out over a bounded worker pool."""
-
-    #: Whether tasks handed to :meth:`map` must be picklable module-level
-    #: callables (true only for the process backend, whose tasks cross an
-    #: address-space boundary).  Callers with closure-based tasks can
-    #: check this to route through a spawn-safe descriptor layer instead.
-    requires_pickling: bool = False
 
     @property
     @abstractmethod
@@ -74,14 +63,11 @@ class Executor(ABC):
         unchanged — chunking only amortizes per-task overhead).
         """
 
-    def close(self) -> None:
-        """Release pooled resources (no-op for poolless backends)."""
-
 
 def _run_task(fn: Callable, item, index: int, backend: str, submitted_at: float):
     """Run one task under a span with queue/run metrics.
 
-    Shared by all backends so the telemetry a caller sees is identical
+    Shared by both backends so the telemetry a caller sees is identical
     whichever pool executed the work.  The span opens in the task's own
     (copied) context, so it parents under whatever span was current at
     the ``map`` call site — a pipeline phase, a batch entry, an API
@@ -124,9 +110,7 @@ def _run_chunk(
     """
     obs = get_obs()
     start = time.perf_counter()
-    obs.observe(
-        "executor_queue_seconds", max(0.0, start - submitted_at), backend=backend
-    )
+    obs.observe("executor_queue_seconds", start - submitted_at, backend=backend)
     obs.gauge_add("executor_inflight", 1.0, backend=backend)
     outcomes: list = []
     errors: list[tuple[int, BaseException]] = []
@@ -280,9 +264,7 @@ class ThreadExecutor(Executor):
         return outcomes
 
 
-def create_executor(
-    workers: int | None, backend: str = "auto", bootstrap=None
-) -> Executor:
+def create_executor(workers: int | None, backend: str = "auto") -> Executor:
     """Build an executor from a worker count and backend name.
 
     ``backend`` (see :data:`EXECUTOR_BACKENDS`):
@@ -290,15 +272,7 @@ def create_executor(
     - ``"auto"`` (default): ``SequentialExecutor`` for ``workers`` of
       ``None``/``1``, ``ThreadExecutor`` otherwise;
     - ``"sequential"``: always inline, whatever ``workers`` says;
-    - ``"thread"``: always a thread pool (of at least one worker);
-    - ``"process"``: a persistent spawned process pool
-      (:class:`~repro.concurrency.process.ProcessExecutor`).
-      ``bootstrap`` (any picklable object with a ``hydrate()`` method)
-      is shipped to each worker once at pool start so workers can
-      rebuild heavy state — a streamed world, shard indexes — from a
-      seed instead of pickling it per task.  Requested from *inside* a
-      process worker, ``"process"`` downgrades to an in-process backend
-      so nested fan-out cannot fork-bomb.
+    - ``"thread"``: always a thread pool (of at least one worker).
     """
     count = 1 if workers is None else int(workers)
     if count < 1:
@@ -310,17 +284,6 @@ def create_executor(
         return SequentialExecutor()
     if backend == "thread":
         return ThreadExecutor(count)
-    if backend == "process":
-        from repro.concurrency.process import ProcessExecutor, in_process_worker
-
-        if in_process_worker():
-            # Nested process fan-out guard: a worker asking for its own
-            # process pool gets threads instead of grandchildren.
-            get_obs().inc(
-                "executor_nested_downgrades_total", backend="process"
-            )
-            return SequentialExecutor() if count == 1 else ThreadExecutor(count)
-        return ProcessExecutor(count, bootstrap=bootstrap)
     if count == 1:
         return SequentialExecutor()
     return ThreadExecutor(count)

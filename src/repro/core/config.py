@@ -230,11 +230,8 @@ class PipelineConfig:
     executor_backend:
         Which :data:`~repro.concurrency.EXECUTOR_BACKENDS` member backs
         the worker pool: ``"auto"`` (default — inline at 1 worker,
-        threads above), ``"sequential"``, ``"thread"``, or ``"process"``
-        (spawned interpreters for CPU-bound fan-outs; pipeline tasks
-        that close over live state transparently fall back to threads,
-        so the setting is always safe).  Bit-identical output whichever
-        backend runs the work.
+        threads above), ``"sequential"`` or ``"thread"``.  Bit-identical
+        output whichever backend runs the work.
     warm_cache:
         Route extraction through the shared warm-path retrieval plane
         (:mod:`repro.retrieval`): interest queries, profile assemblies

@@ -55,7 +55,6 @@ from repro.obs.runtime import (
     Observability,
     default_observability,
     get_obs,
-    install,
     use,
 )
 from repro.obs.slo import (
@@ -96,7 +95,6 @@ __all__ = [
     "default_observability",
     "deployment_metrics",
     "get_obs",
-    "install",
     "phase_profile",
     "record_phase",
     "render_flame_table",

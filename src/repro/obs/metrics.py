@@ -392,97 +392,3 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
             self._histogram_bounds.clear()
-
-    # -- cross-process delta shipping ----------------------------------
-
-    def export_state(self, reset: bool = False) -> dict:
-        """A picklable raw dump of every series for cross-process merge.
-
-        Unlike :meth:`snapshot` (a rendering for humans and HTTP), this
-        carries the *internal* representation — raw per-bucket counts,
-        bounds, sums and the sample window — so a parent registry can
-        fold it in loss-free via :meth:`merge_state`.  With ``reset``
-        the registry is cleared in the same critical section, making
-        export-and-reset an atomic "drain": each exported state is a
-        disjoint delta, and summing a stream of drains reconstructs the
-        child's totals exactly.  Process-pool workers drain after every
-        result batch and ship the delta home with the results.
-        """
-        with self._lock:
-            state = {
-                "counters": {
-                    name: list(series.items())
-                    for name, series in self._counters.items()
-                },
-                "gauges": {
-                    name: list(series.items())
-                    for name, series in self._gauges.items()
-                },
-                "histograms": {
-                    name: [
-                        (
-                            key,
-                            {
-                                "bounds": hist.bounds,
-                                "bucket_counts": list(hist.bucket_counts),
-                                "sum": hist.total,
-                                "count": hist.count,
-                                "samples": list(hist.samples),
-                            },
-                        )
-                        for key, hist in series.items()
-                    ]
-                    for name, series in self._histograms.items()
-                },
-            }
-            if reset:
-                self._counters.clear()
-                self._gauges.clear()
-                self._histograms.clear()
-                self._histogram_bounds.clear()
-        return state
-
-    def merge_state(self, state: dict) -> None:
-        """Fold an :meth:`export_state` delta into this registry.
-
-        Counters and gauges merge **additively** — correct because a
-        drained delta carries only the change since the previous drain,
-        and the gauges on executor paths are add-style (in-flight
-        counts) whose per-batch net movement is exactly the delta.
-        Histograms merge bucket-for-bucket when bounds agree (the normal
-        case: both sides derive bounds from the same declarations or
-        defaults); on a bounds conflict the delta's raw samples are
-        re-observed instead, which preserves sum/count/quantiles for
-        everything still in the sample window.  Exemplars are not
-        shipped: their span ids are meaningless outside the process that
-        minted them.
-        """
-        with self._lock:
-            for name, pairs in state.get("counters", {}).items():
-                series = self._counters.setdefault(name, {})
-                for key, value in pairs:
-                    key = tuple(tuple(pair) for pair in key)
-                    series[key] = series.get(key, 0.0) + value
-            for name, pairs in state.get("gauges", {}).items():
-                series = self._gauges.setdefault(name, {})
-                for key, value in pairs:
-                    key = tuple(tuple(pair) for pair in key)
-                    series[key] = series.get(key, 0.0) + value
-            for name, pairs in state.get("histograms", {}).items():
-                for key, data in pairs:
-                    key = tuple(tuple(pair) for pair in key)
-                    bounds = tuple(data["bounds"])
-                    fixed = self._histogram_bounds.setdefault(name, bounds)
-                    series = self._histograms.setdefault(name, {})
-                    histogram = series.get(key)
-                    if histogram is None:
-                        histogram = series[key] = _Histogram(fixed)
-                    if histogram.bounds == bounds:
-                        for i, bucket in enumerate(data["bucket_counts"]):
-                            histogram.bucket_counts[i] += bucket
-                        histogram.total += data["sum"]
-                        histogram.count += data["count"]
-                        histogram.samples.extend(data["samples"])
-                    else:
-                        for value in data["samples"]:
-                            histogram.observe(value)

@@ -118,36 +118,6 @@ class Observability:
         self.events.add_sink(sink)
         return sink
 
-    # -- cross-process delta shipping ----------------------------------
-
-    def drain_delta(self) -> dict:
-        """Atomically pop this instance's metrics + spans as a picklable delta.
-
-        The process-executor worker half of telemetry shipping: after
-        each result batch the worker drains its local instance and sends
-        the delta home alongside the results.  Repeated drains ship
-        disjoint increments, so nothing is double-counted.
-        """
-        return {
-            "metrics": self.metrics.export_state(reset=True),
-            "spans": self.tracer.drain_records(),
-        }
-
-    def absorb_delta(self, delta: dict) -> None:
-        """Fold a worker's :meth:`drain_delta` into this instance.
-
-        Metrics merge loss-free (counters/gauges additively, histograms
-        bucket-for-bucket); spans are re-homed under the calling
-        context's current span with fresh local ids.  After absorption
-        the parent's ``GET /api/v1/metrics``, profiler views and cost
-        ledgers see work done in child processes exactly as if it had
-        run in a local pool thread.
-        """
-        if not self.enabled:
-            return
-        self.metrics.merge_state(delta.get("metrics", {}))
-        self.tracer.adopt(delta.get("spans", []))
-
     # -- reporting -----------------------------------------------------
 
     def summary(self) -> dict:
@@ -176,22 +146,6 @@ def get_obs() -> Observability:
 def default_observability() -> Observability:
     """The process-wide fallback instance."""
     return _DEFAULT
-
-
-def install(obs: Observability) -> Observability:
-    """Replace the process-wide fallback instance with ``obs``.
-
-    Unlike :func:`use` this is not scoped to a context — it rebinds the
-    default every thread falls back to when no ambient instance is set.
-    Its one intended caller is the process-pool worker initializer,
-    which installs a fresh per-worker instance once at spawn so all
-    telemetry recorded in the worker lands in a registry the worker can
-    drain and ship back to the parent.  Returns the previous default.
-    """
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = obs
-    return previous
 
 
 @contextmanager

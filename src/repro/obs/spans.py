@@ -392,84 +392,3 @@ class Tracer:
             self._finished.clear()
             self._pending.clear()
             self._marked.clear()
-
-    # -- cross-process delta shipping ----------------------------------
-
-    def drain_records(self) -> list[dict]:
-        """Pop every finished span as picklable raw records.
-
-        Unlike :meth:`finished` + ``to_dict`` this preserves the raw
-        start/end stamps (durations survive the trip exactly) and clears
-        the ring in the same critical section, so repeated drains ship
-        disjoint deltas.  Process-pool workers drain after each result
-        batch; the parent re-homes the records via :meth:`adopt`.
-        """
-        with self._lock:
-            spans = list(self._finished)
-            self._finished.clear()
-        return [
-            {
-                "trace_id": s.trace_id,
-                "span_id": s.span_id,
-                "parent_id": s.parent_id,
-                "name": s.name,
-                "labels": dict(s.labels),
-                "wall_start": s.wall_start,
-                "wall_end": s.wall_end,
-                "virtual_start": s.virtual_start,
-                "virtual_end": s.virtual_end,
-                "error": s.error,
-            }
-            for s in spans
-        ]
-
-    def adopt(self, records: list[dict]) -> list[Span]:
-        """Re-home drained foreign spans under this tracer's id space.
-
-        Every foreign span/trace id is remapped to a fresh local id (the
-        two processes mint ids independently, so the originals would
-        collide), intra-batch parent/child links are preserved, and
-        spans whose parent is not in the batch — the worker-side roots —
-        are re-parented under the calling context's current span, so a
-        remote chunk's spans hang off the ``map`` call that shipped it.
-        Adopted spans are committed to the ring directly: the retention
-        decision for their trace was effectively taken by the worker
-        that shipped them.
-        """
-        if not records:
-            return []
-        caller = _CURRENT_SPAN.get()
-        with self._lock:
-            span_ids = {r["span_id"]: next(self._span_ids) for r in records}
-            trace_ids = {}
-            for record in records:
-                foreign = record["trace_id"]
-                if foreign not in trace_ids:
-                    if caller is not None:
-                        trace_ids[foreign] = caller.trace_id
-                    else:
-                        trace_ids[foreign] = next(self._trace_ids)
-        adopted = []
-        for record in records:
-            parent = record["parent_id"]
-            if parent in span_ids:
-                parent_id = span_ids[parent]
-            else:
-                parent_id = caller.span_id if caller is not None else None
-            span = Span(
-                tracer=self,
-                name=record["name"],
-                trace_id=trace_ids[record["trace_id"]],
-                span_id=span_ids[record["span_id"]],
-                parent_id=parent_id,
-                labels=dict(record["labels"]),
-            )
-            span.wall_start = record["wall_start"]
-            span.wall_end = record["wall_end"]
-            span.virtual_start = record["virtual_start"]
-            span.virtual_end = record["virtual_end"]
-            span.error = record["error"]
-            adopted.append(span)
-        with self._lock:
-            self._finished.extend(adopted)
-        return adopted

@@ -22,22 +22,12 @@ realising a single world block or holding scholars resident.
 from repro.scale.features import ShardedFeatureStore
 from repro.scale.plane import PoolMember, ScalePlane, ScaleVerdict
 from repro.scale.sharding import ShardedInvertedIndex, shard_of
-from repro.scale.worker import (
-    RetrieveShardTask,
-    ScaleWorkerBootstrap,
-    ScreenShardTask,
-    run_scale_task,
-)
 
 __all__ = [
     "PoolMember",
-    "RetrieveShardTask",
     "ScalePlane",
     "ScaleVerdict",
-    "ScaleWorkerBootstrap",
-    "ScreenShardTask",
     "ShardedFeatureStore",
     "ShardedInvertedIndex",
-    "run_scale_task",
     "shard_of",
 ]

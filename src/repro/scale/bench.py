@@ -5,18 +5,12 @@ pytest benchmark ``benchmarks/test_bench_scale.py`` — so the CLI, the
 CI artifact and the docs all describe the same measurement:
 
 - **Pool-size sweep**: worlds of 10^3 → 10^5+ scholars are streamed
-  into a sharded :class:`~repro.scale.plane.ScalePlane`; per-query cost
-  (deterministic cost units *and* wall-clock) is recorded at each size.
-  Per-query work tracks the retrieved pool, not the population, so cost
-  growth is sub-linear in world size — the claim the sweep table checks.
-- **Shard-parallel speedup**: per-shard cost accounting feeds the LPT
-  makespan model (:func:`~repro.scale.plane.modeled_speedup`) at 1-8
-  workers.  Pure-Python shard tasks are GIL-bound under the thread
-  backend, so the *measured* half of the claim comes from the process
-  backend: :func:`measure_process_speedup` times the same queries
-  through seed-rehydrated worker processes against a sequential
-  baseline, reports measured next to modeled, and proves the top-k
-  bit-identical to brute force across a processes × shards grid.
+  into a sharded :class:`~repro.scale.plane.ScalePlane`; the measured
+  wall time of each query is recorded at each size, split into the
+  plane's phases (retrieve, COI screen, score and the rest) from the
+  ``scale.*`` spans the plane already emits.  Per-query work tracks
+  the retrieved pool, not the population, so query wall grows
+  sub-linearly in world size — the claim the sweep checks.
 - **Correctness anchor**: at sizes where a full scan is affordable the
   sharded top-k is compared entry-for-entry against
   :meth:`~repro.scale.plane.ScalePlane.brute_force_topk`.
@@ -27,19 +21,19 @@ CI artifact and the docs all describe the same measurement:
 
 from __future__ import annotations
 
-import os
 import time
 import tracemalloc
 from collections import Counter
 
 from repro.concurrency import create_executor
-from repro.scale.plane import ScalePlane, lpt_makespan, modeled_speedup
-from repro.scale.worker import ScaleWorkerBootstrap
+from repro.obs import Observability, phase_profile, use
+from repro.scale.plane import ScalePlane
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
 
-#: Worker counts the speedup model is evaluated at.
-_WORKER_SWEEP = (1, 2, 4, 8)
+#: The spans that split a query's wall time into the plane's phases;
+#: whatever the query wall holds outside them is reported as ``rest``.
+_QUERY_PHASES = ("scale.retrieve", "scale.coi", "scale.score")
 
 
 def popular_labels(world: StreamingWorld, sample: int = 500, count: int = 6) -> list[str]:
@@ -107,147 +101,6 @@ def measure_interning(author_count: int = 1000, seed: int = 42) -> dict:
     }
 
 
-def _bench_queries(labels: list[str], count: int, k_weights=((0, 1.0), (1, 0.8), (2, 0.5))):
-    """The deterministic query set every measurement variant reuses."""
-    return [
-        {
-            labels[(query_index + offset) % len(labels)]: weight
-            for offset, weight in k_weights
-        }
-        for query_index in range(count)
-    ]
-
-
-def measure_process_speedup(
-    size: int = 10_000,
-    shards: int = 16,
-    process_workers: int = 8,
-    queries: int = 3,
-    k: int = 10,
-    pool_limit: int | None = 200,
-    block_size: int = 64,
-    seed: int = 42,
-    grid_size: int = 600,
-    grid_processes: tuple[int, ...] = (1, 2, 8),
-    grid_shards: tuple[int, ...] = (1, 4, 16),
-) -> dict:
-    """Measured wall-clock speedup of the process backend, with proof.
-
-    Two halves, one report:
-
-    - **Measurement** at ``size`` scholars: the same deterministic query
-      set runs through a sequential plane and a ``process_workers``-
-      process plane (workers rehydrated from the world seed via
-      :class:`~repro.scale.worker.ScaleWorkerBootstrap`).  The first
-      process query is reported separately (it pays pool spawn + world
-      rehydration) and excluded from the steady-state mean, exactly as a
-      persistent serving pool would amortize it.  ``cpus`` records the
-      cores available — on a single-core host the measured number is
-      honest (≈1× or below), and the modeled LPT speedup alongside it
-      says what the same run achieves when cores exist.
-    - **Bit-identity grid** at ``grid_size`` scholars: every
-      ``grid_processes`` × ``grid_shards`` combination must reproduce
-      the brute-force reference top-k entry-for-entry.
-    """
-    world = StreamingWorld(
-        WorldConfig(author_count=size, seed=seed), block_size=block_size
-    )
-    sequential_plane = ScalePlane(
-        world, n_shards=shards, executor=create_executor(1, "sequential")
-    )
-    sequential_plane.ingest()
-    labels = popular_labels(world)
-    submitters = ["author-0", "author-1"]
-    query_set = _bench_queries(labels, queries)
-
-    def timed_run(plane) -> tuple[list[float], list]:
-        walls, all_hits = [], []
-        for keywords in query_set:
-            t0 = time.perf_counter()
-            hits, __stats = plane.topk(keywords, submitters, k=k, pool_limit=pool_limit)
-            walls.append(time.perf_counter() - t0)
-            all_hits.append(hits)
-        return walls, all_hits
-
-    # Warm caches (world LRU blocks, feature store), then measure.
-    timed_run(sequential_plane)
-    seq_walls, seq_hits = timed_run(sequential_plane)
-    __, seq_stats = sequential_plane.topk(
-        query_set[0], submitters, k=k, pool_limit=pool_limit
-    )
-
-    executor = create_executor(
-        process_workers,
-        "process",
-        bootstrap=ScaleWorkerBootstrap.for_plane(sequential_plane),
-    )
-    process_plane = ScalePlane(world, n_shards=shards, executor=executor)
-    process_plane.ingest()
-    try:
-        t0 = time.perf_counter()
-        first_hits, __stats = process_plane.topk(
-            query_set[0], submitters, k=k, pool_limit=pool_limit
-        )
-        first_query_wall = time.perf_counter() - t0
-        proc_walls, proc_hits = timed_run(process_plane)
-    finally:
-        executor.close()
-
-    seq_mean = sum(seq_walls) / len(seq_walls)
-    proc_mean = sum(proc_walls) / len(proc_walls)
-    grid = []
-    for grid_shard_count in grid_shards:
-        grid_world = StreamingWorld(
-            WorldConfig(author_count=grid_size, seed=seed), block_size=block_size
-        )
-        reference_plane = ScalePlane(grid_world, n_shards=grid_shard_count)
-        reference_plane.ingest()
-        grid_labels = popular_labels(grid_world)
-        grid_query = _bench_queries(grid_labels, 1)[0]
-        reference = reference_plane.brute_force_topk(grid_query, submitters, k=k)
-        for processes in grid_processes:
-            grid_executor = create_executor(
-                processes,
-                "process",
-                bootstrap=ScaleWorkerBootstrap.for_plane(reference_plane),
-            )
-            grid_plane = ScalePlane(
-                grid_world, n_shards=grid_shard_count, executor=grid_executor
-            )
-            grid_plane.ingest()
-            try:
-                hits, __stats = grid_plane.topk(
-                    grid_query, submitters, k=k, pool_limit=None
-                )
-            finally:
-                grid_executor.close()
-            grid.append(
-                {
-                    "processes": processes,
-                    "shards": grid_shard_count,
-                    "identical": hits == reference,
-                }
-            )
-    return {
-        "size": size,
-        "shards": shards,
-        "workers": process_workers,
-        "cpus": os.cpu_count() or 1,
-        "queries": len(query_set),
-        "sequential_wall_seconds": round(seq_mean, 4),
-        "process_wall_seconds": round(proc_mean, 4),
-        "measured_speedup": round(seq_mean / proc_mean, 3) if proc_mean else 0.0,
-        "first_query_wall_seconds": round(first_query_wall, 4),
-        "modeled_speedup": round(
-            modeled_speedup(seq_stats.shard_costs, process_workers), 3
-        ),
-        "topk_identical": proc_hits == seq_hits and first_hits == seq_hits[0],
-        "grid_size": grid_size,
-        "grid": grid,
-        "grid_identical": all(cell["identical"] for cell in grid),
-    }
-
-
 def run_scale_bench(
     sizes: tuple[int, ...] = (1_000, 10_000, 100_000),
     shards: int = 16,
@@ -260,28 +113,21 @@ def run_scale_bench(
     intern_probe_size: int = 1_000,
     seed: int = 42,
     backend: str | None = None,
-    process_probe_size: int | None = 10_000,
 ) -> dict:
     """Run the full EXP-SCALE protocol; returns the report dict.
 
     ``pool_limit`` caps the retrieved pool per query — the setting that
-    makes per-query cost sub-linear in world size (posting scans grow
+    makes per-query work sub-linear in world size (posting scans grow
     with the population, but screening and scoring work only the pool).
     ``verify_max`` bounds the sizes at which the brute-force reference
     runs (it is O(world) per query by design); the verification query
     runs uncapped, since the full scan considers every match.
 
-    ``backend`` selects the executor for the pool-size sweep (default:
-    thread when ``workers > 1``, else auto).  With ``"process"`` each
-    size gets its own pool whose workers rehydrate that size's world
-    from its seed.  ``process_probe_size`` sizes the measured-speedup
-    probe (:func:`measure_process_speedup`, the ``"process"`` report
-    section); pass ``None``/``0`` to skip it.
+    ``backend`` selects the executor for the shard fan-out (default:
+    thread when ``workers > 1``, else auto).
     """
     effective_backend = backend or ("thread" if workers > 1 else "auto")
-    executor = None
-    if effective_backend != "process":
-        executor = create_executor(workers, effective_backend)
+    executor = create_executor(workers, effective_backend)
     report: dict = {
         "name": "EXP-SCALE",
         "shards": shards,
@@ -295,46 +141,40 @@ def run_scale_bench(
         world = StreamingWorld(
             WorldConfig(author_count=size, seed=seed), block_size=block_size
         )
-        size_executor = executor
-        if size_executor is None:
-            size_executor = create_executor(
-                workers,
-                "process",
-                bootstrap=ScaleWorkerBootstrap.for_world(world, shards),
-            )
-        plane = ScalePlane(world, n_shards=shards, executor=size_executor)
+        plane = ScalePlane(world, n_shards=shards, executor=executor)
         t0 = time.perf_counter()
         plane.ingest()
         ingest_seconds = time.perf_counter() - t0
         labels = popular_labels(world)
         submitters = ["author-0", "author-1"]
         per_query = []
+        walls = []
+        phase_totals = dict.fromkeys(_QUERY_PHASES, 0.0)
         verified = None
         for query_index in range(queries_per_size):
             keywords = {
                 labels[(query_index + offset) % len(labels)]: weight
                 for offset, weight in ((0, 1.0), (1, 0.8), (2, 0.5))
             }
-            t0 = time.perf_counter()
-            hits, stats = plane.topk(
-                keywords, submitters, k=k, pool_limit=pool_limit
-            )
-            wall = time.perf_counter() - t0
-            speedups = {
-                str(n): round(modeled_speedup(stats.shard_costs, n), 3)
-                for n in _WORKER_SWEEP
-            }
+            # A fresh instance per timed query: its spans are exactly
+            # this query's phases.
+            query_obs = Observability()
+            with use(query_obs):
+                t0 = time.perf_counter()
+                hits, stats = plane.topk(
+                    keywords, submitters, k=k, pool_limit=pool_limit
+                )
+                wall = time.perf_counter() - t0
+            walls.append(wall)
+            for profile in phase_profile(query_obs.tracer.finished()):
+                if profile.name in phase_totals:
+                    phase_totals[profile.name] += profile.wall_total
             per_query.append(
                 {
                     "keywords": sorted(keywords),
                     "pool": stats.pool_size,
                     "screened_out": stats.screened_out,
                     "scored": stats.scored,
-                    "cost_units": round(stats.sequential_cost, 1),
-                    "makespan_units": round(
-                        lpt_makespan(stats.shard_costs, workers), 1
-                    ),
-                    "modeled_speedup": speedups,
                     "wall_seconds": round(wall, 4),
                     "top": [h.candidate_id for h in hits],
                 }
@@ -345,10 +185,9 @@ def run_scale_bench(
                 )
                 reference = plane.brute_force_topk(keywords, submitters, k=k)
                 verified = uncapped == reference
-        mean_cost = sum(q["cost_units"] for q in per_query) / len(per_query)
-        mean_speedup = sum(
-            q["modeled_speedup"][str(workers)] for q in per_query
-        ) / len(per_query)
+        mean_wall = sum(walls) / len(walls)
+        phases = {name: total / len(walls) for name, total in phase_totals.items()}
+        phases["rest"] = mean_wall - sum(phases.values())
         report["sizes"].append(
             {
                 "authors": size,
@@ -358,39 +197,26 @@ def run_scale_bench(
                     for key, value in plane.index.stats().items()
                     if key != "per_shard"
                 },
-                "mean_query_cost_units": round(mean_cost, 1),
-                "mean_modeled_speedup": round(mean_speedup, 3),
-                "mean_wall_seconds": round(
-                    sum(q["wall_seconds"] for q in per_query) / len(per_query), 4
-                ),
+                "mean_wall_seconds": round(mean_wall, 4),
+                "mean_phase_wall_seconds": {
+                    name: round(seconds, 6) for name, seconds in phases.items()
+                },
                 "topk_matches_brute_force": verified,
                 "queries": per_query,
             }
-        )
-        if size_executor is not executor:
-            size_executor.close()
-    if process_probe_size:
-        report["process"] = measure_process_speedup(
-            size=process_probe_size,
-            shards=shards,
-            process_workers=workers,
-            k=k,
-            pool_limit=pool_limit,
-            block_size=block_size,
-            seed=seed,
         )
     sizes_run = report["sizes"]
     if len(sizes_run) >= 2:
         first, last = sizes_run[0], sizes_run[-1]
         size_ratio = last["authors"] / first["authors"]
-        cost_ratio = (
-            last["mean_query_cost_units"] / first["mean_query_cost_units"]
-            if first["mean_query_cost_units"]
+        wall_ratio = (
+            last["mean_wall_seconds"] / first["mean_wall_seconds"]
+            if first["mean_wall_seconds"]
             else 0.0
         )
         report["scaling"] = {
             "size_ratio": round(size_ratio, 1),
-            "query_cost_ratio": round(cost_ratio, 2),
-            "sublinear": cost_ratio < size_ratio,
+            "query_wall_ratio": round(wall_ratio, 2),
+            "sublinear": wall_ratio < size_ratio,
         }
     return report

@@ -32,21 +32,11 @@ path is bit-identical at any worker/shard count, and
 :meth:`ScalePlane.brute_force_topk` recomputes it with none of the
 machinery — a full scan over every scholar — as the equality reference.
 
-The shard-parallel phases are pure-Python and CPU-bound, so the plane
-supports two execution regimes.  Threads (or inline execution) share
-the parent's live index structures; the deterministic **cost units**
-accounted per shard (postings scanned, features built, candidates
-scored) feed :func:`modeled_speedup`, the LPT makespan model of what an
-N-worker pool *should* achieve.  A
-:class:`~repro.concurrency.process.ProcessExecutor` (detected via
-``requires_pickling``) measures the model against wall-clock: the
-plane routes the retrieval and screening fan-outs through small
-picklable task descriptors (:mod:`repro.scale.worker`) executed against
-worker-local plane replicas rehydrated from the world seed, with
-results — and the workers' telemetry deltas — merged by the parent
-bit-identically to the in-process path.  Scoring stays parent-side: a
-row lookup and a few multiplies cost less than pickling the row.
-EXP-SCALE reports the measured speedup next to the modeled one.
+Each shard-parallel phase has one dispatch path: a closure over the
+live shard state, mapped through the plane's
+:class:`~repro.concurrency.Executor` (inline or a thread pool).
+EXP-SCALE reports measured query wall time, broken down by the
+``scale.*`` spans each phase opens.
 """
 
 from __future__ import annotations
@@ -54,11 +44,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.concurrency import Executor, SequentialExecutor
 from repro.obs import get_obs
-from repro.scale.sharding import ShardedInvertedIndex, merge_scored, shard_of
+from repro.scale.sharding import ShardedInvertedIndex, shard_of
 from repro.scholarly.records import (
     Metrics,
     SourceName,
@@ -73,12 +63,6 @@ _W_RELEVANCE = 0.45
 _W_IMPACT = 0.25
 _W_EXPERIENCE = 0.20
 _W_TIMELINESS = 0.10
-
-#: Cost units per posting scanned / feature built / candidate scored —
-#: coarse relative weights for the deterministic makespan model.
-_COST_POSTING = 1.0
-_COST_FEATURE = 25.0
-_COST_SCORE = 5.0
 
 
 @dataclass(frozen=True)
@@ -110,39 +94,11 @@ class ScaleHit:
 
 @dataclass
 class QueryStats:
-    """Deterministic accounting of one query's work, per shard."""
+    """Counts of one query's work."""
 
     pool_size: int = 0
     screened_out: int = 0
     scored: int = 0
-    shard_costs: list[float] = field(default_factory=list)
-
-    @property
-    def sequential_cost(self) -> float:
-        return sum(self.shard_costs)
-
-
-def lpt_makespan(costs: list[float], workers: int) -> float:
-    """Makespan of longest-processing-time-first over ``workers`` slots.
-
-    The deterministic stand-in for "how long do these shard tasks take
-    on an N-worker pool" — LPT is the classic 4/3-approximation and,
-    crucially here, a pure function of the cost list.
-    """
-    if not costs:
-        return 0.0
-    if workers <= 1:
-        return sum(costs)
-    heap = [0.0] * min(workers, len(costs))
-    for cost in sorted(costs, reverse=True):
-        heapq.heappush(heap, heapq.heappop(heap) + cost)
-    return max(heap)
-
-
-def modeled_speedup(costs: list[float], workers: int) -> float:
-    """Sequential cost over the ``workers``-slot LPT makespan."""
-    makespan = lpt_makespan(costs, workers)
-    return sum(costs) / makespan if makespan > 0 else 1.0
 
 
 def score_rows(
@@ -210,21 +166,7 @@ class ScalePlane:
         self.n_shards = int(n_shards)
         self._executor = executor or SequentialExecutor()
         self._name = name
-        # A process executor cannot run the index closures (they capture
-        # live shard state); the plane drives the process fan-out itself
-        # through task descriptors, and the inner components run
-        # sequentially inside whichever process owns them.
-        self._remote = bool(getattr(self._executor, "requires_pickling", False))
-        inner = SequentialExecutor() if self._remote else self._executor
-        if self._remote:
-            # If the process pool ever degrades to an in-process
-            # fallback, run_scale_task must still find a plane to run
-            # descriptors against.
-            from repro.scale.worker import register_parent_plane
-
-            register_parent_plane(self)
-        self._inner = inner
-        self.index = ShardedInvertedIndex(n_shards, executor=inner, name=name)
+        self.index = ShardedInvertedIndex(n_shards, executor=self._executor, name=name)
         # Scoring rows and COI posting maps, partitioned like the index:
         # shard s holds only candidates with shard_of(id) == s.
         self._rows: list[dict[str, tuple[str, float, float, float]]] = [
@@ -242,40 +184,23 @@ class ScalePlane:
     # Ingest
     # ------------------------------------------------------------------
 
-    def ingest(self, shard_ids: Iterable[int] | None = None) -> dict:
+    def ingest(self) -> dict:
         """Stream the world once into the sharded index structures.
 
         Blocks are realised transiently (not via the world's LRU), so
         peak memory during ingest is one block plus the indexes and
-        scoring rows being built.  ``shard_ids`` restricts ingestion to
-        the named shards — the worker-bootstrap hook for pools whose
-        scheduler routes shard tasks to dedicated workers; with the
-        default ``None`` every shard is built (required for the stock
-        process pool, which hands any task to any worker, and for every
-        parent plane, which scores from its own rows).  Returns the
-        post-ingest :meth:`stats` snapshot.
-        """
-        return self._ingest(shard_ids, with_rows=True)
-
-    def _ingest(self, shard_ids: Iterable[int] | None, with_rows: bool) -> dict:
-        """:meth:`ingest`, optionally without scoring rows.
-
-        Worker replicas (:meth:`ScaleWorkerBootstrap.hydrate`) pass
-        ``with_rows=False``: they only retrieve and screen, while the
-        parent scores from its own rows.
+        scoring rows being built.  Returns the post-ingest :meth:`stats`
+        snapshot.
         """
         world = self.world
         obs = get_obs()
         ontology = world.ontology
-        wanted = None if shard_ids is None else set(shard_ids)
         with obs.span("scale.ingest", shards=self.n_shards):
             block_count = -(-world.config.author_count // world.block_size)
             for block_id in range(block_count):
                 block = world._realize_block(block_id)
                 for author in block.authors.values():
                     shard_id = shard_of(author.author_id, self.n_shards)
-                    if wanted is not None and shard_id not in wanted:
-                        continue
                     interests = {
                         ontology.topic(topic_id).label: weight
                         for topic_id, weight in sorted(
@@ -292,10 +217,9 @@ class ScalePlane:
                     self._coauthors[shard_id][author.author_id] = frozenset(
                         block.coauthors[author.author_id]
                     )
-                    if with_rows:
-                        self._rows[shard_id][author.author_id] = _scoring_row(
-                            block, author
-                        )
+                    self._rows[shard_id][author.author_id] = _scoring_row(
+                        block, author
+                    )
         self._ingested = True
         return self.stats()
 
@@ -329,42 +253,8 @@ class ScalePlane:
     ) -> list[PoolMember]:
         """Shard-parallel ranked retrieval over the interest index."""
         terms, weights = _normalize_query(keywords)
-        if self._remote:
-            postings = self._retrieve_remote(terms, weights, limit)
-        else:
-            postings = self.index.search(terms, query_weights=weights, limit=limit)
+        postings = self.index.search(terms, query_weights=weights, limit=limit)
         return [PoolMember(p.doc_id, p.weight) for p in postings]
-
-    def _retrieve_remote(
-        self,
-        terms: list[str],
-        weights: dict[str, float] | None,
-        limit: int | None,
-    ) -> list:
-        """Process-backend retrieval: descriptor fan-out, same merge.
-
-        Global idf is computed **parent-side** (workers only hold their
-        own replica, but idf must reflect the global corpus — it does
-        either way since replicas are full, yet parent-side computation
-        keeps the invariant explicit and the task payload self-contained)
-        and shipped in each :class:`~repro.scale.worker.RetrieveShardTask`.
-        """
-        from repro.scale.worker import RetrieveShardTask, run_scale_task
-
-        obs = get_obs()
-        with obs.span("scale.retrieve", shards=self.n_shards, terms=len(terms)):
-            idf = self.index.global_idf(terms)
-            descriptors = [
-                RetrieveShardTask(
-                    shard_id=shard_id,
-                    terms=tuple(terms),
-                    weights=weights,
-                    idf=idf,
-                )
-                for shard_id in range(self.n_shards)
-            ]
-            score_maps = self._executor.map(run_scale_task, descriptors)
-            return merge_scored(score_maps, limit)
 
     def screen(
         self, pool: list[PoolMember], submitter_ids: list[str]
@@ -395,29 +285,12 @@ class ScalePlane:
         with obs.span(
             "scale.coi", shards=len(partitions), pool=len(pool)
         ):
-            tasks = sorted(partitions.items())
-            if self._remote:
-                from repro.scale.worker import ScreenShardTask, run_scale_task
-
-                per_shard = self._executor.map(
-                    run_scale_task,
-                    [
-                        ScreenShardTask(
-                            shard_id=shard_id,
-                            members=tuple(members),
-                            submitters=frozenset(submitters),
-                            submitter_affs=tuple(submitter_affs),
-                        )
-                        for shard_id, members in tasks
-                    ],
-                )
-            else:
-                per_shard = self._executor.map(
-                    lambda task: self.screen_shard(
-                        task[0], task[1], submitters, submitter_affs
-                    ),
-                    tasks,
-                )
+            per_shard = self._executor.map(
+                lambda task: self.screen_shard(
+                    task[0], task[1], submitters, submitter_affs
+                ),
+                sorted(partitions.items()),
+            )
         ordered: list[ScaleVerdict | None] = [None] * len(pool)
         for shard_verdicts in per_shard:
             for position, verdict in shard_verdicts:
@@ -431,13 +304,11 @@ class ScalePlane:
         submitters: set[str],
         submitter_affs: list[tuple[str, int, int]],
     ) -> list[tuple[int, ScaleVerdict]]:
-        """Screen one shard's pool slice (the unit both regimes run).
+        """Screen one shard's pool slice.
 
         Probes this shard's institution postings with the submitters'
         affiliation intervals, then tests each member for identity with
-        or co-authorship of a submitter.  Takes every query-scoped input
-        explicitly so :class:`~repro.scale.worker.ScreenShardTask` can
-        carry them across a process boundary unchanged.
+        or co-authorship of a submitter.
         """
         inst_postings = self._institutions[shard_id]
         coauthors = self._coauthors[shard_id]
@@ -544,19 +415,10 @@ class ScalePlane:
     ) -> tuple[list[ScaleHit], QueryStats]:
         """The full sharded query path: retrieve → screen → score.
 
-        Returns the top-``k`` hits in canonical order plus the
-        deterministic per-shard cost accounting.
+        Returns the top-``k`` hits in canonical order plus the query's
+        pool, screened and scored counts.
         """
         stats = QueryStats()
-        terms, __ = _normalize_query(keywords)
-        # Cost: postings scanned per shard during retrieval.
-        shard_posting_cost = [0.0] * self.n_shards
-        for term in dict.fromkeys(terms):
-            for posting in self.index.postings(term):
-                shard_posting_cost[
-                    shard_of(posting.doc_id, self.n_shards)
-                ] += _COST_POSTING
-
         pool = self.retrieve(keywords, limit=pool_limit)
         stats.pool_size = len(pool)
         verdicts = self.screen(pool, submitter_ids)
@@ -566,12 +428,8 @@ class ScalePlane:
             if not verdict.has_conflict
         ]
         stats.screened_out = len(pool) - len(survivors)
-        hits, shard_work = self._score(keywords, survivors, k)
+        hits = self._score(survivors, k)
         stats.scored = len(survivors)
-        stats.shard_costs = [
-            posting_cost + work
-            for posting_cost, work in zip(shard_posting_cost, shard_work)
-        ]
         return hits, stats
 
     def component_rows(
@@ -590,24 +448,17 @@ class ScalePlane:
             rows.append((member.candidate_id, name, member.relevance, *components))
         return rows
 
-    def _score(
-        self,
-        keywords: dict[str, float] | list[str],
-        survivors: list[PoolMember],
-        k: int,
-    ) -> tuple[list[ScaleHit], list[float]]:
+    def _score(self, survivors: list[PoolMember], k: int) -> list[ScaleHit]:
         """Two-phase shard-parallel scoring with a global-maxima barrier.
 
-        Both phases run parent-side for every backend: the parent always
-        ingests, so it holds every row, and a row costs less to score
-        than to pickle.  Phase A looks up each shard's raw components;
-        the barrier takes the pool maxima (normalisation couples every
-        candidate to every other, so this is the one genuinely global
-        step); phase B computes totals and a per-shard top-k heap; the
-        merge folds the per-shard heaps under the canonical tie-break.
+        Phase A looks up each shard's raw components; the barrier takes
+        the pool maxima (normalisation couples every candidate to every
+        other, so this is the one genuinely global step); phase B
+        computes totals and a per-shard top-k heap; the merge folds the
+        per-shard heaps under the canonical tie-break.
         """
         if not survivors:
-            return [], [0.0] * self.n_shards
+            return []
         obs = get_obs()
         partitions: dict[int, list[PoolMember]] = {}
         for member in survivors:
@@ -615,7 +466,6 @@ class ScalePlane:
                 shard_of(member.candidate_id, self.n_shards), []
             ).append(member)
         tasks = sorted(partitions.items())
-        shard_work = [0.0] * self.n_shards
         with obs.span(
             "scale.score", shards=len(tasks), candidates=len(survivors)
         ):
@@ -634,17 +484,14 @@ class ScalePlane:
             )
 
             # Phase B: totals and per-shard top-k.
-            per_shard_topk = self._inner.map(
+            per_shard_topk = self._executor.map(
                 lambda rows: score_rows(rows, maxima, k), per_shard_rows
             )
-        for (shard_id, members), rows in zip(tasks, per_shard_rows):
-            shard_work[shard_id] += len(rows) * (_COST_FEATURE + _COST_SCORE)
-        merged = heapq.nsmallest(
+        return heapq.nsmallest(
             k,
             (hit for shard_hits in per_shard_topk for hit in shard_hits),
             key=lambda h: (-h.total_score, h.candidate_id),
         )
-        return merged, shard_work
 
     # ------------------------------------------------------------------
     # Reference path
@@ -695,7 +542,10 @@ class ScalePlane:
 
         submitter_affs = []
         for submitter_id in submitter_ids:
-            author = self.world.profile(self.world.author_index(submitter_id))
+            try:
+                author = self.world.profile(self.world.author_index(submitter_id))
+            except KeyError:
+                continue
             for aff in author.affiliations:
                 end = aff.end_year if aff.end_year is not None else 10_000
                 submitter_affs.append((aff.institution, aff.start_year, end))

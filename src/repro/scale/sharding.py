@@ -52,28 +52,6 @@ def shard_of(doc_id: str, n_shards: int) -> int:
     return int.from_bytes(digest, "big") % n_shards
 
 
-def merge_scored(
-    score_maps: Iterable[Mapping[str, float]], limit: int | None = None
-) -> list[Posting]:
-    """Fold per-shard score maps into the canonical ranked result list.
-
-    The one merge both retrieval paths share: flatten in shard order,
-    cut to ``limit`` with the ``(-weight, doc_id)`` heap, sort under the
-    same key.  Each document lives in exactly one shard, so no
-    cross-map combination is needed — which is why the merged floats
-    equal the monolithic index's bit-for-bit.
-    """
-    results = [
-        Posting(doc_id=d, weight=s)
-        for scores in score_maps
-        for d, s in scores.items()
-    ]
-    if limit is not None and 0 <= limit < len(results):
-        results = heapq.nsmallest(limit, results, key=lambda p: (-p.weight, p.doc_id))
-    results.sort(key=lambda p: (-p.weight, p.doc_id))
-    return results
-
-
 class _Shard:
     """One independently locked, epoch-stamped index partition."""
 
@@ -236,38 +214,14 @@ class ShardedInvertedIndex:
     # Retrieval
     # ------------------------------------------------------------------
 
-    def global_idf(self, terms: Iterable[str]) -> dict[str, float]:
-        """Idf per query term from the *global* corpus view.
-
-        Public because the process-backend retrieval path computes idf
-        once in the parent and ships it inside each shard's task
-        descriptor — workers must score under the same idf the
-        monolithic search would use, never their shard-local view.
-        """
+    def _global_idf(self, term_list: list[str]) -> dict[str, float]:
         total_docs = len(self)
         idf: dict[str, float] = {}
-        for term in dict.fromkeys(terms):
+        for term in dict.fromkeys(term_list):
             df = self.document_frequency(term)
             if df:
                 idf[term] = idf_of(total_docs, df)
         return idf
-
-    def score_shard(
-        self,
-        shard_id: int,
-        terms: list[str],
-        query_weights: Mapping[str, float] | None = None,
-        idf: Mapping[str, float] | None = None,
-    ) -> dict[str, float]:
-        """Score one shard's documents against a query, under its lock.
-
-        The per-shard unit of :meth:`search`, exposed so task
-        descriptors (see :mod:`repro.scale.worker`) can run exactly the
-        same computation inside a pool worker's rehydrated index.
-        """
-        shard = self._shards[shard_id]
-        with shard.lock:
-            return shard.index.score_terms(terms, query_weights, idf=idf)
 
     def search(
         self,
@@ -287,14 +241,24 @@ class ShardedInvertedIndex:
         with obs.span(
             "scale.retrieve", shards=len(self._shards), terms=len(term_list)
         ):
-            idf = self.global_idf(term_list) if use_idf else None
+            idf = self._global_idf(term_list) if use_idf else None
 
             def shard_scores(shard: _Shard) -> dict[str, float]:
                 with shard.lock:
                     return shard.index.score_terms(term_list, query_weights, idf=idf)
 
             score_maps = self._executor.map(shard_scores, self._shards)
-            return merge_scored(score_maps, limit)
+            results = [
+                Posting(doc_id=d, weight=s)
+                for scores in score_maps
+                for d, s in scores.items()
+            ]
+            if limit is not None and 0 <= limit < len(results):
+                results = heapq.nsmallest(
+                    limit, results, key=lambda p: (-p.weight, p.doc_id)
+                )
+            results.sort(key=lambda p: (-p.weight, p.doc_id))
+            return results
 
     def search_any(self, terms: Iterable[str]) -> list[str]:
         term_list = list(terms)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.concurrency import (
+    EXECUTOR_BACKENDS,
     Executor,
     SequentialExecutor,
     ThreadExecutor,
@@ -163,5 +164,22 @@ class TestCreateExecutor:
             ThreadExecutor(0)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        for backend in ("fork", "process"):
+            with pytest.raises(ValueError):
+                create_executor(2, backend=backend)
+
+
+class TestCreateExecutorRegistry:
+    def test_registry_is_the_single_source_of_backends(self):
+        assert EXECUTOR_BACKENDS == ("auto", "sequential", "thread")
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_every_registered_backend_constructs(self, backend):
+        built = create_executor(2, backend=backend)
+        assert isinstance(built, (SequentialExecutor, ThreadExecutor))
+
+    def test_unknown_backend_error_names_the_registry(self):
+        with pytest.raises(ValueError) as excinfo:
             create_executor(2, backend="fork")
+        for backend in EXECUTOR_BACKENDS:
+            assert repr(backend) in str(excinfo.value)

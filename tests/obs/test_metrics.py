@@ -195,63 +195,3 @@ class TestThreadSafety:
             thread.join()
         assert registry.counter_value("c", worker="shared") == 8000.0
         assert registry.histogram_stats("h", worker="shared")["count"] == 8000
-
-
-class TestStateShipping:
-    """export_state/merge_state: the process backend's delta channel."""
-
-    def test_counters_and_gauges_merge_additively(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        parent.inc("c", backend="process")
-        child.inc("c", 2.0, backend="process")
-        child.gauge_set("g", 7.0, shard="0")
-        parent.merge_state(child.export_state())
-        assert parent.counter_value("c", backend="process") == 3.0
-        assert parent.snapshot()["gauges"]["g"][0]["value"] == 7.0
-
-    def test_export_reset_clears_the_source(self):
-        child = MetricsRegistry()
-        child.inc("c")
-        child.observe("h", 0.2)
-        state = child.export_state(reset=True)
-        assert child.counter_total("c") == 0.0
-        assert child.histogram_stats("h") is None
-        fresh = MetricsRegistry()
-        fresh.merge_state(state)
-        assert fresh.counter_total("c") == 1.0
-        assert fresh.histogram_stats("h")["count"] == 1
-
-    def test_histograms_merge_bucket_for_bucket(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        for value in (0.1, 0.5):
-            parent.observe("h", value, buckets=(0.25, 1.0))
-        for value in (0.2, 2.0):
-            child.observe("h", value, buckets=(0.25, 1.0))
-        parent.merge_state(child.export_state())
-        stats = parent.histogram_stats("h")
-        assert stats["count"] == 4
-        assert stats["sum"] == pytest.approx(2.8)
-        assert stats["buckets"]["0.25"] == 2
-
-    def test_mismatched_bucket_bounds_fall_back_to_reobserve(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        parent.observe("h", 0.1, buckets=(1.0,))
-        child.observe("h", 0.3, buckets=(0.25, 0.5))
-        parent.merge_state(child.export_state())
-        stats = parent.histogram_stats("h")
-        assert stats["count"] == 2
-        assert stats["sum"] == pytest.approx(0.4)
-        # Parent keeps its own bounds; the child sample lands in them.
-        assert set(stats["buckets"]) == {"1.0", "+Inf"}
-
-    def test_merge_state_round_trips_through_pickle(self):
-        import pickle
-
-        child = MetricsRegistry()
-        child.inc("c", backend="process")
-        child.observe("h", 0.2, backend="process")
-        state = pickle.loads(pickle.dumps(child.export_state()))
-        parent = MetricsRegistry()
-        parent.merge_state(state)
-        assert parent.counter_value("c", backend="process") == 1.0
-        assert parent.histogram_stats("h", backend="process")["count"] == 1

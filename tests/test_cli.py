@@ -554,6 +554,15 @@ class TestScaleBenchCommand:
             entry["topk_matches_brute_force"] is True for entry in report["sizes"]
         )
         assert report["interning"]["saved_bytes"] > 0
+        # The per-phase walls are measured spans and split the query wall.
+        for entry in report["sizes"]:
+            phases = entry["mean_phase_wall_seconds"]
+            assert list(phases) == ["scale.retrieve", "scale.coi", "scale.score", "rest"]
+            assert all(seconds >= 0 for seconds in phases.values())
+            assert sum(phases.values()) == pytest.approx(
+                entry["mean_wall_seconds"], abs=1e-4
+            )
+        assert report["scaling"]["query_wall_ratio"] > 0
 
     def test_out_writes_json_file(self, tmp_path, capsys):
         import json
