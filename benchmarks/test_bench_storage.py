@@ -1,9 +1,10 @@
 """Storage micro-benchmarks: the substrate under the services.
 
 Not a paper figure — infrastructure characterization: how fast the
-document store indexes and serves, what WAL durability costs per write,
-and how quickly a journaled store recovers.  These numbers bound how
-large a simulated scholarly world stays interactive.
+document store indexes and serves, what a read that returns a payload
+costs, what WAL durability costs per write, and how quickly a journaled
+store recovers.  These numbers bound how large a simulated scholarly
+world stays interactive.
 """
 
 from __future__ import annotations
@@ -27,6 +28,31 @@ def seed_payloads(count=DOCS):
         }
         for i in range(count)
     ]
+
+
+def profile_payload(i):
+    """A Scholar-profile-sized document: 30 publication dicts."""
+    return {
+        "user": f"sch_{i}",
+        "name": f"Scholar {i % 100}",
+        "normalized_name": f"scholar {i % 100}",
+        "affiliation": f"University {i % 40}",
+        "country": f"country-{i % 20}",
+        "interests": [f"topic-{i % 37}", f"topic-{(i * 7) % 37}"],
+        "citations": 40 * i,
+        "h_index": i % 60,
+        "i10_index": i % 30,
+        "publications": [
+            {
+                "id": f"pub-{i}-{j}",
+                "title": f"On topic {j} and its neighbours, part {i}",
+                "year": 1990 + j,
+                "citations": (i * j) % 200,
+                "keywords": [f"topic-{j % 37}", f"topic-{(j * 5) % 37}"],
+            }
+            for j in range(30)
+        ],
+    }
 
 
 def test_bench_store_insert_with_indexes(benchmark):
@@ -55,6 +81,26 @@ def test_bench_index_lookup(benchmark):
     assert len(result) == DOCS // 20
 
 
+def test_bench_store_get(benchmark):
+    store = DocumentStore()
+    payload = profile_payload(7)
+    store.insert(payload, doc_id="profile")
+
+    document = benchmark(store.get, "profile")
+    assert document.payload == payload
+
+
+def test_bench_store_lookup(benchmark):
+    payloads = [profile_payload(i) for i in range(200)]
+    store = DocumentStore()
+    store.create_index("name", lambda d: d["normalized_name"])
+    for i, payload in enumerate(payloads):
+        store.insert(payload, doc_id=f"p{i:03d}")
+
+    documents = benchmark(store.lookup, "name", "scholar 7")
+    assert [d.payload for d in documents] == [payloads[7], payloads[107]]
+
+
 def test_bench_inverted_search(benchmark):
     index = InvertedIndex()
     for i, payload in enumerate(seed_payloads()):
@@ -76,7 +122,7 @@ def test_bench_wal_write_throughput(benchmark, tmp_path_factory):
 
     directory = benchmark.pedantic(journaled_inserts, rounds=3, iterations=1)
     assert (directory / "wal.jsonl").stat().st_size > 0
-    print(f"\nstorage: 500 WAL-durable inserts per round")
+    print("\nstorage: 500 WAL-durable inserts per round")
 
 
 def test_bench_recovery_time(benchmark, tmp_path):

@@ -7,9 +7,19 @@ functions.  All the simulated scholarly services are built on it.
 
 Design notes
 ------------
-- Documents are deep-copied on the way in and out so that callers can
-  never mutate stored state by aliasing — the same isolation property a
-  networked document database provides.
+- A payload is encoded once, with :mod:`marshal`, when it is written,
+  and the store keeps only the bytes.  Every read decodes a fresh object
+  tree, so callers can never mutate stored state by aliasing — the same
+  isolation property a networked document database provides — and a
+  read costs one decode in C rather than a deep copy.
+- Payloads must be JSON-like: dicts, lists, tuples, strings, ints,
+  floats, bools and ``None``, nested, each of exactly that type, so
+  marshal round-trips every value exactly.  Anything else — a custom
+  object, a dict or str subclass, an ``Enum`` member, a numpy scalar —
+  raises ``TypeError`` at write time.
+- Writes are all-or-nothing: a write encodes its payload and extracts
+  every index's keys before it changes any state, so a rejected payload
+  or a raising extractor leaves the store exactly as it was.
 - Secondary indexes map an extracted key to the *set* of document ids;
   extractors may return a single key, an iterable of keys (multi-valued
   index, e.g. one entry per interest keyword) or ``None`` (unindexed).
@@ -18,8 +28,8 @@ Design notes
 
 from __future__ import annotations
 
-import copy
 import itertools
+import marshal
 from collections.abc import Callable, Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -32,6 +42,49 @@ from repro.storage.errors import (
 
 IndexKey = Hashable
 Extractor = Callable[[dict], object]
+
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+_CONTAINER_TYPES = frozenset({dict, list, tuple})
+
+
+def _encode(payload: dict) -> bytes:
+    """Marshal a JSON-like payload, raising ``TypeError`` for anything else.
+
+    The types are checked first because marshal accepts more than the
+    contract: it stores sets, bytes and complex numbers, and writes any
+    buffer object, numpy scalars included, as ``bytes``.
+    """
+    stack: list = [payload]
+    seen: set[int] = set()
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind in _LEAF_TYPES:
+            continue
+        if kind not in _CONTAINER_TYPES:
+            raise TypeError(f"not a JSON-like document value: {kind.__qualname__}")
+        if id(value) in seen:  # shared or self-containing; marshal keeps both
+            continue
+        seen.add(id(value))
+        if kind is dict:
+            stack.extend(value)
+            stack.extend(value.values())
+        else:
+            stack.extend(value)
+    try:
+        return marshal.dumps(payload)
+    except ValueError as error:  # nested deeper than marshal allows
+        raise TypeError(f"cannot encode document: {error}") from None
+
+
+def _keys(extracted: object) -> list[IndexKey]:
+    """An extractor's result as a list of distinct, hashable index keys."""
+    if extracted is None:
+        return []
+    if isinstance(extracted, (str, bytes)) or not isinstance(extracted, Iterable):
+        extracted = (extracted,)
+    # dict.fromkeys raises on an unhashable key before any index changes.
+    return list(dict.fromkeys(extracted))
 
 
 @dataclass(frozen=True)
@@ -80,7 +133,7 @@ class DocumentStore:
 
     def __init__(self, name: str = "store"):
         self.name = name
-        self._documents: dict[str, dict] = {}
+        self._documents: dict[str, bytes] = {}
         self._versions: dict[str, int] = {}
         self._indexes: dict[str, dict[IndexKey, set[str]]] = {}
         self._extractors: dict[str, Extractor] = {}
@@ -104,27 +157,28 @@ class DocumentStore:
         ``doc_id`` is not given.  Raises
         :class:`~repro.storage.errors.DuplicateDocumentError` on id reuse.
         """
+        blob = _encode(payload)
+        entries = self._index_entries(payload)
         if doc_id is None:
             doc_id = f"{self.name}:{next(self._id_counter)}"
         if doc_id in self._documents:
             raise DuplicateDocumentError(doc_id)
-        stored = copy.deepcopy(payload)
-        self._documents[doc_id] = stored
+        self._documents[doc_id] = blob
         self._versions[doc_id] = 1
-        self._index_document(doc_id, stored)
+        self._add_entries(doc_id, entries)
         self.stats.inserts += 1
-        return Document(doc_id=doc_id, payload=copy.deepcopy(stored), version=1)
+        return Document(doc_id=doc_id, payload=marshal.loads(blob), version=1)
 
     def get(self, doc_id: str) -> Document:
         """Fetch a document snapshot by id or raise ``DocumentNotFoundError``."""
         try:
-            payload = self._documents[doc_id]
+            blob = self._documents[doc_id]
         except KeyError:
             raise DocumentNotFoundError(doc_id) from None
         self.stats.reads += 1
         return Document(
             doc_id=doc_id,
-            payload=copy.deepcopy(payload),
+            payload=marshal.loads(blob),
             version=self._versions[doc_id],
         )
 
@@ -148,21 +202,22 @@ class DocumentStore:
         current_version = self._versions[doc_id]
         if expected_version is not None and expected_version != current_version:
             raise VersionConflictError(doc_id, expected_version, current_version)
-        self._unindex_document(doc_id, self._documents[doc_id])
-        stored = copy.deepcopy(payload)
-        self._documents[doc_id] = stored
+        blob = _encode(payload)
+        entries = self._index_entries(payload)
+        self._remove_entries(doc_id, self._stored_entries(doc_id))
+        self._documents[doc_id] = blob
         self._versions[doc_id] = current_version + 1
-        self._index_document(doc_id, stored)
+        self._add_entries(doc_id, entries)
         self.stats.updates += 1
         return Document(
-            doc_id=doc_id, payload=copy.deepcopy(stored), version=current_version + 1
+            doc_id=doc_id, payload=marshal.loads(blob), version=current_version + 1
         )
 
     def delete(self, doc_id: str) -> None:
         """Remove a document; raises ``DocumentNotFoundError`` when absent."""
         if doc_id not in self._documents:
             raise DocumentNotFoundError(doc_id)
-        self._unindex_document(doc_id, self._documents[doc_id])
+        self._remove_entries(doc_id, self._stored_entries(doc_id))
         del self._documents[doc_id]
         del self._versions[doc_id]
         self.stats.deletes += 1
@@ -177,7 +232,7 @@ class DocumentStore:
         for doc_id in list(self._documents):
             yield Document(
                 doc_id=doc_id,
-                payload=copy.deepcopy(self._documents[doc_id]),
+                payload=marshal.loads(self._documents[doc_id]),
                 version=self._versions[doc_id],
             )
 
@@ -193,10 +248,12 @@ class DocumentStore:
         """
         if index_name in self._indexes:
             raise IndexError_(f"index already exists: {index_name!r}")
-        self._indexes[index_name] = {}
+        index: dict[IndexKey, set[str]] = {}
+        for doc_id, blob in self._documents.items():
+            for key in _keys(extractor(marshal.loads(blob))):
+                index.setdefault(key, set()).add(doc_id)
+        self._indexes[index_name] = index
         self._extractors[index_name] = extractor
-        for doc_id, payload in self._documents.items():
-            self._index_one(index_name, doc_id, payload)
 
     def drop_index(self, index_name: str) -> None:
         """Remove a secondary index."""
@@ -245,31 +302,32 @@ class DocumentStore:
     # Internals
     # ------------------------------------------------------------------
 
-    def _index_document(self, doc_id: str, payload: dict) -> None:
-        for index_name in self._indexes:
-            self._index_one(index_name, doc_id, payload)
+    def _index_entries(self, payload: dict) -> dict[str, list[IndexKey]]:
+        """Every index's keys for ``payload``, by index name."""
+        return {
+            index_name: _keys(extractor(payload))
+            for index_name, extractor in self._extractors.items()
+        }
 
-    def _index_one(self, index_name: str, doc_id: str, payload: dict) -> None:
-        for key in self._extracted_keys(index_name, payload):
-            self._indexes[index_name].setdefault(key, set()).add(doc_id)
+    def _stored_entries(self, doc_id: str) -> dict[str, list[IndexKey]]:
+        """The index keys a stored document was filed under."""
+        if not self._extractors:
+            return {}
+        return self._index_entries(marshal.loads(self._documents[doc_id]))
 
-    def _unindex_document(self, doc_id: str, payload: dict) -> None:
-        for index_name in self._indexes:
+    def _add_entries(self, doc_id: str, entries: dict[str, list[IndexKey]]) -> None:
+        for index_name, keys in entries.items():
             index = self._indexes[index_name]
-            for key in self._extracted_keys(index_name, payload):
+            for key in keys:
+                index.setdefault(key, set()).add(doc_id)
+
+    def _remove_entries(self, doc_id: str, entries: dict[str, list[IndexKey]]) -> None:
+        for index_name, keys in entries.items():
+            index = self._indexes[index_name]
+            for key in keys:
                 bucket = index.get(key)
                 if bucket is None:
                     continue
                 bucket.discard(doc_id)
                 if not bucket:
                     del index[key]
-
-    def _extracted_keys(self, index_name: str, payload: dict) -> list[IndexKey]:
-        extracted = self._extractors[index_name](payload)
-        if extracted is None:
-            return []
-        if isinstance(extracted, (str, bytes)):
-            return [extracted]
-        if isinstance(extracted, Iterable):
-            return list(extracted)
-        return [extracted]

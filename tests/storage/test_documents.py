@@ -1,5 +1,8 @@
 """Unit and property tests for the document store."""
 
+import enum
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,26 @@ from repro.storage.errors import (
 @pytest.fixture()
 def store():
     return DocumentStore(name="test")
+
+
+def nested_payload():
+    return {"tag": "t", "nested": {"v": 1}, "items": [1, 2]}
+
+
+#: Every path that hands a stored payload to the caller, each returning
+#: a snapshot taken after ``"k"`` was inserted with ``nested_payload()``.
+READ_PATHS = {
+    "get": lambda store: store.get("k"),
+    "get_or_none": lambda store: store.get_or_none("k"),
+    "lookup": lambda store: store.lookup("tag", "t")[0],
+    "scan": lambda store: next(store.scan()),
+    "insert": lambda store: store.insert(nested_payload(), doc_id="k2"),
+    "update": lambda store: store.update("k", nested_payload()),
+}
+
+
+class _Colour(enum.Enum):
+    RED = "red"
 
 
 class TestInsertAndGet:
@@ -61,11 +84,87 @@ class TestIsolation:
         payload["nested"]["v"] = 99
         assert store.get("k").payload["nested"]["v"] == 1
 
-    def test_mutating_output_does_not_affect_store(self, store):
-        store.insert({"nested": {"v": 1}}, doc_id="k")
-        snapshot = store.get("k")
+    @pytest.mark.parametrize("read", READ_PATHS.values(), ids=READ_PATHS.keys())
+    def test_mutating_output_does_not_affect_store(self, store, read):
+        store.create_index("tag", lambda d: d["tag"])
+        store.insert(nested_payload(), doc_id="k")
+        snapshot = read(store)
         snapshot.payload["nested"]["v"] = 99
-        assert store.get("k").payload["nested"]["v"] == 1
+        snapshot.payload["items"].append(3)
+        assert store.get(snapshot.doc_id).payload == nested_payload()
+
+
+class TestJsonLikeContract:
+    def test_json_like_values_round_trip_exactly(self, store):
+        payload = {"t": (1, "a"), 3: [None, True, 1.5, {"k": ()}]}
+        store.insert(payload, doc_id="k")
+        stored = store.get("k").payload
+        assert stored == payload
+        assert type(stored["t"]) is tuple
+        assert type(stored[3][3]["k"]) is tuple
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), _Colour.RED, np.float64(1.5), {1, 2}],
+        ids=["object", "enum", "numpy-scalar", "set"],
+    )
+    def test_non_json_like_payload_rejected(self, store, value):
+        store.create_index("tag", lambda d: d["tag"])
+        store.insert({"tag": "t", "x": 1}, doc_id="k")
+        with pytest.raises(TypeError):
+            store.insert({"tag": "t", "x": value}, doc_id="bad")
+        with pytest.raises(TypeError):
+            store.update("k", {"tag": "u", "x": value})
+        assert "bad" not in store
+        document = store.get("k")
+        assert document.payload == {"tag": "t", "x": 1}
+        assert document.version == 1
+        assert store.index_keys("tag") == ["t"]
+        assert store.lookup_ids("tag", "t") == ["k"]
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        ("extractor", "error"),
+        [(lambda d: d["a"], KeyError), (lambda d: [d.get("b"), []], TypeError)],
+        ids=["extractor-raises", "unhashable-key"],
+    )
+    def test_failed_insert_stores_nothing(self, store, extractor, error):
+        store.create_index("a", extractor)
+        with pytest.raises(error):
+            store.insert({"b": 1}, doc_id="x")
+        assert len(store) == 0
+        assert store.index_keys("a") == []
+        assert store.stats.inserts == 0
+        store.drop_index("a")
+        store.insert({"b": 1}, doc_id="x")
+        store.delete("x")
+        assert len(store) == 0
+
+    def test_failed_update_changes_nothing(self, store):
+        store.create_index("a", lambda d: d["a"])
+        store.create_index("b", lambda d: d.get("b"))
+        store.insert({"a": 1, "b": 1}, doc_id="y")
+        with pytest.raises(KeyError):
+            store.update("y", {"b": 2})
+        document = store.get("y")
+        assert document.payload == {"a": 1, "b": 1}
+        assert document.version == 1
+        assert store.lookup_ids("a", 1) == ["y"]
+        assert store.lookup_ids("b", 1) == ["y"]
+        assert store.lookup_ids("b", 2) == []
+        assert store.stats.updates == 0
+
+    def test_failed_create_index_is_not_registered(self, store):
+        store.insert({"a": 1}, doc_id="x")
+        store.insert({"b": 2}, doc_id="y")
+        with pytest.raises(KeyError):
+            store.create_index("a", lambda d: d["a"])
+        assert store.index_names() == []
+        store.insert({"c": 3}, doc_id="z")
+        assert len(store) == 3
+        store.create_index("a", lambda d: d.get("a"))
+        assert store.lookup_ids("a", 1) == ["x"]
 
 
 class TestUpdateAndDelete:

@@ -163,6 +163,18 @@ class TestBatches:
             assert "durable" in reopened
             assert "t1" not in reopened
 
+    def test_batch_with_raising_extractor_leaves_nothing(self, directory):
+        with JournaledStore.open(directory) as store:
+            store.store.create_index("name", lambda d: d["name"])
+            with pytest.raises(KeyError):
+                with store.batch() as batch:
+                    batch.insert({"name": "ok"}, doc_id="x")
+                    batch.insert({"oops": 1}, doc_id="y")
+            assert len(store) == 0
+            assert store.store.index_keys("name") == []
+        with JournaledStore.open(directory) as reopened:
+            assert len(reopened) == 0
+
     def test_batch_sees_its_own_writes(self, directory):
         with JournaledStore.open(directory) as store:
             with store.batch() as batch:
