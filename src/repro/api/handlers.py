@@ -22,7 +22,8 @@ Endpoints
     solve the cross-paper assignment under capacity constraints:
     ``{manuscripts: [{paper_id, manuscript}], reviewers_per_paper?,
     capacity? (alias max_load?), solver?, balance_weight?,
-    coverage_weight?, on_error?, require_full?, config?, workers?}``.
+    coverage_weight?, top_k?, on_error?, require_full?, config?,
+    workers?}``.
     ``workers > 1`` runs the per-paper pipelines in parallel with
     identical output; ``on_error: "skip"`` reports failed papers in the
     response instead of aborting; ``require_full: true`` turns an
@@ -113,6 +114,17 @@ def _as_float(value: object, name: str) -> float:
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _top_k(request: ApiRequest) -> int | None:
+    """The optional ``top_k`` field: absent, or an integer >= 1."""
+    top_k = request.body.get("top_k")
+    if top_k is None:
+        return None
+    top_k = _as_int(top_k, "top_k")
+    if top_k < 1:
+        raise ApiError(400, "top_k must be >= 1")
+    return top_k
 
 
 class MinaretApi:
@@ -465,11 +477,7 @@ class MinaretApi:
     def _recommend(self, request: ApiRequest) -> dict:
         manuscript = manuscript_from_payload(request.require("manuscript"))
         config = config_from_payload(request.body.get("config", {}))
-        top_k = request.body.get("top_k")
-        if top_k is not None:
-            top_k = _as_int(top_k, "top_k")
-            if top_k < 1:
-                raise ApiError(400, "top_k must be >= 1")
+        top_k = _top_k(request)
         pipeline = Minaret(
             self._sources,
             ontology=self._ontology,
@@ -512,6 +520,7 @@ class MinaretApi:
         capacity = _as_int(
             request.body.get("capacity", request.body.get("max_load", 2)), "capacity"
         )
+        top_k = _top_k(request)
         try:
             objective = AssignmentObjective(
                 balance_weight=_as_float(
@@ -545,7 +554,7 @@ class MinaretApi:
                     request.body.get("reviewers_per_paper", 3), "reviewers_per_paper"
                 ),
                 capacity=capacity,
-                top_k=request.body.get("top_k"),
+                top_k=top_k,
                 solver=solver_name,
                 objective=objective,
                 workers=workers,

@@ -16,8 +16,8 @@ This package turns a batch of MINARET recommendation results into an
   seed plus deterministic local search (fill / augment / replace /
   swap moves), the solver that also optimizes set coverage;
 - :func:`~repro.assignment.solvers.min_cost_flow_assignment` — exact
-  maximum-fill, maximum-objective assignment via min-cost max-flow
-  (networkx), with convex load-balance pricing;
+  maximum-fill, maximum-objective assignment via min-cost flow
+  (successive shortest paths), with convex load-balance pricing;
 - :func:`~repro.assignment.solvers.random_assignment` — the floor.
 
 Conference mode (:func:`~repro.assignment.conference.assign_conference`)

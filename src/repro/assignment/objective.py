@@ -34,6 +34,7 @@ dominating per-slot reward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.assignment.models import Assignment, AssignmentProblem
@@ -56,8 +57,10 @@ class AssignmentObjective:
     coverage_weight: float = 0.0
 
     def __post_init__(self):
-        if self.score_weight < 0 or self.balance_weight < 0 or self.coverage_weight < 0:
-            raise ValueError("objective weights must be >= 0")
+        for name in ("score_weight", "balance_weight", "coverage_weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def is_pure_score(self) -> bool:
         """Whether only the score term is active."""

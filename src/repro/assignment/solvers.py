@@ -1,20 +1,58 @@
 """Assignment solvers: greedy, greedy + local swaps, exact flow, random.
 
-The exact solver models the instance as min-cost max-flow:
+The exact solver, :func:`min_cost_flow_assignment`, treats the instance
+as a min-cost flow on the bipartite score matrix::
 
-    source --(cap r)--> paper --(cap 1, cost -score)--> reviewer
-           --(cap L)--> sink
+    paper --(cap 1, cost -w)--> reviewer --(j-th slot, cost c_j)--> sink
+    paper --(unfilled slot, cost slot_reward)--------------------> sink
 
-Integral min-cost max-flow simultaneously maximizes filled slots and,
-among maximal assignments, the scalar objective.  Edge unit-capacity
-enforces reviewer distinctness per paper; node-side capacities enforce
-quota and load.  Scores are scaled to integers because networkx's
-algorithm is exact only for integer costs.  When the objective carries
-a load-balance weight, each reviewer's *j*-th slot is priced at the
-convex marginal cost ``balance_weight * (2j - 1)`` through a chain of
-unit edges, so the flow also minimizes the sum of squared loads exactly.
-Set coverage is submodular and outside what edge costs can express —
+Every paper supplies ``reviewers_per_paper`` units of flow.  A unit
+either seats a reviewer (unit capacity per pair, so a reviewer sits on
+a paper at most once, and at most ``max_load`` slots per reviewer) or
+leaves one of the paper's slots unfilled.  The unfilled price exceeds
+any achievable spread of score and balance costs, so the min-cost flow
+first fills as many slots as the instance allows and then maximizes
+``score_weight * total score - balance_weight * sum(load^2)``.  The
+balance term prices a reviewer's *j*-th slot at the convex marginal
+cost ``balance_weight * (2j - 1)``; since those prices never decrease,
+taking a reviewer's next free slot is always its cheapest, and the
+flow minimizes the sum of squared loads exactly.  Set coverage is
+submodular and outside what arc costs can express —
 :func:`greedy_swap_assignment` is the solver that optimizes it.
+
+**Algorithm.**  Successive shortest paths: papers in sorted-id order,
+one slot at a time, each slot routed along a cheapest path from its
+paper to the sink in the residual graph.  A path may reseat earlier
+papers (take a reviewer from one, give it another) before it ends at a
+free reviewer slot or an unfilled slot.  Routing each slot this way
+keeps the flow a min-cost flow for the slots routed so far, so the
+last slot leaves an optimal assignment.  Each search is Dijkstra over
+reduced costs ``cost + potential(tail) - potential(head)``, which stay
+non-negative:
+
+- potentials start so that a paper -> reviewer arc costs ``top - w``
+  (``top`` is the largest weight) and a reviewer's first slot costs 0;
+- a sink arc is priced when its node's label is set, and the search
+  stops once the next pop reaches the best sink distance;
+- only the nodes the search settled move their potentials.
+
+**Integer costs.**  Weights are ``round(score_weight * score *
+_SCALE)`` and slot prices ``round(balance_weight * (2j - 1) *
+_SCALE)``.  Potentials accumulate one update per routed slot; in
+integers they never drift, so a reduced cost cannot dip below zero by
+rounding, and equal-cost paths tie exactly and are decided by the
+tie-break below.
+
+**Unfilled-slot arc.**  Without it, a paper routed early would keep a
+reviewer that a later paper values more even when the two cannot both
+be filled: processing order, not score, would decide which paper goes
+short.  With it, a later paper's path may take that reviewer and leave
+the earlier paper's slot unfilled whenever that costs less.
+
+**Tie-break.**  Heap entries are ``(distance, kind, sorted index)``,
+arcs are scanned in sorted id order, and a label or the chosen sink arc
+changes only for a strictly shorter distance.  Among equal-cost optima
+the solver therefore picks by the problem's content alone.
 
 Every solver is *canonically deterministic*: equal-score alternatives
 resolve by candidate id, never by dict or heap iteration order, so two
@@ -25,8 +63,8 @@ assignments (see ``tests/assignment`` for the regression).
 from __future__ import annotations
 
 import random as random_module
-
-import networkx as nx
+from bisect import insort
+from heapq import heappop, heappush
 
 from repro.assignment.models import Assignment, AssignmentProblem
 from repro.assignment.objective import (
@@ -356,15 +394,15 @@ def min_cost_flow_assignment(
 ) -> Assignment:
     """Exact maximum-coverage, maximum-objective assignment via flow.
 
-    Maximizes the number of filled slots first (a large per-unit reward
-    on every assignable edge), then ``score_weight * total score -
-    balance_weight * sum(load^2)`` exactly.  The coverage term is
-    submodular and not expressible as edge costs; it is ignored here
+    Maximizes the number of filled slots first, then ``score_weight *
+    total score - balance_weight * sum(load^2)`` exactly, by successive
+    shortest paths (see the module docstring).  The coverage term is
+    submodular and not expressible as arc costs; it is ignored here
     (use :func:`greedy_swap_assignment` when it matters).
 
-    The graph is built in sorted (paper id, reviewer id) order so
-    equal-cost alternatives resolve identically however the input dicts
-    were assembled.
+    Papers and reviewers are indexed in sorted id order, so equal-cost
+    alternatives resolve identically however the input dicts were
+    assembled.
     """
     objective = objective or AssignmentObjective()
     papers = problem.papers()
@@ -378,70 +416,152 @@ def min_cost_flow_assignment(
         reviewers=len(reviewers),
         balance=objective.balance_weight > 0.0,
     ):
-        graph = nx.DiGraph()
-        graph.add_nodes_from(("super", "source", "sink"))
-        balance = objective.balance_weight
-        # Reward per filled slot dominating any achievable difference in
-        # score + balance costs across the whole instance.
-        max_unit_cost = int(
-            objective.score_weight * (_max_score(problem) + 1) * _SCALE
-        ) + int(balance * (2 * problem.max_load + 1) * _SCALE)
-        slot_reward = (max_unit_cost + 1) * (problem.demand() + 1)
-        for paper_id in papers:
-            graph.add_edge(
-                "source",
-                f"p:{paper_id}",
-                capacity=problem.reviewers_per_paper,
-                weight=0,
-            )
-        for reviewer_id in reviewers:
-            if balance > 0.0:
-                # Convex load pricing: the j-th paper a reviewer takes
-                # costs the marginal increment of load^2, so the min-cost
-                # flow also minimizes the sum of squared loads.
-                for slot in range(1, problem.max_load + 1):
-                    slot_node = f"l:{reviewer_id}:{slot}"
-                    graph.add_edge(
-                        f"r:{reviewer_id}",
-                        slot_node,
-                        capacity=1,
-                        weight=int(round(balance * (2 * slot - 1) * _SCALE)),
-                    )
-                    graph.add_edge(slot_node, "sink", capacity=1, weight=0)
-            else:
-                graph.add_edge(
-                    f"r:{reviewer_id}", "sink", capacity=problem.max_load, weight=0
+        seats = _route_slots(problem, objective, papers, reviewers)
+    return Assignment(
+        by_paper={
+            paper_id: [reviewers[r] for r in sorted(seats[p])]
+            for p, paper_id in enumerate(papers)
+        }
+    )
+
+
+#: Heap entry kinds; papers pop before reviewers at equal distance.
+_PAPER, _REVIEWER = 0, 1
+
+
+def _route_slots(
+    problem: AssignmentProblem,
+    objective: AssignmentObjective,
+    papers: list[str],
+    reviewers: list[str],
+) -> list[set[int]]:
+    """Route every slot; returns each paper's seated reviewer indexes.
+
+    Nodes are indexes into ``papers`` and ``reviewers``.  Residual arcs:
+    paper -> unseated candidate (``-weight``), reviewer -> each paper it
+    sits on (``+weight``: that paper releases it), reviewer -> sink
+    (its next slot's price, while under ``max_load``) and paper -> sink
+    (``slot_reward``: one more unfilled slot).  Sink arcs are priced
+    when a node's label is set, so a search stops as soon as no queued
+    label can beat the cheapest path found.
+    """
+    index = {reviewer_id: r for r, reviewer_id in enumerate(reviewers)}
+    # arcs[p]: {reviewer: weight}, inserted (so scanned) in sorted order.
+    arcs: list[dict[int, int]] = []
+    for paper_id in papers:
+        candidates = problem.scores[paper_id]
+        arcs.append(
+            {
+                index[reviewer_id]: round(
+                    objective.score_weight * candidates[reviewer_id] * _SCALE
                 )
-        for paper_id in papers:
-            candidates = problem.scores[paper_id]
-            for reviewer_id in sorted(candidates):
-                cost = -(
-                    slot_reward
-                    + int(
-                        round(
-                            objective.score_weight
-                            * candidates[reviewer_id]
-                            * _SCALE
-                        )
-                    )
-                )
-                graph.add_edge(
-                    f"p:{paper_id}", f"r:{reviewer_id}", capacity=1, weight=cost
-                )
-        demand = min(problem.demand(), problem.capacity())
-        graph.add_edge("super", "source", capacity=demand, weight=0)
-        try:
-            flow = nx.max_flow_min_cost(graph, "super", "sink")
-        except nx.NetworkXUnfeasible:  # pragma: no cover - defensive
-            return Assignment(by_paper={p: [] for p in papers})
-        assignment = Assignment(by_paper={p: [] for p in papers})
-        for paper_id in papers:
-            node = f"p:{paper_id}"
-            for target, units in flow.get(node, {}).items():
-                if units > 0 and target.startswith("r:"):
-                    assignment.by_paper[paper_id].append(target[2:])
-            assignment.by_paper[paper_id].sort()
-    return assignment
+                for reviewer_id in sorted(candidates)
+            }
+        )
+    balance = objective.balance_weight
+    max_load = problem.max_load
+    # slot_cost[load] prices a reviewer's next slot at that load.
+    slot_cost = [
+        round(balance * (2 * slot - 1) * _SCALE) for slot in range(1, max_load + 1)
+    ]
+    # The unfilled-slot price: dominates any achievable difference in
+    # score + balance costs across the whole instance.
+    max_unit_cost = int(
+        objective.score_weight * (_max_score(problem) + 1) * _SCALE
+    ) + int(balance * (2 * max_load + 1) * _SCALE)
+    slot_reward = (max_unit_cost + 1) * (problem.demand() + 1)
+
+    seats: list[set[int]] = [set() for _ in papers]
+    holders: list[list[int]] = [[] for _ in reviewers]  # sorted paper indexes
+    load = [0] * len(reviewers)
+    # Feasible starting potentials: paper -> reviewer costs top - weight
+    # and reviewer -> sink costs price - first price, both >= 0.  The
+    # sink's potential never changes: searches stop before settling it.
+    top = max((weight for row in arcs for weight in row.values()), default=0)
+    paper_potential = [top] * len(papers)
+    reviewer_potential = [0] * len(reviewers)
+    sink_potential = slot_cost[0]
+    # A paper's unfilled-slot arc reaches the sink at its potential + this.
+    unfilled = slot_reward - sink_potential
+    infinity = float("inf")
+
+    for source in range(len(papers)):
+        for _ in range(problem.reviewers_per_paper):
+            paper_dist = {source: 0}
+            reviewer_dist: dict[int, int] = {}
+            taken_from: dict[int, int] = {}  # paper -> reviewer it releases
+            taken_by: dict[int, int] = {}  # reviewer -> paper the path seats it on
+            settled_papers: list[int] = []
+            settled_reviewers: list[int] = []
+            # Dijkstra from the source; its own unfilled slot bounds it.
+            best = paper_potential[source] + unfilled
+            end = (_PAPER, source)
+            heap = [(0, _PAPER, source)]
+            while heap:
+                dist, kind, node = heappop(heap)
+                if dist >= best:
+                    break
+                if kind == _PAPER:
+                    if dist > paper_dist[node]:
+                        continue
+                    settled_papers.append(node)
+                    base = dist + paper_potential[node]
+                    seated = seats[node]
+                    for r, weight in arcs[node].items():
+                        if r in seated:
+                            continue
+                        new = base - weight - reviewer_potential[r]
+                        if new < best and new < reviewer_dist.get(r, infinity):
+                            reviewer_dist[r] = new
+                            taken_by[r] = node
+                            heappush(heap, (new, _REVIEWER, r))
+                            if load[r] < max_load:
+                                reach = (
+                                    new
+                                    + reviewer_potential[r]
+                                    + slot_cost[load[r]]
+                                    - sink_potential
+                                )
+                                if reach < best:
+                                    best, end = reach, (_REVIEWER, r)
+                else:
+                    if dist > reviewer_dist[node]:
+                        continue
+                    settled_reviewers.append(node)
+                    base = dist + reviewer_potential[node]
+                    for p in holders[node]:
+                        new = base + arcs[p][node] - paper_potential[p]
+                        if new < best and new < paper_dist.get(p, infinity):
+                            paper_dist[p] = new
+                            taken_from[p] = node
+                            heappush(heap, (new, _PAPER, p))
+                            reach = new + paper_potential[p] + unfilled
+                            if reach < best:
+                                best, end = reach, (_PAPER, p)
+            # Every node left unsettled is at least ``best`` away, so
+            # shifting only the settled ones keeps reduced costs >= 0.
+            for p in settled_papers:
+                paper_potential[p] += paper_dist[p] - best
+            for r in settled_reviewers:
+                reviewer_potential[r] += reviewer_dist[r] - best
+            # Augment backwards from the sink arc the search chose.
+            kind, node = end
+            if kind == _REVIEWER:
+                load[node] += 1
+            while True:
+                if kind == _REVIEWER:
+                    p = taken_by[node]
+                    seats[p].add(node)
+                    insort(holders[node], p)
+                    kind, node = _PAPER, p
+                elif node == source:
+                    break
+                else:
+                    r = taken_from[node]
+                    seats[node].remove(r)
+                    holders[r].remove(node)
+                    kind, node = _REVIEWER, r
+    return seats
 
 
 def optimal_assignment(problem: AssignmentProblem) -> Assignment:

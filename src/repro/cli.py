@@ -641,13 +641,17 @@ def _run_assign(args) -> int:
         )
         return 1
     try:
+        objective = AssignmentObjective(
+            balance_weight=args.balance, coverage_weight=args.coverage
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
         world = load_world(args.world)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load world {args.world!r}: {exc}", file=sys.stderr)
         return 1
-    objective = AssignmentObjective(
-        balance_weight=args.balance, coverage_weight=args.coverage
-    )
     scenario = None
     if args.conference is not None:
         from repro.world.conference import ConferenceConfig, generate_conference

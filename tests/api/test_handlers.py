@@ -320,6 +320,35 @@ class TestAssign:
         )
         assert response.status == 400
 
+    @pytest.mark.parametrize("top_k", [[1], -1, 0])
+    def test_invalid_top_k_400(self, api, world, top_k):
+        response = api.handle(
+            "POST",
+            "/api/v1/assign",
+            {"manuscripts": self.batch_payload(world, count=1), "top_k": top_k},
+        )
+        assert response.status == 400
+        assert "top_k" in response.body["error"]
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("balance_weight", "inf"),
+            ("balance_weight", "nan"),
+            ("balance_weight", "-inf"),
+            ("balance_weight", -1),
+            ("coverage_weight", "nan"),
+        ],
+    )
+    def test_non_finite_or_negative_weight_400(self, api, world, field, value):
+        response = api.handle(
+            "POST",
+            "/api/v1/assign",
+            {"manuscripts": self.batch_payload(world, count=1), field: value},
+        )
+        assert response.status == 400
+        assert field in response.body["error"]
+
     def test_require_full_infeasible_409(self, api, world):
         # One reviewer slot available per paper cannot satisfy a
         # 3-reviewer quota under load 1 with 3 papers sharing a pool.

@@ -7,6 +7,7 @@ from repro.assignment.models import (
     AssignmentProblem,
     assess_assignment,
 )
+from repro.assignment.objective import AssignmentObjective
 
 
 @pytest.fixture()
@@ -19,6 +20,18 @@ def problem():
         reviewers_per_paper=2,
         max_load=2,
     )
+
+
+class TestObjectiveValidation:
+    @pytest.mark.parametrize(
+        "field", ["score_weight", "balance_weight", "coverage_weight"]
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
+    def test_non_finite_or_negative_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AssignmentObjective(**{field: value})
 
 
 class TestProblemValidation:

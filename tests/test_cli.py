@@ -232,6 +232,24 @@ class TestAssignCommand:
         assert code == 1
         assert "exactly one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "field"),
+        [
+            ("--balance", "inf", "balance_weight"),
+            ("--balance", "-1", "balance_weight"),
+            ("--coverage", "nan", "coverage_weight"),
+        ],
+    )
+    def test_bad_objective_weight_errors(
+        self, tmp_path, dataset, capsys, flag, value, field
+    ):
+        batch = self.batch_file(tmp_path, dataset)
+        code = main(
+            ["assign", "--world", str(dataset), "--batch", str(batch), flag, value]
+        )
+        assert code == 1
+        assert f"error: {field}" in capsys.readouterr().err
+
     def test_capacity_is_max_load_alias(self, tmp_path, dataset, capsys):
         batch = self.batch_file(tmp_path, dataset)
         base = [
