@@ -21,16 +21,12 @@ from __future__ import annotations
 import time
 
 from repro.assignment import recommend_batch
-from repro.concurrency import ThreadExecutor
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import Minaret
 from repro.scholarly.registry import ScholarlyHub
 from benchmarks.conftest import print_table, sample_manuscripts
 
 WORKER_COUNTS = (1, 2, 4, 8)
-#: ``chunk_size`` sweep for the dispatch-overhead probe.
-CHUNK_SIZES = (1, 64, 512)
-CHUNK_TASKS = 20_000
 #: Fraction of each request's virtual latency really slept.
 WALL_SCALE = 0.05
 PAPERS = 8
@@ -105,42 +101,3 @@ def test_bench_batch_assignment_workers(bench_world):
     # The acceptance bar: parallel batch assignment at 8 workers beats
     # sequential by at least 2x on wall-clock.
     assert timings[1] / timings[8] >= 2.0
-
-
-def test_bench_chunk_overhead():
-    """Per-task dispatch overhead vs ``chunk_size`` on tiny tasks.
-
-    Each unchunked task pays a future, a span and queue accounting;
-    ``chunk_size`` amortizes all three across a batch while keeping
-    results (and per-task counters) identical.  The table reports the
-    per-task overhead delta that coarse callers (e.g. the scale plane's
-    shard fan-outs) leave on the table when they keep tasks individually
-    schedulable.
-    """
-    executor = ThreadExecutor(4)
-    expected = [i + 1 for i in range(CHUNK_TASKS)]
-    walls, rows = {}, []
-    executor.map(lambda x: x + 1, range(CHUNK_TASKS))  # warm the pool
-    for chunk_size in CHUNK_SIZES:
-        start = time.perf_counter()
-        results = executor.map(lambda x: x + 1, range(CHUNK_TASKS), chunk_size=chunk_size)
-        walls[chunk_size] = time.perf_counter() - start
-        assert results == expected
-        per_task_us = walls[chunk_size] / CHUNK_TASKS * 1e6
-        rows.append(
-            (
-                chunk_size,
-                f"{walls[chunk_size] * 1000:.1f}ms",
-                f"{per_task_us:.1f}us",
-                f"{walls[1] / walls[chunk_size]:.2f}x",
-            )
-        )
-    print_table(
-        f"EXP-CONC dispatch overhead ({CHUNK_TASKS} trivial tasks, 4 threads)",
-        ("chunk_size", "wall", "per-task", "vs chunk=1"),
-        rows,
-    )
-    overhead_delta_us = (walls[1] - walls[max(CHUNK_SIZES)]) / CHUNK_TASKS * 1e6
-    print(f"chunking saves {overhead_delta_us:.1f}us per task at chunk=512")
-    # Amortizing dispatch must never cost more than dispatching singly.
-    assert walls[max(CHUNK_SIZES)] <= walls[1] * 1.2

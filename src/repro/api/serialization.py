@@ -50,6 +50,22 @@ def manuscript_from_payload(payload: dict) -> Manuscript:
     return manuscript
 
 
+def _object(payload: dict, key: str) -> dict:
+    """The JSON object under ``key`` (empty when absent)."""
+    value = payload.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _flag(payload: dict, key: str, default: bool) -> bool:
+    """The JSON boolean under ``key``; a string such as ``"false"`` is rejected."""
+    value = payload.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def config_from_payload(payload: dict) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from optional payload overrides.
 
@@ -57,35 +73,39 @@ def config_from_payload(payload: dict) -> PipelineConfig:
     component → weight map), ``impact_metric``, ``min_keyword_score``,
     ``coi`` (``check_coauthorship``, ``affiliation_level``,
     ``lookback_years``), ``constraints`` (the six range bounds),
-    ``pc_members``, ``max_candidates``, ``workers`` (extraction
-    fan-out; output is identical at any value), ``executor_backend``
-    (one of :data:`repro.concurrency.EXECUTOR_BACKENDS` — validated
-    here against that same registry, so the API can never accept a
-    backend ``create_executor`` would reject) and ``shards``
-    (hash-sharded feature store; likewise output-identical), plus
-    ``warm_cache`` /
-    ``warm_cache_ttl`` / ``warm_cache_capacity`` (the deployment-shared
-    warm-path retrieval plane; rankings are identical warm or cold),
-    ``top_k`` (rank only the exact best k) and ``scoring_plane``
-    (the :mod:`repro.scoring` compute plane; on by default,
-    bit-identical to the naive path).
+    ``pc_members`` (a list of names), ``max_candidates``, ``workers``
+    (extraction fan-out; output is identical at any value), plus
+    ``warm_cache`` / ``warm_cache_ttl`` / ``warm_cache_capacity`` (the
+    deployment-shared warm-path retrieval plane; rankings are identical
+    warm or cold), ``top_k`` (rank only the exact best k) and
+    ``scoring_plane`` (the :mod:`repro.scoring` compute plane; on by
+    default, bit-identical to the naive path).  ``weights``, ``coi``
+    and ``constraints`` must be JSON objects and the three flags JSON
+    booleans.  Unknown top-level keys are ignored.
     """
     try:
-        weights = RankingWeights(**payload.get("weights", {}))
-        coi_payload = payload.get("coi", {})
+        if not isinstance(payload, dict):
+            raise ValueError(f"config must be a JSON object, got {payload!r}")
+        weights = RankingWeights(**_object(payload, "weights"))
+        coi_payload = _object(payload, "coi")
         coi = CoiConfig(
-            check_coauthorship=bool(coi_payload.get("check_coauthorship", True)),
+            check_coauthorship=_flag(coi_payload, "check_coauthorship", True),
             coauthorship_lookback_years=coi_payload.get("lookback_years"),
             affiliation_level=AffiliationCoiLevel(
                 coi_payload.get("affiliation_level", "university")
             ),
         )
-        constraints = ExpertiseConstraints(**payload.get("constraints", {}))
+        constraints = ExpertiseConstraints(**_object(payload, "constraints"))
+        pc_members = payload.get("pc_members", [])
+        if not isinstance(pc_members, list) or not all(
+            isinstance(name, str) for name in pc_members
+        ):
+            raise ValueError(f"pc_members must be a list of names, got {pc_members!r}")
         filters = FilterConfig(
             coi=coi,
             min_keyword_score=float(payload.get("min_keyword_score", 0.5)),
             constraints=constraints,
-            pc_members=tuple(payload.get("pc_members", ())),
+            pc_members=tuple(pc_members),
         )
         owa_weights = payload.get("owa_weights")
         return PipelineConfig(
@@ -98,15 +118,13 @@ def config_from_payload(payload: dict) -> PipelineConfig:
             impact_metric=ImpactMetric(payload.get("impact_metric", "h_index")),
             max_candidates=int(payload.get("max_candidates", 50)),
             workers=int(payload.get("workers", 1)),
-            executor_backend=str(payload.get("executor_backend", "auto")),
-            shards=int(payload.get("shards", 1)),
-            warm_cache=bool(payload.get("warm_cache", False)),
+            warm_cache=_flag(payload, "warm_cache", False),
             warm_cache_ttl=payload.get("warm_cache_ttl"),
             warm_cache_capacity=int(payload.get("warm_cache_capacity", 8192)),
             top_k=(
                 int(payload["top_k"]) if payload.get("top_k") is not None else None
             ),
-            scoring_plane=bool(payload.get("scoring_plane", True)),
+            scoring_plane=_flag(payload, "scoring_plane", True),
         )
     except (TypeError, ValueError) as exc:
         raise ApiError(400, f"invalid config payload: {exc}") from exc

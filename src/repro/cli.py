@@ -53,7 +53,6 @@ import argparse
 import json
 import sys
 
-from repro.concurrency import EXECUTOR_BACKENDS
 from repro.core.config import PipelineConfig
 from repro.core.models import Manuscript, ManuscriptAuthor
 from repro.core.pipeline import Minaret
@@ -368,13 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=200,
         help="retrieved-pool cap per query (0 disables the cap)",
     )
-    scale.add_argument(
-        "--backend",
-        choices=EXECUTOR_BACKENDS,
-        default=None,
-        help="executor backend for the shard fan-out (default: thread "
-        "above 1 worker)",
-    )
     scale.add_argument("--seed", type=int, default=42, help="world seed")
     scale.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"
@@ -383,20 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH", help="also write the JSON report to PATH"
     )
     for sub in (demo, rec, assign):
-        sub.add_argument(
-            "--backend",
-            choices=EXECUTOR_BACKENDS,
-            default="auto",
-            help="executor backend for worker fan-outs "
-            "(output identical whichever backend runs them)",
-        )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="hash-shard count for the scoring feature store "
-            "(output identical at any value)",
-        )
         sub.add_argument(
             "--log-json",
             metavar="PATH",
@@ -445,14 +423,7 @@ def _run_demo(args) -> int:
         print(f"  author:       {author.name} ({author.affiliation})")
     print(f"  target venue: {manuscript.target_venue}")
 
-    minaret = Minaret(
-        hub,
-        config=PipelineConfig(
-            warm_cache=args.warm_cache,
-            shards=max(1, args.shards),
-            executor_backend=args.backend,
-        ),
-    )
+    minaret = Minaret(hub, config=PipelineConfig(warm_cache=args.warm_cache))
     _stash_deployment(args, hub, minaret)
     result = minaret.recommend(manuscript)
 
@@ -603,8 +574,6 @@ def _run_recommend(args) -> int:
     hub = ScholarlyHub.deploy(world)
     config = PipelineConfig(
         workers=max(1, args.workers),
-        executor_backend=args.backend,
-        shards=max(1, args.shards),
         warm_cache=args.warm_cache,
         top_k=args.top_k,
     )
@@ -684,12 +653,7 @@ def _run_assign(args) -> int:
     hub = ScholarlyHub.deploy(world)
     minaret = Minaret(
         hub,
-        config=PipelineConfig(
-            warm_cache=args.warm_cache,
-            shards=max(1, args.shards),
-            top_k=args.top_k,
-            executor_backend=args.backend,
-        ),
+        config=PipelineConfig(warm_cache=args.warm_cache, top_k=args.top_k),
     )
     _stash_deployment(args, hub, minaret)
     if scenario is not None:
@@ -970,7 +934,6 @@ def _run_scale_bench(args) -> int:
         k=max(1, args.top),
         pool_limit=args.pool_limit if args.pool_limit > 0 else None,
         seed=args.seed,
-        backend=args.backend,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -980,8 +943,7 @@ def _run_scale_bench(args) -> int:
         print(json.dumps(report, indent=2))
         return 0
     print(
-        f"scale-bench: shards={report['shards']} workers={report['workers']} "
-        f"backend={report['backend']} k={report['k']}"
+        f"scale-bench: shards={report['shards']} workers={report['workers']} k={report['k']}"
     )
     print(
         f"  {'authors':>9s} {'ingest_s':>9s} {'postings':>9s} {'wall_ms':>8s} "

@@ -10,25 +10,23 @@ the rest of the codebase parallelizes through:
 - :class:`~repro.concurrency.executor.Executor` — the interface
   (ordered ``map`` over a bounded worker pool);
 - :class:`~repro.concurrency.executor.SequentialExecutor` — the
-  zero-thread backend (the default; identical semantics, no pool);
+  zero-thread executor (the default; identical semantics, no pool);
 - :class:`~repro.concurrency.executor.ThreadExecutor` — a bounded
-  thread-pool backend that propagates :mod:`contextvars` (so request
+  thread pool that propagates :mod:`contextvars` (so request
   accounting scopes follow work into the pool);
-- :func:`~repro.concurrency.executor.create_executor` — backend
-  selection from a worker count and a backend name drawn from
-  :data:`~repro.concurrency.executor.EXECUTOR_BACKENDS`.
+- :func:`~repro.concurrency.executor.create_executor` — the one
+  parallelism setting: inline at one worker, threads above.
 
 The determinism contract: given the thread-safe simulated web (whose
 latency and fault draws are keyed by request content, not arrival
-order), running any pipeline stage through any backend at any worker
-count produces bit-identical recommendation output (ranked candidate
-ids *and* scores).  The executors guarantee their half of that contract
+order), running any pipeline stage at any worker count produces
+bit-identical recommendation output (ranked candidate ids *and*
+scores).  The executors guarantee their half of that contract
 by returning results in input order and raising the lowest-index task
 exception, so no caller can observe scheduling order.
 """
 
 from repro.concurrency.executor import (
-    EXECUTOR_BACKENDS,
     Executor,
     SequentialExecutor,
     ThreadExecutor,
@@ -36,7 +34,6 @@ from repro.concurrency.executor import (
 )
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "Executor",
     "SequentialExecutor",
     "ThreadExecutor",

@@ -9,7 +9,8 @@ components.  Every one of those knobs lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from repro.ontology.expansion import ExpansionConfig
@@ -50,8 +51,8 @@ class RankingWeights:
     """Weights of the ranking components (§2.3).
 
     Weights need not sum to one; they are normalized when applied, so an
-    editor can think in relative importance.  All must be non-negative
-    and at least one positive.
+    editor can think in relative importance.  All must be finite and
+    non-negative, and at least one positive.
 
     ``timeliness`` is the abstract's "likelihood to accept and timely
     return his review" criterion, estimated from the candidate's Publons
@@ -68,10 +69,13 @@ class RankingWeights:
     timeliness: float = 0.0
 
     def __post_init__(self):
-        values = self.as_dict().values()
-        if any(v < 0 for v in values):
-            raise ValueError("ranking weights must be non-negative")
-        if sum(values) == 0:
+        weights = self.as_dict()
+        for name, value in weights.items():
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(
+                    f"ranking weight {name} must be finite and >= 0, got {value!r}"
+                )
+        if sum(weights.values()) == 0:
             raise ValueError("at least one ranking weight must be positive")
 
     def as_dict(self) -> dict[str, float]:
@@ -108,8 +112,9 @@ class CoiConfig:
         Reject candidates who share a publication with any manuscript
         author.
     coauthorship_lookback_years:
-        Only co-authorships at most this recent count (``None`` = ever).
-        Many journals use 3-5 year windows.
+        Only co-authorships at most this many years old count (a
+        non-negative integer; ``None`` = ever).  Many journals use 3-5
+        year windows.
     affiliation_level:
         ``UNIVERSITY`` rejects shared institutions, ``COUNTRY``
         additionally rejects shared countries, ``NONE`` disables the
@@ -131,13 +136,24 @@ class CoiConfig:
     mentorship_window_years: int = 3
     mentorship_seniority_gap: int = 7
 
+    def __post_init__(self):
+        lookback = self.coauthorship_lookback_years
+        if lookback is not None and (
+            isinstance(lookback, bool) or not isinstance(lookback, int) or lookback < 0
+        ):
+            raise ValueError(
+                "coauthorship_lookback_years must be a non-negative integer "
+                f"or None, got {lookback!r}"
+            )
+
 
 @dataclass(frozen=True)
 class ExpertiseConstraints:
     """Editor-defined candidate constraints (§2.2's third filter).
 
-    Each bound is optional; ``None`` disables that side.  These compile
-    to :mod:`repro.storage.query` range predicates over the candidate's
+    Each bound is optional; ``None`` disables that side, and any other
+    value must be a finite number.  These compile to
+    :mod:`repro.storage.query` range predicates over the candidate's
     merged metrics and review history.
     """
 
@@ -148,19 +164,21 @@ class ExpertiseConstraints:
     min_reviews: int | None = None
     max_reviews: int | None = None
 
+    def __post_init__(self):
+        for spec in fields(self):
+            bound = getattr(self, spec.name)
+            if bound is not None and (
+                isinstance(bound, bool)
+                or not isinstance(bound, (int, float))
+                or not math.isfinite(bound)
+            ):
+                raise ValueError(
+                    f"{spec.name} must be a finite number or None, got {bound!r}"
+                )
+
     def is_trivial(self) -> bool:
         """Whether no constraint is active."""
-        return all(
-            bound is None
-            for bound in (
-                self.min_citations,
-                self.max_citations,
-                self.min_h_index,
-                self.max_h_index,
-                self.min_reviews,
-                self.max_reviews,
-            )
-        )
+        return all(getattr(self, spec.name) is None for spec in fields(self))
 
 
 @dataclass(frozen=True)
@@ -203,8 +221,8 @@ class PipelineConfig:
         Score-fusion method: the §2.3 weighted sum (default) or OWA
         (reference [4]'s approach; see :class:`AggregationMethod`).
     owa_weights:
-        OWA position weights, largest-component first; must be
-        non-negative with a positive sum and at most as many entries as
+        OWA position weights, largest-component first; must be finite
+        and non-negative with a positive sum and at most as many entries as
         there are components.  ``None`` under OWA means uniform (plain
         mean).  Ignored under ``WEIGHTED_SUM``.
     max_candidates:
@@ -227,11 +245,6 @@ class PipelineConfig:
         default) runs inline with no pool; any value produces
         bit-identical recommendation output — parallelism only buys
         wall-clock time (see :mod:`repro.concurrency`).
-    executor_backend:
-        Which :data:`~repro.concurrency.EXECUTOR_BACKENDS` member backs
-        the worker pool: ``"auto"`` (default — inline at 1 worker,
-        threads above), ``"sequential"`` or ``"thread"``.  Bit-identical
-        output whichever backend runs the work.
     warm_cache:
         Route extraction through the shared warm-path retrieval plane
         (:mod:`repro.retrieval`): interest queries, profile assemblies
@@ -240,14 +253,6 @@ class PipelineConfig:
         ``False`` (the default) is the paper's pure on-the-fly mode.
         Rankings are bit-identical either way — only request volume
         changes.
-    shards:
-        Hash-shard count for the scoring feature store (and, through the
-        API, the scale plane's indexes).  ``1`` (the default) keeps the
-        monolithic structures; higher values partition candidates by
-        ``hash(candidate_id) % shards`` (:mod:`repro.scale`) so feature
-        builds fan out per shard through the worker pool.  Rankings are
-        bit-identical at any shard count — sharding only buys
-        parallelism and finer-grained locking.
     warm_cache_ttl:
         Profile-store entry lifetime in *virtual* seconds; ``None``
         (default) keeps entries until the freshness epoch bumps or LRU
@@ -281,8 +286,6 @@ class PipelineConfig:
     use_all_sources: bool = False
     current_year: int = 2019
     workers: int = 1
-    executor_backend: str = "auto"
-    shards: int = 1
     warm_cache: bool = False
     warm_cache_ttl: float | None = None
     warm_cache_capacity: int = 8192
@@ -298,17 +301,6 @@ class PipelineConfig:
             raise ValueError("per_keyword_retrieval_limit must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        # One registry for every surface (see repro.concurrency).
-        from repro.concurrency.executor import EXECUTOR_BACKENDS
-
-        if self.executor_backend not in EXECUTOR_BACKENDS:
-            known = ", ".join(repr(b) for b in EXECUTOR_BACKENDS)
-            raise ValueError(
-                f"executor_backend must be one of {known}, "
-                f"got {self.executor_backend!r}"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.recency_half_life_years <= 0:
             raise ValueError("recency_half_life_years must be > 0")
         if self.warm_cache_ttl is not None and self.warm_cache_ttl < 0:
@@ -316,7 +308,9 @@ class PipelineConfig:
         if self.warm_cache_capacity < 1:
             raise ValueError("warm_cache_capacity must be >= 1")
         if self.owa_weights is not None:
-            if any(w < 0 for w in self.owa_weights):
-                raise ValueError("owa_weights must be non-negative")
+            if not all(math.isfinite(w) and w >= 0 for w in self.owa_weights):
+                raise ValueError(
+                    f"owa_weights must be finite and >= 0, got {self.owa_weights!r}"
+                )
             if sum(self.owa_weights) == 0:
                 raise ValueError("owa_weights must have a positive sum")

@@ -73,9 +73,7 @@ class CandidateExtractor:
     ):
         self._sources = sources
         self._config = config or PipelineConfig()
-        self._executor = executor or create_executor(
-            self._config.workers, self._config.executor_backend
-        )
+        self._executor = executor or create_executor(self._config.workers)
         self._plane = plane
         self._counter_lock = threading.Lock()
         #: Candidates dropped because a source stayed down through every

@@ -86,9 +86,7 @@ class Minaret:
             resolver=resolver,
             use_all_sources=self._config.use_all_sources,
         )
-        self._executor = create_executor(
-            self._config.workers, self._config.executor_backend
-        )
+        self._executor = create_executor(self._config.workers)
         if plane is None and self._config.warm_cache:
             plane = RetrievalPlane.for_sources(
                 sources,
@@ -108,15 +106,7 @@ class Minaret:
             from repro.scoring.features import FeatureStore, ScoringContext
 
             if plane is not None:
-                self._features = plane.feature_store(
-                    shards=self._config.shards, executor=self._executor
-                )
-            elif self._config.shards > 1:
-                from repro.scale import ShardedFeatureStore
-
-                self._features = ShardedFeatureStore(
-                    self._config.shards, executor=self._executor
-                )
+                self._features = plane.feature_store()
             else:
                 self._features = FeatureStore()
             scoring_context = ScoringContext.from_config(self._config)

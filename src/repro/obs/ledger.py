@@ -52,7 +52,9 @@ class RequestLedger:
     def __init__(self, label: str = ""):
         self.label = label
         self._lock = threading.Lock()
-        self._http: dict[str, list] = {}  # host -> [requests, errors, latency]
+        # host -> [requests, errors, latency in integer nanoseconds]; the
+        # integer sum does not depend on the order requests complete in.
+        self._http: dict[str, list] = {}
         self._caches: dict[str, list] = {}  # name -> [hits, misses]
         self._features_built = 0
         self._features_reused = 0
@@ -65,11 +67,11 @@ class RequestLedger:
 
     def add_http(self, host: str, status: int, latency: float) -> None:
         with self._lock:
-            entry = self._http.setdefault(host, [0, 0, 0.0])
+            entry = self._http.setdefault(host, [0, 0, 0])
             entry[0] += 1
             if status >= 400:
                 entry[1] += 1
-            entry[2] += latency
+            entry[2] += round(latency * 1_000_000_000)
 
     def add_cache(self, name: str, hit: bool) -> None:
         with self._lock:
@@ -111,7 +113,7 @@ class RequestLedger:
     def virtual_seconds(self) -> float:
         """Total virtual latency charged across all hosts."""
         with self._lock:
-            return sum(entry[2] for entry in self._http.values())
+            return sum(entry[2] for entry in self._http.values()) / 1_000_000_000
 
     def to_dict(self) -> dict:
         """The itemized bill, JSON-serialisable and stably ordered."""
@@ -120,7 +122,7 @@ class RequestLedger:
                 host: {
                     "requests": entry[0],
                     "errors": entry[1],
-                    "virtual_seconds": round(entry[2], 6),
+                    "virtual_seconds": round(entry[2] / 1_000_000_000, 6),
                 }
                 for host, entry in sorted(self._http.items())
             }

@@ -112,7 +112,6 @@ def run_scale_bench(
     verify_max: int = 2_000,
     intern_probe_size: int = 1_000,
     seed: int = 42,
-    backend: str | None = None,
 ) -> dict:
     """Run the full EXP-SCALE protocol; returns the report dict.
 
@@ -122,17 +121,12 @@ def run_scale_bench(
     ``verify_max`` bounds the sizes at which the brute-force reference
     runs (it is O(world) per query by design); the verification query
     runs uncapped, since the full scan considers every match.
-
-    ``backend`` selects the executor for the shard fan-out (default:
-    thread when ``workers > 1``, else auto).
     """
-    effective_backend = backend or ("thread" if workers > 1 else "auto")
-    executor = create_executor(workers, effective_backend)
+    executor = create_executor(workers)
     report: dict = {
         "name": "EXP-SCALE",
         "shards": shards,
         "workers": workers,
-        "backend": effective_backend,
         "k": k,
         "sizes": [],
         "interning": measure_interning(intern_probe_size, seed=seed),

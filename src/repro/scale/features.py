@@ -1,19 +1,23 @@
 """The hash-sharded feature store: per-shard locks, shard-parallel builds.
 
-:class:`repro.scoring.FeatureStore` serializes every lookup batch behind
-one lock and builds every miss on the calling thread.  At pool sizes in
-the thousands both become the scoring plane's bottleneck.
-:class:`ShardedFeatureStore` keeps ``n_shards`` independent stores —
-candidates are routed by :func:`~repro.scale.sharding.shard_of`, so a
-candidate always lands in the same shard and LRU/epoch bookkeeping stay
-per-shard local — and dispatches per-shard batches through an
+:class:`ShardedFeatureStore` keeps ``n_shards`` independent
+:class:`repro.scoring.FeatureStore` partitions — candidates are routed
+by :func:`~repro.scale.sharding.shard_of`, so a candidate always lands
+in the same shard and LRU/epoch bookkeeping stay per-shard local — and
+dispatches per-shard batches through an
 :class:`~repro.concurrency.Executor`.
 
 Feature construction (:func:`repro.scoring.features.build_candidate_features`)
 is a pure function of ``(candidate, ctx)``, and results are reassembled
 into input order, so the output is bit-identical to one monolithic store
-at any worker or shard count — the drop-in contract
-:class:`repro.core.pipeline.Minaret` relies on when ``shards > 1``.
+at any worker or shard count.
+
+The store has no caller in the pipeline: the ranked pools it was meant
+to speed up hold a few dozen candidates, and a warm batch was no faster
+at 4 or 16 shards than at one, so :class:`repro.core.pipeline.Minaret`
+always uses one :class:`~repro.scoring.FeatureStore`.  The class stays
+because ``benchmarks/harness/layers.py`` times its ``features_for_many``
+as the ``scale.features_for_many`` layer; it goes when that row does.
 """
 
 from __future__ import annotations

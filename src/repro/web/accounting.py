@@ -32,6 +32,10 @@ class RequestScope:
     """Accumulates request count and virtual time for one unit of work.
 
     Thread-safe: many pool threads may charge one scope concurrently.
+    Virtual time is kept in integer nanoseconds, as
+    :class:`~repro.web.http.HostStats` keeps it: integer addition is
+    exact, so the total does not depend on the order in which pool
+    threads finish their requests.
 
     Example
     -------
@@ -46,7 +50,7 @@ class RequestScope:
         self.label = label
         self._lock = threading.Lock()
         self._requests = 0
-        self._virtual = 0.0
+        self._virtual_ns = 0
         # A stack, not a single token: a scope may be re-entered while
         # already active (it is then charged once per activation), and
         # each exit must restore exactly the matching activation.
@@ -62,18 +66,18 @@ class RequestScope:
     def virtual_seconds(self) -> float:
         """Virtual time charged to this scope (latencies + waits)."""
         with self._lock:
-            return self._virtual
+            return self._virtual_ns / 1_000_000_000
 
     def add_request(self, latency: float) -> None:
         """Charge one issued request and its latency."""
         with self._lock:
             self._requests += 1
-            self._virtual += latency
+            self._virtual_ns += round(latency * 1_000_000_000)
 
     def add_wait(self, seconds: float) -> None:
         """Charge a latency-free wait (backoff, rate-limit sleep)."""
         with self._lock:
-            self._virtual += seconds
+            self._virtual_ns += round(seconds * 1_000_000_000)
 
     def __enter__(self) -> "RequestScope":
         self._tokens.append(_ACTIVE.set(_ACTIVE.get() + (self,)))

@@ -177,6 +177,48 @@ class TestRecommend:
         )
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        ("config", "field"),
+        [
+            pytest.param([], "config", id="config-list"),
+            pytest.param({"coi": []}, "coi", id="coi-list"),
+            pytest.param({"coi": {"lookback_years": "5"}}, "lookback_years", id="lookback-str"),
+            pytest.param({"coi": {"lookback_years": -3}}, "lookback_years", id="lookback-neg"),
+            pytest.param(
+                {"coi": {"check_coauthorship": "false"}},
+                "check_coauthorship",
+                id="coauthorship-str",
+            ),
+            pytest.param(
+                {"constraints": {"min_citations": "10"}}, "min_citations", id="bound-str"
+            ),
+            pytest.param(
+                {"constraints": {"min_citations": float("nan")}},
+                "min_citations",
+                id="bound-nan",
+            ),
+            pytest.param({"pc_members": "abc"}, "pc_members", id="pc-str"),
+            pytest.param({"warm_cache": "false"}, "warm_cache", id="warm-str"),
+            pytest.param({"scoring_plane": "false"}, "scoring_plane", id="plane-str"),
+            pytest.param({"weights": {"recency": float("nan")}}, "recency", id="w-nan"),
+            pytest.param({"weights": {"recency": float("inf")}}, "recency", id="w-inf"),
+            pytest.param({"weights": {"recency": float("-inf")}}, "recency", id="w-ninf"),
+            pytest.param(
+                {"aggregation": "owa", "owa_weights": [float("inf"), 1]},
+                "owa_weights",
+                id="owa-inf",
+            ),
+        ],
+    )
+    def test_malformed_config_400(self, api, manuscript, config, field):
+        response = api.handle(
+            "POST",
+            "/api/v1/recommend",
+            {"manuscript": manuscript_payload(manuscript), "config": config},
+        )
+        assert response.status == 400
+        assert field in response.body["error"]
+
     def test_missing_manuscript_400(self, api):
         assert api.handle("POST", "/api/v1/recommend", {}).status == 400
 
@@ -460,32 +502,20 @@ class TestMetricsEndpoint:
         json.dumps(api.handle("GET", "/api/v1/metrics").body)
 
 
-class TestExecutorBackendConfig:
-    @pytest.mark.parametrize("backend", ["auto", "sequential", "thread"])
-    def test_registered_backend_accepted(self, api, manuscript, backend):
-        response = api.handle(
-            "POST",
-            "/api/v1/recommend",
-            {
-                "manuscript": manuscript_payload(manuscript),
-                "config": {"workers": 2, "executor_backend": backend},
-            },
-        )
-        assert response.ok
-        assert response.body["recommendations"]
-
-    def test_unknown_backend_is_400(self, api, manuscript):
-        for backend in ("fork", "process"):
-            response = api.handle(
+class TestDeletedConfigKeys:
+    def test_deleted_keys_are_ignored(self, api, manuscript):
+        """Clients that still send the removed parallelism keys get the
+        default answer: unknown config keys are ignored."""
+        bodies = [
+            api.handle(
                 "POST",
                 "/api/v1/recommend",
-                {
-                    "manuscript": manuscript_payload(manuscript),
-                    "config": {"executor_backend": backend},
-                },
-            )
-            assert response.status == 400
-            assert "executor_backend" in response.body["error"]
+                {"manuscript": manuscript_payload(manuscript), "config": config},
+            ).body
+            for config in ({}, {"workers": 2, "shards": 4, "executor_backend": "thread"})
+        ]
+        assert bodies[0]["recommendations"]
+        assert bodies[1]["recommendations"] == bodies[0]["recommendations"]
 
 
 def _walk(spans):

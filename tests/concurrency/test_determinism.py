@@ -39,8 +39,11 @@ def _signature(result):
 
 
 def _request_accounting(result):
-    """Per-phase request counts (exact) from the phase reports."""
-    return [(r.phase, r.requests, r.items_in, r.items_out) for r in result.phase_reports]
+    """Per-phase request counts and virtual time (both exact) from the phase reports."""
+    return [
+        (r.phase, r.requests, r.virtual_seconds, r.items_in, r.items_out)
+        for r in result.phase_reports
+    ]
 
 
 def _batch_entries(world, count=3):

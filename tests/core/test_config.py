@@ -30,9 +30,10 @@ class TestRankingWeights:
         assert sum(normalized.values()) == pytest.approx(1.0)
         assert normalized["topic_coverage"] == pytest.approx(0.5)
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            RankingWeights(topic_coverage=-0.1)
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_negative_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="topic_coverage"):
+            RankingWeights(topic_coverage=value)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

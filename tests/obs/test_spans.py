@@ -44,7 +44,7 @@ class TestParenting:
         from repro.obs import Observability, use
 
         obs = Observability()
-        executor = create_executor(4, backend="thread")
+        executor = create_executor(4)
 
         def task(i):
             with obs.span("child", i=i) as span:

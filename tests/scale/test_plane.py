@@ -38,7 +38,7 @@ def reference(scale_world, keywords, submitters):
 
 
 def _plane(scale_world, n_shards, workers=1):
-    executor = create_executor(workers, "thread" if workers > 1 else "auto")
+    executor = create_executor(workers)
     plane = ScalePlane(scale_world, n_shards=n_shards, executor=executor)
     plane.ingest()
     return plane
@@ -175,30 +175,3 @@ class TestScoringRows:
         assert world.stats()["blocks_realized"] == before
         for query, hits in zip(queries, answers):
             assert hits == plane.brute_force_topk(query, submitters, k=10)
-
-
-class TestPipelineSharding:
-    """Minaret with shards > 1 must be output-identical to shards = 1."""
-
-    def test_recommend_equivalence(self, hub, shared_hub, manuscript):
-        from repro.core.config import PipelineConfig
-        from repro.core.pipeline import Minaret
-
-        baseline = Minaret(hub, config=PipelineConfig(shards=1)).recommend(
-            manuscript
-        )
-        sharded = Minaret(
-            shared_hub, config=PipelineConfig(shards=4, workers=4)
-        ).recommend(manuscript)
-        assert [s.candidate.candidate_id for s in baseline.ranked] == [
-            s.candidate.candidate_id for s in sharded.ranked
-        ]
-        assert [s.total_score for s in baseline.ranked] == [
-            s.total_score for s in sharded.ranked
-        ]
-
-    def test_config_validates_shards(self):
-        from repro.core.config import PipelineConfig
-
-        with pytest.raises(ValueError):
-            PipelineConfig(shards=0)

@@ -87,7 +87,7 @@ class TestSearchParity:
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_threaded_fanout_identical(self, workers):
-        executor = create_executor(workers, "thread")
+        executor = create_executor(workers)
         mono, sharded = _pair(8, executor=executor)
         assert sharded.search(_TERMS) == mono.search(_TERMS)
         assert sharded.search_any(_TERMS) == mono.search_any(_TERMS)
@@ -177,7 +177,7 @@ class TestShardedFeatureStore:
         mono = FeatureStore()
         sharded = ShardedFeatureStore(
             n_shards,
-            executor=create_executor(workers, "thread" if workers > 1 else "auto"),
+            executor=create_executor(workers),
         )
         assert sharded.features_for_many(candidates, ctx) == (
             mono.features_for_many(candidates, ctx)

@@ -50,7 +50,7 @@ class TestCrossThreadCharging:
     def test_pool_threads_charge_the_submitting_scope(self):
         from repro.concurrency import create_executor
 
-        executor = create_executor(4, backend="thread")
+        executor = create_executor(4)
 
         def work(latency):
             charge_request(latency)
@@ -64,7 +64,7 @@ class TestCrossThreadCharging:
     def test_sibling_contexts_stay_separate(self):
         from repro.concurrency import create_executor
 
-        executor = create_executor(2, backend="thread")
+        executor = create_executor(2)
 
         def run_in_own_scope(latency):
             with RequestScope() as scope:
@@ -124,3 +124,19 @@ class TestReentry:
         assert scope.requests == 3
         assert scope.virtual_seconds == pytest.approx(3.0)
         assert active_scopes() == ()
+
+
+class TestChargeOrder:
+    def test_totals_do_not_depend_on_charge_order(self):
+        """Pool threads finish in any order; float addition would make
+        the last bit of a phase's virtual time depend on that order."""
+        from repro.obs.ledger import RequestLedger, charge_http
+
+        totals = []
+        for latencies in ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]):
+            with RequestScope() as scope, RequestLedger() as ledger:
+                for latency in latencies:
+                    charge_request(latency)
+                    charge_http("dblp.example", 200, latency)
+            totals.append((scope.virtual_seconds, ledger.virtual_seconds))
+        assert totals[0] == totals[1] == (0.6, 0.6)
