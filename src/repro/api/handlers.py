@@ -49,9 +49,10 @@ Endpoints
 Cost attribution
 ----------------
 Any POST carrying ``"debug_cost": true`` gets a ``cost`` object on its
-response: the request's itemized bill (HTTP by host, cache traffic,
-features built/reused, prune rate, per-phase timings) from a
-:class:`~repro.obs.RequestLedger` scoped to exactly that request.
+response: the request's itemized bill (HTTP by host, waits, cache
+traffic, features built/reused, prune rate, per-phase timings) from a
+:class:`~repro.obs.RequestLedger` scoped to exactly that request.  The
+flag must be a JSON boolean; anything else answers 400.
 """
 
 from __future__ import annotations
@@ -262,9 +263,10 @@ class MinaretApi:
         """
         start = time.perf_counter()
         clock = getattr(self._sources, "clock", None)
+        debug_cost = (body or {}).get("debug_cost", False)
         ledger = (
             RequestLedger(f"{method} {path}")
-            if self._obs.enabled and body and body.get("debug_cost")
+            if self._obs.enabled and debug_cost is True
             else None
         )
         with use(self._obs):
@@ -274,7 +276,12 @@ class MinaretApi:
                 method=method,
                 path=path,
             ) as span:
-                if ledger is not None:
+                if not isinstance(debug_cost, bool):
+                    response = ApiResponse(
+                        400,
+                        {"error": f"debug_cost must be a JSON boolean, got {debug_cost!r}"},
+                    )
+                elif ledger is not None:
                     with ledger:
                         response = self._router.dispatch(method, path, body)
                 else:

@@ -12,8 +12,8 @@ the rest of the codebase parallelizes through:
 - :class:`~repro.concurrency.executor.SequentialExecutor` — the
   zero-thread executor (the default; identical semantics, no pool);
 - :class:`~repro.concurrency.executor.ThreadExecutor` — a bounded
-  thread pool that propagates :mod:`contextvars` (so request
-  accounting scopes follow work into the pool);
+  thread pool that propagates :mod:`contextvars` (so request cost
+  ledgers follow work into the pool);
 - :func:`~repro.concurrency.executor.create_executor` — the one
   parallelism setting: inline at one worker, threads above.
 

@@ -14,9 +14,9 @@ Both uphold the same observable contract:
   propagates (after every task has finished), so which worker crashed
   first is never observable;
 - the ambient :mod:`contextvars` context at the ``map`` call site is
-  propagated into every task, so request-accounting scopes (see
-  :mod:`repro.web.accounting`) attribute work done in pool threads to
-  the caller that submitted it.
+  propagated into every task, so request cost ledgers (see
+  :mod:`repro.obs.ledger`) attribute work done in pool threads to the
+  caller that submitted it.
 
 ``ThreadExecutor`` deliberately builds a fresh pool per ``map`` call:
 pools are cheap at this scale, nothing leaks when callers forget to

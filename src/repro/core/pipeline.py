@@ -25,12 +25,11 @@ from repro.core.identity import IdentityResolver, IdentityVerifier
 from repro.core.models import Manuscript, PhaseReport, RecommendationResult
 from repro.core.ranking import Ranker
 from repro.obs import get_obs
-from repro.obs.ledger import record_phase
+from repro.obs.ledger import RequestLedger, record_phase
 from repro.ontology.data import build_seed_ontology
 from repro.ontology.expansion import KeywordExpander
 from repro.ontology.graph import TopicOntology
 from repro.retrieval import RetrievalPlane
-from repro.web.accounting import RequestScope
 from repro.web.crawler import CrawlError
 
 
@@ -43,8 +42,9 @@ class Minaret:
         Any object exposing the six typed source clients as attributes
         ``dblp``, ``scholar``, ``publons``, ``acm``, ``orcid``, ``rid``
         — typically a :class:`~repro.scholarly.registry.ScholarlyHub`.
-        When it also exposes ``clock`` and ``http``, phase reports carry
-        virtual-time and request accounting.
+        Phase reports count the requests its clients issue and their
+        virtual time; a ``clock`` attribute also gives spans virtual
+        durations.
     ontology:
         The topic ontology for keyword expansion; defaults to the
         curated seed ontology.
@@ -282,47 +282,35 @@ class Minaret:
 class _PhaseTimer:
     """Context manager populating a :class:`PhaseReport`.
 
-    Request and virtual-time accounting runs through a
-    :class:`~repro.web.accounting.RequestScope` rather than deltas of
-    the client's global counters: scopes follow fan-out work into pool
-    threads (the executors propagate context) and ignore requests issued
-    by concurrently running phases of *other* pipeline runs, so batch
-    parallelism cannot cross-pollute phase reports.
+    The phase's requests and virtual time (latencies plus modelled
+    waits) come from a :class:`~repro.obs.RequestLedger` opened for the
+    phase, not from deltas of the client's global counters: a ledger
+    follows fan-out work into pool threads (the executors propagate
+    context) and ignores requests issued by concurrently running phases
+    of *other* pipeline runs, so batch parallelism cannot cross-pollute
+    phase reports.
     """
 
     def __init__(self, name: str, reports: list[PhaseReport], sources):
         self._report = PhaseReport(phase=name)
         self._reports = reports
-        self._sources = sources
+        self._clock = getattr(sources, "clock", None)
+        self._ledger = RequestLedger(label=name)
         self._wall_start = 0.0
-        self._virtual_start = 0.0
-        self._scope: RequestScope | None = None
         self._span = None
 
     def __enter__(self) -> PhaseReport:
-        self._span = get_obs().span(
-            f"phase.{self._report.phase}",
-            clock=getattr(self._sources, "clock", None),
-        )
+        self._span = get_obs().span(f"phase.{self._report.phase}", clock=self._clock)
         self._span.__enter__()
         self._wall_start = time.perf_counter()
-        if getattr(self._sources, "http", None) is not None:
-            self._scope = RequestScope(label=self._report.phase)
-            self._scope.__enter__()
-        elif getattr(self._sources, "clock", None) is not None:
-            self._virtual_start = self._sources.clock.now()
+        self._ledger.__enter__()
         return self._report
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._report.wall_seconds = time.perf_counter() - self._wall_start
-        if self._scope is not None:
-            self._scope.__exit__(exc_type, exc, tb)
-            self._report.requests = self._scope.requests
-            self._report.virtual_seconds = self._scope.virtual_seconds
-        elif getattr(self._sources, "clock", None) is not None:
-            self._report.virtual_seconds = (
-                self._sources.clock.now() - self._virtual_start
-            )
+        self._ledger.__exit__(exc_type, exc, tb)
+        self._report.requests = self._ledger.requests
+        self._report.virtual_seconds = self._ledger.virtual_seconds
         if self._span is not None:
             self._span.set_label("items_in", self._report.items_in)
             self._span.set_label("items_out", self._report.items_out)

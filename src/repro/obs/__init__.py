@@ -15,8 +15,9 @@ The telemetry plane behind one façade:
   evaluated over sliding virtual-clock windows with multi-window
   burn-rate alerts;
 - **ledger** (:mod:`repro.obs.ledger`): per-request cost attribution
-  (HTTP by host, cache traffic, feature builds, prune rates, phase
-  timings) riding the same contextvars channel as request accounting;
+  (HTTP by host, waits, cache traffic, feature builds, prune rates,
+  phase timings) on a contextvars stack — the one request-cost channel,
+  which pipeline phases and served requests also read their costs from;
 - **profile** (:mod:`repro.obs.profile`): deterministic self-time
   rollups over the span forest, rendered as a flame table;
 - **export** (:mod:`repro.obs.export`): Prometheus text rendering and
@@ -38,6 +39,7 @@ from repro.obs.ledger import (
     charge_features,
     charge_http,
     charge_pruning,
+    charge_wait,
     record_phase,
 )
 from repro.obs.metrics import (
@@ -90,6 +92,7 @@ __all__ = [
     "charge_features",
     "charge_http",
     "charge_pruning",
+    "charge_wait",
     "current_span",
     "default_http_slos",
     "default_observability",

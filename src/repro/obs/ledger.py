@@ -2,34 +2,42 @@
 
 Metrics answer fleet questions ("how many cache misses today"); the
 ledger answers the outlier question — "this one request was slow, what
-did it do?".  A :class:`RequestLedger` rides the same contextvars
-channel as :class:`~repro.web.accounting.RequestScope`, so everything a
-request causes — including work fanned out through the worker pools,
-whose executors propagate context — is charged to it, while concurrent
-sibling requests are not.
+did it do?".  Entering a :class:`RequestLedger` pushes it onto a
+:mod:`contextvars` stack, so everything a request causes — including
+work fanned out through the worker pools, whose executors propagate
+context — is charged to it, while concurrent sibling requests are not.
+
+The ledger is the only request-cost channel.  Every pipeline phase runs
+under a ledger of its own, whose request count and virtual seconds
+become the phase report's, and the serving front end costs each
+dispatch the same way.  The simulated HTTP client charges each attempt
+once (:func:`charge_http`) and each modelled wait once
+(:func:`charge_wait`).
 
 Charged dimensions:
 
 - simulated HTTP calls, broken down by host (count, errors, virtual
   latency);
+- modelled waits (crawler backoff, rate-limit sleeps), which add to
+  virtual time but belong to no host;
 - response/profile cache hits and misses, by cache name;
 - scoring features built vs reused, and recency-pruned candidates;
 - per-phase wall + virtual time (the pipeline's phase timer reports in).
 
-Charging is a handful of dict increments under a lock and only happens
-while a ledger is actually active — the instrumented layers call the
-module-level ``charge_*`` functions, which are a single contextvar read
-plus an empty loop when nobody is listening.  Nothing here draws
-randomness or touches a clock, so attaching a ledger cannot change the
-run it is costing.
+Charging is a contextvar read plus, per active ledger, a few integer
+increments under its lock.  Nothing here draws randomness or touches a
+clock, so attaching a ledger cannot change the run it is costing.
 
 Example
 -------
 >>> with RequestLedger("demo") as ledger:
 ...     charge_http("dblp.example", 200, 0.05)
+...     charge_wait(0.1)
 ...     charge_cache("crawler", hit=True)
->>> ledger.to_dict()["http"]["dblp.example"]["requests"]
-1
+>>> ledger.requests, ledger.virtual_seconds
+(1, 0.15)
+>>> ledger.to_dict()["wait_seconds"]
+0.1
 """
 
 from __future__ import annotations
@@ -45,16 +53,18 @@ _ACTIVE: ContextVar[tuple["RequestLedger", ...]] = ContextVar(
 class RequestLedger:
     """Accumulates the itemized cost of one request; use as a context.
 
-    Ledgers nest like request scopes: an API-level ledger around a
-    batch sees the sum of the per-paper ledgers inside it.
+    Ledgers nest: an API-level ledger around a batch sees the sum of the
+    per-paper ledgers inside it, and each of those the sum of its
+    phases.  Thread-safe, since many pool threads may charge one ledger.
+    Virtual time is kept in integer nanoseconds: integer addition is
+    exact, so totals do not depend on the order pool threads finish in.
     """
 
     def __init__(self, label: str = ""):
         self.label = label
         self._lock = threading.Lock()
-        # host -> [requests, errors, latency in integer nanoseconds]; the
-        # integer sum does not depend on the order requests complete in.
-        self._http: dict[str, list] = {}
+        self._http: dict[str, list] = {}  # host -> [requests, errors, latency ns]
+        self._wait_ns = 0
         self._caches: dict[str, list] = {}  # name -> [hits, misses]
         self._features_built = 0
         self._features_reused = 0
@@ -72,6 +82,10 @@ class RequestLedger:
             if status >= 400:
                 entry[1] += 1
             entry[2] += round(latency * 1_000_000_000)
+
+    def add_wait(self, seconds: float) -> None:
+        with self._lock:
+            self._wait_ns += round(seconds * 1_000_000_000)
 
     def add_cache(self, name: str, hit: bool) -> None:
         with self._lock:
@@ -111,12 +125,20 @@ class RequestLedger:
 
     @property
     def virtual_seconds(self) -> float:
-        """Total virtual latency charged across all hosts."""
+        """Total virtual time charged: every host's latency plus waits."""
         with self._lock:
-            return sum(entry[2] for entry in self._http.values()) / 1_000_000_000
+            return self._virtual_ns() / 1_000_000_000
+
+    def _virtual_ns(self) -> int:
+        return sum(entry[2] for entry in self._http.values()) + self._wait_ns
 
     def to_dict(self) -> dict:
-        """The itemized bill, JSON-serialisable and stably ordered."""
+        """The itemized bill, JSON-serialisable and stably ordered.
+
+        The top-level ``virtual_seconds`` is latency plus waits, the
+        quantity phase reports carry, rounded once from the exact total;
+        the per-host rows are latency only.
+        """
         with self._lock:
             http = {
                 host: {
@@ -134,15 +156,15 @@ class RequestLedger:
                 }
                 for name, entry in sorted(self._caches.items())
             }
+            virtual_ns, wait_ns = self._virtual_ns(), self._wait_ns
             built, reused = self._features_built, self._features_reused
             ranked, pruned = self._candidates_ranked, self._candidates_pruned
             phases = [dict(phase) for phase in self._phases]
-        total_requests = sum(entry["requests"] for entry in http.values())
-        total_virtual = sum(entry["virtual_seconds"] for entry in http.values())
         return {
             "label": self.label,
-            "requests": total_requests,
-            "virtual_seconds": round(total_virtual, 6),
+            "requests": sum(entry["requests"] for entry in http.values()),
+            "virtual_seconds": round(virtual_ns / 1_000_000_000, 6),
+            "wait_seconds": round(wait_ns / 1_000_000_000, 6),
             "http": http,
             "caches": caches,
             "features": {
@@ -180,6 +202,12 @@ def charge_http(host: str, status: int, latency: float) -> None:
     """Charge one simulated HTTP attempt to every active ledger."""
     for ledger in _ACTIVE.get():
         ledger.add_http(host, status, latency)
+
+
+def charge_wait(seconds: float) -> None:
+    """Charge one modelled wait (backoff, throttle) to every active ledger."""
+    for ledger in _ACTIVE.get():
+        ledger.add_wait(seconds)
 
 
 def charge_cache(name: str, hit: bool) -> None:

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.api.router import ApiResponse
 from repro.concurrency.executor import create_executor
-from repro.obs import SloSpec, get_obs
-from repro.web.accounting import RequestScope
+from repro.obs import RequestLedger, SloSpec, get_obs
 from repro.web.clock import SimulatedClock
 from repro.web.ratelimit import TokenBucket
 
@@ -391,18 +390,18 @@ class ServingFrontend:
 
         ``queue_wait`` is the virtual time the request sat admitted
         (the load harness computes it from its server model); the
-        dispatch's own virtual cost is measured with a
-        :class:`~repro.web.accounting.RequestScope`, so the served
+        dispatch's own virtual cost is the virtual time billed to a
+        :class:`~repro.obs.RequestLedger` around it, so the served
         latency is deterministic at any worker count or interleaving.
         """
         try:
-            with RequestScope(label=f"serving {admission.path}") as scope:
+            with RequestLedger(label=f"serving {admission.path}") as ledger:
                 response = self._api.handle(
                     admission.method, admission.path, admission.body
                 )
             admission.response = response
-            admission.service_seconds = scope.virtual_seconds
-            admission.served_latency = queue_wait + scope.virtual_seconds
+            admission.service_seconds = ledger.virtual_seconds
+            admission.served_latency = queue_wait + ledger.virtual_seconds
             self._count(admission.tenant, "served")
             self._obs.inc(
                 "serving_served_total",

@@ -7,8 +7,8 @@ logical servers with a discrete-event loop on the virtual clock:
 
 - at each arrival, any queued request whose server frees up first is
   served (its queue wait is the gap between admission and service
-  start, its service cost the request's own deterministic virtual
-  seconds measured by request accounting);
+  start, its service cost the deterministic virtual seconds billed
+  to the request's :class:`~repro.obs.RequestLedger`);
 - then the arrival itself goes through admission — token bucket,
   bounded queue, degradation — at its scheduled virtual time.
 

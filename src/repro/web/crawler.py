@@ -106,7 +106,9 @@ class Crawler:
         """GET with caching and retries; raises :class:`CrawlError` on defeat.
 
         404s are *not* retried — a missing profile is a semantic answer,
-        not a transient fault — and propagate as-is.
+        not a transient fault — and propagate as-is.  Backoff waits go
+        through :meth:`SimulatedHttpClient.sleep`, which bills them to
+        the active ledgers.
         """
         with self._lock:
             self.fetches += 1
@@ -132,14 +134,14 @@ class Crawler:
                     break
                 wait = max(exc.retry_after, self._retry.backoff_for(attempt))
                 self._note_retry(host, path, attempt, wait, status=429)
-                self._sleep(wait)
+                self._client.sleep(wait)
             except ServiceUnavailableError as exc:
                 last_error = exc
                 if attempt == self._retry.max_attempts:
                     break
                 wait = self._retry.backoff_for(attempt)
                 self._note_retry(host, path, attempt, wait, status=503)
-                self._sleep(wait)
+                self._client.sleep(wait)
             else:
                 if self._cache is not None and cache_key is not None:
                     self._cache.put(cache_key, response.payload)
@@ -171,15 +173,6 @@ class Crawler:
             backoff=backoff,
             status=status,
         )
-
-    def _sleep(self, seconds: float) -> None:
-        # Route waits through the client when it supports scoped
-        # accounting, so phase reports attribute the backoff correctly.
-        sleeper = getattr(self._client, "sleep", None)
-        if sleeper is not None:
-            sleeper(seconds)
-        else:
-            self._client.clock.sleep(seconds)
 
     def fetch_or_none(
         self, host: str, path: str, params: Params | None = None

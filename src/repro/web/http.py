@@ -35,8 +35,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from repro.obs import get_obs
-from repro.obs.ledger import charge_http
-from repro.web import accounting
+from repro.obs.ledger import charge_http, charge_wait
 from repro.web.clock import SimulatedClock
 from repro.web.faults import FaultPolicy
 from repro.web.ratelimit import TokenBucket
@@ -331,7 +330,6 @@ class SimulatedHttpClient:
         ordinal = request.ordinal(attempt)
         latency = latency_model.sample(ordinal)
         self._clock.advance(latency)
-        accounting.charge_request(latency)
         with self._lock:
             stats.requests += 1
             stats.latency_ns += round(latency * 1_000_000_000)
@@ -381,13 +379,13 @@ class SimulatedHttpClient:
         return HttpResponse(status=200, payload=payload, latency=latency)
 
     def sleep(self, seconds: float) -> None:
-        """Advance the clock for a modelled wait, charging active scopes.
+        """Advance the clock for a modelled wait, charging active ledgers.
 
         The crawler routes its backoff and rate-limit waits through here
         so phase reports attribute the waiting to the run that waited.
         """
         self._clock.sleep(seconds)
-        accounting.charge_wait(seconds)
+        charge_wait(seconds)
         get_obs().observe("throttle_wait_seconds", seconds)
 
     def total_requests(self) -> int:

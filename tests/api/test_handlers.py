@@ -737,3 +737,12 @@ class TestDebugCost:
         events = api.obs.ring.events("request_cost")
         assert events
         assert events[-1].fields["label"] == "POST /api/v1/recommend"
+
+    @pytest.mark.parametrize("flag", ["false", "no", 0, 1, None])
+    def test_non_boolean_flag_is_400(self, api, flag):
+        response = api.handle(
+            "POST", "/api/v1/expand", {"keywords": ["RDF"], "debug_cost": flag}
+        )
+        assert response.status == 400
+        assert "debug_cost" in response.body["error"]
+        assert "cost" not in response.body

@@ -12,8 +12,7 @@ from repro.concurrency import (
     ThreadExecutor,
     create_executor,
 )
-from repro.web import accounting
-from repro.web.accounting import RequestScope
+from repro.obs.ledger import RequestLedger, charge_http
 
 
 @pytest.fixture(params=["sequential", "thread-2", "thread-8"])
@@ -84,18 +83,18 @@ class TestContextPropagation:
 
     def test_request_scope_charged_from_pool_threads(self, executor):
         def charge(_):
-            accounting.charge_request(0.5)
+            charge_http("a.example", 200, 0.5)
 
-        with RequestScope(label="phase") as scope:
+        with RequestLedger(label="phase") as ledger:
             executor.map(charge, range(3))
-        assert scope.requests == 3
-        assert scope.virtual_seconds == pytest.approx(1.5)
+        assert ledger.requests == 3
+        assert ledger.virtual_seconds == pytest.approx(1.5)
 
     def test_scope_ignores_unrelated_work(self):
-        with RequestScope(label="outer") as scope:
+        with RequestLedger(label="outer") as ledger:
             pass
-        accounting.charge_request(1.0)  # outside the scope: not counted
-        assert scope.requests == 0
+        charge_http("a.example", 200, 1.0)  # outside the ledger: not counted
+        assert ledger.requests == 0
 
 
 class TestCreateExecutor:

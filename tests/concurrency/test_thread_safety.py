@@ -5,10 +5,13 @@ all threads contend at once) and checks *exact* counts afterwards — a
 lost update anywhere shows up as an off-by-N.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro.concurrency import create_executor
+from repro.obs import RequestLedger
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
 from repro.web.crawler import Crawler
@@ -115,6 +118,32 @@ class TestHttpClient:
             assert trace.host == "h"
             assert trace.status == 200
             assert trace.latency == pytest.approx(0.001)
+
+
+class TestRequestLedger:
+    def test_bill_exact_under_contention(self):
+        # Every phase's pool threads charge one ledger; a lost update
+        # would show in the phase report's requests or virtual time.
+        http = SimulatedHttpClient(SimulatedClock())
+        http.register_host("h", lambda req: {}, latency=LatencyModel(base=0.001, jitter=0.0))
+        barrier = threading.Barrier(THREADS)
+
+        def work(index):
+            barrier.wait(timeout=10)
+            for k in range(50):
+                http.get("h", "/p", {"q": f"{index}:{k}"})
+                http.sleep(0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RequestLedger() as ledger:
+                create_executor(THREADS).map(work, range(THREADS))
+        finally:
+            sys.setswitchinterval(interval)
+        assert ledger.requests == THREADS * 50
+        assert ledger.to_dict()["wait_seconds"] == 1.6
+        assert ledger.virtual_seconds == 2.4
 
 
 class TestCrawler:
