@@ -5,7 +5,9 @@ affiliations "as configured by the editor".  The synthetic world gives
 us the true conflict set, so detection quality is measurable:
 
 - precision/recall of the pipeline's COI verdicts against the oracle,
-  for university-level and country-level configurations;
+  for university-level and country-level configurations, scored on
+  :class:`~repro.scoring.coi.CoiScreen` — the screen the filter phase
+  runs;
 - the strictness ordering (country ⊃ university) the §2.2 knob implies.
 
 The pipeline sees conflicts only through extracted profiles (partial
@@ -17,17 +19,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coi import CoiDetector
 from repro.core.config import AffiliationCoiLevel, CoiConfig, PipelineConfig
 from repro.core.pipeline import Minaret
 from repro.scholarly.registry import ScholarlyHub
+from repro.scoring import CoiScreen, ScoringContext, build_candidate_features
 from repro.world.model import GroundTruthOracle
 from benchmarks.conftest import print_table, sample_manuscripts
 
 
 def measure_coi(world, level):
-    """Run the pipeline with COI disabled, then screen every candidate
-    with the detector and compare against the oracle."""
+    """Run the pipeline, then screen every extracted candidate (kept or
+    not) and compare the verdicts against the oracle."""
     from repro.baselines.evaluation import CandidateResolver
     from repro.core.filtering import _collect_publication_years
 
@@ -35,19 +37,21 @@ def measure_coi(world, level):
     resolver = CandidateResolver(hub)
     oracle = GroundTruthOracle(world)
     config = PipelineConfig()
-    detector = CoiDetector(
-        CoiConfig(affiliation_level=level), current_year=config.current_year
-    )
+    coi = CoiConfig(affiliation_level=level)
+    ctx = ScoringContext.from_config(config)
     true_positive = false_positive = false_negative = true_negative = 0
     for manuscript, author in sample_manuscripts(world, count=6):
         result = Minaret(hub, config=config).recommend(manuscript)
         years = _collect_publication_years(result.candidates)
+        screen = CoiScreen(
+            result.verified_authors, coi, current_year=config.current_year
+        )
         for candidate in result.candidates:
             world_id = resolver.world_id(candidate.candidate_id)
             if world_id is None:
                 continue
-            predicted = detector.check(
-                candidate, result.verified_authors, years
+            predicted = screen.screen(
+                build_candidate_features(candidate, ctx), years
             ).has_conflict
             actual = oracle.has_coi(
                 world_id,
@@ -126,25 +130,22 @@ def test_bench_coi_mentorship_rule(benchmark, bench_world):
         from repro.core.filtering import _collect_publication_years
 
         resolver = CandidateResolver(hub)
-        base_detector = CoiDetector(
-            CoiConfig(affiliation_level=AffiliationCoiLevel.NONE)
+        mentorship = CoiConfig(
+            affiliation_level=AffiliationCoiLevel.NONE,
+            check_coauthorship=False,
+            check_mentorship=True,
         )
-        mentorship_detector = CoiDetector(
-            CoiConfig(
-                affiliation_level=AffiliationCoiLevel.NONE,
-                check_coauthorship=False,
-                check_mentorship=True,
-            )
-        )
+        ctx = ScoringContext.from_config(PipelineConfig())
         extra_flags = []
         screened = 0
         for manuscript, author in sample_manuscripts(bench_world, count=6):
             result = Minaret(hub).recommend(manuscript)
             years = _collect_publication_years(result.candidates)
+            screen = CoiScreen(result.verified_authors, mentorship)
             for candidate in result.candidates:
                 screened += 1
-                verdict = mentorship_detector.check(
-                    candidate, result.verified_authors, years
+                verdict = screen.screen(
+                    build_candidate_features(candidate, ctx), years
                 )
                 mentorship_reasons = [
                     r

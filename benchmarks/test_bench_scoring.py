@@ -3,10 +3,13 @@
 A 50-manuscript batch over a shared candidate pool is scored two ways
 at each worker count:
 
-- **naive** — :class:`~repro.core.ranking.NaiveRanker` plus the
-  pairwise :class:`~repro.core.coi.CoiDetector`, everything recomputed
-  per manuscript, full ranking truncated to the top 10;
-- **plane** — the :mod:`repro.scoring` compute plane: candidate
+- **naive** — the reference oracle: the pairwise
+  :class:`~repro.core.coi.CoiDetector` and the keyword threshold, then
+  :class:`~repro.core.ranking.NaiveRanker`, everything recomputed per
+  manuscript, full ranking truncated to the top 10;
+- **plane** — the production :class:`~repro.core.filtering.FilterPhase`
+  and :class:`~repro.core.ranking.Ranker` on the :mod:`repro.scoring`
+  compute plane: candidate
   features precompiled once in a shared
   :class:`~repro.scoring.features.FeatureStore` and reused across
   manuscripts, indexed :class:`~repro.scoring.coi.CoiScreen`, and
@@ -36,8 +39,9 @@ import time
 from pathlib import Path
 
 from repro.concurrency import create_executor
+from repro.core.coi import CoiDetector
 from repro.core.config import PipelineConfig
-from repro.core.filtering import FilterPhase
+from repro.core.filtering import FilterPhase, _collect_publication_years
 from repro.core.pipeline import Minaret
 from repro.core.ranking import NaiveRanker, Ranker
 from repro.obs import Observability, use
@@ -62,9 +66,7 @@ def _signature(ranked):
 def _prepare_pools(world):
     """Extract every manuscript's candidate pool once, through a warm
     retrieval plane so pools share their evidence objects."""
-    config = PipelineConfig(
-        max_candidates=MAX_CANDIDATES, scoring_plane=False, warm_cache=True
-    )
+    config = PipelineConfig(max_candidates=MAX_CANDIDATES, warm_cache=True)
     minaret = Minaret(ScholarlyHub.deploy(world), config=config)
     pools = []
     for manuscript, __ in sample_manuscripts(
@@ -82,9 +84,9 @@ def _prepare_pools(world):
     return pools
 
 
-def _score_pool(filter_phase, ranker, pool):
+def _score_pool(keep, ranker, pool):
     manuscript, authors, candidates, expanded = pool
-    kept, __ = filter_phase.apply(candidates, list(authors))
+    kept = keep(candidates, list(authors))
     return _signature(ranker.rank(manuscript, kept, list(expanded))[:TOP_K])
 
 
@@ -103,14 +105,27 @@ def test_bench_scoring(big_world):
     pools = _prepare_pools(big_world)
     assert len(pools) == PAPERS
 
-    naive_config = PipelineConfig(max_candidates=MAX_CANDIDATES, scoring_plane=False)
-    naive_filter = FilterPhase(
-        naive_config.filters, current_year=naive_config.current_year
+    naive_config = PipelineConfig(max_candidates=MAX_CANDIDATES)
+    detector = CoiDetector(
+        naive_config.filters.coi, current_year=naive_config.current_year
     )
+    threshold = naive_config.filters.min_keyword_score
     naive_ranker = NaiveRanker(naive_config)
 
+    def naive_keep(candidates, authors):
+        # The default config's filters: COI (checked for every
+        # candidate, as the filter phase does) and the keyword
+        # threshold; no expertise constraints or PC list.
+        years = _collect_publication_years(candidates)
+        return [
+            candidate
+            for candidate in candidates
+            if not detector.check(candidate, authors, years).has_conflict
+            and candidate.keyword_match_score >= threshold
+        ]
+
     def naive_one(pool):
-        return _score_pool(naive_filter, naive_ranker, pool)
+        return _score_pool(naive_keep, naive_ranker, pool)
 
     plane_config = PipelineConfig(max_candidates=MAX_CANDIDATES, top_k=TOP_K)
     store = FeatureStore()
@@ -123,8 +138,12 @@ def test_bench_scoring(big_world):
     )
     plane_ranker = Ranker(plane_config, features=store, context=context)
 
+    def plane_keep(candidates, authors):
+        kept, __ = plane_filter.apply(candidates, authors)
+        return kept
+
     def plane_one(pool):
-        return _score_pool(plane_filter, plane_ranker, pool)
+        return _score_pool(plane_keep, plane_ranker, pool)
 
     baseline = create_executor(1).map(naive_one, pools)
 

@@ -68,6 +68,8 @@ from repro.api.router import (
     ValidationError,
 )
 from repro.api.serialization import (
+    as_float,
+    as_int,
     config_from_payload,
     manuscript_from_payload,
     result_to_payload,
@@ -96,33 +98,12 @@ from repro.ontology.graph import TopicOntology
 DEFAULT_TRACE_CAPACITY = 256
 
 
-def _as_int(value: object, name: str) -> int:
-    """Coerce a client-supplied field to int or raise a typed 400.
-
-    Since the router stopped laundering bare ``ValueError`` into 400s,
-    every handler-side conversion of caller input must raise the typed
-    :class:`ValidationError` itself.
-    """
-    try:
-        return int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
-
-
-def _as_float(value: object, name: str) -> float:
-    """Coerce a client-supplied field to float or raise a typed 400."""
-    try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
-
-
 def _top_k(request: ApiRequest) -> int | None:
     """The optional ``top_k`` field: absent, or an integer >= 1."""
     top_k = request.body.get("top_k")
     if top_k is None:
         return None
-    top_k = _as_int(top_k, "top_k")
+    top_k = as_int(top_k, "top_k")
     if top_k < 1:
         raise ApiError(400, "top_k must be >= 1")
     return top_k
@@ -419,8 +400,8 @@ class MinaretApi:
         if not isinstance(keywords, list) or not keywords:
             raise ApiError(400, "keywords must be a non-empty list")
         config = ExpansionConfig(
-            max_depth=_as_int(request.body.get("max_depth", 2), "max_depth"),
-            min_score=_as_float(request.body.get("min_score", 0.5), "min_score"),
+            max_depth=as_int(request.body.get("max_depth", 2), "max_depth"),
+            min_score=as_float(request.body.get("min_score", 0.5), "min_score"),
         )
         expander = KeywordExpander(self._ontology, config)
         expansions = expander.expand([str(k) for k in keywords])
@@ -516,7 +497,7 @@ class MinaretApi:
             solver_by_name(solver_name)
         except ValueError as exc:
             raise ApiError(400, str(exc)) from exc
-        workers = _as_int(request.body.get("workers", 1), "workers")
+        workers = as_int(request.body.get("workers", 1), "workers")
         if workers < 1:
             raise ApiError(400, "workers must be >= 1")
         on_error = str(request.body.get("on_error", "raise"))
@@ -524,16 +505,16 @@ class MinaretApi:
             raise ApiError(400, "on_error must be 'raise' or 'skip'")
         if "capacity" in request.body and "max_load" in request.body:
             raise ApiError(400, "pass capacity or max_load, not both")
-        capacity = _as_int(
+        capacity = as_int(
             request.body.get("capacity", request.body.get("max_load", 2)), "capacity"
         )
         top_k = _top_k(request)
         try:
             objective = AssignmentObjective(
-                balance_weight=_as_float(
+                balance_weight=as_float(
                     request.body.get("balance_weight", 0.0), "balance_weight"
                 ),
-                coverage_weight=_as_float(
+                coverage_weight=as_float(
                     request.body.get("coverage_weight", 0.0), "coverage_weight"
                 ),
             )
@@ -557,7 +538,7 @@ class MinaretApi:
             conference = assign_conference(
                 pipeline,
                 entries,
-                reviewers_per_paper=_as_int(
+                reviewers_per_paper=as_int(
                     request.body.get("reviewers_per_paper", 3), "reviewers_per_paper"
                 ),
                 capacity=capacity,

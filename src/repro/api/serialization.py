@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.api.router import ApiError
+from repro.api.router import ApiError, ValidationError
 from repro.core.config import (
     AffiliationCoiLevel,
     AggregationMethod,
@@ -58,6 +58,36 @@ def _object(payload: dict, key: str) -> dict:
     return value
 
 
+def as_int(value: object, name: str) -> int:
+    """A client-supplied integer field, or a typed 400 naming it.
+
+    Only a JSON integer passes: a boolean, a fraction or a numeric
+    string is rejected, never truncated or coerced.  The error is the
+    typed :class:`ValidationError` because the router answers a bare
+    ``ValueError`` escaping a handler with a 500, not a 400.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def as_float(value: object, name: str) -> float:
+    """A client-supplied number field, or a typed 400 naming it.
+
+    Booleans are rejected rather than read as 0 or 1.
+    """
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+
+
+#: The keys the ``coi`` config object accepts.
+_COI_KEYS = frozenset({"check_coauthorship", "lookback_years", "affiliation_level"})
+
+
 def _flag(payload: dict, key: str, default: bool) -> bool:
     """The JSON boolean under ``key``; a string such as ``"false"`` is rejected."""
     value = payload.get(key, default)
@@ -73,21 +103,24 @@ def config_from_payload(payload: dict) -> PipelineConfig:
     component → weight map), ``impact_metric``, ``min_keyword_score``,
     ``coi`` (``check_coauthorship``, ``affiliation_level``,
     ``lookback_years``), ``constraints`` (the six range bounds),
-    ``pc_members`` (a list of names), ``max_candidates``, ``workers``
-    (extraction fan-out; output is identical at any value), plus
-    ``warm_cache`` / ``warm_cache_ttl`` / ``warm_cache_capacity`` (the
-    deployment-shared warm-path retrieval plane; rankings are identical
-    warm or cold), ``top_k`` (rank only the exact best k) and
-    ``scoring_plane`` (the :mod:`repro.scoring` compute plane; on by
-    default, bit-identical to the naive path).  ``weights``, ``coi``
-    and ``constraints`` must be JSON objects and the three flags JSON
-    booleans.  Unknown top-level keys are ignored.
+    ``pc_members`` (a list of names), ``aggregation`` / ``owa_weights``,
+    ``max_candidates``, ``workers`` (extraction fan-out; output is
+    identical at any value), ``warm_cache`` / ``warm_cache_ttl`` /
+    ``warm_cache_capacity`` (the deployment-shared warm-path retrieval
+    plane; rankings are identical warm or cold) and ``top_k`` (rank
+    only the exact best k).  ``weights``, ``coi`` and ``constraints``
+    must be JSON objects whose keys are all known, the two flags JSON
+    booleans, the integer fields JSON integers and ``min_keyword_score``
+    a number.  Unknown top-level keys are ignored.
     """
     try:
         if not isinstance(payload, dict):
             raise ValueError(f"config must be a JSON object, got {payload!r}")
         weights = RankingWeights(**_object(payload, "weights"))
         coi_payload = _object(payload, "coi")
+        unknown = sorted(set(coi_payload) - _COI_KEYS)
+        if unknown:
+            raise ValueError(f"unknown coi keys: {', '.join(unknown)}")
         coi = CoiConfig(
             check_coauthorship=_flag(coi_payload, "check_coauthorship", True),
             coauthorship_lookback_years=coi_payload.get("lookback_years"),
@@ -103,11 +136,14 @@ def config_from_payload(payload: dict) -> PipelineConfig:
             raise ValueError(f"pc_members must be a list of names, got {pc_members!r}")
         filters = FilterConfig(
             coi=coi,
-            min_keyword_score=float(payload.get("min_keyword_score", 0.5)),
+            min_keyword_score=as_float(
+                payload.get("min_keyword_score", 0.5), "min_keyword_score"
+            ),
             constraints=constraints,
             pc_members=tuple(pc_members),
         )
         owa_weights = payload.get("owa_weights")
+        top_k = payload.get("top_k")
         return PipelineConfig(
             filters=filters,
             weights=weights,
@@ -116,15 +152,14 @@ def config_from_payload(payload: dict) -> PipelineConfig:
             ),
             owa_weights=tuple(owa_weights) if owa_weights is not None else None,
             impact_metric=ImpactMetric(payload.get("impact_metric", "h_index")),
-            max_candidates=int(payload.get("max_candidates", 50)),
-            workers=int(payload.get("workers", 1)),
+            max_candidates=as_int(payload.get("max_candidates", 50), "max_candidates"),
+            workers=as_int(payload.get("workers", 1), "workers"),
             warm_cache=_flag(payload, "warm_cache", False),
             warm_cache_ttl=payload.get("warm_cache_ttl"),
-            warm_cache_capacity=int(payload.get("warm_cache_capacity", 8192)),
-            top_k=(
-                int(payload["top_k"]) if payload.get("top_k") is not None else None
+            warm_cache_capacity=as_int(
+                payload.get("warm_cache_capacity", 8192), "warm_cache_capacity"
             ),
-            scoring_plane=_flag(payload, "scoring_plane", True),
+            top_k=as_int(top_k, "top_k") if top_k is not None else None,
         )
     except (TypeError, ValueError) as exc:
         raise ApiError(400, f"invalid config payload: {exc}") from exc

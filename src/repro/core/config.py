@@ -152,9 +152,8 @@ class ExpertiseConstraints:
     """Editor-defined candidate constraints (§2.2's third filter).
 
     Each bound is optional; ``None`` disables that side, and any other
-    value must be a finite number.  These compile to
-    :mod:`repro.storage.query` range predicates over the candidate's
-    merged metrics and review history.
+    value must be a finite number.  The filter phase checks every active
+    bound against the candidate's merged metrics and review history.
     """
 
     min_citations: int | None = None
@@ -266,12 +265,6 @@ class PipelineConfig:
         aggregation the scoring plane uses it to skip the expensive
         recency computation for candidates that provably cannot enter
         the top-k.
-    scoring_plane:
-        Route ranking and COI screening through the
-        :mod:`repro.scoring` compute plane (precompiled candidate
-        features, compiled manuscript queries, indexed COI screening).
-        ``False`` is the naive reference path.  Results are
-        bit-identical either way — the plane only buys CPU time.
     """
 
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
@@ -290,7 +283,6 @@ class PipelineConfig:
     warm_cache_ttl: float | None = None
     warm_cache_capacity: int = 8192
     top_k: int | None = None
-    scoring_plane: bool = True
 
     def __post_init__(self):
         if self.top_k is not None and self.top_k < 1:

@@ -121,9 +121,17 @@ def _explain_recency(scored: ScoredCandidate, config: PipelineConfig) -> str:
             f"recency {scored.breakdown.recency:.2f}: no publication "
             "record retrieved"
         )
+    # Partial records without a year add nothing to the recency score,
+    # so they are neither counted nor dated here.
+    years = [p["year"] for p in publications if p.get("year") is not None]
+    if not years:
+        return (
+            f"recency {scored.breakdown.recency:.2f}: none of the "
+            f"{len(publications)} retrieved publication(s) has a year"
+        )
     recent_cutoff = config.current_year - int(config.recency_half_life_years)
-    recent = sum(1 for p in publications if p["year"] >= recent_cutoff)
-    latest = max(p["year"] for p in publications)
+    recent = sum(1 for year in years if year >= recent_cutoff)
+    latest = max(years)
     return (
         f"recency {scored.breakdown.recency:.2f}: {recent} publication(s) "
         f"since {recent_cutoff}, most recent {latest}"

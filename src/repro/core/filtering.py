@@ -4,53 +4,71 @@ Order matters for explainability, not correctness — every rule is
 evaluated for every candidate so that the editor sees *all* the reasons
 a candidate was dropped, the way the demo UI explains its decisions.
 
-COI screening runs two interchangeable ways: the naive
-:class:`~repro.core.coi.CoiDetector` pairwise loops, or — when the
-pipeline hands this phase a feature store — the indexed
-:class:`~repro.scoring.coi.CoiScreen` over precompiled candidate
-features.  Verdicts (flags and reason strings) are identical; only the
-CPU cost differs.
+COI screening runs on the indexed :class:`~repro.scoring.coi.CoiScreen`
+over precompiled candidate features.  The pairwise
+:class:`~repro.core.coi.CoiDetector` is its reference oracle: verdicts
+(flags and reason strings) are identical, only the CPU cost differs.
 """
 
 from __future__ import annotations
 
-from repro.core.coi import CoiDetector
+from operator import attrgetter
+
 from repro.core.config import FilterConfig
 from repro.core.models import Candidate, FilterDecision, VerifiedAuthor
 from repro.obs import get_obs
-from repro.storage.query import And, Predicate, Range
+from repro.scoring.coi import CoiScreen
+from repro.scoring.features import FeatureStore, ScoringContext
 from repro.text.normalize import canonical_person_name
+
+
+#: How each expertise-constrained field is read off a candidate.
+_BOUND_READERS = {
+    "citations": attrgetter("profile.metrics.citations"),
+    "h_index": attrgetter("profile.metrics.h_index"),
+    "review_count": attrgetter("review_count"),
+}
 
 
 class FilterPhase:
     """Applies the three §2.2 filters and records every decision.
 
-    ``features`` (a :class:`~repro.scoring.features.FeatureStore`)
-    switches COI screening onto the indexed path; ``None`` keeps the
-    naive detector.
+    Candidate features for COI screening are read through ``features``
+    (a :class:`~repro.scoring.features.FeatureStore`, shared with the
+    ranker by the pipeline; a private store is created when none is
+    given).
     """
 
     def __init__(
         self,
         config: FilterConfig | None = None,
         current_year: int = 2019,
-        features=None,
-        scoring_context=None,
+        features: FeatureStore | None = None,
+        scoring_context: ScoringContext | None = None,
     ):
         self._config = config or FilterConfig()
         self._current_year = current_year
-        self._coi = CoiDetector(self._config.coi, current_year=current_year)
-        self._features = features
-        if features is not None and scoring_context is None:
+        self._features = features if features is not None else FeatureStore()
+        if scoring_context is None:
             # Must mirror the ranker's context exactly, or the two
             # phases would invalidate each other's store entries.
-            from repro.scoring.features import ScoringContext
-
             scoring_context = ScoringContext(
                 current_year=current_year, half_life_years=3.0
             )
         self._scoring_context = scoring_context
-        self._constraint_predicate = _compile_constraints(self._config)
+        c = self._config.constraints
+        bounds = (
+            ("citations", c.min_citations, c.max_citations),
+            ("h_index", c.min_h_index, c.max_h_index),
+            ("review_count", c.min_reviews, c.max_reviews),
+        )
+        # Only the active bounds, so a config without expertise
+        # constraints does no per-candidate work.
+        self._bounds = [
+            (name, _BOUND_READERS[name], low, high)
+            for name, low, high in bounds
+            if low is not None or high is not None
+        ]
         self._pc_names = {
             canonical_person_name(name) for name in self._config.pc_members
         }
@@ -61,15 +79,8 @@ class FilterPhase:
         authors: list[VerifiedAuthor],
         publication_years: dict[str, int],
     ) -> list:
-        if self._features is None:
-            return [
-                self._coi.check(candidate, authors, publication_years)
-                for candidate in candidates
-            ]
-        # Indexed path: author records are prebuilt once per manuscript,
-        # candidate features come from the shared store.
-        from repro.scoring.coi import CoiScreen
-
+        # Author records are prebuilt once per manuscript, candidate
+        # features come from the shared store.
         ctx = self._scoring_context
         with get_obs().span("scoring.coi_screen", candidates=len(candidates)):
             screen = CoiScreen(
@@ -116,50 +127,14 @@ class FilterPhase:
         return kept, decisions
 
     def _constraint_reasons(self, candidate: Candidate) -> list[str]:
-        if self._constraint_predicate is None:
-            return []
-        payload = {
-            "citations": candidate.profile.metrics.citations,
-            "h_index": candidate.profile.metrics.h_index,
-            "review_count": candidate.review_count,
-        }
-        if self._constraint_predicate.matches(payload):
-            return []
-        constraints = self._config.constraints
         reasons = []
-        checks = (
-            ("citations", constraints.min_citations, constraints.max_citations),
-            ("h_index", constraints.min_h_index, constraints.max_h_index),
-            ("review_count", constraints.min_reviews, constraints.max_reviews),
-        )
-        for field_name, low, high in checks:
-            value = payload[field_name]
+        for field_name, read, low, high in self._bounds:
+            value = read(candidate)
             if low is not None and value < low:
                 reasons.append(f"{field_name} {value} below minimum {low}")
             if high is not None and value > high:
                 reasons.append(f"{field_name} {value} above maximum {high}")
         return reasons
-
-
-def _compile_constraints(config: FilterConfig) -> Predicate | None:
-    """Compile the editor's expertise constraints to a storage predicate."""
-    constraints = config.constraints
-    if constraints.is_trivial():
-        return None
-    predicates: list[Predicate] = []
-    if constraints.min_citations is not None or constraints.max_citations is not None:
-        predicates.append(
-            Range("citations", constraints.min_citations, constraints.max_citations)
-        )
-    if constraints.min_h_index is not None or constraints.max_h_index is not None:
-        predicates.append(
-            Range("h_index", constraints.min_h_index, constraints.max_h_index)
-        )
-    if constraints.min_reviews is not None or constraints.max_reviews is not None:
-        predicates.append(
-            Range("review_count", constraints.min_reviews, constraints.max_reviews)
-        )
-    return And(predicates)
 
 
 def _collect_publication_years(candidates: list[Candidate]) -> dict[str, int]:

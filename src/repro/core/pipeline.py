@@ -30,6 +30,7 @@ from repro.ontology.data import build_seed_ontology
 from repro.ontology.expansion import KeywordExpander
 from repro.ontology.graph import TopicOntology
 from repro.retrieval import RetrievalPlane
+from repro.scoring.features import FeatureStore, ScoringContext
 from repro.web.crawler import CrawlError
 
 
@@ -97,22 +98,13 @@ class Minaret:
         self._extractor = CandidateExtractor(
             sources, self._config, executor=self._executor, plane=plane
         )
-        if self._config.scoring_plane:
-            # One feature store for filtering *and* ranking, shared
-            # across every manuscript this pipeline sees.  When a warm
-            # retrieval plane is attached, the store hangs off it —
-            # shared across pipelines and invalidated by the same epoch
-            # bump that invalidates cached profiles.
-            from repro.scoring.features import FeatureStore, ScoringContext
-
-            if plane is not None:
-                self._features = plane.feature_store()
-            else:
-                self._features = FeatureStore()
-            scoring_context = ScoringContext.from_config(self._config)
-        else:
-            self._features = None
-            scoring_context = None
+        # One feature store for filtering *and* ranking, shared across
+        # every manuscript this pipeline sees.  When a warm retrieval
+        # plane is attached, the store hangs off it — shared across
+        # pipelines and invalidated by the same epoch bump that
+        # invalidates cached profiles.
+        self._features = plane.feature_store() if plane is not None else FeatureStore()
+        scoring_context = ScoringContext.from_config(self._config)
         self._filter = FilterPhase(
             self._config.filters,
             current_year=self._config.current_year,
@@ -144,8 +136,8 @@ class Minaret:
         return self._plane
 
     @property
-    def features(self):
-        """The shared scoring feature store (``None`` on the naive path)."""
+    def features(self) -> FeatureStore:
+        """The feature store the filter and ranking phases share."""
         return self._features
 
     def recommend(self, manuscript: Manuscript) -> RecommendationResult:

@@ -25,34 +25,24 @@ than unit conversions):
 Fusion is the §2.3 weighted sum by default; OWA (reference [4]) is
 available via :class:`~repro.core.config.AggregationMethod`.
 
-Two implementations produce this ranking:
-
-- :class:`NaiveRanker` — the direct transcription of the paper's
-  formulas, recomputing everything per manuscript.  It is the
-  *reference semantics*.
-- the :mod:`repro.scoring` compute plane — precompiled candidate
-  features, compiled manuscript queries and top-k pruning, bit-identical
-  to the naive path (property-tested in ``tests/scoring``).
-
-:class:`Ranker` dispatches between them on
-:attr:`~repro.core.config.PipelineConfig.scoring_plane`.
+:class:`Ranker` is the production path: it ranks on the
+:mod:`repro.scoring` compute plane (precompiled candidate features,
+compiled manuscript queries and top-k pruning).  :class:`NaiveRanker`
+is the direct transcription of the paper's formulas, recomputing
+everything per manuscript; it is the *reference oracle* that
+``tests/scoring`` holds the plane to, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.config import (
-    AggregationMethod,
-    ImpactMetric,
-    PipelineConfig,
-    RankingWeights,
-)
+from repro.core.config import AggregationMethod, ImpactMetric, PipelineConfig
 from repro.core.models import Candidate, Manuscript, ScoreBreakdown, ScoredCandidate
 from repro.ontology.expansion import ExpandedKeyword
 from repro.scoring.aggregate import owa_aggregate as _owa_aggregate
 from repro.scoring.engine import rank_with_plane
-from repro.scoring.features import FeatureStore
+from repro.scoring.features import FeatureStore, ScoringContext
 from repro.scoring.query import group_expansions_by_seed as _group_expansions_by_seed
 from repro.text.normalize import normalize_keyword
 from repro.text.tokenize import tokenize
@@ -61,38 +51,26 @@ __all__ = ["NaiveRanker", "Ranker"]
 
 
 class Ranker:
-    """Scores and orders the filtered candidates.
+    """Scores and orders the filtered candidates on the compute plane.
 
-    By default ranking runs on the :mod:`repro.scoring` compute plane,
-    reusing ``features`` (a :class:`~repro.scoring.features.FeatureStore`,
-    shared across manuscripts by the pipeline / batch engine; a private
-    store is created when none is given).  With
-    ``config.scoring_plane = False`` the naive reference path runs
-    instead — rankings are bit-identical either way.
+    Candidate features are read through ``features`` (a
+    :class:`~repro.scoring.features.FeatureStore`, shared across
+    manuscripts by the pipeline / batch engine; a private store is
+    created when none is given).  Rankings are bit-identical to
+    :class:`NaiveRanker`'s.
     """
 
     def __init__(
         self,
         config: PipelineConfig | None = None,
         features: FeatureStore | None = None,
-        context=None,
+        context: ScoringContext | None = None,
     ):
         self._config = config or PipelineConfig()
-        if self._config.scoring_plane:
-            if features is None:
-                features = FeatureStore()
-            if context is None:
-                from repro.scoring.features import ScoringContext
-
-                context = ScoringContext.from_config(self._config)
-        self._features = features
-        self._context = context
-        self._naive = NaiveRanker(self._config)
-
-    @property
-    def features(self) -> FeatureStore | None:
-        """The feature store ranking reads through (``None`` when naive)."""
-        return self._features if self._config.scoring_plane else None
+        self._features = features if features is not None else FeatureStore()
+        self._context = (
+            context if context is not None else ScoringContext.from_config(self._config)
+        )
 
     def rank(
         self,
@@ -105,19 +83,14 @@ class Ranker:
         The full ranking, or exactly its first ``config.top_k`` entries
         when ``top_k`` is set.
         """
-        if self._config.scoring_plane:
-            return rank_with_plane(
-                manuscript,
-                candidates,
-                expanded,
-                self._config,
-                self._features,
-                ctx=self._context,
-            )
-        ranked = self._naive.rank(manuscript, candidates, expanded)
-        if self._config.top_k is not None:
-            return ranked[: self._config.top_k]
-        return ranked
+        return rank_with_plane(
+            manuscript,
+            candidates,
+            expanded,
+            self._config,
+            self._features,
+            ctx=self._context,
+        )
 
 
 class NaiveRanker:

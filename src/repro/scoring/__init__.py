@@ -1,9 +1,14 @@
-"""The scoring compute plane.
+"""The scoring compute plane: the only production filter→rank path.
 
-PRs 1-3 removed the IO bottlenecks (parallel extraction, warm-path
-retrieval); at batch scale the dominant cost is CPU in the filter→rank
-tail.  This package makes that tail incremental and batch-amortized
-while staying **bit-identical** to the naive reference path:
+With the IO bottlenecks removed (parallel extraction, warm-path
+retrieval), the dominant cost at batch scale is CPU in the filter→rank
+tail.  This package makes that tail incremental and batch-amortized.
+:class:`~repro.core.filtering.FilterPhase` and
+:class:`~repro.core.ranking.Ranker` always run on it, and it stays
+**bit-identical** to the reference oracles
+:class:`~repro.core.coi.CoiDetector` and
+:class:`~repro.core.ranking.NaiveRanker`, which only tests and the
+EXP-SCORE benchmark run:
 
 :mod:`repro.scoring.features`
     :class:`CandidateFeatures` — per-candidate precompiled features

@@ -1,10 +1,10 @@
-"""Aggregation primitives shared by the naive ranker and the engine.
+"""Aggregation primitives shared by the engine and its reference oracle.
 
-Both :class:`repro.core.ranking.NaiveRanker` and
-:func:`repro.scoring.engine.rank_with_plane` fold normalized component
-scores through these exact functions, so the two paths produce the same
-floats down to the last ULP: identical summation order, identical
-operations.
+Both :func:`repro.scoring.engine.rank_with_plane` (production ranking)
+and :class:`repro.core.ranking.NaiveRanker` (the oracle tests hold it
+to) fold normalized component scores through these exact functions, so
+the two produce the same floats down to the last ULP: identical
+summation order, identical operations.
 """
 
 from __future__ import annotations

@@ -9,9 +9,7 @@ would run on:
   indexes;
 - :class:`~repro.storage.inverted.InvertedIndex` — a weighted inverted
   index used for interest-keyword → scholar retrieval (the heart of the
-  candidate-reviewer search);
-- :mod:`repro.storage.query` — a tiny composable predicate language with
-  index-aware evaluation.
+  candidate-reviewer search).
 
 Keeping this layer explicit (rather than ad-hoc dicts inside each source)
 is what makes the per-source query accounting in the EXP-SCALE experiment
@@ -29,30 +27,19 @@ from repro.storage.errors import (
 from repro.storage.inverted import InvertedIndex, Posting
 from repro.storage.ordered import OrderedIndex, OrderedIndexManager
 from repro.storage.persistence import JournaledStore, PersistentStoreError
-from repro.storage.query import And, Contains, Eq, Gte, In, Lte, Not, Or, Predicate, Range
 
 __all__ = [
-    "And",
-    "Contains",
     "Document",
     "DocumentNotFoundError",
     "DocumentStore",
     "DuplicateDocumentError",
-    "Eq",
-    "Gte",
-    "In",
     "IndexError_",
     "InvertedIndex",
     "JournaledStore",
-    "Lte",
     "OrderedIndex",
     "OrderedIndexManager",
     "PersistentStoreError",
-    "Not",
-    "Or",
     "Posting",
-    "Predicate",
-    "Range",
     "StorageError",
     "VersionConflictError",
 ]

@@ -41,8 +41,8 @@ class TestInputValidation:
     """Client-input coercion must raise typed 400s, never crash to 500.
 
     Regression for the router no longer laundering bare ValueError:
-    every handler coercion site now goes through ``_as_int``/
-    ``_as_float`` (or raises ``ValidationError`` directly).
+    every handler coercion site now goes through ``as_int``/
+    ``as_float`` (or raises ``ValidationError`` directly).
     """
 
     @pytest.mark.parametrize(
@@ -60,6 +60,67 @@ class TestInputValidation:
         response = api.handle("POST", path, body)
         assert response.status == 400
         assert "error" in response.body
+
+    @pytest.mark.parametrize(
+        ("path", "override", "field"),
+        [
+            pytest.param("recommend", {"top_k": 2.5}, "top_k", id="top_k-frac"),
+            pytest.param("recommend", {"top_k": True}, "top_k", id="top_k-bool"),
+            pytest.param(
+                "recommend",
+                {"config": {"max_candidates": True}},
+                "max_candidates",
+                id="max_candidates-bool",
+            ),
+            pytest.param(
+                "recommend", {"config": {"workers": 1.5}}, "workers", id="workers-frac"
+            ),
+            pytest.param(
+                "recommend",
+                {"config": {"warm_cache_capacity": True}},
+                "warm_cache_capacity",
+                id="warm_cache_capacity-bool",
+            ),
+            pytest.param(
+                "recommend", {"config": {"top_k": True}}, "top_k", id="config-top_k-bool"
+            ),
+            pytest.param(
+                "recommend",
+                {"config": {"min_keyword_score": True}},
+                "min_keyword_score",
+                id="min_keyword_score-bool",
+            ),
+            pytest.param("assign", {"workers": True}, "workers", id="assign-workers-bool"),
+            pytest.param("assign", {"capacity": 2.5}, "capacity", id="assign-capacity-frac"),
+            pytest.param(
+                "assign",
+                {"reviewers_per_paper": True},
+                "reviewers_per_paper",
+                id="assign-reviewers-bool",
+            ),
+            pytest.param(
+                "assign", {"balance_weight": True}, "balance_weight", id="assign-balance-bool"
+            ),
+            pytest.param("assign", {"top_k": 2.5}, "top_k", id="assign-top_k-frac"),
+            pytest.param("expand", {"max_depth": True}, "max_depth", id="expand-depth-bool"),
+            pytest.param("expand", {"max_depth": 1.5}, "max_depth", id="expand-depth-frac"),
+            pytest.param("expand", {"min_score": True}, "min_score", id="expand-score-bool"),
+        ],
+    )
+    def test_boolean_or_fraction_is_400(self, api, manuscript, path, override, field):
+        """``true`` and ``2.5`` are not read as 1 and 2: the field is named in a 400."""
+        base = {
+            "recommend": {"manuscript": manuscript_payload(manuscript)},
+            "assign": {
+                "manuscripts": [
+                    {"paper_id": "p0", "manuscript": manuscript_payload(manuscript)}
+                ]
+            },
+            "expand": {"keywords": ["RDF"]},
+        }[path]
+        response = api.handle("POST", f"/api/v1/{path}", {**base, **override})
+        assert response.status == 400
+        assert field in response.body["error"]
 
     def test_malformed_author_entry_is_400(self, api):
         response = api.handle(
@@ -199,7 +260,10 @@ class TestRecommend:
             ),
             pytest.param({"pc_members": "abc"}, "pc_members", id="pc-str"),
             pytest.param({"warm_cache": "false"}, "warm_cache", id="warm-str"),
-            pytest.param({"scoring_plane": "false"}, "scoring_plane", id="plane-str"),
+            pytest.param(
+                {"coi": {"check_mentorship": True}}, "check_mentorship", id="coi-unknown"
+            ),
+            pytest.param({"coi": {"lookback": 3}}, "lookback", id="coi-typo"),
             pytest.param({"weights": {"recency": float("nan")}}, "recency", id="w-nan"),
             pytest.param({"weights": {"recency": float("inf")}}, "recency", id="w-inf"),
             pytest.param({"weights": {"recency": float("-inf")}}, "recency", id="w-ninf"),
@@ -504,18 +568,26 @@ class TestMetricsEndpoint:
 
 class TestDeletedConfigKeys:
     def test_deleted_keys_are_ignored(self, api, manuscript):
-        """Clients that still send the removed parallelism keys get the
-        default answer: unknown config keys are ignored."""
+        """Clients that still send removed config keys get the default
+        answer: unknown config keys are ignored.  That covers the
+        parallelism keys and ``scoring_plane``, in either form: the
+        naive path it selected now runs only as a test oracle."""
         bodies = [
             api.handle(
                 "POST",
                 "/api/v1/recommend",
                 {"manuscript": manuscript_payload(manuscript), "config": config},
             ).body
-            for config in ({}, {"workers": 2, "shards": 4, "executor_backend": "thread"})
+            for config in (
+                {},
+                {"workers": 2, "shards": 4, "executor_backend": "thread"},
+                {"scoring_plane": False},
+                {"scoring_plane": "false"},
+            )
         ]
         assert bodies[0]["recommendations"]
-        assert bodies[1]["recommendations"] == bodies[0]["recommendations"]
+        for body in bodies[1:]:
+            assert body["recommendations"] == bodies[0]["recommendations"]
 
 
 def _walk(spans):

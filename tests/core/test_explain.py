@@ -122,6 +122,33 @@ class TestExplainCandidate:
         lines = explain_candidate(scored, MANUSCRIPT, EXPANDED)
         assert any("most recent 2018" in l for l in lines)
 
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            pytest.param({"id": "p0", "year": None, "keywords": []}, id="year-none"),
+            pytest.param({"id": "p0", "keywords": []}, id="year-missing"),
+        ],
+    )
+    def test_recency_skips_yearless_records(self, partial):
+        # Ranking skips publications without a year; the explanation
+        # must neither crash on them nor count them.
+        dated = {"id": "p1", "title": "t", "year": 2018, "keywords": []}
+        scored = make_scored(scholar_pubs=[dict(partial), dated])
+        recency = next(
+            l
+            for l in explain_candidate(scored, MANUSCRIPT, EXPANDED)
+            if l.startswith("recency")
+        )
+        assert recency.endswith("1 publication(s) since 2016, most recent 2018")
+
+        scored = make_scored(scholar_pubs=[dict(partial)])
+        recency = next(
+            l
+            for l in explain_candidate(scored, MANUSCRIPT, EXPANDED)
+            if l.startswith("recency")
+        )
+        assert "none of the 1 retrieved publication(s) has a year" in recency
+
     def test_strongest_component_first(self):
         scored = make_scored(
             breakdown=ScoreBreakdown(review_experience=1.0, topic_coverage=0.1)

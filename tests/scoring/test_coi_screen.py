@@ -9,7 +9,7 @@ reason strings in their exact order — must match the naive detector's.
 import pytest
 
 from repro.core.coi import CoiDetector
-from repro.core.config import AffiliationCoiLevel, CoiConfig, PipelineConfig
+from repro.core.config import AffiliationCoiLevel, CoiConfig
 from repro.core.filtering import _collect_publication_years
 from repro.core.pipeline import Minaret
 from repro.scholarly.records import Affiliation
@@ -38,9 +38,7 @@ def screening_pools(world):
     """
     from repro.scholarly.registry import ScholarlyHub
 
-    minaret = Minaret(
-        ScholarlyHub.deploy(world), config=PipelineConfig(scoring_plane=False)
-    )
+    minaret = Minaret(ScholarlyHub.deploy(world))
     pools = []
     for author in world.authors.values():
         if len(pools) >= 3:
@@ -168,20 +166,19 @@ def test_lookback_window_matches_naive():
 
 
 def test_filter_phase_paths_agree(screening_pools):
-    """FilterPhase itself: naive vs indexed verdicts on real pools."""
+    """FilterPhase's COI reasons equal CoiDetector's on real pools."""
     from repro.core.filtering import FilterPhase
-    from repro.scoring import FeatureStore
 
-    for candidates, authors, _ in screening_pools:
-        naive_kept, naive_decisions = FilterPhase(current_year=2019).apply(
-            candidates, authors
-        )
-        fast_kept, fast_decisions = FilterPhase(
-            current_year=2019,
-            features=FeatureStore(),
-            scoring_context=CTX,
-        ).apply(candidates, authors)
-        assert [c.candidate_id for c in fast_kept] == [
-            c.candidate_id for c in naive_kept
+    detector = CoiDetector(current_year=2019)
+    conflicts = 0
+    for candidates, authors, years in screening_pools:
+        __, decisions = FilterPhase(current_year=2019).apply(candidates, authors)
+        assert [d.candidate_id for d in decisions] == [
+            c.candidate_id for c in candidates
         ]
-        assert fast_decisions == naive_decisions
+        for candidate, decision in zip(candidates, decisions):
+            verdict = detector.check(candidate, authors, years)
+            coi_reasons = tuple(r for r in decision.reasons if r.startswith("COI: "))
+            assert coi_reasons == tuple(f"COI: {r}" for r in verdict.reasons)
+            conflicts += verdict.has_conflict
+    assert conflicts > 0

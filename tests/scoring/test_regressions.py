@@ -33,18 +33,17 @@ class TestOwaZeroSumWeights:
     def test_exported_helper_is_the_same_function(self):
         assert owa_aggregate is _owa_aggregate
 
-    @pytest.mark.parametrize("scoring_plane", [True, False])
-    def test_ranker_survives_truncated_zero_prefix(self, scoring_plane):
+    @pytest.mark.parametrize("ranker_cls", [Ranker, NaiveRanker], ids=lambda c: c.__name__)
+    def test_ranker_survives_truncated_zero_prefix(self, ranker_cls):
         config = PipelineConfig(
             aggregation=AggregationMethod.OWA,
             owa_weights=(0.0,) * 6 + (1.0,),
-            scoring_plane=scoring_plane,
         )
         candidates = [
             make_candidate("a", interests=("Semantic Web",), citations=100),
             make_candidate("b", review_count=5),
         ]
-        ranked = Ranker(config).rank(make_manuscript(), candidates, SEEDS)
+        ranked = ranker_cls(config).rank(make_manuscript(), candidates, SEEDS)
         # Six components, all-zero truncated weights: every total is the
         # plain component mean.
         assert len(ranked) == 2
@@ -57,13 +56,14 @@ class TestRecencyPartialRecords:
     YEARLESS = {"id": "p0", "year": None, "keywords": ["semantic web"]}
     DATED = {"id": "p1", "year": 2019, "keywords": ["semantic web"], "title": ""}
 
-    @pytest.mark.parametrize("scoring_plane", [True, False])
-    def test_yearless_publication_is_skipped_not_fatal(self, scoring_plane):
-        config = PipelineConfig(scoring_plane=scoring_plane)
+    @pytest.mark.parametrize("ranker_cls", [Ranker, NaiveRanker], ids=lambda c: c.__name__)
+    def test_yearless_publication_is_skipped_not_fatal(self, ranker_cls):
         with_partial = make_candidate(
             "a", scholar_pubs=(dict(self.YEARLESS), dict(self.DATED))
         )
-        ranked = Ranker(config).rank(make_manuscript(), [with_partial], SEEDS)
+        ranked = ranker_cls(PipelineConfig()).rank(
+            make_manuscript(), [with_partial], SEEDS
+        )
         assert len(ranked) == 1
         assert ranked[0].breakdown.recency > 0
 

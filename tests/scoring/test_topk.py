@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import AggregationMethod, PipelineConfig, RankingWeights
 from repro.core.models import ScoredCandidate
-from repro.core.ranking import Ranker
+from repro.core.ranking import NaiveRanker, Ranker
 from repro.scoring import select_top_k
 from tests.scoring.conftest import expansion, make_candidate, make_manuscript
 
@@ -108,10 +108,9 @@ class TestRankerTopK:
     def test_naive_and_plane_agree_under_top_k(self, k):
         pool = make_pool()
         manuscript = make_manuscript()
-        plane = Ranker(PipelineConfig(top_k=k)).rank(manuscript, pool, SEEDS)
-        naive = Ranker(PipelineConfig(top_k=k, scoring_plane=False)).rank(
-            manuscript, pool, SEEDS
-        )
+        config = PipelineConfig(top_k=k)
+        plane = Ranker(config).rank(manuscript, pool, SEEDS)
+        naive = NaiveRanker(config).rank(manuscript, pool, SEEDS)[:k]
         assert signature(plane) == signature(naive)
 
     def test_owa_top_k_is_prefix(self):
@@ -163,11 +162,8 @@ class TestRankerTopK:
     def test_payload_round_trip(self):
         from repro.api.serialization import config_from_payload
 
-        config = config_from_payload({"top_k": 7, "scoring_plane": False})
-        assert config.top_k == 7
-        assert config.scoring_plane is False
+        assert config_from_payload({"top_k": 7}).top_k == 7
         assert config_from_payload({}).top_k is None
-        assert config_from_payload({}).scoring_plane is True
 
 
 class TestPruneMetrics:
