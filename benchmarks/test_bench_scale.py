@@ -9,13 +9,14 @@ it back, in two regimes:
   the same run under increasing cache TTLs (TTL 0 = the paper's pure
   mode).
 - **Population regime** (10^3 → 10^5 scholars): the streamed world +
-  sharded scale plane (:mod:`repro.scale`).  Worlds are derived lazily
-  from the seed, indexes are hash-sharded, and retrieval/screening/
-  scoring fan out per shard.  Measures per-query wall time at each
-  size, split into the plane's retrieve / COI / score phases and the
-  rest, the string-interning savings, and anchors correctness against
-  the brute-force full scan.  Writes ``BENCH_scale.json`` at the repo
-  root, uploaded by CI's ``scale-bench`` job.
+  scale plane (:mod:`repro.scale`).  Worlds are derived lazily from the
+  seed, ingest streams them once into one index partition, and each
+  query retrieves, screens and scores its pool in one pass per phase.
+  Measures per-query wall time at each size, split into the plane's
+  retrieve / COI / score phases and the rest, the string-interning
+  savings, and anchors correctness against the brute-force full scan.
+  Writes ``BENCH_scale.json`` at the repo root, uploaded by CI's
+  ``scale-bench`` job.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def test_bench_scale_cache_ttl(benchmark, bench_world):
 
 
 def test_bench_scale_population(benchmark):
-    """The population-regime sweep: streamed worlds, sharded query path."""
+    """The population-regime sweep: streamed worlds, the plane's query path."""
     report = benchmark.pedantic(
         lambda: run_scale_bench(sizes=SCALE_SIZES), rounds=1, iterations=1
     )
@@ -131,8 +132,7 @@ def test_bench_scale_population(benchmark):
         for entry in report["sizes"]
     ]
     print_table(
-        f"EXP-SCALE: sharded query path vs population "
-        f"({report['shards']} shards, {report['workers']} workers)",
+        f"EXP-SCALE: scale-plane query path vs population (k={report['k']})",
         (
             "scholars",
             "ingest",
@@ -162,7 +162,7 @@ def test_bench_scale_population(benchmark):
 
     # The 10^5-scholar world must actually have been swept.
     assert report["sizes"][-1]["authors"] >= 100_000
-    # Wherever the brute-force reference ran, the sharded top-k matched
+    # Wherever the brute-force reference ran, the plane's top-k matched
     # it entry-for-entry.
     verified = [
         entry["topk_matches_brute_force"]

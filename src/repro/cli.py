@@ -345,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scale = subparsers.add_parser(
         "scale-bench",
-        help="EXP-SCALE: streamed worlds + sharded shard-parallel query path",
+        help="EXP-SCALE: streamed worlds + the scale plane's query path",
     )
     scale.add_argument(
         "--pool-size",
@@ -354,10 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="world size (scholars), repeatable (default: 1000 10000 100000)",
-    )
-    scale.add_argument("--shards", type=int, default=16, help="index shard count")
-    scale.add_argument(
-        "--workers", type=int, default=8, help="shard fan-out worker threads"
     )
     scale.add_argument("--queries", type=int, default=5, help="queries per size")
     scale.add_argument("--top", type=int, default=10, help="reviewers per query")
@@ -928,8 +924,6 @@ def _run_scale_bench(args) -> int:
     sizes = tuple(args.pool_size) if args.pool_size else (1_000, 10_000, 100_000)
     report = run_scale_bench(
         sizes=sizes,
-        shards=max(1, args.shards),
-        workers=max(1, args.workers),
         queries_per_size=max(1, args.queries),
         k=max(1, args.top),
         pool_limit=args.pool_limit if args.pool_limit > 0 else None,
@@ -942,9 +936,7 @@ def _run_scale_bench(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
-    print(
-        f"scale-bench: shards={report['shards']} workers={report['workers']} k={report['k']}"
-    )
+    print(f"scale-bench: k={report['k']}")
     print(
         f"  {'authors':>9s} {'ingest_s':>9s} {'postings':>9s} {'wall_ms':>8s} "
         f"{'retrieve':>8s} {'coi':>8s} {'score':>8s} {'rest':>8s} {'brute=':>7s}"

@@ -27,11 +27,12 @@ leader publishes its value (store put or mirror fold) before its flight
 lands, and a new leader re-checks before loading, so each key loads at
 most once per epoch however the workers interleave.
 
-**Incremental interest index.**  After first contact, interest →
-candidate postings are folded into a local
-:class:`~repro.storage.inverted.InvertedIndex` mirror per source, so
-subsequent recommendations resolve candidate ids locally and only
-assemble profiles not yet cached.
+**Incremental interest mirror.**  After first contact, each source's
+ranked interest → candidate list is folded into a local mirror per
+source, with the ``limit`` it was fetched with.  A later query for the
+same keyword resolves its candidate ids locally, as a prefix of the
+stored ranking, unless it asks for more than a truncated fetch holds;
+recommendations then only assemble profiles not yet cached.
 
 **Batched wave reads.**  :meth:`RetrievalPlane.cached` and
 :meth:`RetrievalPlane.cached_interest_ids` serve a whole extraction
@@ -45,7 +46,7 @@ counted once.
 Freshness is governed by the **epoch**: :meth:`bump_epoch` (called by
 :meth:`~repro.scholarly.registry.ScholarlyHub.refresh_services` when
 :mod:`repro.world.dynamics` mutations are re-indexed) makes every
-cached entry and folded posting unreachable, so world advancement can
+cached entry and folded ranking unreachable, so world advancement can
 never serve stale profiles.  The TTL bounds staleness *within* an
 epoch against the shared virtual clock.
 
@@ -61,7 +62,6 @@ from collections.abc import Callable, Hashable, Sequence
 
 from repro.obs import get_obs
 from repro.retrieval.singleflight import SingleFlight
-from repro.storage.inverted import InvertedIndex
 from repro.text.normalize import normalize_keyword
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
@@ -70,17 +70,14 @@ from repro.web.clock import SimulatedClock
 class _InterestMirror:
     """Epoch-scoped local mirror of one source's interest index.
 
-    Postings are folded in with rank-derived weights, so a ranked
-    single-term search over the mirror reproduces the service's response
-    order exactly.  Each folded term remembers the ``limit`` it was
-    fetched with: a narrower later query is a prefix of the stored
-    ranking and resolves locally; a wider one must go back to the
-    source.
+    Each folded keyword keeps the service's ranked id list and the
+    ``limit`` it was fetched with: a narrower later query is a prefix of
+    the stored ranking and resolves locally; a wider one must go back to
+    the source.
     """
 
     def __init__(self, source: str):
         self.source = source
-        self._index = InvertedIndex()
         self._fetched_limit: dict[str, int] = {}
         self._order: dict[str, list[str]] = {}
         self._lock = threading.Lock()
@@ -114,28 +111,13 @@ class _InterestMirror:
                 return
             self._order[keyword] = list(ids)
             self._fetched_limit[keyword] = limit
-            # Rank-derived weights: descending by position, so the
-            # inverted index's (-weight, doc_id) sort replays the
-            # service's response order.
-            self._index.replace_term(
-                keyword, {doc: float(len(ids) - i) for i, doc in enumerate(ids)}
-            )
 
     def term_count(self) -> int:
         with self._lock:
             return len(self._order)
 
-    def search(self, keywords: list[str], limit: int | None = None) -> list[str]:
-        """Ranked local OR-retrieval over folded terms (diagnostics)."""
-        with self._lock:
-            postings = self._index.search(
-                [normalize_keyword(k) for k in keywords], limit=limit, use_idf=False
-            )
-            return [p.doc_id for p in postings]
-
     def clear(self) -> None:
         with self._lock:
-            self._index = InvertedIndex()
             self._fetched_limit.clear()
             self._order.clear()
 
@@ -377,7 +359,7 @@ class RetrievalPlane:
 
         ``source`` is ``"scholar"`` or ``"publons"``; ``loader`` issues
         the real interest query (with ``limit``) on a miss.  After first
-        contact the postings live in the local mirror and later queries
+        contact the ranking lives in the local mirror and later queries
         — including narrower ``limit`` s — never touch the network
         within the epoch.
         """
@@ -426,12 +408,6 @@ class RetrievalPlane:
         if hits:
             self._count("hit", layer, len(hits))
         return hits
-
-    def local_interest_search(
-        self, source: str, keywords: list[str], limit: int | None = None
-    ) -> list[str]:
-        """Ranked OR-search over the folded postings (local only)."""
-        return self._mirrors[source].search(keywords, limit=limit)
 
     # ------------------------------------------------------------------
     # Bookkeeping

@@ -5,14 +5,14 @@ pytest benchmark ``benchmarks/test_bench_scale.py`` — so the CLI, the
 CI artifact and the docs all describe the same measurement:
 
 - **Pool-size sweep**: worlds of 10^3 → 10^5+ scholars are streamed
-  into a sharded :class:`~repro.scale.plane.ScalePlane`; the measured
+  into a :class:`~repro.scale.plane.ScalePlane`; the measured
   wall time of each query is recorded at each size, split into the
   plane's phases (retrieve, COI screen, score and the rest) from the
   ``scale.*`` spans the plane already emits.  Per-query work tracks
   the retrieved pool, not the population, so query wall grows
   sub-linearly in world size — the claim the sweep checks.
 - **Correctness anchor**: at sizes where a full scan is affordable the
-  sharded top-k is compared entry-for-entry against
+  plane's top-k is compared entry-for-entry against
   :meth:`~repro.scale.plane.ScalePlane.brute_force_topk`.
 - **Interning probe**: a world is serialized and re-loaded with string
   interning on and off under :mod:`tracemalloc`, measuring what
@@ -25,7 +25,6 @@ import time
 import tracemalloc
 from collections import Counter
 
-from repro.concurrency import create_executor
 from repro.obs import Observability, phase_profile, use
 from repro.scale.plane import ScalePlane
 from repro.world.config import WorldConfig
@@ -103,8 +102,6 @@ def measure_interning(author_count: int = 1000, seed: int = 42) -> dict:
 
 def run_scale_bench(
     sizes: tuple[int, ...] = (1_000, 10_000, 100_000),
-    shards: int = 16,
-    workers: int = 8,
     queries_per_size: int = 5,
     k: int = 10,
     pool_limit: int | None = 200,
@@ -122,11 +119,8 @@ def run_scale_bench(
     runs (it is O(world) per query by design); the verification query
     runs uncapped, since the full scan considers every match.
     """
-    executor = create_executor(workers)
     report: dict = {
         "name": "EXP-SCALE",
-        "shards": shards,
-        "workers": workers,
         "k": k,
         "sizes": [],
         "interning": measure_interning(intern_probe_size, seed=seed),
@@ -135,7 +129,7 @@ def run_scale_bench(
         world = StreamingWorld(
             WorldConfig(author_count=size, seed=seed), block_size=block_size
         )
-        plane = ScalePlane(world, n_shards=shards, executor=executor)
+        plane = ScalePlane(world)
         t0 = time.perf_counter()
         plane.ingest()
         ingest_seconds = time.perf_counter() - t0
@@ -186,11 +180,7 @@ def run_scale_bench(
             {
                 "authors": size,
                 "ingest_seconds": round(ingest_seconds, 2),
-                "index": {
-                    key: value
-                    for key, value in plane.index.stats().items()
-                    if key != "per_shard"
-                },
+                "index": plane.index.stats(),
                 "mean_wall_seconds": round(mean_wall, 4),
                 "mean_phase_wall_seconds": {
                     name: round(seconds, 6) for name, seconds in phases.items()

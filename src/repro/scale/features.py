@@ -2,10 +2,11 @@
 
 :class:`ShardedFeatureStore` keeps ``n_shards`` independent
 :class:`repro.scoring.FeatureStore` partitions — candidates are routed
-by :func:`~repro.scale.sharding.shard_of`, so a candidate always lands
-in the same shard and LRU/epoch bookkeeping stay per-shard local — and
+by :func:`shard_of`, a stable hash, so a candidate always lands in the
+same shard and LRU/epoch bookkeeping stay per-shard local — and
 dispatches per-shard batches through an
-:class:`~repro.concurrency.Executor`.
+:class:`~repro.concurrency.Executor`.  It is the last sharded structure
+in :mod:`repro.scale`; the scale plane itself is one partition.
 
 Feature construction (:func:`repro.scoring.features.build_candidate_features`)
 is a pure function of ``(candidate, ctx)``, and results are reassembled
@@ -22,16 +23,29 @@ as the ``scale.features_for_many`` layer; it goes when that row does.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.concurrency import Executor, SequentialExecutor
 from repro.obs import get_obs
-from repro.scale.sharding import shard_of
 from repro.scoring.features import CandidateFeatures, FeatureStore, ScoringContext
 
 if TYPE_CHECKING:
     from repro.core.models import Candidate
+
+
+def shard_of(doc_id: str, n_shards: int) -> int:
+    """The shard owning ``doc_id``: ``blake2b(doc_id) % n_shards``.
+
+    A *stable* hash — Python's builtin ``hash`` is randomized per
+    process, which would scatter the same candidates differently on
+    every run and break cross-process reproducibility.
+    """
+    if n_shards == 1:
+        return 0
+    digest = hashlib.blake2b(doc_id.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % n_shards
 
 
 class ShardedFeatureStore:

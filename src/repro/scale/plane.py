@@ -4,39 +4,35 @@ Composes the scale-plane pieces into the paper's §2 query path at
 population scale:
 
 1. **Ingest** walks the :class:`~repro.world.streaming.StreamingWorld`
-   once, block by block, and keeps only *index* structures: the sharded
-   interest index (keyword → scholar postings), and the COI screen's
+   once, block by block, and keeps only *index* structures: the interest
+   index (keyword → scholar postings, one
+   :class:`~repro.storage.inverted.InvertedIndex`), and the COI screen's
    posting maps — ``institution → (start, end, candidate)`` intervals
-   and per-candidate co-author sets — both sharded by
-   :func:`~repro.scale.sharding.shard_of`.  While each block is in
-   hand, ingest also keeps one compact **scoring row** per scholar —
+   and per-candidate co-author sets.  While each block is in hand,
+   ingest also keeps one compact **scoring row** per scholar —
    ``(name, log1p(citations), review count, on-time rate)``, the exact
    values :func:`~repro.scoring.features.build_candidate_features`
    yields for the scoring components.  No scholar object stays
    resident: rows and postings are both O(world) but a few hundred
    bytes per scholar, never publications or reviews.
-2. **Retrieval** runs the shard-parallel ranked union
-   (:meth:`ShardedInvertedIndex.search`) over the query keywords.
-3. **COI screening** fans per-shard: each shard screens its own pool
-   members against its own co-author sets and probes its own
-   institution postings with the submitters' affiliation intervals.
-4. **Scoring** never touches the streaming world: phase A looks each
-   survivor's scoring row up in its shard's table, a barrier takes the
-   pool maxima (scores are pool-normalised, so maxima are global state),
-   and phase B computes totals and a per-shard top-k heap in parallel,
-   merged under the canonical ``(-score, candidate_id)`` tie-break.
+2. **Retrieval** runs the index's ranked union over the query keywords.
+3. **COI screening** probes the institution postings with the
+   submitters' affiliation intervals, then tests each pool member for
+   identity with, or co-authorship of, a submitter.
+4. **Scoring** never touches the streaming world: it looks each
+   survivor's scoring row up, takes the pool maxima (scores are
+   pool-normalised) and keeps the top-k under the canonical
+   ``(-score, candidate_id)`` tie-break.
 
 Per-query work is proportional to the *retrieved pool*, not the world:
-that is the sub-linear per-query cost EXP-SCALE measures.  The whole
-path is bit-identical at any worker/shard count, and
-:meth:`ScalePlane.brute_force_topk` recomputes it with none of the
-machinery — a full scan over every scholar — as the equality reference.
+that is the sub-linear per-query cost EXP-SCALE measures.
+:meth:`ScalePlane.brute_force_topk` recomputes the same answer with
+none of the machinery — a full scan over every scholar — as the
+equality reference.
 
-Each shard-parallel phase has one dispatch path: a closure over the
-live shard state, mapped through the plane's
-:class:`~repro.concurrency.Executor` (inline or a thread pool).
-EXP-SCALE reports measured query wall time, broken down by the
-``scale.*`` spans each phase opens.
+Each phase is one pass over one partition and opens one span per
+query — ``scale.retrieve``, ``scale.coi`` and ``scale.score`` — from
+which EXP-SCALE splits a query's measured wall time.
 """
 
 from __future__ import annotations
@@ -46,19 +42,18 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.concurrency import Executor, SequentialExecutor
 from repro.obs import get_obs
-from repro.scale.sharding import ShardedInvertedIndex, shard_of
 from repro.scholarly.records import (
     Metrics,
     SourceName,
     compute_h_index,
     compute_i10_index,
 )
+from repro.storage.inverted import InvertedIndex, idf_of
 
 #: Scale-plane component weights (relevance, impact, experience,
 #: timeliness).  Fixed — the plane ranks with one canonical formula so
-#: every execution strategy is comparable float-for-float.
+#: the query path and its reference are comparable float-for-float.
 _W_RELEVANCE = 0.45
 _W_IMPACT = 0.25
 _W_EXPERIENCE = 0.20
@@ -106,11 +101,11 @@ def score_rows(
     maxima: tuple[float, float, float, float],
     k: int,
 ) -> list["ScaleHit"]:
-    """Phase B of scoring: normalise, weight, and cut one shard's rows.
+    """Normalise, weight and cut scoring rows to the top ``k``.
 
     A pure function of ``(rows, pool maxima, k)`` — shared verbatim by
-    the sharded scorer and the brute-force reference, so both produce
-    the same floats by construction.
+    the query path and the brute-force reference, so both produce the
+    same floats by construction.
     """
     max_rel, max_imp, max_exp, max_tml = maxima
     hits = []
@@ -140,12 +135,29 @@ def score_rows(
 
 
 class ScalePlane:
-    """Sharded reviewer search over one streamed world.
+    """Reviewer search over one streamed world.
+
+    Parameters
+    ----------
+    world:
+        The :class:`~repro.world.streaming.StreamingWorld` to serve.
+    n_shards:
+        Validated (``n_shards < 1`` raises :class:`ValueError`) and
+        otherwise ignored: the plane is one partition.  Hash-sharding
+        its index and screen never answered a query faster than one
+        partition did (EXP-SCALE, *Shards — removed*), so the shards
+        were removed; the keyword stays only because the benchmark
+        harness still passes it.
+
+    :meth:`ingest` must run exactly once before :meth:`retrieve`,
+    :meth:`screen`, :meth:`component_rows` or :meth:`topk`;
+    :meth:`candidate_of` and :meth:`brute_force_topk` read the world
+    directly.
 
     Example
     -------
     >>> from repro.world import StreamingWorld, WorldConfig
-    >>> plane = ScalePlane(StreamingWorld(WorldConfig(author_count=64)), n_shards=4)
+    >>> plane = ScalePlane(StreamingWorld(WorldConfig(author_count=64)))
     >>> plane.ingest()["index"]["documents"]
     64
     >>> hits, stats = plane.topk(["Name Disambiguation"], [], k=3)
@@ -153,31 +165,14 @@ class ScalePlane:
     True
     """
 
-    def __init__(
-        self,
-        world,
-        n_shards: int = 1,
-        executor: Executor | None = None,
-        name: str = "scale",
-    ):
+    def __init__(self, world, n_shards: int = 1):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.world = world
-        self.n_shards = int(n_shards)
-        self._executor = executor or SequentialExecutor()
-        self._name = name
-        self.index = ShardedInvertedIndex(n_shards, executor=self._executor, name=name)
-        # Scoring rows and COI posting maps, partitioned like the index:
-        # shard s holds only candidates with shard_of(id) == s.
-        self._rows: list[dict[str, tuple[str, float, float, float]]] = [
-            {} for __ in range(n_shards)
-        ]
-        self._institutions: list[dict[str, list[tuple[int, int, str]]]] = [
-            {} for __ in range(n_shards)
-        ]
-        self._coauthors: list[dict[str, frozenset[str]]] = [
-            {} for __ in range(n_shards)
-        ]
+        self.index = InvertedIndex()
+        self._rows: dict[str, tuple[str, float, float, float]] = {}
+        self._institutions: dict[str, list[tuple[int, int, str]]] = {}
+        self._coauthors: dict[str, frozenset[str]] = {}
         self._ingested = False
 
     # ------------------------------------------------------------------
@@ -185,22 +180,23 @@ class ScalePlane:
     # ------------------------------------------------------------------
 
     def ingest(self) -> dict:
-        """Stream the world once into the sharded index structures.
+        """Stream the world once into the index structures.
 
         Blocks are realised transiently (not via the world's LRU), so
         peak memory during ingest is one block plus the indexes and
         scoring rows being built.  Returns the post-ingest :meth:`stats`
-        snapshot.
+        snapshot.  A plane ingests once; a second call raises
+        :class:`RuntimeError` rather than duplicate every posting.
         """
+        if self._ingested:
+            raise RuntimeError("ScalePlane.ingest() already ran on this plane")
         world = self.world
-        obs = get_obs()
         ontology = world.ontology
-        with obs.span("scale.ingest", shards=self.n_shards):
+        with get_obs().span("scale.ingest"):
             block_count = -(-world.config.author_count // world.block_size)
             for block_id in range(block_count):
                 block = world._realize_block(block_id)
                 for author in block.authors.values():
-                    shard_id = shard_of(author.author_id, self.n_shards)
                     interests = {
                         ontology.topic(topic_id).label: weight
                         for topic_id, weight in sorted(
@@ -208,39 +204,32 @@ class ScalePlane:
                         )
                     }
                     self.index.add(author.author_id, interests)
-                    postings = self._institutions[shard_id]
                     for aff in author.affiliations:
                         end = aff.end_year if aff.end_year is not None else 10_000
-                        postings.setdefault(aff.institution, []).append(
+                        self._institutions.setdefault(aff.institution, []).append(
                             (aff.start_year, end, author.author_id)
                         )
-                    self._coauthors[shard_id][author.author_id] = frozenset(
+                    self._coauthors[author.author_id] = frozenset(
                         block.coauthors[author.author_id]
                     )
-                    self._rows[shard_id][author.author_id] = _scoring_row(
-                        block, author
-                    )
+                    self._rows[author.author_id] = _scoring_row(block, author)
         self._ingested = True
         return self.stats()
 
-    def refresh(self) -> int:
-        """Plane-level refresh: bump every shard epoch.
-
-        Scoring rows are pure functions of the world seed, so they stay
-        valid across epochs.
-        """
-        return self.index.bump_epoch()
-
     def stats(self) -> dict:
-        index_stats = self.index.stats()
         return {
-            "shards": self.n_shards,
             "authors": self.world.config.author_count,
-            "index": index_stats,
-            "scoring_rows": sum(len(m) for m in self._rows),
-            "coi_institution_terms": sum(len(m) for m in self._institutions),
-            "coi_candidates": sum(len(m) for m in self._coauthors),
+            "index": self.index.stats(),
+            "scoring_rows": len(self._rows),
+            "coi_institution_terms": len(self._institutions),
+            "coi_candidates": len(self._coauthors),
         }
+
+    def _require_ingested(self) -> None:
+        if not self._ingested:
+            raise RuntimeError(
+                "ScalePlane has not ingested its world: call ingest() first"
+            )
 
     # ------------------------------------------------------------------
     # Query path
@@ -251,95 +240,63 @@ class ScalePlane:
         keywords: dict[str, float] | list[str],
         limit: int | None = None,
     ) -> list[PoolMember]:
-        """Shard-parallel ranked retrieval over the interest index."""
+        """Ranked retrieval over the interest index."""
+        self._require_ingested()
         terms, weights = _normalize_query(keywords)
-        postings = self.index.search(terms, query_weights=weights, limit=limit)
+        with get_obs().span("scale.retrieve", terms=len(terms)):
+            postings = self.index.search(terms, query_weights=weights, limit=limit)
         return [PoolMember(p.doc_id, p.weight) for p in postings]
 
     def screen(
         self, pool: list[PoolMember], submitter_ids: list[str]
     ) -> list[ScaleVerdict]:
-        """Shard-parallel COI screening of the retrieved pool.
+        """COI screening of the retrieved pool, in pool order.
 
-        Per shard: probe the shard's institution postings with every
-        submitter affiliation interval, then test each pool member for
-        co-authorship with (or identity to) a submitter.  Verdicts come
-        back in pool order.
+        Probes the institution postings with every submitter
+        affiliation interval (inclusive years; an open end counts as
+        year 10,000), then tests each pool member for identity with, or
+        co-authorship of, a submitter.  Reasons come in that order:
+        ``submitting-author``, then ``coauthor:<id>`` and
+        ``institution:<name>``, each sorted.
         """
-        submitters = set(submitter_ids)
-        submitter_affs: list[tuple[str, int, int]] = []
-        for submitter_id in submitter_ids:
-            try:
-                author = self.world.profile(self.world.author_index(submitter_id))
-            except KeyError:
-                continue
-            for aff in author.affiliations:
-                end = aff.end_year if aff.end_year is not None else 10_000
-                submitter_affs.append((aff.institution, aff.start_year, end))
-
-        partitions: dict[int, list[tuple[int, PoolMember]]] = {}
-        for position, member in enumerate(pool):
-            shard_id = shard_of(member.candidate_id, self.n_shards)
-            partitions.setdefault(shard_id, []).append((position, member))
-        obs = get_obs()
-        with obs.span(
-            "scale.coi", shards=len(partitions), pool=len(pool)
-        ):
-            per_shard = self._executor.map(
-                lambda task: self.screen_shard(
-                    task[0], task[1], submitters, submitter_affs
-                ),
-                sorted(partitions.items()),
-            )
-        ordered: list[ScaleVerdict | None] = [None] * len(pool)
-        for shard_verdicts in per_shard:
-            for position, verdict in shard_verdicts:
-                ordered[position] = verdict
-        return ordered
-
-    def screen_shard(
-        self,
-        shard_id: int,
-        members: list[tuple[int, PoolMember]],
-        submitters: set[str],
-        submitter_affs: list[tuple[str, int, int]],
-    ) -> list[tuple[int, ScaleVerdict]]:
-        """Screen one shard's pool slice.
-
-        Probes this shard's institution postings with the submitters'
-        affiliation intervals, then tests each member for identity with
-        or co-authorship of a submitter.
-        """
-        inst_postings = self._institutions[shard_id]
-        coauthors = self._coauthors[shard_id]
-        overlapping: dict[str, set[str]] = {}
-        for institution, start, end in submitter_affs:
-            for c_start, c_end, candidate_id in inst_postings.get(institution, ()):
-                if c_start <= end and start <= c_end:
-                    overlapping.setdefault(candidate_id, set()).add(institution)
-        verdicts = []
-        for position, member in members:
-            reasons: list[str] = []
-            if member.candidate_id in submitters:
-                reasons.append("submitting-author")
-            shared = sorted(
-                coauthors.get(member.candidate_id, frozenset()) & submitters
-            )
-            reasons.extend(f"coauthor:{a}" for a in shared)
-            reasons.extend(
-                f"institution:{i}"
-                for i in sorted(overlapping.get(member.candidate_id, ()))
-            )
-            verdicts.append(
-                (
-                    position,
+        self._require_ingested()
+        with get_obs().span("scale.coi", pool=len(pool)):
+            submitters = set(submitter_ids)
+            overlapping: dict[str, set[str]] = {}
+            for submitter_id in submitter_ids:
+                try:
+                    author = self.world.profile(self.world.author_index(submitter_id))
+                except KeyError:
+                    continue
+                for aff in author.affiliations:
+                    end = aff.end_year if aff.end_year is not None else 10_000
+                    for c_start, c_end, candidate_id in self._institutions.get(
+                        aff.institution, ()
+                    ):
+                        if c_start <= end and aff.start_year <= c_end:
+                            overlapping.setdefault(candidate_id, set()).add(
+                                aff.institution
+                            )
+            verdicts = []
+            for member in pool:
+                reasons: list[str] = []
+                if member.candidate_id in submitters:
+                    reasons.append("submitting-author")
+                shared = sorted(
+                    self._coauthors.get(member.candidate_id, frozenset()) & submitters
+                )
+                reasons.extend(f"coauthor:{a}" for a in shared)
+                reasons.extend(
+                    f"institution:{i}"
+                    for i in sorted(overlapping.get(member.candidate_id, ()))
+                )
+                verdicts.append(
                     ScaleVerdict(
                         candidate_id=member.candidate_id,
                         has_conflict=bool(reasons),
                         reasons=tuple(reasons),
-                    ),
+                    )
                 )
-            )
         return verdicts
 
     def candidate_of(self, candidate_id: str):
@@ -413,7 +370,7 @@ class ScalePlane:
         k: int = 10,
         pool_limit: int | None = None,
     ) -> tuple[list[ScaleHit], QueryStats]:
-        """The full sharded query path: retrieve → screen → score.
+        """The full query path: retrieve → screen → score.
 
         Returns the top-``k`` hits in canonical order plus the query's
         pool, screened and scored counts.
@@ -432,66 +389,27 @@ class ScalePlane:
         stats.scored = len(survivors)
         return hits, stats
 
-    def component_rows(
-        self, shard_id: int, members: list[PoolMember]
-    ) -> list[tuple]:
-        """Phase A of scoring for one shard: look up the ingest-time rows.
+    def component_rows(self, members: list[PoolMember]) -> list[tuple]:
+        """Look up the ingest-time scoring rows of ``members``.
 
         Returns ``(candidate_id, name, relevance, log_citations,
         review_experience, timeliness)`` per member — the row shape
         :func:`score_rows` and the brute-force reference share.
         """
-        table = self._rows[shard_id]
+        self._require_ingested()
         rows = []
         for member in members:
-            name, *components = table[member.candidate_id]
+            name, *components = self._rows[member.candidate_id]
             rows.append((member.candidate_id, name, member.relevance, *components))
         return rows
 
     def _score(self, survivors: list[PoolMember], k: int) -> list[ScaleHit]:
-        """Two-phase shard-parallel scoring with a global-maxima barrier.
-
-        Phase A looks up each shard's raw components; the barrier takes
-        the pool maxima (normalisation couples every candidate to every
-        other, so this is the one genuinely global step); phase B
-        computes totals and a per-shard top-k heap; the merge folds the
-        per-shard heaps under the canonical tie-break.
-        """
+        """Score the survivors against their pool maxima and keep the top ``k``."""
         if not survivors:
             return []
-        obs = get_obs()
-        partitions: dict[int, list[PoolMember]] = {}
-        for member in survivors:
-            partitions.setdefault(
-                shard_of(member.candidate_id, self.n_shards), []
-            ).append(member)
-        tasks = sorted(partitions.items())
-        with obs.span(
-            "scale.score", shards=len(tasks), candidates=len(survivors)
-        ):
-            # Phase A: raw components per shard, from the ingest rows.
-            per_shard_rows = [
-                self.component_rows(shard_id, members)
-                for shard_id, members in tasks
-            ]
-
-            # Barrier: pool maxima across every shard.
-            maxima = (
-                max(r[2] for rows in per_shard_rows for r in rows),
-                max(r[3] for rows in per_shard_rows for r in rows),
-                max(r[4] for rows in per_shard_rows for r in rows),
-                max(r[5] for rows in per_shard_rows for r in rows),
-            )
-
-            # Phase B: totals and per-shard top-k.
-            per_shard_topk = self._executor.map(
-                lambda rows: score_rows(rows, maxima, k), per_shard_rows
-            )
-        return heapq.nsmallest(
-            k,
-            (hit for shard_hits in per_shard_topk for hit in shard_hits),
-            key=lambda h: (-h.total_score, h.candidate_id),
-        )
+        with get_obs().span("scale.score", candidates=len(survivors)):
+            rows = self.component_rows(survivors)
+            return score_rows(rows, _pool_maxima(rows), k)
 
     # ------------------------------------------------------------------
     # Reference path
@@ -505,9 +423,10 @@ class ScalePlane:
     ) -> list[ScaleHit]:
         """The machinery-free reference: a full scan over every scholar.
 
-        No sharding, no fan-out, no index *structure* — just the same
-        formulas over the whole population.  Only usable on small worlds
-        (it materialises everyone); the equality
+        No index, no posting maps, no ingest-time rows — just the same
+        formulas over the whole population, recomputed from each
+        scholar's realised profile.  Only usable on small worlds (it
+        materialises everyone); the equality
         ``topk(...) == brute_force_topk(...)`` whenever ``pool_limit``
         is off is the plane's correctness anchor.
         """
@@ -531,8 +450,6 @@ class ScalePlane:
             for term in term_list:
                 if term in interests:
                     df[term] += 1
-
-        from repro.storage.inverted import idf_of
 
         idf = {
             term: idf_of(total_docs, count)
@@ -600,13 +517,17 @@ class ScalePlane:
             )
         if not rows:
             return []
-        maxima = (
-            max(r[2] for r in rows),
-            max(r[3] for r in rows),
-            max(r[4] for r in rows),
-            max(r[5] for r in rows),
-        )
-        return score_rows(rows, maxima, k)
+        return score_rows(rows, _pool_maxima(rows), k)
+
+
+def _pool_maxima(rows: list[tuple]) -> tuple[float, float, float, float]:
+    """Per-component maxima over a pool's scoring rows."""
+    return (
+        max(r[2] for r in rows),
+        max(r[3] for r in rows),
+        max(r[4] for r in rows),
+        max(r[5] for r in rows),
+    )
 
 
 def _scoring_row(block, author) -> tuple[str, float, float, float]:
@@ -635,6 +556,20 @@ def _scoring_row(block, author) -> tuple[str, float, float, float]:
 def _normalize_query(
     keywords: dict[str, float] | list[str],
 ) -> tuple[list[str], dict[str, float] | None]:
-    if isinstance(keywords, dict):
-        return list(keywords), dict(keywords)
-    return list(keywords), None
+    """``(terms, weights)`` of a query; a plain list weighs every term 1.0.
+
+    Every weight must be a finite number > 0, as every posting weight
+    must be: a zero-weight term would retrieve scholars whose only
+    match adds nothing to their relevance, which the brute-force scan
+    (rightly) never considers.
+    """
+    if not isinstance(keywords, dict):
+        return list(keywords), None
+    for term, weight in keywords.items():
+        if not (
+            isinstance(weight, (int, float)) and math.isfinite(weight) and weight > 0
+        ):
+            raise ValueError(
+                f"query weight must be a finite number > 0, got {weight!r} for {term!r}"
+            )
+    return list(keywords), dict(keywords)

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 
 def idf_of(document_count: int, document_frequency: int) -> float:
-    """The index's idf formula, exposed for cross-shard scoring.
+    """The index's idf formula.
 
-    Sharded retrieval (:mod:`repro.scale`) must weight every shard's
-    postings with the *global* document statistics to stay bit-identical
-    to a monolithic index; this is the single definition both use.
+    :meth:`InvertedIndex.search` weights each term with it, and the
+    scale plane's brute-force reference
+    (:meth:`repro.scale.plane.ScalePlane.brute_force_topk`) recomputes
+    retrieval relevance without an index from the same definition.
     """
     return math.log(1 + max(document_count, 1) / document_frequency)
 
@@ -85,10 +86,8 @@ class InvertedIndex:
     def replace_term(self, term: str, doc_weights: Mapping[str, float]) -> None:
         """Atomically replace ``term``'s entire posting list.
 
-        The incremental interest mirror (:mod:`repro.retrieval`) folds a
-        freshly fetched ranking over whatever a narrower earlier fetch
-        recorded; replacing per-term (rather than re-adding per-doc)
-        guarantees no stale posting of the old list survives.  An empty
+        Replacing per-term (rather than re-adding per-doc) guarantees no
+        stale posting of the old list survives.  An empty
         ``doc_weights`` simply drops the term.
         """
         for weight in doc_weights.values():
@@ -154,9 +153,8 @@ class InvertedIndex:
 
         Every term counted here has at least one posting (empty lists
         are dropped on ``remove``/``replace_term`` and never created by
-        ``add``/``add_term``), so repeated index churn — e.g. the warm
-        plane re-folding interest postings across refresh epochs — must
-        leave these counts bounded by live content, not history.
+        ``add``/``add_term``), so repeated index churn must leave these
+        counts bounded by live content, not history.
         """
         return {
             "terms": len(self._postings),
@@ -168,32 +166,6 @@ class InvertedIndex:
     # Retrieval
     # ------------------------------------------------------------------
 
-    def score_terms(
-        self,
-        terms: Iterable[str],
-        query_weights: Mapping[str, float] | None = None,
-        idf: Mapping[str, float] | None = None,
-    ) -> dict[str, float]:
-        """Raw OR-retrieval scores: ``doc_id → Σ_t qw(t)·weight(t,d)·idf(t)``.
-
-        ``idf=None`` applies no idf (every term weighs 1.0).  Pass a
-        precomputed map to weight with *global* statistics — this is how
-        :class:`repro.scale.ShardedInvertedIndex` keeps per-shard scoring
-        bit-identical to a monolithic index: the accumulation order per
-        document (query-term order) is the same either way.
-        """
-        weights = query_weights or {}
-        scores: dict[str, float] = defaultdict(float)
-        for term in terms:
-            bucket = self._postings.get(term)
-            if not bucket:
-                continue
-            term_idf = 1.0 if idf is None else idf.get(term, 1.0)
-            query_weight = float(weights.get(term, 1.0))
-            for doc_id, term_weight in bucket.items():
-                scores[doc_id] += query_weight * term_weight * term_idf
-        return dict(scores)
-
     def search(
         self,
         terms: Iterable[str],
@@ -204,30 +176,31 @@ class InvertedIndex:
         """Ranked OR-retrieval over ``terms``.
 
         Each matching document scores ``Σ_t qw(t) · weight(t, d) · idf(t)``
-        over the query terms it contains.  ``query_weights`` carries the
-        expansion similarity scores ``sc`` from the ontology; absent terms
-        default to weight 1.0 (the original manuscript keywords).
+        over the query terms it contains, accumulated in query-term
+        order (a repeated term counts again).  ``query_weights`` carries
+        the expansion similarity scores ``sc`` from the ontology; absent
+        terms default to weight 1.0 (the original manuscript keywords).
+        ``use_idf=False`` weighs every term 1.0.
 
         Returns postings whose ``weight`` field holds the aggregate score,
         sorted by descending score then id; ``limit`` truncates.
         """
-        term_list = list(terms)
-        idf = None
-        if use_idf:
-            total_docs = len(self._document_terms)
-            idf = {
-                term: idf_of(total_docs, len(bucket))
-                for term in dict.fromkeys(term_list)
-                if (bucket := self._postings.get(term))
-            }
-        scores = self.score_terms(term_list, query_weights, idf=idf)
+        weights = query_weights or {}
+        total_docs = len(self._document_terms)
+        scores: dict[str, float] = defaultdict(float)
+        for term in terms:
+            bucket = self._postings.get(term)
+            if not bucket:
+                continue
+            term_idf = idf_of(total_docs, len(bucket)) if use_idf else 1.0
+            query_weight = float(weights.get(term, 1.0))
+            for doc_id, term_weight in bucket.items():
+                scores[doc_id] += query_weight * term_weight * term_idf
         results = [Posting(doc_id=d, weight=s) for d, s in scores.items()]
         if limit is not None and 0 <= limit < len(results):
-            results = heapq.nsmallest(
+            return heapq.nsmallest(
                 limit, results, key=lambda p: (-p.weight, p.doc_id)
             )
-            results.sort(key=lambda p: (-p.weight, p.doc_id))
-            return results
         results.sort(key=lambda p: (-p.weight, p.doc_id))
         return results
 

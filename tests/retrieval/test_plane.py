@@ -131,11 +131,6 @@ class TestInterestIndex:
         plane.interest_ids("scholar", "rdf", 10, lambda: ["a"])
         assert plane.interest_ids("publons", "rdf", 10, lambda: ["r1"]) == ["r1"]
 
-    def test_local_search_replays_service_order(self, plane):
-        plane.interest_ids("scholar", "rdf", 10, lambda: ["c", "a", "b"])
-        assert plane.local_interest_search("scholar", ["rdf"]) == ["c", "a", "b"]
-
-
 class TestStats:
     def test_snapshot_shape(self, plane):
         plane.fetch("scholar_profile", "u1", lambda: "p")

@@ -1,35 +1,15 @@
-"""Parity tests: sharded index/store vs their monolithic originals."""
-
-import random
+"""Parity tests: the sharded feature store vs one monolithic store, and
+the stable hash that routes candidates to its shards."""
 
 import pytest
 
 from repro.concurrency import create_executor
-from repro.scale import ShardedFeatureStore, ShardedInvertedIndex, shard_of
+from repro.scale import ShardedFeatureStore
+from repro.scale.features import shard_of
 from repro.scale.plane import ScalePlane
 from repro.scoring.features import FeatureStore, ScoringContext
-from repro.storage.inverted import InvertedIndex
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
-
-_TERMS = ["rdf", "sparql", "graphs", "nlp", "provenance", "indexing"]
-
-
-def _corpus(doc_count: int = 120, seed: int = 17) -> dict[str, dict[str, float]]:
-    rng = random.Random(seed)
-    docs = {}
-    for i in range(doc_count):
-        terms = rng.sample(_TERMS, rng.randint(1, 4))
-        docs[f"doc-{i}"] = {t: round(rng.uniform(0.1, 3.0), 3) for t in terms}
-    return docs
-
-
-def _pair(n_shards: int, executor=None):
-    mono, sharded = InvertedIndex(), ShardedInvertedIndex(n_shards, executor=executor)
-    for doc_id, weights in _corpus().items():
-        mono.add(doc_id, weights)
-        sharded.add(doc_id, weights)
-    return mono, sharded
 
 
 class TestShardOf:
@@ -53,112 +33,7 @@ class TestShardOf:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShardedInvertedIndex(0)
-
-
-class TestSearchParity:
-    @pytest.mark.parametrize("n_shards", [1, 4, 16])
-    def test_search_identical(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        queries = [
-            ["rdf"],
-            ["rdf", "sparql", "nlp"],
-            ["missing-term"],
-            _TERMS,
-            ["rdf", "rdf", "sparql"],  # duplicate query terms
-        ]
-        for terms in queries:
-            assert sharded.search(terms) == mono.search(terms)
-            assert sharded.search(terms, use_idf=False) == mono.search(
-                terms, use_idf=False
-            )
-            weights = {t: 0.5 + 0.1 * i for i, t in enumerate(terms)}
-            assert sharded.search(terms, query_weights=weights) == mono.search(
-                terms, query_weights=weights
-            )
-
-    @pytest.mark.parametrize("n_shards", [4, 16])
-    def test_limit_identical(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        for limit in (0, 1, 5, 1000):
-            assert sharded.search(_TERMS, limit=limit) == mono.search(
-                _TERMS, limit=limit
-            )
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_threaded_fanout_identical(self, workers):
-        executor = create_executor(workers)
-        mono, sharded = _pair(8, executor=executor)
-        assert sharded.search(_TERMS) == mono.search(_TERMS)
-        assert sharded.search_any(_TERMS) == mono.search_any(_TERMS)
-
-    @pytest.mark.parametrize("n_shards", [1, 4, 16])
-    def test_boolean_parity(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        assert sharded.search_any(["rdf", "nlp"]) == mono.search_any(["rdf", "nlp"])
-        assert sharded.search_any([]) == mono.search_any([])
-        # AND across shards intersects per shard then unions: each doc
-        # lives in exactly one shard, so the result set is identical.
-        assert sharded.search_all(["rdf", "sparql"]) == mono.search_all(
-            ["rdf", "sparql"]
-        )
-        assert sharded.search_all(["missing"]) == mono.search_all(["missing"])
-
-
-class TestWriteParity:
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_replace_term(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        new = {f"doc-{i}": 1.5 for i in range(0, 40, 3)}
-        mono.replace_term("rdf", new)
-        sharded.replace_term("rdf", new)
-        assert sharded.postings("rdf") == mono.postings("rdf")
-        assert sharded.search(_TERMS) == mono.search(_TERMS)
-        mono.replace_term("rdf", {})
-        sharded.replace_term("rdf", {})
-        assert sharded.postings("rdf") == [] == mono.postings("rdf")
-        assert sharded.document_frequency("rdf") == 0
-
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_add_term_and_remove(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        extra = {f"doc-{i}": 0.7 for i in range(50, 70)}
-        mono.add_term("fresh", extra)
-        sharded.add_term("fresh", extra)
-        assert sharded.postings("fresh") == mono.postings("fresh")
-        for doc_id in ("doc-3", "doc-55", "doc-999"):
-            mono.remove(doc_id)
-            sharded.remove(doc_id)
-        assert len(sharded) == len(mono)
-        assert sharded.search(_TERMS + ["fresh"]) == mono.search(_TERMS + ["fresh"])
-        assert "doc-3" not in sharded
-        assert "doc-4" in sharded
-        assert sharded.terms_of("doc-4") == mono.terms_of("doc-4")
-
-    def test_stats_aggregate_matches_monolithic(self):
-        mono, sharded = _pair(4)
-        mono_stats, sharded_stats = mono.stats(), sharded.stats()
-        for key in ("documents", "postings", "terms"):
-            assert sharded_stats[key] == mono_stats[key]
-        assert len(sharded_stats["per_shard"]) == 4
-        assert sum(s["documents"] for s in sharded_stats["per_shard"]) == len(mono)
-
-
-class TestEpochs:
-    def test_writes_advance_owning_shard(self):
-        index = ShardedInvertedIndex(4)
-        before = index.epoch
-        index.add("doc-1", {"rdf": 1.0})
-        assert index.epoch > before
-
-    def test_bump_epoch_aligns_all_shards(self):
-        index = ShardedInvertedIndex(4)
-        index.add("doc-1", {"rdf": 1.0})
-        index.add("doc-2", {"rdf": 1.0})
-        target = index.bump_epoch()
-        assert target == index.epoch
-        assert all(shard.epoch == target for shard in index._shards)
-        assert index.bump_epoch() == target + 1
+            ShardedFeatureStore(n_shards=0)
 
 
 class TestShardedFeatureStore:
@@ -167,7 +42,7 @@ class TestShardedFeatureStore:
         world = StreamingWorld(
             WorldConfig(author_count=64, seed=3), block_size=16
         )
-        plane = ScalePlane(world, n_shards=1)
+        plane = ScalePlane(world)
         return [plane.candidate_of(f"author-{i}") for i in range(40)]
 
     @pytest.mark.parametrize("n_shards", [1, 4, 16])

@@ -546,16 +546,12 @@ class TestScaleBenchCommand:
         "900",
         "--queries",
         "2",
-        "--shards",
-        "4",
-        "--workers",
-        "2",
     ]
 
     def test_table_output(self, capsys):
         assert main(self.ARGS) == 0
         output = capsys.readouterr().out
-        assert "scale-bench: shards=4 workers=2" in output
+        assert "scale-bench: k=10" in output
         assert "300" in output and "900" in output
         assert "interning" in output
         assert "scaling:" in output
@@ -566,7 +562,7 @@ class TestScaleBenchCommand:
         assert main([*self.ARGS, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert [entry["authors"] for entry in report["sizes"]] == [300, 900]
-        # Both sizes are under the verification cap: the sharded top-k
+        # Both sizes are under the verification cap: the plane's top-k
         # must have matched the brute-force reference at each.
         assert all(
             entry["topk_matches_brute_force"] is True for entry in report["sizes"]
@@ -590,4 +586,4 @@ class TestScaleBenchCommand:
         capsys.readouterr()
         payload = json.loads(out.read_text())
         assert payload["name"] == "EXP-SCALE"
-        assert payload["shards"] == 4
+        assert [entry["authors"] for entry in payload["sizes"]] == [300, 900]
