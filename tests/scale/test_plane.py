@@ -256,7 +256,12 @@ class TestIngest:
 class TestScoringRows:
     """Ingest-time scoring rows against the paper-faithful feature build."""
 
-    def test_rows_equal_candidate_features(self, plane, scale_world):
+    @pytest.mark.parametrize("n_shards", [1, 4, 16])
+    def test_rows_equal_candidate_features(self, scale_world, n_shards):
+        """One row table for the whole population, whatever ``n_shards``
+        the plane was built with."""
+        plane = ScalePlane(scale_world, n_shards=n_shards)
+        plane.ingest()
         ctx = ScoringContext(
             current_year=scale_world.config.current_year, half_life_years=3.0
         )
