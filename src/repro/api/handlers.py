@@ -27,7 +27,11 @@ Endpoints
     ``workers > 1`` runs the per-paper pipelines in parallel with
     identical output; ``on_error: "skip"`` reports failed papers in the
     response instead of aborting; ``require_full: true`` turns an
-    under-filled program into a 409.
+    under-filled program into a 409 (the flag must be a JSON boolean).
+
+Author names and keywords must be non-empty JSON strings on every
+endpoint that takes them; anything else answers 400 before any source
+is crawled.
 ``GET  /api/v1/metrics``
     The deployment's observability snapshot: counters, gauges and
     histograms (with p50/p95/p99 estimates and trace exemplars) from
@@ -68,8 +72,10 @@ from repro.api.router import (
     ValidationError,
 )
 from repro.api.serialization import (
+    as_bool,
     as_float,
     as_int,
+    as_name,
     config_from_payload,
     manuscript_from_payload,
     result_to_payload,
@@ -399,10 +405,14 @@ class MinaretApi:
         keywords = request.require("keywords")
         if not isinstance(keywords, list) or not keywords:
             raise ApiError(400, "keywords must be a non-empty list")
-        config = ExpansionConfig(
-            max_depth=as_int(request.body.get("max_depth", 2), "max_depth"),
-            min_score=as_float(request.body.get("min_score", 0.5), "min_score"),
-        )
+        try:
+            config = ExpansionConfig(
+                max_depth=as_int(request.body.get("max_depth", 2), "max_depth"),
+                min_score=as_float(request.body.get("min_score", 0.5), "min_score"),
+            )
+        except ValueError as exc:
+            # The config's own range checks name the field.
+            raise ValidationError(str(exc)) from exc
         expander = KeywordExpander(self._ontology, config)
         expansions = expander.expand([str(k) for k in keywords])
         return {
@@ -423,10 +433,10 @@ class MinaretApi:
             raise ApiError(400, "authors must be a non-empty list")
         verifier = IdentityVerifier(self._sources, resolver=self._resolver)
         verified = []
-        for author_payload in authors_payload:
+        for index, author_payload in enumerate(authors_payload):
             try:
                 author = ManuscriptAuthor(
-                    name=str(author_payload["name"]),
+                    name=as_name(author_payload["name"], f"authors[{index}].name"),
                     affiliation=str(author_payload.get("affiliation", "")),
                     country=str(author_payload.get("country", "")),
                 )
@@ -528,8 +538,13 @@ class MinaretApi:
             resolver=self._resolver,
             plane=self._plane_for(config),
         )
+        require_full = as_bool(request.body.get("require_full", False), "require_full")
         entries = []
-        for entry in manuscripts_payload:
+        for index, entry in enumerate(manuscripts_payload):
+            if not isinstance(entry, dict):
+                raise ValidationError(
+                    f"manuscripts[{index}] must be a JSON object, got {entry!r}"
+                )
             paper_id = str(entry.get("paper_id", ""))
             if not paper_id:
                 raise ApiError(400, "each batch entry needs a paper_id")
@@ -547,7 +562,7 @@ class MinaretApi:
                 objective=objective,
                 workers=workers,
                 on_error=on_error,
-                require_full=bool(request.body.get("require_full", False)),
+                require_full=require_full,
             )
         except InfeasibleAssignmentError as exc:
             raise ApiError(409, str(exc)) from exc

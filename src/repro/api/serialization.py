@@ -25,20 +25,25 @@ def manuscript_from_payload(payload: dict) -> Manuscript:
     """Parse the submission-form payload (paper Fig. 3) into a Manuscript.
 
     Raises a 400 :class:`ApiError` on structural problems so the router
-    can surface a clean validation message.
+    can surface a clean validation message.  Author names and keywords
+    must be non-empty JSON strings: a ``null`` or blank one is rejected
+    here, before any source is crawled for it.
     """
     try:
         authors = tuple(
             ManuscriptAuthor(
-                name=str(author["name"]),
+                name=as_name(author["name"], f"authors[{index}].name"),
                 affiliation=str(author.get("affiliation", "")),
                 country=str(author.get("country", "")),
             )
-            for author in payload["authors"]
+            for index, author in enumerate(payload["authors"])
         )
         manuscript = Manuscript(
             title=str(payload.get("title", "")),
-            keywords=tuple(str(k) for k in payload["keywords"]),
+            keywords=tuple(
+                as_name(keyword, f"keywords[{index}]")
+                for index, keyword in enumerate(payload["keywords"])
+            ),
             authors=authors,
             target_venue=str(payload.get("target_venue", "")),
             abstract=str(payload.get("abstract", "")),
@@ -84,16 +89,30 @@ def as_float(value: object, name: str) -> float:
         raise ValidationError(f"{name} must be a number, got {value!r}") from exc
 
 
+def as_bool(value: object, name: str) -> bool:
+    """A client-supplied flag, or a typed 400 naming it.
+
+    Only a JSON boolean passes: the string ``"false"`` is not read as
+    true, nor ``0`` as false.
+    """
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be a JSON boolean, got {value!r}")
+    return value
+
+
+def as_name(value: object, name: str) -> str:
+    """A client-supplied name or keyword, or a typed 400 naming it.
+
+    Only a non-empty JSON string passes: ``null`` is not read as the
+    string ``"None"``, and a blank string is not crawled.
+    """
+    if not isinstance(value, str) or not value.strip():
+        raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
 #: The keys the ``coi`` config object accepts.
 _COI_KEYS = frozenset({"check_coauthorship", "lookback_years", "affiliation_level"})
-
-
-def _flag(payload: dict, key: str, default: bool) -> bool:
-    """The JSON boolean under ``key``; a string such as ``"false"`` is rejected."""
-    value = payload.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be a JSON boolean, got {value!r}")
-    return value
 
 
 def config_from_payload(payload: dict) -> PipelineConfig:
@@ -122,7 +141,9 @@ def config_from_payload(payload: dict) -> PipelineConfig:
         if unknown:
             raise ValueError(f"unknown coi keys: {', '.join(unknown)}")
         coi = CoiConfig(
-            check_coauthorship=_flag(coi_payload, "check_coauthorship", True),
+            check_coauthorship=as_bool(
+                coi_payload.get("check_coauthorship", True), "check_coauthorship"
+            ),
             coauthorship_lookback_years=coi_payload.get("lookback_years"),
             affiliation_level=AffiliationCoiLevel(
                 coi_payload.get("affiliation_level", "university")
@@ -154,7 +175,7 @@ def config_from_payload(payload: dict) -> PipelineConfig:
             impact_metric=ImpactMetric(payload.get("impact_metric", "h_index")),
             max_candidates=as_int(payload.get("max_candidates", 50), "max_candidates"),
             workers=as_int(payload.get("workers", 1), "workers"),
-            warm_cache=_flag(payload, "warm_cache", False),
+            warm_cache=as_bool(payload.get("warm_cache", False), "warm_cache"),
             warm_cache_ttl=payload.get("warm_cache_ttl"),
             warm_cache_capacity=as_int(
                 payload.get("warm_cache_capacity", 8192), "warm_cache_capacity"

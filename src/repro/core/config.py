@@ -152,8 +152,10 @@ class ExpertiseConstraints:
     """Editor-defined candidate constraints (§2.2's third filter).
 
     Each bound is optional; ``None`` disables that side, and any other
-    value must be a finite number.  The filter phase checks every active
-    bound against the candidate's merged metrics and review history.
+    value must be a finite number.  A range whose minimum exceeds its
+    maximum admits no candidate, so it is rejected; equal bounds are a
+    legal one-value range.  The filter phase checks every active bound
+    against the candidate's merged metrics and review history.
     """
 
     min_citations: int | None = None
@@ -173,6 +175,16 @@ class ExpertiseConstraints:
             ):
                 raise ValueError(
                     f"{spec.name} must be a finite number or None, got {bound!r}"
+                )
+        for low_name, high_name in (
+            ("min_citations", "max_citations"),
+            ("min_h_index", "max_h_index"),
+            ("min_reviews", "max_reviews"),
+        ):
+            low, high = getattr(self, low_name), getattr(self, high_name)
+            if low is not None and high is not None and low > high:
+                raise ValueError(
+                    f"{low_name} ({low!r}) must not exceed {high_name} ({high!r})"
                 )
 
     def is_trivial(self) -> bool:

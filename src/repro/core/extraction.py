@@ -426,9 +426,10 @@ class CandidateExtractor:
     # ------------------------------------------------------------------
 
     def _assemble_from_scholar(self, user: str) -> Candidate | None:
-        scholar_profile = self._sources.scholar.profile(user)
-        if scholar_profile is None:
+        scholar_page = self._sources.scholar.profile_page(user)
+        if scholar_page is None:
             return None
+        scholar_profile = scholar_page.profile
         profiles: list[SourceProfile] = [scholar_profile]
         known_pubs = set(scholar_profile.publication_ids)
         name = scholar_profile.name
@@ -448,7 +449,7 @@ class CandidateExtractor:
             candidate_id=user,
             name=name,
             profile=merge_source_profiles(profiles),
-            scholar_publications=self._sources.scholar.publications(user),
+            scholar_publications=list(scholar_page.publications),
             dblp_publications=dblp_pubs,
         )
         _apply_publons_summary(candidate, publons_summary)
@@ -481,30 +482,32 @@ class CandidateExtractor:
     def _link_dblp(
         self, name: str, known_pubs: set[str]
     ) -> tuple[SourceProfile | None, list[dict]]:
+        """The DBLP profile and publication list for a candidate name.
+
+        A unique hit is linked on the name.  Among homonyms, the page
+        with the best publication overlap wins, and the page fetched
+        for the comparison is the one returned: each author page is
+        requested once.
+        """
         hits = self._sources.dblp.search_author(name)
         if not hits:
             return None, []
-        chosen_pid = None
         if len(hits) == 1:
-            chosen_pid = hits[0]["pid"]
+            page = self._sources.dblp.author_page(hits[0]["pid"])
         else:
-            # Homonyms: pick the page with the best publication overlap.
+            page = None
             best_overlap = 0
             for hit in hits:
-                profile = self._sources.dblp.author_profile(hit["pid"])
-                if profile is None:
+                hit_page = self._sources.dblp.author_page(hit["pid"])
+                if hit_page is None:
                     continue
-                overlap = len(known_pubs & set(profile.publication_ids))
+                overlap = len(known_pubs & set(hit_page.profile.publication_ids))
                 if overlap > best_overlap:
                     best_overlap = overlap
-                    chosen_pid = hit["pid"]
-            if chosen_pid is None:
-                return None, []
-        profile = self._sources.dblp.author_profile(chosen_pid)
-        if profile is None:
+                    page = hit_page
+        if page is None:
             return None, []
-        pubs = self._sources.dblp.author_publications(chosen_pid)
-        return profile, pubs
+        return page.profile, list(page.publications)
 
     def _link_orcid(self, name: str, known_pubs: set[str]) -> SourceProfile | None:
         hits = self._sources.orcid.search(name)

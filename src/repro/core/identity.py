@@ -27,7 +27,7 @@ from repro.core.errors import (
 )
 from repro.core.models import IdentityMatch, ManuscriptAuthor, VerifiedAuthor
 from repro.scholarly.merge import merge_source_profiles
-from repro.scholarly.records import SourceName, SourceProfile
+from repro.scholarly.records import SourceName, SourcePage, SourceProfile
 from repro.text.metrics import jaccard_similarity
 from repro.text.strings import name_similarity
 from repro.text.tokenize import tokenize
@@ -190,7 +190,7 @@ class ProfileLinker:
         return self._best_by_pub_overlap(
             hits[:_MAX_HITS_TO_COMPARE],
             known_pubs,
-            fetch=lambda hit: self._sources.scholar.profile(hit["user"]),
+            fetch=lambda hit: _page_profile(self._sources.scholar.profile_page(hit["user"])),
         )
 
     def _link_orcid(self, name: str, known_pubs: set[str]) -> SourceProfile | None:
@@ -250,6 +250,11 @@ class ProfileLinker:
         return None
 
 
+def _page_profile(page: SourcePage | None) -> SourceProfile | None:
+    """The profile of a fetched page, ``None`` when there is no page."""
+    return None if page is None else page.profile
+
+
 class IdentityVerifier:
     """Verifies manuscript-author identities (the Fig. 4 step)."""
 
@@ -268,11 +273,13 @@ class IdentityVerifier:
     def verify(self, author: ManuscriptAuthor) -> VerifiedAuthor:
         """Verify one author; raises on not-found or unresolved ambiguity.
 
-        DBLP is the anchor: its search, profile and publication legs
-        have no fallback, so when one of them exhausts its retries the
-        run fails with a typed :class:`SourceUnavailableError` rather
-        than a transport-level exception — batch callers report that
-        per paper instead of crashing the whole program.
+        DBLP is the anchor: its search and author-page legs have no
+        fallback, so when one of them exhausts its retries the run
+        fails with a typed :class:`SourceUnavailableError` rather than
+        a transport-level exception — batch callers report that per
+        paper instead of crashing the whole program.  The chosen
+        author page is fetched once and supplies both the anchor
+        profile and the dated publication list.
         """
         try:
             hits = self._sources.dblp.search_author(author.name)
@@ -298,26 +305,18 @@ class IdentityVerifier:
         else:
             chosen = matches[0]
         try:
-            dblp_profile = self._sources.dblp.author_profile(
-                chosen.source_author_id
-            )
+            dblp_page = self._sources.dblp.author_page(chosen.source_author_id)
         except CrawlError as exc:
             raise SourceUnavailableError(exc.host, str(exc)) from exc
-        if dblp_profile is None:
+        if dblp_page is None:
             raise IdentityVerificationError(author.name)
-        profiles = self._linker.link_from_dblp(dblp_profile)
-        try:
-            dblp_publications = self._sources.dblp.author_publications(
-                chosen.source_author_id
-            )
-        except CrawlError as exc:
-            raise SourceUnavailableError(exc.host, str(exc)) from exc
+        profiles = self._linker.link_from_dblp(dblp_page.profile)
         return VerifiedAuthor(
             submitted=author,
             profile=merge_source_profiles(profiles),
             ambiguous=ambiguous,
             candidates_considered=tuple(matches),
-            dblp_publications=tuple(dblp_publications),
+            dblp_publications=dblp_page.publications,
         )
 
     def verify_all(self, authors: tuple[ManuscriptAuthor, ...]) -> list[VerifiedAuthor]:

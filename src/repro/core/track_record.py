@@ -7,8 +7,8 @@ important to allow discovering any potential for conflict of interest."
 A :class:`AuthorTrackRecord` is the consolidated dossier the editor
 sees per verified author: publication counts over time, venues, the
 co-author network (the COI-relevant part), affiliation timeline and
-reviewing history.  It is assembled from the merged profile plus the
-DBLP publication/coauthor pages.
+reviewing history.  It is assembled from the merged profile plus one
+fetch of the DBLP author page.
 """
 
 from __future__ import annotations
@@ -57,31 +57,30 @@ def build_track_record(
 ) -> AuthorTrackRecord:
     """Assemble the dossier for a verified author.
 
-    ``sources`` is the usual six-client bundle.  The DBLP page supplies
-    the dated publication list and the co-author network; the merged
-    profile supplies affiliations and metrics; Publons (when linked)
-    supplies the review count.  ``plane`` optionally routes the fetches
-    through a warm-path :class:`~repro.retrieval.RetrievalPlane` — the
-    ``publons_summary`` layer is shared with candidate extraction, so a
-    dossier can be served from a profile an earlier recommendation
-    already paid for.
+    ``sources`` is the usual six-client bundle.  The DBLP author page,
+    fetched once, supplies both the dated publication list and the
+    co-author network; the merged profile supplies affiliations and
+    metrics; Publons (when linked) supplies the review count.
+    ``plane`` optionally routes the fetches through a warm-path
+    :class:`~repro.retrieval.RetrievalPlane` — the ``publons_summary``
+    layer is shared with candidate extraction, so a dossier can be
+    served from a profile an earlier recommendation already paid for.
     """
     profile = verified.profile
     dblp_pid = profile.source_id(SourceName.DBLP)
-    publications: list[dict] = []
+    publications: tuple[dict, ...] = ()
     coauthor_pids: tuple[str, ...] = ()
     if dblp_pid is not None:
+
+        def load_record() -> tuple[tuple[dict, ...], tuple[str, ...]]:
+            page = sources.dblp.author_page(dblp_pid)
+            return ((), ()) if page is None else (page.publications, page.coauthor_pids)
+
         if plane is None:
-            publications = sources.dblp.author_publications(dblp_pid)
-            coauthor_pids = tuple(sources.dblp.coauthor_pids(dblp_pid))
+            publications, coauthor_pids = load_record()
         else:
             publications, coauthor_pids = plane.fetch(
-                "dblp_author_record",
-                dblp_pid,
-                lambda: (
-                    sources.dblp.author_publications(dblp_pid),
-                    tuple(sources.dblp.coauthor_pids(dblp_pid)),
-                ),
+                "dblp_author_record", dblp_pid, load_record
             )
     per_year: Counter[int] = Counter(p["year"] for p in publications)
     venues: Counter[str] = Counter(p["venue"] for p in publications)

@@ -22,6 +22,7 @@ from repro.scholarly.records import (
     Publication,
     ReviewRecord,
     SourceName,
+    SourcePage,
     SourceProfile,
     Venue,
     VenueType,
@@ -52,6 +53,7 @@ __all__ = [
     "ScholarlyHub",
     "SourceBehaviour",
     "SourceName",
+    "SourcePage",
     "SourceProfile",
     "Venue",
     "VenueType",

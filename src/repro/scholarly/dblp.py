@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.scholarly.records import Affiliation, SourceName, SourceProfile
+from repro.scholarly.records import Affiliation, SourceName, SourcePage, SourceProfile
 from repro.scholarly.source import SourceClient, SourceService
 from repro.storage.documents import DocumentStore
 from repro.storage.inverted import InvertedIndex
@@ -266,7 +266,13 @@ class DblpService(SourceService):
 
 
 class DblpClient(SourceClient):
-    """Scraper side of DBLP."""
+    """Scraper side of DBLP.
+
+    One method per page: :meth:`author_page` returns the profile, the
+    publication list and the co-author pids of an ``/author`` page from
+    a single request, so no caller fetches the page again for another
+    field.
+    """
 
     source = SourceName.DBLP
 
@@ -278,12 +284,15 @@ class DblpClient(SourceClient):
         payload = self._get("/search/author", {"q": name})
         return list(payload["hits"])
 
-    def author_profile(self, pid: str) -> SourceProfile | None:
-        """Fetch an author page as a :class:`SourceProfile`.
+    def author_page(self, pid: str) -> SourcePage | None:
+        """An author page, from one fetch (None when the pid is unknown).
 
-        DBLP carries no interests or metrics; its affiliation knowledge
-        is the single free-text "note", mapped here to one open-ended
-        affiliation when present.
+        Its :class:`SourceProfile` carries no interests or metrics:
+        DBLP's affiliation knowledge is the single free-text "note",
+        mapped here to one open-ended affiliation when present.  The
+        page also carries the dated publication list (title, year,
+        venue) and the pids of everyone who shares a publication with
+        ``pid``.
         """
         payload = self._get_or_none("/author", {"pid": pid})
         if payload is None:
@@ -298,27 +307,18 @@ class DblpClient(SourceClient):
                     end_year=None,
                 ),
             )
-        return SourceProfile(
+        profile = SourceProfile(
             source=self.source,
             source_author_id=payload["pid"],
             name=payload["name"],
             affiliations=affiliations,
             publication_ids=tuple(payload["publication_ids"]),
         )
-
-    def author_publications(self, pid: str) -> list[dict]:
-        """The author page's publication list (title, year, venue)."""
-        payload = self._get_or_none("/author", {"pid": pid})
-        if payload is None:
-            return []
-        return list(payload["publications"])
-
-    def coauthor_pids(self, pid: str) -> list[str]:
-        """Pids of everyone who shares a publication with ``pid``."""
-        payload = self._get_or_none("/author", {"pid": pid})
-        if payload is None:
-            return []
-        return list(payload["coauthor_pids"])
+        return SourcePage(
+            profile=profile,
+            publications=tuple(payload["publications"]),
+            coauthor_pids=tuple(payload["coauthor_pids"]),
+        )
 
     def publication(self, pub_id: str) -> dict | None:
         """One publication record, or ``None`` if unknown."""

@@ -132,6 +132,20 @@ class SourceProfile:
 
 
 @dataclass(frozen=True)
+class SourcePage:
+    """Everything one fetched profile page carries.
+
+    The profile, the page's publication list (source-specific dicts)
+    and, on DBLP, the co-author pids all come from the same response,
+    so a caller that needs several of them pays for one request.
+    """
+
+    profile: SourceProfile
+    publications: tuple[dict, ...] = ()
+    coauthor_pids: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class MergedProfile:
     """The cross-source merged view of one scholar.
 

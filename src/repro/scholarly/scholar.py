@@ -23,6 +23,7 @@ from repro.scholarly.records import (
     Affiliation,
     Metrics,
     SourceName,
+    SourcePage,
     SourceProfile,
     compute_h_index,
     compute_i10_index,
@@ -156,7 +157,12 @@ class GoogleScholarService(SourceService):
 
 
 class GoogleScholarClient(SourceClient):
-    """Scraper side of Google Scholar."""
+    """Scraper side of Google Scholar.
+
+    One method per page: :meth:`profile_page` returns everything the
+    ``/citations/profile`` page carries from a single request, so no
+    caller fetches the page again for another field.
+    """
 
     source = SourceName.GOOGLE_SCHOLAR
 
@@ -168,8 +174,13 @@ class GoogleScholarClient(SourceClient):
         payload = self._get("/citations/search", {"q": name})
         return list(payload["hits"])
 
-    def profile(self, user: str) -> SourceProfile | None:
-        """Full profile as a :class:`SourceProfile` (None when absent)."""
+    def profile_page(self, user: str) -> SourcePage | None:
+        """The profile page, from one fetch (None when absent).
+
+        Its :class:`SourceProfile` carries the interests, metrics and
+        affiliation line; its publication list keeps the Scholar
+        citation counts.
+        """
         payload = self._get_or_none("/citations/profile", {"user": user})
         if payload is None:
             return None
@@ -183,7 +194,8 @@ class GoogleScholarClient(SourceClient):
                     end_year=None,
                 ),
             )
-        return SourceProfile(
+        publications = tuple(payload["publications"])
+        profile = SourceProfile(
             source=self.source,
             source_author_id=payload["user"],
             name=payload["name"],
@@ -194,15 +206,9 @@ class GoogleScholarClient(SourceClient):
                 h_index=payload["h_index"],
                 i10_index=payload["i10_index"],
             ),
-            publication_ids=tuple(p["id"] for p in payload["publications"]),
+            publication_ids=tuple(p["id"] for p in publications),
         )
-
-    def publications(self, user: str) -> list[dict]:
-        """The profile's publication list with Scholar citation counts."""
-        payload = self._get_or_none("/citations/profile", {"user": user})
-        if payload is None:
-            return []
-        return list(payload["publications"])
+        return SourcePage(profile=profile, publications=publications)
 
     def scholars_by_interest(self, keyword: str, limit: int = 50) -> list[str]:
         """User ids of scholars registering ``keyword`` as an interest.

@@ -26,6 +26,17 @@ def manuscript_payload(manuscript):
     }
 
 
+def valid_body(path, manuscript):
+    """A well-formed request body for ``recommend``, ``assign`` or ``expand``."""
+    return {
+        "recommend": {"manuscript": manuscript_payload(manuscript)},
+        "assign": {
+            "manuscripts": [{"paper_id": "p0", "manuscript": manuscript_payload(manuscript)}]
+        },
+        "expand": {"keywords": ["RDF"]},
+    }[path]
+
+
 class TestHealth:
     def test_health(self, api):
         response = api.handle("GET", "/api/v1/health")
@@ -109,16 +120,36 @@ class TestInputValidation:
     )
     def test_boolean_or_fraction_is_400(self, api, manuscript, path, override, field):
         """``true`` and ``2.5`` are not read as 1 and 2: the field is named in a 400."""
-        base = {
-            "recommend": {"manuscript": manuscript_payload(manuscript)},
-            "assign": {
-                "manuscripts": [
-                    {"paper_id": "p0", "manuscript": manuscript_payload(manuscript)}
-                ]
-            },
-            "expand": {"keywords": ["RDF"]},
-        }[path]
-        response = api.handle("POST", f"/api/v1/{path}", {**base, **override})
+        response = api.handle(
+            "POST", f"/api/v1/{path}", {**valid_body(path, manuscript), **override}
+        )
+        assert response.status == 400
+        assert field in response.body["error"]
+
+    @pytest.mark.parametrize(
+        ("path", "override", "field"),
+        [
+            pytest.param("expand", {"max_depth": -1}, "max_depth", id="expand-depth-neg"),
+            pytest.param("expand", {"min_score": 1.5}, "min_score", id="expand-score-high"),
+            pytest.param(
+                "expand", {"min_score": float("nan")}, "min_score", id="expand-score-nan"
+            ),
+            pytest.param("assign", {"manuscripts": ["x"]}, "manuscripts[0]", id="entry-str"),
+            pytest.param("assign", {"manuscripts": [None]}, "manuscripts[0]", id="entry-null"),
+            pytest.param(
+                "assign", {"require_full": "false"}, "require_full", id="require_full-str"
+            ),
+        ],
+    )
+    def test_out_of_range_or_malformed_is_400(self, api, manuscript, path, override, field):
+        """Client errors the config and batch parsers meet answer 400, not 500.
+
+        ``"false"`` is not a boolean, so it is refused rather than read
+        as true.
+        """
+        response = api.handle(
+            "POST", f"/api/v1/{path}", {**valid_body(path, manuscript), **override}
+        )
         assert response.status == 400
         assert field in response.body["error"]
 
@@ -127,6 +158,51 @@ class TestInputValidation:
             "POST", "/api/v1/verify-authors", {"authors": ["not a dict"]}
         )
         assert response.status == 400
+
+
+class TestNamesAndKeywords:
+    """A name or keyword must be a non-empty JSON string, checked before any crawl."""
+
+    BAD = [
+        pytest.param(None, id="null"),
+        pytest.param("  ", id="blank"),
+        pytest.param(7, id="number"),
+    ]
+
+    @staticmethod
+    def body(path, manuscript, role, value):
+        payload = manuscript_payload(manuscript)
+        if role == "name":
+            payload["authors"][0]["name"] = value
+        else:
+            payload["keywords"][0] = value
+        if path == "recommend":
+            return {"manuscript": payload}
+        if path == "assign":
+            return {"manuscripts": [{"paper_id": "p0", "manuscript": payload}]}
+        return {"authors": payload["authors"]}
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize(
+        ("path", "role", "field"),
+        [
+            ("recommend", "name", "authors[0].name"),
+            ("recommend", "keyword", "keywords[0]"),
+            ("assign", "name", "authors[0].name"),
+            ("assign", "keyword", "keywords[0]"),
+            ("verify-authors", "name", "authors[0].name"),
+        ],
+    )
+    def test_rejected_before_any_request(
+        self, api, hub, manuscript, path, role, field, value
+    ):
+        before = hub.total_requests()
+        response = api.handle(
+            "POST", f"/api/v1/{path}", self.body(path, manuscript, role, value)
+        )
+        assert response.status == 400
+        assert field in response.body["error"]
+        assert hub.total_requests() == before
 
 
 class TestExpand:
@@ -257,6 +333,11 @@ class TestRecommend:
                 {"constraints": {"min_citations": float("nan")}},
                 "min_citations",
                 id="bound-nan",
+            ),
+            pytest.param(
+                {"constraints": {"min_citations": 10, "max_citations": 5}},
+                "max_citations",
+                id="citations-inverted",
             ),
             pytest.param({"pc_members": "abc"}, "pc_members", id="pc-str"),
             pytest.param({"warm_cache": "false"}, "warm_cache", id="warm-str"),

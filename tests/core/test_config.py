@@ -54,6 +54,17 @@ class TestExpertiseConstraints:
         assert ExpertiseConstraints().is_trivial()
         assert not ExpertiseConstraints(min_citations=10).is_trivial()
 
+    @pytest.mark.parametrize("pair", ["citations", "h_index", "reviews"])
+    def test_inverted_range_rejected(self, pair):
+        """A minimum above its maximum admits no candidate: both fields are named."""
+        with pytest.raises(ValueError, match=f"min_{pair}.*max_{pair}"):
+            ExpertiseConstraints(**{f"min_{pair}": 10, f"max_{pair}": 5})
+
+    @pytest.mark.parametrize("pair", ["citations", "h_index", "reviews"])
+    def test_equal_bounds_legal(self, pair):
+        constraints = ExpertiseConstraints(**{f"min_{pair}": 5, f"max_{pair}": 5})
+        assert getattr(constraints, f"max_{pair}") == 5
+
 
 class TestFilterConfig:
     def test_defaults(self):

@@ -1,5 +1,7 @@
 """Tests for candidate retrieval and profile assembly."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -15,7 +17,7 @@ def expansions_for(world, hub, count=2):
         user = hub.scholar_service.user_of(author.author_id)
         if user is None:
             continue
-        profile = hub.scholar.profile(user)
+        profile = hub.scholar.profile_page(user).profile
         keywords.extend(profile.interests)
         if len(keywords) >= count:
             break
@@ -81,6 +83,74 @@ class TestRetrieval:
         assert set(multi[0]) == set(single[0])
         for matched in multi[0].values():
             assert max(matched.values()) == pytest.approx(0.9)
+
+
+class TestOneFetchPerPage:
+    """Each page is fetched once per use: every field comes from one response."""
+
+    @staticmethod
+    def traced_hub(world):
+        from repro.scholarly.registry import ScholarlyHub
+
+        return ScholarlyHub.deploy(world, trace_capacity=100_000)
+
+    def test_cold_recommend_serves_no_candidate_page_twice(self, world, manuscript):
+        from repro.core.pipeline import Minaret
+
+        hub = self.traced_hub(world)
+        Minaret(hub).recommend(manuscript)
+        (author,) = world.authors_by_name(manuscript.authors[0].name)
+        own_pages = {
+            (hub.dblp.host, "/author", (("pid", hub.dblp_service.pid_of(author.author_id)),)),
+            (
+                hub.scholar.host,
+                "/citations/profile",
+                (("user", hub.scholar_service.user_of(author.author_id)),),
+            ),
+        }
+        served = Counter(
+            (trace.host, trace.path, trace.params)
+            for trace in hub.http.traces()
+            if trace.status == 200 and trace.path in ("/author", "/citations/profile")
+        )
+        twice = {key: count for key, count in served.items() if count > 1}
+        # The submitting author's own pages are read by identity
+        # verification and once more when extraction retrieves the author
+        # as a candidate; no other scholar's page is read twice.
+        assert set(twice) <= own_pages
+        assert all(count == 2 for count in twice.values())
+
+    def test_scholar_assembly_requests_profile_page_once(self, world):
+        hub = self.traced_hub(world)
+        author = next(
+            a
+            for a in world.authors.values()
+            if SourceName.GOOGLE_SCHOLAR in a.covered_by
+            and world.publications_by_author.get(a.author_id)
+        )
+        user = hub.scholar_service.user_of(author.author_id)
+        candidate = CandidateExtractor(hub)._assemble_from_scholar(user)
+        assert candidate.scholar_publications
+        profile_requests = [t for t in hub.http.traces() if t.path == "/citations/profile"]
+        assert [t.params for t in profile_requests] == [(("user", user),)]
+
+    def test_homonym_link_requests_each_author_page_once(self, world):
+        hub = self.traced_hub(world)
+        group = next(
+            group
+            for group in (world.authors_by_name(a.name) for a in world.authors.values())
+            if len(group) > 1
+            and all(world.publications_by_author.get(a.author_id) for a in group)
+        )
+        target = group[-1]
+        known_pubs = set(world.publications_by_author[target.author_id])
+        profile, publications = CandidateExtractor(hub)._link_dblp(target.name, known_pubs)
+        assert profile.source_author_id == hub.dblp_service.pid_of(target.author_id)
+        assert {p["id"] for p in publications} == known_pubs
+        page_requests = Counter(t.params for t in hub.http.traces() if t.path == "/author")
+        assert page_requests == Counter(
+            (("pid", hub.dblp_service.pid_of(a.author_id)),) for a in group
+        )
 
 
 class TestExtraction:

@@ -195,3 +195,17 @@ class TestVerifier:
             ManuscriptAuthor(author.name, author.affiliations[-1].institution)
         )
         assert verified.profile.affiliations == author.affiliations
+
+    def test_verify_requests_the_author_page_once(self, world):
+        """The anchor profile and the dated publication list share one fetch."""
+        from repro.scholarly.registry import ScholarlyHub
+
+        hub = ScholarlyHub.deploy(world, trace_capacity=10_000)
+        author = unique_author(world)
+        result = IdentityVerifier(hub).verify(ManuscriptAuthor(author.name))
+        pid = hub.dblp_service.pid_of(author.author_id)
+        assert {p["id"] for p in result.dblp_publications} == set(
+            world.publications_by_author.get(author.author_id, [])
+        )
+        page_requests = [t.params for t in hub.http.traces() if t.path == "/author"]
+        assert page_requests == [(("pid", pid),)]

@@ -9,7 +9,7 @@ linker's decision rules.
 import pytest
 
 from repro.core.identity import ProfileLinker
-from repro.scholarly.records import SourceName, SourceProfile
+from repro.scholarly.records import SourceName, SourcePage, SourceProfile
 
 
 class StubScholar:
@@ -20,8 +20,9 @@ class StubScholar:
     def search_author(self, name):
         return self._hits
 
-    def profile(self, user):
-        return self._profiles.get(user)
+    def profile_page(self, user):
+        profile = self._profiles.get(user)
+        return None if profile is None else SourcePage(profile)
 
 
 class StubEmpty:
@@ -149,9 +150,9 @@ class TestPublicationOverlapLinking:
         fetched = []
 
         class CountingScholar(StubScholar):
-            def profile(self, user):
+            def profile_page(self, user):
                 fetched.append(user)
-                return scholar_profile(user, ["zz"])
+                return SourcePage(scholar_profile(user, ["zz"]))
 
         scholar = CountingScholar(
             hits=[{"user": f"u{i}"} for i in range(20)], profiles={}

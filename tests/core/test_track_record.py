@@ -92,3 +92,15 @@ class TestTrackRecord:
         assert record.total_publications == 0
         assert record.active_span_years() == 0
         assert record.first_active_year is None
+
+    def test_requests_the_author_page_once(self, world, verified):
+        """Publications and co-authors come from one DBLP page fetch."""
+        from repro.scholarly.registry import ScholarlyHub
+
+        author, verified_author = verified
+        hub = ScholarlyHub.deploy(world, trace_capacity=1_000)
+        record = build_track_record(verified_author, hub)
+        assert record.total_publications and record.coauthor_pids
+        pid = hub.dblp_service.pid_of(author.author_id)
+        page_requests = [t.params for t in hub.http.traces() if t.path == "/author"]
+        assert page_requests == [(("pid", pid),)]

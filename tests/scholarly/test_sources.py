@@ -60,7 +60,7 @@ class TestDblp:
     def test_author_profile(self, shared_hub, world):
         author = covered_author(world, SourceName.DBLP)
         pid = shared_hub.dblp_service.pid_of(author.author_id)
-        profile = shared_hub.dblp.author_profile(pid)
+        profile = shared_hub.dblp.author_page(pid).profile
         assert profile.source is SourceName.DBLP
         assert set(profile.publication_ids) == set(
             world.publications_by_author.get(author.author_id, [])
@@ -69,7 +69,7 @@ class TestDblp:
     def test_no_metrics_on_dblp(self, shared_hub, world):
         author = covered_author(world, SourceName.DBLP)
         pid = shared_hub.dblp_service.pid_of(author.author_id)
-        assert shared_hub.dblp.author_profile(pid).metrics is None
+        assert shared_hub.dblp.author_page(pid).profile.metrics is None
 
     def test_publication_record(self, shared_hub, world):
         pub = next(iter(world.publications.values()))
@@ -83,14 +83,14 @@ class TestDblp:
     def test_author_publications_have_venues(self, shared_hub, world):
         author = covered_author(world, SourceName.DBLP)
         pid = shared_hub.dblp_service.pid_of(author.author_id)
-        pubs = shared_hub.dblp.author_publications(pid)
+        pubs = shared_hub.dblp.author_page(pid).publications
         assert pubs
         assert all("venue" in p and "year" in p for p in pubs)
 
     def test_coauthors(self, shared_hub, world):
         author_id = next(a for a, c in world.coauthors.items() if c)
         pid = shared_hub.dblp_service.pid_of(author_id)
-        coauthor_pids = set(shared_hub.dblp.coauthor_pids(pid))
+        coauthor_pids = set(shared_hub.dblp.author_page(pid).coauthor_pids)
         expected = {
             shared_hub.dblp_service.pid_of(c) for c in world.coauthors[author_id]
         }
@@ -104,7 +104,7 @@ class TestGoogleScholar:
     def test_profile_roundtrip(self, shared_hub, world):
         author = covered_author(world, SourceName.GOOGLE_SCHOLAR)
         user = shared_hub.scholar_service.user_of(author.author_id)
-        profile = shared_hub.scholar.profile(user)
+        profile = shared_hub.scholar.profile_page(user).profile
         assert profile.name == author.name
         assert profile.metrics is not None
 
@@ -117,14 +117,14 @@ class TestGoogleScholar:
     def test_citations_inflated_over_truth(self, shared_hub, world):
         author = covered_author(world, SourceName.GOOGLE_SCHOLAR)
         user = shared_hub.scholar_service.user_of(author.author_id)
-        profile = shared_hub.scholar.profile(user)
+        profile = shared_hub.scholar.profile_page(user).profile
         truth = sum(world.author_citations(author.author_id))
         assert profile.metrics.citations >= truth
 
     def test_interest_search_consistent_with_profiles(self, shared_hub, world):
         author = covered_author(world, SourceName.GOOGLE_SCHOLAR)
         user = shared_hub.scholar_service.user_of(author.author_id)
-        profile = shared_hub.scholar.profile(user)
+        profile = shared_hub.scholar.profile_page(user).profile
         assert profile.interests
         users = shared_hub.scholar.scholars_by_interest(profile.interests[0])
         assert user in users
@@ -135,12 +135,12 @@ class TestGoogleScholar:
     def test_publications_listing(self, shared_hub, world):
         author = covered_author(world, SourceName.GOOGLE_SCHOLAR)
         user = shared_hub.scholar_service.user_of(author.author_id)
-        pubs = shared_hub.scholar.publications(user)
+        pubs = shared_hub.scholar.profile_page(user).publications
         assert len(pubs) == len(world.publications_by_author.get(author.author_id, []))
         assert all("citations" in p and "keywords" in p for p in pubs)
 
     def test_missing_profile_none(self, shared_hub):
-        assert shared_hub.scholar.profile("sch_nonexistent") is None
+        assert shared_hub.scholar.profile_page("sch_nonexistent") is None
 
 
 class TestPublons:
@@ -199,9 +199,9 @@ class TestAcm:
         acm = shared_hub.acm.profile(
             shared_hub.acm_service.profile_id_of(author.author_id)
         )
-        scholar = shared_hub.scholar.profile(
+        scholar = shared_hub.scholar.profile_page(
             shared_hub.scholar_service.user_of(author.author_id)
-        )
+        ).profile
         assert acm.metrics.citations <= scholar.metrics.citations
 
     def test_search(self, shared_hub, world):

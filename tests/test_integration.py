@@ -117,8 +117,8 @@ class TestFullScenario:
         new_pubs = dynamics.publish(target, "databases", 2020, count=2)
         hub.refresh_services()
         pid = hub.dblp_service.pid_of(target)
-        page = hub.dblp.author_profile(pid)
-        assert set(new_pubs) <= set(page.publication_ids)
+        page = hub.dblp.author_page(pid)
+        assert set(new_pubs) <= set(page.profile.publication_ids)
 
     def test_api_and_direct_pipeline_agree(self, frozen_world):
         """The REST facade must return exactly the pipeline's answer."""

@@ -103,12 +103,12 @@ class TestServiceRefresh:
         hub = ScholarlyHub.deploy(small_world)
         author_id = sorted(small_world.authors)[0]
         pid = hub.dblp_service.pid_of(author_id)
-        before = len(hub.dblp.author_profile(pid).publication_ids)
+        before = len(hub.dblp.author_page(pid).profile.publication_ids)
         dynamics.publish(author_id, "databases", 2020, count=2)
         # Services still answer from their build-time projection.
-        assert len(hub.dblp.author_profile(pid).publication_ids) == before
+        assert len(hub.dblp.author_page(pid).profile.publication_ids) == before
         hub.refresh_services()
-        assert len(hub.dblp.author_profile(pid).publication_ids) == before + 2
+        assert len(hub.dblp.author_page(pid).profile.publication_ids) == before + 2
 
     def test_refresh_preserves_statistics(self, small_world, dynamics):
         hub = ScholarlyHub.deploy(small_world)
