@@ -28,6 +28,9 @@ Endpoints
     identical output; ``on_error: "skip"`` reports failed papers in the
     response instead of aborting; ``require_full: true`` turns an
     under-filled program into a 409 (the flag must be a JSON boolean).
+    Paper ids must be distinct non-empty strings and the sizes at
+    least 1; a violation answers 400, naming the field sent, before
+    any pipeline runs.
 
 Author names and keywords must be non-empty JSON strings on every
 endpoint that takes them; anything else answers 400 before any source
@@ -76,6 +79,7 @@ from repro.api.serialization import (
     as_float,
     as_int,
     as_name,
+    batch_from_payload,
     config_from_payload,
     manuscript_from_payload,
     result_to_payload,
@@ -499,9 +503,7 @@ class MinaretApi:
             solver_by_name,
         )
 
-        manuscripts_payload = request.require("manuscripts")
-        if not isinstance(manuscripts_payload, list) or not manuscripts_payload:
-            raise ApiError(400, "manuscripts must be a non-empty list")
+        entries = batch_from_payload(request.require("manuscripts"))
         solver_name = str(request.body.get("solver", "optimal"))
         try:
             solver_by_name(solver_name)
@@ -515,9 +517,11 @@ class MinaretApi:
             raise ApiError(400, "on_error must be 'raise' or 'skip'")
         if "capacity" in request.body and "max_load" in request.body:
             raise ApiError(400, "pass capacity or max_load, not both")
-        capacity = as_int(
-            request.body.get("capacity", request.body.get("max_load", 2)), "capacity"
-        )
+        # Errors name the field the client sent: ``max_load`` is an alias.
+        capacity_field = "max_load" if "max_load" in request.body else "capacity"
+        capacity = as_int(request.body.get(capacity_field, 2), capacity_field)
+        if capacity < 1:
+            raise ValidationError(f"{capacity_field} must be >= 1, got {capacity}")
         top_k = _top_k(request)
         try:
             objective = AssignmentObjective(
@@ -539,16 +543,6 @@ class MinaretApi:
             plane=self._plane_for(config),
         )
         require_full = as_bool(request.body.get("require_full", False), "require_full")
-        entries = []
-        for index, entry in enumerate(manuscripts_payload):
-            if not isinstance(entry, dict):
-                raise ValidationError(
-                    f"manuscripts[{index}] must be a JSON object, got {entry!r}"
-                )
-            paper_id = str(entry.get("paper_id", ""))
-            if not paper_id:
-                raise ApiError(400, "each batch entry needs a paper_id")
-            entries.append((paper_id, manuscript_from_payload(entry.get("manuscript", {}))))
         try:
             conference = assign_conference(
                 pipeline,

@@ -55,6 +55,27 @@ def manuscript_from_payload(payload: dict) -> Manuscript:
     return manuscript
 
 
+def batch_from_payload(payload: object) -> list[tuple[str, Manuscript]]:
+    """Parse a batch: a non-empty list of ``{paper_id, manuscript}`` objects.
+
+    The ``/assign`` body's ``manuscripts`` and the CLI's ``--batch`` file
+    share this format.  A paper id must be a non-empty JSON string, so
+    ``null`` is not read as ``"None"`` nor ``5`` as ``"5"``; each error
+    names the entry's field as ``manuscripts[i]...``.
+    """
+    if not isinstance(payload, list) or not payload:
+        raise ValidationError("manuscripts must be a non-empty list")
+    entries = []
+    for index, entry in enumerate(payload):
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"manuscripts[{index}] must be a JSON object, got {entry!r}"
+            )
+        paper_id = as_name(entry.get("paper_id"), f"manuscripts[{index}].paper_id")
+        entries.append((paper_id, manuscript_from_payload(entry.get("manuscript", {}))))
+    return entries
+
+
 def _object(payload: dict, key: str) -> dict:
     """The JSON object under ``key`` (empty when absent)."""
     value = payload.get(key, {})

@@ -20,11 +20,13 @@ This package turns a batch of MINARET recommendation results into an
   (successive shortest paths), with convex load-balance pricing;
 - :func:`~repro.assignment.solvers.random_assignment` — the floor.
 
-Conference mode (:func:`~repro.assignment.conference.assign_conference`)
-runs the whole program — hundreds of papers against one PC pool — with
-per-reviewer capacity, typed per-paper failure reporting under a
-degraded scholarly web, and planted-ground-truth quality metrics via
-:mod:`repro.world.conference`.
+:func:`~repro.assignment.conference.assign_conference` is the one
+entry point, from an ad-hoc batch to a whole program — hundreds of
+papers against one PC pool — with per-reviewer capacity, typed
+per-paper failure reporting under a degraded scholarly web, and
+planted-ground-truth quality metrics via :mod:`repro.world.conference`.
+Its per-paper runs fan out through
+:func:`~repro.assignment.batch.recommend_batch`, the one batch path.
 
 Quality is reported as total score, per-paper minimum (fairness), load
 distribution, and — against planted scenarios — planted recall,
@@ -41,17 +43,14 @@ from repro.assignment.models import (
 )
 from repro.assignment.batch import (
     SOLVERS,
-    BatchAssignment,
-    assign_batch,
+    PaperFailure,
     recommend_batch,
     solver_by_name,
 )
 from repro.assignment.builder import problem_from_results
 from repro.assignment.conference import (
     ConferenceAssignment,
-    PaperFailure,
     assign_conference,
-    recommend_batch_tolerant,
     scenario_metrics,
 )
 from repro.assignment.objective import (
@@ -73,12 +72,10 @@ __all__ = [
     "AssignmentObjective",
     "AssignmentProblem",
     "AssignmentQuality",
-    "BatchAssignment",
     "ConferenceAssignment",
     "InfeasibleAssignmentError",
     "PaperFailure",
     "assess_assignment",
-    "assign_batch",
     "assign_conference",
     "coverage_fraction",
     "greedy_assignment",
@@ -89,7 +86,6 @@ __all__ = [
     "problem_from_results",
     "random_assignment",
     "recommend_batch",
-    "recommend_batch_tolerant",
     "require_full_assignment",
     "scenario_metrics",
     "solver_by_name",

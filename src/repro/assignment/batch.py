@@ -1,4 +1,4 @@
-"""Parallel batch recommendation and one-call assignment.
+"""Parallel batch recommendation: the one fan-out across manuscripts.
 
 Batch mode runs one full pipeline per manuscript — embarrassingly
 parallel work that the CLI and API used to do in a sequential loop.
@@ -6,12 +6,14 @@ parallel work that the CLI and API used to do in a sequential loop.
 :class:`~repro.concurrency.Executor`; because every simulated-web
 decision is keyed by request content rather than arrival order (see
 :mod:`repro.concurrency`), the per-paper results are bit-identical to a
-sequential walk, whatever the worker count.
+sequential walk, whatever the worker count.  With ``on_error="skip"``
+a paper whose run raises a typed
+:class:`~repro.core.errors.MinaretError` comes back as a
+:class:`PaperFailure` in its own position instead of sinking the batch;
+which papers fail is then deterministic across worker counts too.
 
-:func:`assign_batch` is the full §3 batch story in one call: recommend
-for every paper, assemble the cross-paper
-:class:`~repro.assignment.models.AssignmentProblem`, solve it, and
-assess the solution.
+Assignment over a batch — recommend, build the cross-paper problem,
+solve, assess — is :func:`~repro.assignment.conference.assign_conference`.
 """
 
 from __future__ import annotations
@@ -19,14 +21,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.assignment.builder import problem_from_results
-from repro.assignment.models import (
-    Assignment,
-    AssignmentProblem,
-    AssignmentQuality,
-    assess_assignment,
-)
-from repro.assignment.objective import AssignmentObjective
 from repro.assignment.solvers import (
     greedy_assignment,
     greedy_swap_assignment,
@@ -34,6 +28,7 @@ from repro.assignment.solvers import (
     random_assignment,
 )
 from repro.concurrency import Executor, create_executor
+from repro.core.errors import MinaretError
 from repro.core.models import Manuscript, RecommendationResult
 from repro.obs import RequestLedger, get_obs
 
@@ -67,42 +62,85 @@ def solver_by_name(name: str):
         ) from None
 
 
+@dataclass(frozen=True)
+class PaperFailure:
+    """One submission whose pipeline run failed with a typed error."""
+
+    paper_id: str
+    error: str
+    message: str
+
+
 def recommend_batch(
     minaret,
     entries: Sequence[tuple[str, Manuscript]],
     executor: Executor | None = None,
     workers: int = 1,
-) -> list[tuple[str, RecommendationResult]]:
+    on_error: str = "raise",
+) -> list[tuple[str, RecommendationResult | PaperFailure]]:
     """Run ``minaret.recommend`` for every ``(paper_id, manuscript)``.
 
     Results come back in input order regardless of completion order.
-    When a run raises, every run still completes and the exception of
-    the earliest entry propagates (the executor contract) — matching
-    what the old sequential loop would have surfaced first.
+    ``on_error`` says what a run that raises a typed
+    :class:`~repro.core.errors.MinaretError` (identity failures,
+    exhausted retries) becomes:
+
+    ``"raise"``
+        Every run still completes and the exception of the earliest
+        entry propagates (the executor contract), as a sequential loop
+        would surface it.
+    ``"skip"``
+        The paper's slot holds a :class:`PaperFailure` instead of a
+        result, and the batch goes on.  Anything that is not a
+        ``MinaretError`` is a bug and propagates in either mode.
+
+    Either way each failure is reported as a ``conference.paper_failed``
+    event and a ``conference_papers_failed_total`` count, and with
+    observability on each paper that completes is billed in a
+    ``request_cost`` event.
 
     Pass either a prebuilt ``executor`` or a ``workers`` count; the
     pipeline itself may *additionally* parallelize extraction via its
     own ``config.workers`` — the two pools nest safely because each
     ``map`` call runs on its own pool.
     """
+    if on_error not in ("raise", "skip"):
+        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     executor = executor or create_executor(workers)
     obs = get_obs()
     clock = getattr(getattr(minaret, "sources", None), "clock", None)
     plane = getattr(minaret, "plane", None)
     features = getattr(minaret, "features", None)
 
-    def run_one(entry: tuple[str, Manuscript]) -> RecommendationResult:
+    def run_one(entry: tuple[str, Manuscript]):
         paper_id, manuscript = entry
         # The span opens inside the fan-out task, so per-manuscript work
         # parents under the batch span through the propagated context.
         # The ledger rides the same context: each paper gets its own
         # itemized bill, emitted as a ``request_cost`` event so a batch
         # log answers "which paper was expensive, and on what?".
-        with obs.span("manuscript.recommend", clock=clock, paper_id=paper_id):
-            if not obs.enabled:
-                return minaret.recommend(manuscript)
-            with RequestLedger(paper_id) as ledger:
-                result = minaret.recommend(manuscript)
+        with obs.span(
+            "manuscript.recommend", clock=clock, paper_id=paper_id
+        ) as span:
+            try:
+                if not obs.enabled:
+                    return minaret.recommend(manuscript)
+                with RequestLedger(paper_id) as ledger:
+                    result = minaret.recommend(manuscript)
+            except MinaretError as exc:
+                error = type(exc).__name__
+                span.set_label("failed", error)
+                obs.emit(
+                    "conference.paper_failed",
+                    clock=clock,
+                    paper_id=paper_id,
+                    error=error,
+                    message=str(exc),
+                )
+                obs.inc("conference_papers_failed_total", error=error)
+                if on_error == "raise":
+                    raise
+                return PaperFailure(paper_id=paper_id, error=error, message=str(exc))
             obs.emit("request_cost", clock=clock, **ledger.to_dict())
             return result
 
@@ -113,7 +151,10 @@ def recommend_batch(
         workers=executor.workers,
         warm=plane is not None,
     ) as span:
-        results = executor.map(run_one, list(entries))
+        outcomes = executor.map(run_one, list(entries))
+        span.set_label(
+            "failures", sum(isinstance(o, PaperFailure) for o in outcomes)
+        )
         if plane is not None:
             # Cross-manuscript sharing is the whole point of the warm
             # path; surface how much of the batch it absorbed.
@@ -125,50 +166,4 @@ def recommend_batch(
             span.set_label("features_built", stats["features_built"])
             span.set_label("features_reused", stats["features_reused"])
             span.set_label("feature_reuse_rate", stats["reuse_rate"])
-    return [(paper_id, result) for (paper_id, _), result in zip(entries, results)]
-
-
-@dataclass(frozen=True)
-class BatchAssignment:
-    """Everything a batch run produced, for rendering or inspection."""
-
-    results: tuple[tuple[str, RecommendationResult], ...]
-    problem: AssignmentProblem
-    assignment: Assignment
-    quality: AssignmentQuality
-    reviewer_names: dict[str, str]
-
-
-def assign_batch(
-    minaret,
-    entries: Sequence[tuple[str, Manuscript]],
-    reviewers_per_paper: int = 3,
-    max_load: int = 2,
-    top_k: int | None = None,
-    solver: str = "optimal",
-    objective: AssignmentObjective | None = None,
-    executor: Executor | None = None,
-    workers: int = 1,
-) -> BatchAssignment:
-    """Recommend for a batch and solve the cross-paper assignment."""
-    solve = solver_by_name(solver)
-    results = recommend_batch(minaret, entries, executor=executor, workers=workers)
-    names: dict[str, str] = {}
-    for _, result in results:
-        for scored in result.ranked:
-            names[scored.candidate.candidate_id] = scored.name
-    problem = problem_from_results(
-        results,
-        reviewers_per_paper=reviewers_per_paper,
-        max_load=max_load,
-        top_k=top_k,
-    )
-    assignment = solve(problem, objective)
-    quality = assess_assignment(problem, assignment)
-    return BatchAssignment(
-        results=tuple(results),
-        problem=problem,
-        assignment=assignment,
-        quality=quality,
-        reviewer_names=names,
-    )
+    return [(paper_id, outcome) for (paper_id, _), outcome in zip(entries, outcomes)]

@@ -1,20 +1,21 @@
 """Whole-conference assignment over the batch engine.
 
-:func:`assign_conference` is the conference-mode entry point: run the
-full MINARET pipeline for every submission (fan-out via the
-:class:`~repro.concurrency.Executor`, so results are bit-identical at
-any worker count), assemble the cross-paper score matrix — every row
-already COI-screened by the pipeline's indexed
+:func:`assign_conference` is the one assignment entry point, for an
+ad-hoc batch and a whole conference alike: run the full MINARET
+pipeline for every submission through
+:func:`~repro.assignment.batch.recommend_batch` (so results are
+bit-identical at any worker count), assemble the cross-paper score
+matrix — every row already COI-screened by the pipeline's indexed
 :class:`~repro.scoring.coi.CoiScreen` — and hand it to a global solver
 under capacity, set-size, load-balance and set-coverage objectives.
 
-Unlike :func:`~repro.assignment.batch.assign_batch`, conference mode is
-built for degraded worlds: with ``on_error="skip"`` a submission whose
-pipeline run raises a typed :class:`~repro.core.errors.MinaretError`
-becomes a :class:`PaperFailure` in the result instead of sinking the
-whole program — the solver then assigns the papers that survived.
-Because the simulated web's fault draws are content-keyed, which papers
-fail is itself deterministic across worker counts.
+It is built for degraded worlds too: with ``on_error="skip"`` a
+submission whose pipeline run raises a typed
+:class:`~repro.core.errors.MinaretError` becomes a
+:class:`~repro.assignment.batch.PaperFailure` in the result instead of
+sinking the whole program — the solver then assigns the papers that
+survived.  Because the simulated web's fault draws are content-keyed,
+which papers fail is itself deterministic across worker counts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.assignment.batch import PaperFailure, solver_by_name
 from repro.assignment.builder import problem_from_results
 from repro.assignment.models import (
     Assignment,
@@ -31,19 +33,9 @@ from repro.assignment.models import (
     require_full_assignment,
 )
 from repro.assignment.objective import AssignmentObjective, objective_value
-from repro.concurrency import Executor, create_executor
-from repro.core.errors import MinaretError
+from repro.concurrency import Executor
 from repro.core.models import Manuscript, RecommendationResult
 from repro.obs import get_obs
-
-
-@dataclass(frozen=True)
-class PaperFailure:
-    """One submission whose pipeline run failed with a typed error."""
-
-    paper_id: str
-    error: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -66,67 +58,6 @@ class ConferenceAssignment:
     objective_value: float
 
 
-def recommend_batch_tolerant(
-    minaret,
-    entries: Sequence[tuple[str, Manuscript]],
-    executor: Executor | None = None,
-    workers: int = 1,
-) -> tuple[list[tuple[str, RecommendationResult]], list[PaperFailure]]:
-    """Run the pipeline per paper, catching typed per-paper failures.
-
-    Framework errors (:class:`MinaretError` subclasses — identity
-    failures, exhausted retries) become :class:`PaperFailure` records;
-    anything else is a bug and propagates.  Each run is independent, so
-    one paper's failure cannot corrupt another's state, and the
-    success/failure pattern is a pure function of the world + seeds.
-    """
-    executor = executor or create_executor(workers)
-    obs = get_obs()
-    clock = getattr(getattr(minaret, "sources", None), "clock", None)
-
-    def run_one(entry: tuple[str, Manuscript]):
-        paper_id, manuscript = entry
-        with obs.span(
-            "manuscript.recommend", clock=clock, paper_id=paper_id
-        ) as span:
-            try:
-                return minaret.recommend(manuscript)
-            except MinaretError as exc:
-                span.set_label("failed", type(exc).__name__)
-                obs.emit(
-                    "conference.paper_failed",
-                    clock=clock,
-                    paper_id=paper_id,
-                    error=type(exc).__name__,
-                    message=str(exc),
-                )
-                obs.inc(
-                    "conference_papers_failed_total", error=type(exc).__name__
-                )
-                return PaperFailure(
-                    paper_id=paper_id,
-                    error=type(exc).__name__,
-                    message=str(exc),
-                )
-
-    with obs.span(
-        "conference.recommend",
-        clock=clock,
-        papers=len(entries),
-        workers=executor.workers,
-    ) as span:
-        outcomes = executor.map(run_one, list(entries))
-        results = []
-        failures = []
-        for (paper_id, __), outcome in zip(entries, outcomes):
-            if isinstance(outcome, PaperFailure):
-                failures.append(outcome)
-            else:
-                results.append((paper_id, outcome))
-        span.set_label("failures", len(failures))
-    return results, failures
-
-
 def assign_conference(
     minaret,
     entries: Sequence[tuple[str, Manuscript]],
@@ -143,16 +74,18 @@ def assign_conference(
 ) -> ConferenceAssignment:
     """Recommend for a whole program and solve the global assignment.
 
-    Parameters beyond :func:`~repro.assignment.batch.assign_batch`:
-
-    ``capacity``
-        Per-reviewer paper cap (the CLI's ``--capacity N``).
+    ``reviewers_per_paper`` / ``capacity``
+        Per-paper set size and per-reviewer paper cap (the CLI's
+        ``--reviewers-per-paper`` and ``--capacity``); both at least 1.
+    ``top_k``
+        Restrict each paper's row to its ``top_k`` ranked reviewers.
     ``objective``
         Load-balance / set-coverage weights on top of raw score.
     ``on_error``
         ``"raise"`` propagates the first pipeline failure (the batch
         contract); ``"skip"`` degrades gracefully — failed papers are
-        reported as :class:`PaperFailure` and excluded from the solve.
+        reported as :class:`~repro.assignment.batch.PaperFailure` and
+        excluded from the solve.
     ``require_full``
         Demand every (successful) paper gets its exact quota, raising
         :class:`~repro.assignment.models.InfeasibleAssignmentError`
@@ -160,24 +93,41 @@ def assign_conference(
     ``candidate_filter``
         ``candidate_id -> bool`` predicate restricting assignable
         reviewers — conference mode's "must be on the PC" rule.
-    """
-    from repro.assignment.batch import recommend_batch, solver_by_name
 
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+    The sizes, the solver name and the paper ids (which must be
+    distinct) are checked before any pipeline runs, so a malformed
+    request costs no requests; each raises ``ValueError``.
+    """
+    # Imported per call, not at module load: the benchmark harness
+    # times the batch fan-out by wrapping this module attribute.
+    from repro.assignment.batch import recommend_batch
+
     solve = solver_by_name(solver)
+    if reviewers_per_paper < 1:
+        raise ValueError(
+            f"reviewers_per_paper must be >= 1, got {reviewers_per_paper}"
+        )
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    seen: set[str] = set()
+    for paper_id, __ in entries:
+        if paper_id in seen:
+            raise ValueError(f"duplicate paper id {paper_id!r}")
+        seen.add(paper_id)
     objective = objective or AssignmentObjective()
     obs = get_obs()
     clock = getattr(getattr(minaret, "sources", None), "clock", None)
-    if on_error == "skip":
-        results, failures = recommend_batch_tolerant(
-            minaret, entries, executor=executor, workers=workers
-        )
-    else:
-        results = recommend_batch(
-            minaret, entries, executor=executor, workers=workers
-        )
-        failures = []
+    outcomes = recommend_batch(
+        minaret, entries, executor=executor, workers=workers, on_error=on_error
+    )
+    results = [
+        (paper_id, outcome)
+        for paper_id, outcome in outcomes
+        if not isinstance(outcome, PaperFailure)
+    ]
+    failures = [
+        outcome for __, outcome in outcomes if isinstance(outcome, PaperFailure)
+    ]
     names: dict[str, str] = {}
     for __, result in results:
         for scored in result.ranked:

@@ -22,6 +22,9 @@ Subcommands
     Conference mode: plant a ground-truth scenario in the world, assign
     the whole program under per-reviewer capacity, and report
     planted-recall / precision@set / load-spread against the truth.
+    Both modes run :func:`~repro.assignment.assign_conference`, and
+    ``--on-error skip`` reports a paper whose pipeline fails as a
+    ``FAILED`` line instead of aborting the run.
 ``minaret slo report --world world.json [--degrade HOST]``
     Deploy the world, run a stream of recommendations against it —
     optionally degrading one source host with injected faults mid-run —
@@ -550,6 +553,7 @@ def _run_generate(args) -> int:
 def _run_recommend(args) -> int:
     from repro.api.router import ApiError
     from repro.api.serialization import manuscript_from_payload, result_to_payload
+    from repro.core.errors import MinaretError
     from repro.world.io import load_world
 
     try:
@@ -575,7 +579,11 @@ def _run_recommend(args) -> int:
     )
     minaret = Minaret(hub, config=config)
     _stash_deployment(args, hub, minaret)
-    result = minaret.recommend(manuscript)
+    try:
+        result = minaret.recommend(manuscript)
+    except MinaretError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(result_to_payload(result, top_k=args.top), indent=2))
         return 0
@@ -591,13 +599,13 @@ def _run_recommend(args) -> int:
 
 def _run_assign(args) -> int:
     from repro.api.router import ApiError
-    from repro.api.serialization import manuscript_from_payload
+    from repro.api.serialization import batch_from_payload
     from repro.assignment import (
         AssignmentObjective,
-        assign_batch,
         assign_conference,
         scenario_metrics,
     )
+    from repro.core.errors import MinaretError
     from repro.world.io import load_world
 
     if (args.batch is None) == (args.conference is None):
@@ -638,12 +646,8 @@ def _run_assign(args) -> int:
     else:
         try:
             with open(args.batch, encoding="utf-8") as handle:
-                batch_payload = json.load(handle)
-            entries = [
-                (str(entry["paper_id"]), manuscript_from_payload(entry["manuscript"]))
-                for entry in batch_payload
-            ]
-        except (OSError, ValueError, KeyError, ApiError) as exc:
+                entries = batch_from_payload(json.load(handle))
+        except (OSError, ValueError, ApiError) as exc:
             print(f"error: cannot load inputs: {exc}", file=sys.stderr)
             return 1
     hub = ScholarlyHub.deploy(world)
@@ -652,10 +656,19 @@ def _run_assign(args) -> int:
         config=PipelineConfig(warm_cache=args.warm_cache, top_k=args.top_k),
     )
     _stash_deployment(args, hub, minaret)
+    candidate_filter = None
     if scenario is not None:
         from repro.baselines.evaluation import CandidateResolver
 
         resolver = CandidateResolver(hub)
+
+        # The scenario's program committee is the assignable pool: a
+        # reviewer outside the PC cannot take a paper, however well the
+        # pipeline scores them.
+        def candidate_filter(cid):
+            return resolver.world_id(cid) in scenario.pool
+
+    try:
         conference = assign_conference(
             minaret,
             entries,
@@ -666,12 +679,19 @@ def _run_assign(args) -> int:
             objective=objective,
             workers=max(1, args.workers),
             on_error=args.on_error,
-            # The scenario's program committee is the assignable pool:
-            # a reviewer outside the PC cannot take a paper, however
-            # well the pipeline scores them.
-            candidate_filter=lambda cid: resolver.world_id(cid) in scenario.pool,
+            candidate_filter=candidate_filter,
         )
-        quality = conference.quality
+    except (MinaretError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    quality = conference.quality
+    if scenario is None:
+        print(
+            f"Assignment ({args.solver}): total={quality.total_score:.3f} "
+            f"min-paper={quality.min_paper_score:.3f} "
+            f"unfilled={quality.unfilled_slots} max-load={quality.max_load}"
+        )
+    else:
         print(
             f"Conference assignment ({args.solver}): "
             f"{len(conference.results)} papers, "
@@ -692,34 +712,14 @@ def _run_assign(args) -> int:
             f"precision@set={metrics['precision_at_set']:.3f} "
             f"load-spread={metrics['load_spread']}"
         )
-        for failure in conference.failures:
-            print(f"  FAILED {failure.paper_id}: {failure.error}: {failure.message}")
-        for paper_id in conference.problem.papers():
-            reviewers = conference.assignment.reviewers_of(paper_id)
-            rendered = (
-                ", ".join(conference.reviewer_names.get(r, r) for r in reviewers)
-                or "(none)"
-            )
-            print(f"  {paper_id}: {rendered}")
-        return 0
-    batch = assign_batch(
-        minaret,
-        entries,
-        reviewers_per_paper=args.reviewers_per_paper,
-        max_load=args.max_load,
-        solver=args.solver,
-        objective=objective,
-        workers=max(1, args.workers),
-    )
-    quality = batch.quality
-    print(
-        f"Assignment ({args.solver}): total={quality.total_score:.3f} "
-        f"min-paper={quality.min_paper_score:.3f} "
-        f"unfilled={quality.unfilled_slots} max-load={quality.max_load}"
-    )
-    for paper_id in batch.problem.papers():
-        reviewers = batch.assignment.reviewers_of(paper_id)
-        rendered = ", ".join(batch.reviewer_names.get(r, r) for r in reviewers) or "(none)"
+    for failure in conference.failures:
+        print(f"  FAILED {failure.paper_id}: {failure.error}: {failure.message}")
+    for paper_id in conference.problem.papers():
+        reviewers = conference.assignment.reviewers_of(paper_id)
+        rendered = (
+            ", ".join(conference.reviewer_names.get(r, r) for r in reviewers)
+            or "(none)"
+        )
         print(f"  {paper_id}: {rendered}")
     return 0
 

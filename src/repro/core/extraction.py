@@ -397,13 +397,11 @@ class CandidateExtractor:
     def _map_misses(self, task, items: list, hits: dict[int, object]) -> list:
         """``task`` over ``items``, with the warm ``hits`` already resolved.
 
-        Cold (no plane), the whole wave maps through the executor.  Warm,
-        each hit's outcome is stamped inline and only the misses become
-        executor tasks — no ``map`` at all when every item hit.  Outcomes
-        come back in item order either way.
+        Each hit's outcome is stamped inline and only the misses become
+        executor tasks — no ``map`` at all when every item hit.  Cold (no
+        plane) there are no hits, so the whole wave maps.  Outcomes come
+        back in item order.
         """
-        if self._plane is None:
-            return self._executor.map(task, items)
         misses = [i for i in range(len(items)) if i not in hits]
         outcomes = dict(hits)
         if misses:

@@ -13,16 +13,11 @@ fail relative to a sequential run.  Keying each draw by its ordinal
 makes the fail/pass sequence identical under any call interleaving,
 which is what lets parallel extraction reproduce sequential output
 bit-for-bit even with faults injected.
-
-The stateful :meth:`should_fail` is kept for callers that just want
-"the next request's fate": it assigns arrival ordinals from an internal
-thread-safe counter and delegates to :meth:`decide`.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 
 from repro.obs import get_obs
 
@@ -48,7 +43,7 @@ class FaultPolicy:
     Example
     -------
     >>> policy = FaultPolicy(failure_probability=0.0, burst_every=3, burst_length=1)
-    >>> [policy.should_fail() for __ in range(6)]
+    >>> [policy.decide(ordinal) for ordinal in range(1, 7)]
     [False, False, True, False, False, True]
     """
 
@@ -73,8 +68,6 @@ class FaultPolicy:
         self._burst_length = burst_length
         self._seed = seed
         self._name = name
-        self._request_ordinal = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def never(cls) -> "FaultPolicy":
@@ -108,20 +101,6 @@ class FaultPolicy:
             # Observational only: the decision above is already made.
             get_obs().inc("faults_injected_total", policy=self._name)
         return failed
-
-    def should_fail(self, ordinal: int | None = None) -> bool:
-        """Decide the fate of a request.
-
-        With an explicit ``ordinal`` this is exactly :meth:`decide`.
-        Without one, the next arrival ordinal is taken from an internal
-        counter (thread-safe, but then outcomes follow arrival order —
-        callers needing interleaving-independence must pass ordinals).
-        """
-        if ordinal is None:
-            with self._lock:
-                self._request_ordinal += 1
-                ordinal = self._request_ordinal
-        return self.decide(ordinal)
 
     def _burst_fails(self, ordinal: int) -> bool:
         b = self._burst_every

@@ -32,7 +32,7 @@ import time
 import zlib
 from collections import deque
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs import get_obs
 from repro.obs.ledger import charge_http, charge_wait
@@ -141,34 +141,25 @@ class LatencyModel:
     Real scholarly sites differ wildly (DBLP's API is fast; Scholar is
     slow and defensive), so each registered host gets its own model.
 
-    Passing an ``ordinal`` to :meth:`sample` makes the draw a pure
-    function of (seed, ordinal) — the simulated client does this so that
-    concurrent runs charge identical latencies.  Without an ordinal a
-    legacy shared stream is used (thread-safe, arrival-ordered).
+    Each draw is a pure function of (seed, ordinal), so concurrent runs
+    charge identical latencies whatever the arrival order.
     """
 
     base: float = 0.05
     jitter: float = 0.02
     seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
-    _lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.base < 0 or self.jitter < 0:
             raise ValueError("latency parameters must be non-negative")
-        self._rng = random.Random(self.seed)
-        self._lock = threading.Lock()
 
-    def sample(self, ordinal: int | None = None) -> float:
-        """Draw one latency value."""
+    def sample(self, ordinal: int) -> float:
+        """The latency of request ``ordinal``: pure and stateless."""
         if self.jitter == 0:
             return self.base
-        if ordinal is not None:
-            return self.base + random.Random(
-                f"{self.seed}:{ordinal}"
-            ).uniform(0.0, self.jitter)
-        with self._lock:
-            return self.base + self._rng.uniform(0.0, self.jitter)
+        return self.base + random.Random(f"{self.seed}:{ordinal}").uniform(
+            0.0, self.jitter
+        )
 
 
 @dataclass
@@ -351,7 +342,7 @@ class SimulatedHttpClient:
                 retry_after=retry_after,
             )
             raise RateLimitedError(request, retry_after)
-        if fault_policy.should_fail(ordinal):
+        if fault_policy.decide(ordinal):
             with self._lock:
                 stats.faults += 1
             self._finish(obs, request, 503, latency)

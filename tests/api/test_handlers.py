@@ -139,19 +139,30 @@ class TestInputValidation:
             pytest.param(
                 "assign", {"require_full": "false"}, "require_full", id="require_full-str"
             ),
+            pytest.param(
+                "assign", {"reviewers_per_paper": 0}, "reviewers_per_paper", id="assign-k0"
+            ),
+            pytest.param("assign", {"capacity": 0}, "capacity", id="assign-capacity0"),
+            pytest.param("assign", {"max_load": 0}, "max_load", id="assign-max_load0"),
         ],
     )
-    def test_out_of_range_or_malformed_is_400(self, api, manuscript, path, override, field):
-        """Client errors the config and batch parsers meet answer 400, not 500.
+    def test_out_of_range_or_malformed_is_400(
+        self, api, hub, manuscript, path, override, field
+    ):
+        """Client errors the config and batch parsers meet answer 400, not 500,
+        before any request.
 
         ``"false"`` is not a boolean, so it is refused rather than read
-        as true.
+        as true.  A size error names the field the client sent, so
+        ``max_load`` (the alias of ``capacity``) is named as sent.
         """
+        before = hub.total_requests()
         response = api.handle(
             "POST", f"/api/v1/{path}", {**valid_body(path, manuscript), **override}
         )
         assert response.status == 400
         assert field in response.body["error"]
+        assert hub.total_requests() == before
 
     def test_malformed_author_entry_is_400(self, api):
         response = api.handle(
@@ -161,25 +172,32 @@ class TestInputValidation:
 
 
 class TestNamesAndKeywords:
-    """A name or keyword must be a non-empty JSON string, checked before any crawl."""
+    """A name, keyword or paper id must be a non-empty JSON string, checked
+    before any crawl: ``null`` is not read as ``"None"`` nor ``7`` as ``"7"``."""
 
     BAD = [
         pytest.param(None, id="null"),
         pytest.param("  ", id="blank"),
         pytest.param(7, id="number"),
+        pytest.param(True, id="true"),
+        pytest.param([1], id="list"),
+        pytest.param({"a": 1}, id="object"),
     ]
 
     @staticmethod
     def body(path, manuscript, role, value):
         payload = manuscript_payload(manuscript)
+        paper_id = "p0"
         if role == "name":
             payload["authors"][0]["name"] = value
-        else:
+        elif role == "keyword":
             payload["keywords"][0] = value
+        else:
+            paper_id = value
         if path == "recommend":
             return {"manuscript": payload}
         if path == "assign":
-            return {"manuscripts": [{"paper_id": "p0", "manuscript": payload}]}
+            return {"manuscripts": [{"paper_id": paper_id, "manuscript": payload}]}
         return {"authors": payload["authors"]}
 
     @pytest.mark.parametrize("value", BAD)
@@ -191,6 +209,7 @@ class TestNamesAndKeywords:
             ("assign", "name", "authors[0].name"),
             ("assign", "keyword", "keywords[0]"),
             ("verify-authors", "name", "authors[0].name"),
+            ("assign", "paper_id", "manuscripts[0].paper_id"),
         ],
     )
     def test_rejected_before_any_request(
@@ -456,12 +475,15 @@ class TestAssign:
     def test_empty_batch_400(self, api):
         assert api.handle("POST", "/api/v1/assign", {"manuscripts": []}).status == 400
 
-    def test_duplicate_paper_ids_400(self, api, world):
+    def test_duplicate_paper_ids_400(self, api, hub, world):
         entry = self.batch_payload(world, count=1)[0]
+        before = hub.total_requests()
         response = api.handle(
             "POST", "/api/v1/assign", {"manuscripts": [entry, entry]}
         )
         assert response.status == 400
+        assert "duplicate paper id" in response.body["error"]
+        assert hub.total_requests() == before
 
     def test_capacity_alias_and_conference_solvers(self, api, world):
         payload = {

@@ -1,8 +1,8 @@
-"""Conference assignment under a degraded scholarly web (satellite 4).
+"""Conference assignment under a degraded scholarly web.
 
 Runs a planted conference scenario against a hub whose sources fault
 hard enough that some papers' identity verification dies outright, and
-asserts the tolerant path's contract: every failure is a typed
+asserts the ``on_error="skip"`` contract: every failure is a typed
 per-paper record, the surviving papers still get a valid assignment
 (no partial-state corruption), and the failures are observable as
 events and counters.  Because fault draws are content-keyed, the *same*
@@ -11,7 +11,7 @@ papers fail at every worker count.
 
 import pytest
 
-from repro.assignment import PaperFailure, assign_conference
+from repro.assignment import PaperFailure, assign_conference, recommend_batch
 from repro.core.errors import MinaretError
 from repro.core.pipeline import Minaret
 from repro.obs import Observability, use
@@ -125,6 +125,39 @@ class TestFaultTolerantConference:
             for series in entries
         )
         assert failed_total == len(conference.failures)
+
+    def test_each_surviving_paper_is_billed(self, world, scenario):
+        """Skip mode keeps the per-paper ledger: one ``request_cost``
+        event per successful run, none for a failed one."""
+        conference, obs = run_conference(world, scenario)
+        billed = [event.fields["label"] for event in obs.ring.events("request_cost")]
+        assert sorted(billed) == sorted(paper_id for paper_id, _ in conference.results)
+
+    def test_failures_keep_their_positions(self, world, scenario):
+        conference, _ = run_conference(world, scenario)
+        with use(Observability()):
+            outcomes = recommend_batch(
+                Minaret(deploy_faulty(world)), scenario.entries(), on_error="skip"
+            )
+        assert [paper_id for paper_id, _ in outcomes] == [
+            paper_id for paper_id, _ in scenario.entries()
+        ]
+        assert [o for _, o in outcomes if isinstance(o, PaperFailure)] == list(
+            conference.failures
+        )
+
+    def test_raise_mode_runs_every_paper_then_raises_the_first(self, world, scenario):
+        skipped, _ = run_conference(world, scenario)
+        obs = Observability()
+        with use(obs), pytest.raises(MinaretError) as raised:
+            recommend_batch(Minaret(deploy_faulty(world)), scenario.entries(), workers=2)
+        first = skipped.failures[0]
+        assert (type(raised.value).__name__, str(raised.value)) == (
+            first.error,
+            first.message,
+        )
+        failed = {event.fields["paper_id"] for event in obs.ring.events("conference.paper_failed")}
+        assert failed == {failure.paper_id for failure in skipped.failures}
 
     def test_same_papers_fail_at_every_worker_count(self, world, scenario):
         """Content-keyed fault draws: the failure pattern is part of the

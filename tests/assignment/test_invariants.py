@@ -205,3 +205,30 @@ class TestWorkerDeterminism:
                 )
             )
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+class TestChecksBeforeFanOut:
+    """A malformed call is refused before any pipeline runs or any request goes out."""
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            pytest.param({"reviewers_per_paper": 0}, "reviewers_per_paper must be >= 1", id="k0"),
+            pytest.param({"capacity": 0}, "capacity must be >= 1", id="capacity0"),
+            pytest.param({"solver": "annealing"}, "unknown solver", id="solver"),
+            pytest.param({"on_error": "retry"}, "on_error must be", id="on_error"),
+        ],
+    )
+    def test_rejected_before_any_request(self, hub, manuscript, kwargs, message):
+        before = hub.total_requests()
+        with pytest.raises(ValueError, match=message):
+            assign_conference(Minaret(hub), [("p0", manuscript)], **kwargs)
+        assert hub.total_requests() == before
+
+    def test_duplicate_paper_ids_rejected_before_any_request(self, hub, manuscript):
+        before = hub.total_requests()
+        with pytest.raises(ValueError, match="duplicate paper id 'p0'"):
+            assign_conference(
+                Minaret(hub), [("p0", manuscript), ("p1", manuscript), ("p0", manuscript)]
+            )
+        assert hub.total_requests() == before

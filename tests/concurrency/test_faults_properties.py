@@ -113,12 +113,6 @@ class TestDecisionPurity:
         assert draws_a == draws_b
         assert any(draws_a) and not all(draws_a)
 
-    def test_stateful_should_fail_matches_decide_arrival_order(self):
-        stateful = FaultPolicy(failure_probability=0.3, burst_every=4, seed=2)
-        pure = FaultPolicy(failure_probability=0.3, burst_every=4, seed=2)
-        arrivals = [stateful.should_fail() for __ in range(50)]
-        assert arrivals == [pure.decide(o) for o in range(1, 51)]
-
     def test_ordinal_must_be_positive(self):
         with pytest.raises(ValueError):
             FaultPolicy().decide(0)

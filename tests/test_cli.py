@@ -41,6 +41,16 @@ class TestDemoCommand:
         assert "extract_candidates" in output
 
 
+def colliding_name(dataset):
+    """A name several scholars of the world share: verification cannot decide."""
+    from repro.world.io import load_world
+
+    world = load_world(dataset)
+    return next(
+        a.name for a in world.authors.values() if len(world.authors_by_name(a.name)) > 1
+    )
+
+
 class TestGenerateAndRecommend:
     @pytest.fixture()
     def dataset(self, tmp_path, capsys):
@@ -127,6 +137,28 @@ class TestGenerateAndRecommend:
         )
         assert code == 1
         assert "cannot load manuscript" in capsys.readouterr().err
+
+    def test_recommend_typed_pipeline_error(self, tmp_path, dataset, capsys):
+        """An ambiguous author is reported as ``error: ...``, not a traceback."""
+        import json
+
+        manuscript = tmp_path / "ambiguous.json"
+        manuscript.write_text(
+            json.dumps(
+                {
+                    "title": "t",
+                    "keywords": ["RDF"],
+                    "authors": [{"name": colliding_name(dataset)}],
+                }
+            )
+        )
+        code = main(
+            ["recommend", "--world", str(dataset), "--manuscript", str(manuscript)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "manual disambiguation required" in err
 
 
 class TestAssignCommand:
@@ -249,6 +281,79 @@ class TestAssignCommand:
         )
         assert code == 1
         assert f"error: {field}" in capsys.readouterr().err
+
+    def ambiguous_batch_file(self, tmp_path, dataset):
+        """``paper-0`` by a unique author, ``paper-1`` by a colliding name."""
+        import json
+
+        entries = json.loads(self.batch_file(tmp_path, dataset).read_text())
+        entries[1]["manuscript"]["authors"] = [{"name": colliding_name(dataset)}]
+        path = tmp_path / "ambiguous.json"
+        path.write_text(json.dumps(entries))
+        return path
+
+    def test_on_error_skip_reports_failed_paper(self, tmp_path, dataset, capsys):
+        batch = self.ambiguous_batch_file(tmp_path, dataset)
+        code = main(
+            [
+                "assign",
+                "--world", str(dataset),
+                "--batch", str(batch),
+                "--on-error", "skip",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "  FAILED paper-1: AmbiguousIdentityError: " in output
+        assert "  paper-0: " in output
+        assert "  paper-1: " not in output
+
+    def test_typed_pipeline_error_is_reported(self, tmp_path, dataset, capsys):
+        batch = self.ambiguous_batch_file(tmp_path, dataset)
+        code = main(["assign", "--world", str(dataset), "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert "manual disambiguation required" in captured.err
+        assert "Assignment" not in captured.out
+
+    @pytest.mark.parametrize(
+        ("flag", "field"),
+        [
+            ("--reviewers-per-paper", "reviewers_per_paper"),
+            ("--max-load", "capacity"),
+            ("--capacity", "capacity"),
+        ],
+    )
+    def test_size_below_one_errors_before_any_request(
+        self, tmp_path, dataset, capsys, flag, field
+    ):
+        import json
+
+        batch = self.batch_file(tmp_path, dataset)
+        code = main(
+            [
+                "assign",
+                "--world", str(dataset),
+                "--batch", str(batch),
+                flag, "0",
+                "--metrics",
+            ]
+        )
+        error, summary = capsys.readouterr().err.split("\n", 1)
+        assert code == 1
+        assert error == f"error: {field} must be >= 1, got 0"
+        assert "http_requests_total" not in json.loads(summary)["counters"]
+
+    @pytest.mark.parametrize("paper_id", ["null", "5", '""'])
+    def test_bad_paper_id_errors(self, tmp_path, dataset, capsys, paper_id):
+        """A paper id is a non-empty JSON string, never ``str()``-coerced."""
+        batch = tmp_path / "bad_id.json"
+        batch.write_text(f'[{{"paper_id": {paper_id}, "manuscript": {{}}}}]')
+        code = main(["assign", "--world", str(dataset), "--batch", str(batch)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot load inputs: manuscripts[0].paper_id" in err
 
     def test_capacity_is_max_load_alias(self, tmp_path, dataset, capsys):
         batch = self.batch_file(tmp_path, dataset)

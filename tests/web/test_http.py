@@ -34,21 +34,21 @@ def client(clock):
 class TestFaultPolicy:
     def test_never_fails(self):
         policy = FaultPolicy.never()
-        assert not any(policy.should_fail() for __ in range(100))
+        assert not any(policy.decide(o) for o in range(1, 101))
 
     def test_burst_schedule(self):
         policy = FaultPolicy(burst_every=3, burst_length=2)
-        outcomes = [policy.should_fail() for __ in range(8)]
+        outcomes = [policy.decide(o) for o in range(1, 9)]
         assert outcomes == [False, False, True, True, False, True, True, False]
 
     def test_probabilistic_deterministic_per_seed(self):
-        a = [FaultPolicy(failure_probability=0.5, seed=1).should_fail() for __ in range(20)]
-        b = [FaultPolicy(failure_probability=0.5, seed=1).should_fail() for __ in range(20)]
+        a = [FaultPolicy(failure_probability=0.5, seed=1).decide(o) for o in range(1, 21)]
+        b = [FaultPolicy(failure_probability=0.5, seed=1).decide(o) for o in range(1, 21)]
         assert a == b
 
     def test_probability_one_always_fails(self):
         policy = FaultPolicy(failure_probability=1.0)
-        assert all(policy.should_fail() for __ in range(10))
+        assert all(policy.decide(o) for o in range(1, 11))
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
@@ -157,12 +157,12 @@ class TestStats:
 class TestLatencyModel:
     def test_no_jitter_is_constant(self):
         model = LatencyModel(base=0.5, jitter=0.0)
-        assert {model.sample() for __ in range(5)} == {0.5}
+        assert {model.sample(o) for o in range(1, 6)} == {0.5}
 
     def test_jitter_within_bounds(self):
         model = LatencyModel(base=0.1, jitter=0.2, seed=3)
-        for __ in range(100):
-            sample = model.sample()
+        for o in range(1, 101):
+            sample = model.sample(o)
             assert 0.1 <= sample <= 0.3
 
     def test_negative_parameters_rejected(self):
