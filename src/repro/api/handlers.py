@@ -79,6 +79,7 @@ from repro.api.serialization import (
     as_float,
     as_int,
     as_name,
+    author_from_payload,
     batch_from_payload,
     config_from_payload,
     manuscript_from_payload,
@@ -87,7 +88,6 @@ from repro.api.serialization import (
 )
 from repro.core.errors import AmbiguousIdentityError, IdentityVerificationError
 from repro.core.identity import IdentityVerifier
-from repro.core.models import ManuscriptAuthor
 from repro.core.pipeline import Minaret
 from repro.obs import (
     Observability,
@@ -418,7 +418,9 @@ class MinaretApi:
             # The config's own range checks name the field.
             raise ValidationError(str(exc)) from exc
         expander = KeywordExpander(self._ontology, config)
-        expansions = expander.expand([str(k) for k in keywords])
+        expansions = expander.expand(
+            [as_name(k, f"keywords[{index}]") for index, k in enumerate(keywords)]
+        )
         return {
             "expansions": [
                 {
@@ -439,11 +441,7 @@ class MinaretApi:
         verified = []
         for index, author_payload in enumerate(authors_payload):
             try:
-                author = ManuscriptAuthor(
-                    name=as_name(author_payload["name"], f"authors[{index}].name"),
-                    affiliation=str(author_payload.get("affiliation", "")),
-                    country=str(author_payload.get("country", "")),
-                )
+                author = author_from_payload(author_payload, f"authors[{index}]")
             except (KeyError, TypeError, AttributeError) as exc:
                 raise ValidationError(
                     f"invalid author entry {author_payload!r}: each needs a name"

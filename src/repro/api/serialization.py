@@ -27,32 +27,42 @@ def manuscript_from_payload(payload: dict) -> Manuscript:
     Raises a 400 :class:`ApiError` on structural problems so the router
     can surface a clean validation message.  Author names and keywords
     must be non-empty JSON strings: a ``null`` or blank one is rejected
-    here, before any source is crawled for it.
+    here, before any source is crawled for it.  The optional text fields
+    (``title``, ``abstract``, ``target_venue`` and each author's
+    ``affiliation`` and ``country``) go through :func:`as_text`.
     """
     try:
         authors = tuple(
-            ManuscriptAuthor(
-                name=as_name(author["name"], f"authors[{index}].name"),
-                affiliation=str(author.get("affiliation", "")),
-                country=str(author.get("country", "")),
-            )
+            author_from_payload(author, f"authors[{index}]")
             for index, author in enumerate(payload["authors"])
         )
         manuscript = Manuscript(
-            title=str(payload.get("title", "")),
+            title=as_text(payload.get("title"), "title"),
             keywords=tuple(
                 as_name(keyword, f"keywords[{index}]")
                 for index, keyword in enumerate(payload["keywords"])
             ),
             authors=authors,
-            target_venue=str(payload.get("target_venue", "")),
-            abstract=str(payload.get("abstract", "")),
+            target_venue=as_text(payload.get("target_venue"), "target_venue"),
+            abstract=as_text(payload.get("abstract"), "abstract"),
         )
     except KeyError as exc:
         raise ApiError(400, f"manuscript payload missing {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ApiError(400, f"invalid manuscript payload: {exc}") from exc
     return manuscript
+
+
+def author_from_payload(payload: dict, field: str) -> ManuscriptAuthor:
+    """One ``{name, affiliation, country}`` author object.
+
+    Errors name the field under ``field`` (``authors[0].affiliation``).
+    """
+    return ManuscriptAuthor(
+        name=as_name(payload["name"], f"{field}.name"),
+        affiliation=as_text(payload.get("affiliation"), f"{field}.affiliation"),
+        country=as_text(payload.get("country"), f"{field}.country"),
+    )
 
 
 def batch_from_payload(payload: object) -> list[tuple[str, Manuscript]]:
@@ -129,6 +139,20 @@ def as_name(value: object, name: str) -> str:
     """
     if not isinstance(value, str) or not value.strip():
         raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def as_text(value: object, name: str) -> str:
+    """An optional client-supplied text field, or a typed 400 naming it.
+
+    An absent or ``null`` field is the empty string and a JSON string
+    passes unchanged; anything else is rejected, so ``5`` is not read as
+    the venue ``"5"`` nor ``null`` as the institution ``"None"``.
+    """
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
     return value
 
 

@@ -7,6 +7,7 @@ report deterministic *simulated* latencies, and tests never sleep.
 
 from __future__ import annotations
 
+import math
 import threading
 
 
@@ -27,8 +28,8 @@ class SimulatedClock:
     """
 
     def __init__(self, start: float = 0.0):
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start}")
+        if not (math.isfinite(start) and start >= 0):
+            raise ValueError(f"start must be finite and >= 0, got {start}")
         self._now = float(start)
         self._lock = threading.Lock()
 
@@ -38,8 +39,9 @@ class SimulatedClock:
             return self._now
 
     def advance(self, seconds: float) -> None:
-        """Move time forward; negative advances are rejected."""
-        if seconds < 0:
+        """Move time forward; negative or non-finite advances are rejected
+        (NaN or inf would poison every later reading of the shared clock)."""
+        if not (math.isfinite(seconds) and seconds >= 0):
             raise ValueError(f"cannot advance clock by {seconds}")
         with self._lock:
             self._now += seconds

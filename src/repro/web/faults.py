@@ -13,13 +13,30 @@ fail relative to a sequential run.  Keying each draw by its ordinal
 makes the fail/pass sequence identical under any call interleaving,
 which is what lets parallel extraction reproduce sequential output
 bit-for-bit even with faults injected.
+
+:func:`unit_draw` is that keyed draw, shared with the latency model in
+:mod:`repro.web.http` and memoised per process.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from repro.obs import get_obs
+
+
+@functools.lru_cache(maxsize=1 << 15, typed=True)
+def unit_draw(seed: int, ordinal: int) -> float:
+    """The uniform draw in [0, 1) keyed by ``(seed, ordinal)``.
+
+    ``random.Random(f"{seed}:{ordinal}").random()`` in a bounded
+    process-wide LRU: the value is pure, so a repeated key is a lookup,
+    and pool threads need no lock (two that miss on one key compute the
+    same value).  The key is typed because ``1``, ``1.0`` and ``True``
+    compare equal but format differently.
+    """
+    return random.Random(f"{seed}:{ordinal}").random()
 
 
 class FaultPolicy:
@@ -95,8 +112,7 @@ class FaultPolicy:
             raise ValueError(f"ordinal must be >= 1, got {ordinal}")
         failed = self._burst_every is not None and self._burst_fails(ordinal)
         if not failed and self._failure_probability > 0.0:
-            draw = random.Random(f"{self._seed}:{ordinal}").random()
-            failed = draw < self._failure_probability
+            failed = unit_draw(self._seed, ordinal) < self._failure_probability
         if failed:
             # Observational only: the decision above is already made.
             get_obs().inc("faults_injected_total", policy=self._name)

@@ -26,7 +26,7 @@ exactly.
 
 from __future__ import annotations
 
-import random
+import math
 import threading
 import time
 import zlib
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from repro.obs import get_obs
 from repro.obs.ledger import charge_http, charge_wait
 from repro.web.clock import SimulatedClock
-from repro.web.faults import FaultPolicy
+from repro.web.faults import FaultPolicy, unit_draw
 from repro.web.ratelimit import TokenBucket
 
 Params = Mapping[str, object]
@@ -150,16 +150,20 @@ class LatencyModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base < 0 or self.jitter < 0:
-            raise ValueError("latency parameters must be non-negative")
+        # NaN or inf would poison the shared clock on the first request.
+        if not all(math.isfinite(v) and v >= 0 for v in (self.base, self.jitter)):
+            raise ValueError(
+                "latency parameters must be finite and non-negative, "
+                f"got base={self.base}, jitter={self.jitter}"
+            )
 
     def sample(self, ordinal: int) -> float:
         """The latency of request ``ordinal``: pure and stateless."""
         if self.jitter == 0:
             return self.base
-        return self.base + random.Random(f"{self.seed}:{ordinal}").uniform(
-            0.0, self.jitter
-        )
+        # random.uniform(0, j) is 0 + (j - 0) * random(), so this equals
+        # the uniform draw exactly.
+        return self.base + self.jitter * unit_draw(self.seed, ordinal)
 
 
 @dataclass

@@ -198,6 +198,8 @@ class TestNamesAndKeywords:
             return {"manuscript": payload}
         if path == "assign":
             return {"manuscripts": [{"paper_id": paper_id, "manuscript": payload}]}
+        if path == "expand":
+            return {"keywords": payload["keywords"]}
         return {"authors": payload["authors"]}
 
     @pytest.mark.parametrize("value", BAD)
@@ -210,6 +212,7 @@ class TestNamesAndKeywords:
             ("assign", "keyword", "keywords[0]"),
             ("verify-authors", "name", "authors[0].name"),
             ("assign", "paper_id", "manuscripts[0].paper_id"),
+            ("expand", "keyword", "keywords[0]"),
         ],
     )
     def test_rejected_before_any_request(
@@ -222,6 +225,67 @@ class TestNamesAndKeywords:
         assert response.status == 400
         assert field in response.body["error"]
         assert hub.total_requests() == before
+
+
+class TestOptionalTextFields:
+    """An optional text field is absent, ``null`` (read as ``""``) or a JSON
+    string: ``5`` is not read as the venue ``"5"`` nor ``null`` as ``"None"``."""
+
+    @staticmethod
+    def body(path, manuscript, field, value):
+        payload = manuscript_payload(manuscript)
+        if field.startswith("authors[0]."):
+            payload["authors"][0][field.removeprefix("authors[0].")] = value
+        else:
+            payload[field] = value
+        if path == "recommend":
+            return {"manuscript": payload}
+        return {"authors": payload["authors"]}
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(5, id="number"),
+            pytest.param(True, id="true"),
+            pytest.param(["x"], id="list"),
+            pytest.param({"a": 1}, id="object"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        ("path", "field"),
+        [
+            ("recommend", "title"),
+            ("recommend", "abstract"),
+            ("recommend", "target_venue"),
+            ("recommend", "authors[0].affiliation"),
+            ("recommend", "authors[0].country"),
+            ("verify-authors", "authors[0].affiliation"),
+            ("verify-authors", "authors[0].country"),
+        ],
+    )
+    def test_non_string_rejected_before_any_request(
+        self, api, hub, manuscript, path, field, value
+    ):
+        before = hub.total_requests()
+        response = api.handle(
+            "POST", f"/api/v1/{path}", self.body(path, manuscript, field, value)
+        )
+        assert response.status == 400
+        assert field in response.body["error"]
+        assert hub.total_requests() == before
+
+    def test_null_target_venue_is_empty_and_not_looked_up(self, hub, manuscript):
+        api = MinaretApi(hub, trace_capacity=100_000)
+        response = api.handle(
+            "POST",
+            "/api/v1/recommend",
+            self.body("recommend", manuscript, "target_venue", None),
+        )
+        assert response.ok
+        assert response.body["manuscript"]["target_venue"] == ""
+        paths = [trace.path for trace in hub.http.traces()]
+        assert "/search/venue" not in paths
+        assert len(paths) == hub.total_requests()
 
 
 class TestExpand:

@@ -47,6 +47,19 @@ class TestManuscriptFromPayload:
         assert manuscript.title == ""
         assert manuscript.authors[0].country == ""
 
+    def test_null_optional_fields_are_empty(self):
+        manuscript = manuscript_from_payload(
+            {
+                "title": None,
+                "keywords": ["rdf"],
+                "authors": [{"name": "Ada", "affiliation": None, "country": None}],
+                "target_venue": None,
+                "abstract": None,
+            }
+        )
+        assert manuscript.title == manuscript.abstract == manuscript.target_venue == ""
+        assert manuscript.authors[0].affiliation == manuscript.authors[0].country == ""
+
     def test_missing_keywords_is_api_error(self):
         with pytest.raises(ApiError) as exc_info:
             manuscript_from_payload({"authors": [{"name": "Ada"}]})

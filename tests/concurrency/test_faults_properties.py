@@ -1,5 +1,6 @@
 """Property tests for the fault policy's pure, ordinal-keyed decisions."""
 
+import random
 import threading
 
 import pytest
@@ -8,7 +9,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.web.faults import FaultPolicy
+from repro.obs import Observability, use
+from repro.web.faults import FaultPolicy, unit_draw
+from repro.web.http import LatencyModel
 
 
 def reference_burst_schedule(burst_every: int, burst_length: int, n: int) -> list[bool]:
@@ -116,3 +119,57 @@ class TestDecisionPurity:
     def test_ordinal_must_be_positive(self):
         with pytest.raises(ValueError):
             FaultPolicy().decide(0)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        ordinal=st.integers(min_value=1, max_value=2**32),
+        base=st.floats(min_value=0.0, max_value=10.0),
+        jitter=st.floats(min_value=0.0, max_value=10.0),
+        probability=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draws_equal_the_string_seeded_formula(
+        self, seed, ordinal, base, jitter, probability
+    ):
+        # The memo must return exactly what a fresh generator would.
+        model = LatencyModel(base=base, jitter=jitter, seed=seed)
+        policy = FaultPolicy(failure_probability=probability, seed=seed)
+        for _ in range(2):
+            rng = random.Random(f"{seed}:{ordinal}")
+            assert model.sample(ordinal) == base + rng.uniform(0.0, jitter)
+            rng = random.Random(f"{seed}:{ordinal}")
+            assert policy.decide(ordinal) == (rng.random() < probability)
+
+    def test_repeated_draw_is_a_memo_hit(self):
+        model = LatencyModel(base=0.1, jitter=0.2, seed=41)
+        policy = FaultPolicy(failure_probability=0.5, seed=43)
+        first_latency, first_fate = model.sample(777), policy.decide(777)
+        hits = unit_draw.cache_info().hits
+        assert model.sample(777) == first_latency
+        assert policy.decide(777) == first_fate
+        assert unit_draw.cache_info().hits == hits + 2
+
+    def test_repeated_failing_ordinal_is_counted_each_time(self):
+        policy = FaultPolicy(failure_probability=1.0, seed=3, name="p")
+        obs = Observability()
+        with use(obs):
+            assert policy.decide(5) and policy.decide(5)
+        assert obs.metrics.counter_value("faults_injected_total", policy="p") == 2
+
+    def test_threads_drawing_the_same_ordinals_get_sequential_results(self):
+        ordinals = range(1, 2001)
+        expected = [random.Random(f"11:{o}").random() for o in ordinals]
+        unit_draw.cache_clear()  # make the threads race on misses too
+        results = [None] * 8
+        start = threading.Barrier(8)
+
+        def worker(index):
+            start.wait()
+            results[index] = [unit_draw(11, o) for o in ordinals]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [expected] * 8

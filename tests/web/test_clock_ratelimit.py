@@ -15,9 +15,10 @@ class TestClock:
     def test_custom_start(self):
         assert SimulatedClock(start=5.0).now() == 5.0
 
-    def test_negative_start_rejected(self):
+    @pytest.mark.parametrize("start", [-1.0, float("nan"), float("inf")])
+    def test_negative_start_rejected(self, start):
         with pytest.raises(ValueError):
-            SimulatedClock(start=-1.0)
+            SimulatedClock(start=start)
 
     def test_advance_accumulates(self):
         clock = SimulatedClock()
@@ -25,9 +26,12 @@ class TestClock:
         clock.advance(0.5)
         assert clock.now() == 2.0
 
-    def test_negative_advance_rejected(self):
+    @pytest.mark.parametrize("seconds", [-0.1, float("nan"), float("inf")])
+    def test_negative_advance_rejected(self, seconds):
+        clock = SimulatedClock(start=2.0)
         with pytest.raises(ValueError):
-            SimulatedClock().advance(-0.1)
+            clock.advance(seconds)
+        assert clock.now() == 2.0
 
     def test_sleep_is_advance(self):
         clock = SimulatedClock()

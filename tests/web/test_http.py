@@ -165,6 +165,17 @@ class TestLatencyModel:
             sample = model.sample(o)
             assert 0.1 <= sample <= 0.3
 
-    def test_negative_parameters_rejected(self):
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param({"base": -0.1}, id="negative-base"),
+            pytest.param({"jitter": -0.1}, id="negative-jitter"),
+            pytest.param({"base": float("nan")}, id="nan-base"),
+            pytest.param({"jitter": float("nan")}, id="nan-jitter"),
+            pytest.param({"base": float("inf")}, id="inf-base"),
+            pytest.param({"jitter": float("inf")}, id="inf-jitter"),
+        ],
+    )
+    def test_negative_parameters_rejected(self, params):
         with pytest.raises(ValueError):
-            LatencyModel(base=-0.1)
+            LatencyModel(**params)
