@@ -172,6 +172,13 @@ def test_bench_scale_population(benchmark):
     assert verified and all(verified)
     # Measured per-query wall grows sub-linearly in world size.
     assert scaling["sublinear"]
+    # The COI screen works only the pool, capped at 200 at both sizes,
+    # so its wall must not follow the population from 10^4 to 10^5.
+    coi = {
+        entry["authors"]: entry["mean_phase_wall_seconds"]["scale.coi"]
+        for entry in report["sizes"]
+    }
+    assert coi[100_000] <= 3 * coi[10_000]
     # Interning must save memory, not cost it.
     assert interning["saved_bytes"] > 0
     # The wall-clock claim is on query latency itself: scoring reads

@@ -114,7 +114,7 @@ def run_scale_bench(
 
     ``pool_limit`` caps the retrieved pool per query — the setting that
     makes per-query work sub-linear in world size (posting scans grow
-    with the population, but screening and scoring work only the pool).
+    with the population; screening and scoring read only pool rows).
     ``verify_max`` bounds the sizes at which the brute-force reference
     runs (it is O(world) per query by design); the verification query
     runs uncapped, since the full scan considers every match.

@@ -7,8 +7,8 @@ population scale:
    once, block by block, and keeps only *index* structures: the interest
    index (keyword → scholar postings, one
    :class:`~repro.storage.inverted.InvertedIndex`), and the COI screen's
-   posting maps — ``institution → (start, end, candidate)`` intervals
-   and per-candidate co-author sets.  While each block is in hand,
+   per-scholar tables — a tuple of ``(institution, start, end)``
+   affiliation rows and a co-author set.  While each block is in hand,
    ingest also keeps one compact **scoring row** per scholar —
    ``(name, log1p(citations), review count, on-time rate)``, the exact
    values :func:`~repro.scoring.features.build_candidate_features`
@@ -16,16 +16,17 @@ population scale:
    resident: rows and postings are both O(world) but a few hundred
    bytes per scholar, never publications or reviews.
 2. **Retrieval** runs the index's ranked union over the query keywords.
-3. **COI screening** probes the institution postings with the
-   submitters' affiliation intervals, then tests each pool member for
-   identity with, or co-authorship of, a submitter.
+3. **COI screening** reads the submitters' affiliation rows from that
+   table and tests each pool member's identity, co-authors and own
+   affiliation rows against them.
 4. **Scoring** never touches the streaming world: it looks each
    survivor's scoring row up, takes the pool maxima (scores are
-   pool-normalised) and keeps the top-k under the canonical
-   ``(-score, candidate_id)`` tie-break.
+   pool-normalised), totals every row and builds hits only for the
+   top-k under the canonical ``(-score, candidate_id)`` tie-break.
 
-Per-query work is proportional to the *retrieved pool*, not the world:
-that is the sub-linear per-query cost EXP-SCALE measures.
+Past retrieval's posting scan, per-query work is proportional to the
+*retrieved pool*, not the world: that is the sub-linear per-query cost
+EXP-SCALE measures.
 :meth:`ScalePlane.brute_force_topk` recomputes the same answer with
 none of the machinery — a full scan over every scholar — as the
 equality reference.
@@ -59,6 +60,9 @@ _W_IMPACT = 0.25
 _W_EXPERIENCE = 0.20
 _W_TIMELINESS = 0.10
 
+#: :attr:`ScaleHit.components` keys, in the order the weights above list them.
+_COMPONENTS = ("relevance", "impact", "experience", "timeliness")
+
 
 @dataclass(frozen=True)
 class PoolMember:
@@ -77,7 +81,7 @@ class ScaleVerdict:
     reasons: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaleHit:
     """One ranked recommendation."""
 
@@ -105,33 +109,31 @@ def score_rows(
 
     A pure function of ``(rows, pool maxima, k)`` — shared verbatim by
     the query path and the brute-force reference, so both produce the
-    same floats by construction.
+    same floats by construction.  Every row is totalled; hits and their
+    component dicts are built only for the ``k`` kept.
     """
     max_rel, max_imp, max_exp, max_tml = maxima
-    hits = []
+    ranked = []
     for candidate_id, name, rel, imp, exp, tml in rows:
-        components = {
-            "relevance": rel / max_rel if max_rel > 0 else 0.0,
-            "impact": imp / max_imp if max_imp > 0 else 0.0,
-            "experience": exp / max_exp if max_exp > 0 else 0.0,
-            "timeliness": tml / max_tml if max_tml > 0 else 0.0,
-        }
+        components = (
+            rel / max_rel if max_rel > 0 else 0.0,
+            imp / max_imp if max_imp > 0 else 0.0,
+            exp / max_exp if max_exp > 0 else 0.0,
+            tml / max_tml if max_tml > 0 else 0.0,
+        )
         total = round(
-            _W_RELEVANCE * components["relevance"]
-            + _W_IMPACT * components["impact"]
-            + _W_EXPERIENCE * components["experience"]
-            + _W_TIMELINESS * components["timeliness"],
+            _W_RELEVANCE * components[0]
+            + _W_IMPACT * components[1]
+            + _W_EXPERIENCE * components[2]
+            + _W_TIMELINESS * components[3],
             6,
         )
-        hits.append(
-            ScaleHit(
-                candidate_id=candidate_id,
-                name=name,
-                total_score=total,
-                components=components,
-            )
-        )
-    return heapq.nsmallest(k, hits, key=lambda h: (-h.total_score, h.candidate_id))
+        # Candidate ids are unique, so comparisons stop at the id.
+        ranked.append((-total, candidate_id, name, components))
+    return [
+        ScaleHit(candidate_id, name, -neg, dict(zip(_COMPONENTS, components)))
+        for neg, candidate_id, name, components in heapq.nsmallest(k, ranked)
+    ]
 
 
 class ScalePlane:
@@ -171,8 +173,9 @@ class ScalePlane:
         self.world = world
         self.index = InvertedIndex()
         self._rows: dict[str, tuple[str, float, float, float]] = {}
-        self._institutions: dict[str, list[tuple[int, int, str]]] = {}
+        self._affiliations: dict[str, tuple[tuple[str, int, int], ...]] = {}
         self._coauthors: dict[str, frozenset[str]] = {}
+        self._institution_count = 0
         self._ingested = False
 
     # ------------------------------------------------------------------
@@ -192,6 +195,8 @@ class ScalePlane:
             raise RuntimeError("ScalePlane.ingest() already ran on this plane")
         world = self.world
         ontology = world.ontology
+        # One int object per distinct year, not two per affiliation row.
+        years: dict[int, int] = {}
         with get_obs().span("scale.ingest"):
             block_count = -(-world.config.author_count // world.block_size)
             for block_id in range(block_count):
@@ -204,15 +209,19 @@ class ScalePlane:
                         )
                     }
                     self.index.add(author.author_id, interests)
+                    rows = []
                     for aff in author.affiliations:
                         end = aff.end_year if aff.end_year is not None else 10_000
-                        self._institutions.setdefault(aff.institution, []).append(
-                            (aff.start_year, end, author.author_id)
-                        )
+                        start = years.setdefault(aff.start_year, aff.start_year)
+                        rows.append((aff.institution, start, years.setdefault(end, end)))
+                    self._affiliations[author.author_id] = tuple(rows)
                     self._coauthors[author.author_id] = frozenset(
                         block.coauthors[author.author_id]
                     )
                     self._rows[author.author_id] = _scoring_row(block, author)
+        self._institution_count = len(
+            {row[0] for rows in self._affiliations.values() for row in rows}
+        )
         self._ingested = True
         return self.stats()
 
@@ -221,7 +230,7 @@ class ScalePlane:
             "authors": self.world.config.author_count,
             "index": self.index.stats(),
             "scoring_rows": len(self._rows),
-            "coi_institution_terms": len(self._institutions),
+            "coi_institution_terms": self._institution_count,
             "coi_candidates": len(self._coauthors),
         }
 
@@ -252,51 +261,38 @@ class ScalePlane:
     ) -> list[ScaleVerdict]:
         """COI screening of the retrieved pool, in pool order.
 
-        Probes the institution postings with every submitter
-        affiliation interval (inclusive years; an open end counts as
-        year 10,000), then tests each pool member for identity with, or
-        co-authorship of, a submitter.  Reasons come in that order:
+        Reads the submitters' affiliation rows from the ingest-time table
+        (an id the world never issued has none), then tests each pool
+        member for identity with, or co-authorship of, a submitter, and
+        its own rows against theirs (same institution, inclusive years;
+        an open end counts as year 10,000).  Reasons come in that order:
         ``submitting-author``, then ``coauthor:<id>`` and
         ``institution:<name>``, each sorted.
         """
         self._require_ingested()
         with get_obs().span("scale.coi", pool=len(pool)):
+            affiliations, coauthors = self._affiliations, self._coauthors
             submitters = set(submitter_ids)
-            overlapping: dict[str, set[str]] = {}
+            submitter_spans: dict[str, list[tuple[int, int]]] = {}
             for submitter_id in submitter_ids:
-                try:
-                    author = self.world.profile(self.world.author_index(submitter_id))
-                except KeyError:
-                    continue
-                for aff in author.affiliations:
-                    end = aff.end_year if aff.end_year is not None else 10_000
-                    for c_start, c_end, candidate_id in self._institutions.get(
-                        aff.institution, ()
-                    ):
-                        if c_start <= end and aff.start_year <= c_end:
-                            overlapping.setdefault(candidate_id, set()).add(
-                                aff.institution
-                            )
+                for institution, start, end in affiliations.get(submitter_id, ()):
+                    submitter_spans.setdefault(institution, []).append((start, end))
             verdicts = []
             for member in pool:
-                reasons: list[str] = []
-                if member.candidate_id in submitters:
-                    reasons.append("submitting-author")
-                shared = sorted(
-                    self._coauthors.get(member.candidate_id, frozenset()) & submitters
-                )
-                reasons.extend(f"coauthor:{a}" for a in shared)
-                reasons.extend(
-                    f"institution:{i}"
-                    for i in sorted(overlapping.get(member.candidate_id, ()))
-                )
-                verdicts.append(
-                    ScaleVerdict(
-                        candidate_id=member.candidate_id,
-                        has_conflict=bool(reasons),
-                        reasons=tuple(reasons),
-                    )
-                )
+                candidate_id = member.candidate_id
+                shared = coauthors.get(candidate_id, frozenset()) & submitters
+                institutions = set()
+                for institution, start, end in affiliations.get(candidate_id, ()):
+                    for s_start, s_end in submitter_spans.get(institution, ()):
+                        if s_start <= end and start <= s_end:
+                            institutions.add(institution)
+                if not (shared or institutions or candidate_id in submitters):
+                    verdicts.append(ScaleVerdict(candidate_id, False, ()))
+                    continue
+                reasons = ["submitting-author"] if candidate_id in submitters else []
+                reasons.extend(f"coauthor:{a}" for a in sorted(shared))
+                reasons.extend(f"institution:{i}" for i in sorted(institutions))
+                verdicts.append(ScaleVerdict(candidate_id, True, tuple(reasons)))
         return verdicts
 
     def candidate_of(self, candidate_id: str):

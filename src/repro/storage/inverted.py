@@ -183,7 +183,9 @@ class InvertedIndex:
         ``use_idf=False`` weighs every term 1.0.
 
         Returns postings whose ``weight`` field holds the aggregate score,
-        sorted by descending score then id; ``limit`` truncates.
+        sorted by descending score then id; ``limit`` truncates.  Every
+        matching document is ranked by its ``(-score, doc_id)`` key, but
+        postings are built only for the cut that is returned.
         """
         weights = query_weights or {}
         total_docs = len(self._document_terms)
@@ -196,13 +198,13 @@ class InvertedIndex:
             query_weight = float(weights.get(term, 1.0))
             for doc_id, term_weight in bucket.items():
                 scores[doc_id] += query_weight * term_weight * term_idf
-        results = [Posting(doc_id=d, weight=s) for d, s in scores.items()]
-        if limit is not None and 0 <= limit < len(results):
-            return heapq.nsmallest(
-                limit, results, key=lambda p: (-p.weight, p.doc_id)
-            )
-        results.sort(key=lambda p: (-p.weight, p.doc_id))
-        return results
+        # Doc ids are unique, so key comparisons never go past ``doc_id``.
+        ranked = [(-s, d) for d, s in scores.items()]
+        if limit is not None and 0 <= limit < len(ranked):
+            ranked = heapq.nsmallest(limit, ranked)
+        else:
+            ranked.sort()
+        return [Posting(d, -neg) for neg, d in ranked]
 
     def search_all(self, terms: Iterable[str]) -> list[str]:
         """Boolean AND-retrieval: ids of documents containing *every* term."""

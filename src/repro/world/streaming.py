@@ -206,12 +206,14 @@ class StreamingWorld:
             yield self._sid(f"author-{index}")
 
     def author_index(self, author_id: str) -> int:
-        """The index behind an ``author-N`` id (raises on unknown ids)."""
+        """The index behind an id in the one spelling :meth:`author_ids`
+        issues; ``author-007``, ``author-+7``, non-strings and unknown ids
+        name no scholar and raise :class:`KeyError`."""
         try:
             index = int(author_id.removeprefix("author-"))
-        except ValueError:
+        except (AttributeError, TypeError, ValueError):
             raise KeyError(author_id) from None
-        if not 0 <= index < self.config.author_count:
+        if author_id != f"author-{index}" or not 0 <= index < self.config.author_count:
             raise KeyError(author_id)
         return index
 

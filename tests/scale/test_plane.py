@@ -167,14 +167,19 @@ class TestScreening:
         assert by_id[coauthor].has_conflict
         assert "coauthor:author-5" in by_id[coauthor].reasons
 
-    def test_unknown_submitter_screens_nothing_extra(self, plane, keywords):
-        pool = plane.retrieve(keywords)
-        baseline = plane.screen(pool, [])
-        with_ghost = plane.screen(pool, ["author-99999"])
-        assert baseline == with_ghost
-        assert plane.topk(keywords, ["author-99999"])[0] == plane.brute_force_topk(
-            keywords, ["author-99999"]
-        )
+    def test_unknown_submitter_screens_nothing_extra(self, plane, scale_world, keywords):
+        """An id the world never issued adds no reason: out of range, or
+        a non-canonical spelling of a real id.  ``author-007`` must not
+        borrow ``author-7``'s affiliations; the second query's pool holds
+        ``author-7`` itself."""
+        for query in (keywords, scale_world.interest_weights(7)):
+            pool = plane.retrieve(query)
+            baseline = plane.screen(pool, [])
+            for ghost in ("author-99999", "author-007"):
+                assert plane.screen(pool, [ghost]) == baseline
+                assert plane.topk(query, [ghost])[0] == plane.brute_force_topk(
+                    query, [ghost]
+                )
 
     def test_verdicts_in_pool_order(self, plane, keywords):
         pool = plane.retrieve(keywords)
@@ -248,7 +253,7 @@ class TestIngest:
         with pytest.raises(RuntimeError, match=re.escape("ingest()")):
             fresh.ingest()
         assert fresh.stats() == first
-        assert sum(len(p) for p in fresh._institutions.values()) == sum(
+        assert sum(len(rows) for rows in fresh._affiliations.values()) == sum(
             len(scale_world.profile(i).affiliations) for i in range(200)
         )
 
@@ -288,3 +293,15 @@ class TestScoringRows:
         assert world.stats()["blocks_realized"] == before
         for query, hits in zip(queries, answers):
             assert hits == plane.brute_force_topk(query, submitters, k=10)
+
+    def test_queries_never_regenerate_a_profile(self, plane, keywords, monkeypatch):
+        """The submitters' affiliations come from the ingest-time rows,
+        so a query derives no profile, known submitter or not."""
+        calls = []
+        profile = plane.world.profile
+        monkeypatch.setattr(
+            plane.world, "profile", lambda index: calls.append(index) or profile(index)
+        )
+        plane.topk(keywords, ["author-0", "author-1", "author-99999"], k=10)
+        plane.topk(list(keywords), ["author-5"], k=10, pool_limit=20)
+        assert calls == []

@@ -151,6 +151,35 @@ class TestProperties:
         expected = sorted(corpus)
         assert index.search_any(all_terms) == expected
 
+    @given(
+        corpus=st.dictionaries(
+            st.sampled_from([f"d{i}" for i in range(8)]),
+            st.dictionaries(
+                st.sampled_from(["t1", "t2", "t3"]),
+                st.sampled_from([0.5, 1.0, 2.0]),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=8,
+        ),
+        terms=st.lists(st.sampled_from(["t1", "t2", "t3", "t4"]), max_size=4),
+        query_weights=st.dictionaries(
+            st.sampled_from(["t1", "t2", "t3"]), st.sampled_from([0.5, 1.0])
+        ),
+        use_idf=st.booleans(),
+    )
+    def test_limit_cuts_the_full_ranking(self, corpus, terms, query_weights, use_idf):
+        """Three posting weights and two query weights force score ties,
+        which the cut must break by doc id exactly as the full sort does."""
+        index = InvertedIndex()
+        for doc_id, weights in corpus.items():
+            index.add(doc_id, weights)
+        full = index.search(terms, query_weights, use_idf=use_idf)
+        assert full == sorted(full, key=lambda p: (-p.weight, p.doc_id))
+        for n in {0, 1, max(len(full) - 1, 0), len(full), len(full) + 3}:
+            cut = index.search(terms, query_weights, limit=n, use_idf=use_idf)
+            assert cut == full[:n]
+
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=10))
     def test_remove_everything_empties_index(self, doc_ids):
         index = InvertedIndex()

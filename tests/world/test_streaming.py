@@ -182,11 +182,24 @@ class TestPopulationShape:
     def test_author_ids_and_index_roundtrip(self, streaming_world):
         ids = list(streaming_world.author_ids())
         assert len(ids) == 96
-        assert streaming_world.author_index("author-95") == 95
+        assert [streaming_world.author_index(i) for i in ids] == list(range(96))
         with pytest.raises(KeyError):
             streaming_world.author_index("author-96")
         with pytest.raises(KeyError):
             streaming_world.author_index("venue-3")
+        # No spelling here is one the world issues, though ``int`` reads
+        # most of them as 0, 7 or 10: each raises before any block is
+        # realised.
+        realised = streaming_world.stats()["blocks_realized"]
+        for spelling in (
+            "author-007", "author-+7", "author- 7", "author-7 ", "author-\u0667",
+            "author-1_0", "7", "author--0", 7, None,
+        ):
+            with pytest.raises(KeyError):
+                streaming_world.author_index(spelling)
+            with pytest.raises(KeyError):
+                streaming_world.scholar(spelling)
+        assert streaming_world.stats()["blocks_realized"] == realised
 
     def test_interned_ids_share_objects(self):
         world = StreamingWorld(_SMALL, block_size=16, cache_blocks=1)
