@@ -14,13 +14,17 @@ drift hits both modes equally.  The outputs must be bit-identical —
 instrumentation is read-only — and the enabled run must cost at most
 10% more wall time.
 
-The sleeps make that headline a fraction of padded wall time.  A
-CPU-bound arm therefore times a warm ``recommend_batch`` over a planted
-conference with no injected sleeps (``wall_latency_scale=0``, the
-harness's ``assign-conference`` shape), telemetry on against
-``Observability.disabled()``, interleaved min-of-3 with bit-identical
-rankings.  Its overhead is reported, not held to the budget: it is the
-open gap, not a regression gate.
+The sleeps make that headline a fraction of padded wall time.  Two
+CPU-bound arms therefore run with no injected sleeps
+(``wall_latency_scale=0``), telemetry on against
+``Observability.disabled()``: a warm ``recommend_batch`` over a planted
+96-paper conference, and 20 cold recommendations on one deployment.
+Both run on one worker and read process CPU time, interleaved, min of
+5.  With no real waits a second worker only contends for the
+interpreter lock, and CPU time does not count the time other processes
+hold the host's cores.  Rankings must be bit-identical.  Their
+overheads are reported, not held to the budget: they are the open gap,
+not a regression gate.
 
 A third benchmark bursts 500 synthetic requests through tail-based
 retention (faults on ~5% of them) and micro-times the ledger's charge
@@ -62,10 +66,13 @@ MAX_OVERHEAD = 0.10
 #: ~300ms wall run at two workers).
 WALL_SCALE = 0.01
 
-#: The CPU-bound arm's conference: the harness's assign-conference
-#: shape (96 papers, 2-thread batch fan-out) on the benchmark world.
+#: The CPU-bound arms: the warm arm's conference has the harness's
+#: assign-conference size, the cold arm recommends this many distinct
+#: manuscripts; both on one worker, timed in process CPU, min of 5.
 CPU_PAPERS = 96
-CPU_WORKERS = 2
+COLD_MANUSCRIPTS = 20
+CPU_WORKERS = 1
+CPU_REPETITIONS = 5
 
 BURST_REQUESTS = 500
 BURST_FAULT_RATE = 0.05
@@ -197,35 +204,44 @@ def test_bench_observability_overhead(bench_world, tmp_path):
 
 
 def _warm_batch(world, entries, obs):
-    """Time one warm batch (the plane already holds the whole pool)."""
+    """CPU seconds of one warm batch (the plane already holds the pool)."""
     hub = ScholarlyHub.deploy(world)
     with use(obs):
         minaret = Minaret(hub, config=PipelineConfig(warm_cache=True))
         recommend_batch(minaret, entries, workers=CPU_WORKERS)
-        start = time.perf_counter()
+        start = time.process_time()
         results = recommend_batch(minaret, entries, workers=CPU_WORKERS)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
     return elapsed, [(paper_id, _signature(result)) for paper_id, result in results]
 
 
-def test_bench_observability_cpu_bound(bench_world):
-    entries = generate_conference(
-        bench_world, ConferenceConfig(paper_count=CPU_PAPERS, seed=1)
-    ).entries()
+def _cold_recommendations(world, manuscripts, obs):
+    """CPU seconds of cold recommendations on one fresh deployment."""
+    hub = ScholarlyHub.deploy(world)
+    with use(obs):
+        minaret = Minaret(hub, config=PipelineConfig(workers=CPU_WORKERS))
+        start = time.process_time()
+        results = [minaret.recommend(manuscript) for manuscript in manuscripts]
+        elapsed = time.process_time() - start
+    return elapsed, [_signature(result) for result in results]
+
+
+def _cpu_arm(section, title, run, sizes):
+    """Interleaved telemetry-on/off CPU timing, min of CPU_REPETITIONS."""
     timings = {"disabled": [], "enabled": []}
     signatures = {}
-    for __ in range(REPETITIONS):
+    for __ in range(CPU_REPETITIONS):
         for mode in timings:
             obs = Observability() if mode == "enabled" else Observability.disabled()
-            elapsed, signatures[mode] = _warm_batch(bench_world, entries, obs)
+            elapsed, signatures[mode] = run(obs)
             timings[mode].append(elapsed)
     best_disabled = min(timings["disabled"])
     best_enabled = min(timings["enabled"])
     overhead = best_enabled / best_disabled - 1.0
     print_table(
-        f"EXP-OBS CPU-bound arm (warm {CPU_PAPERS}-paper batch, "
-        f"workers={CPU_WORKERS}, no injected sleeps)",
-        ("mode", "best wall"),
+        f"EXP-OBS {title} (workers={CPU_WORKERS}, no injected sleeps, "
+        f"process CPU, min of {CPU_REPETITIONS})",
+        ("mode", "best CPU"),
         [
             ("disabled", f"{best_disabled * 1000:.1f}ms"),
             ("telemetry on", f"{best_enabled * 1000:.1f}ms"),
@@ -233,10 +249,12 @@ def test_bench_observability_cpu_bound(bench_world):
         ],
     )
     _merge_output(
-        "cpu_bound_overhead",
+        section,
         {
-            "papers": CPU_PAPERS,
+            **sizes,
             "workers": CPU_WORKERS,
+            "clock": "process_cpu",
+            "repetitions": CPU_REPETITIONS,
             "disabled_ms": round(best_disabled * 1000, 3),
             "enabled_ms": round(best_enabled * 1000, 3),
             "overhead_pct": round(overhead * 100, 2),
@@ -244,6 +262,31 @@ def test_bench_observability_cpu_bound(bench_world):
         },
     )
     assert signatures["enabled"] == signatures["disabled"]
+
+
+def test_bench_observability_cpu_bound(bench_world):
+    entries = generate_conference(
+        bench_world, ConferenceConfig(paper_count=CPU_PAPERS, seed=1)
+    ).entries()
+    _cpu_arm(
+        "cpu_bound_overhead",
+        f"CPU-bound arm (warm {CPU_PAPERS}-paper batch)",
+        lambda obs: _warm_batch(bench_world, entries, obs),
+        {"papers": CPU_PAPERS},
+    )
+
+
+def test_bench_observability_cold_cpu(bench_world):
+    manuscripts = [
+        manuscript
+        for manuscript, __ in sample_manuscripts(bench_world, count=COLD_MANUSCRIPTS)
+    ]
+    _cpu_arm(
+        "cold_cpu_overhead",
+        f"cold arm ({len(manuscripts)} cold recommendations)",
+        lambda obs: _cold_recommendations(bench_world, manuscripts, obs),
+        {"manuscripts": len(manuscripts)},
+    )
 
 
 def test_bench_retention_memory_and_ledger_cost():

@@ -32,7 +32,17 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.obs import get_obs
+from repro.obs import get_obs, label_key
+
+#: Per-backend series keys: ``(backend, ok outcome, error outcome)``.
+_KEYS = {
+    backend: (
+        label_key(backend=backend),
+        label_key(backend=backend, outcome="ok"),
+        label_key(backend=backend, outcome="error"),
+    )
+    for backend in ("sequential", "thread")
+}
 
 
 class Executor(ABC):
@@ -62,21 +72,20 @@ def _run_task(fn: Callable, item, index: int, backend: str, submitted_at: float)
     request.
     """
     obs = get_obs()
+    key, ok_key, error_key = _KEYS[backend]
     start = time.perf_counter()
-    obs.observe("executor_queue_seconds", start - submitted_at, backend=backend)
-    obs.gauge_add("executor_inflight", 1.0, backend=backend)
+    obs.observe_key("executor_queue_seconds", key, start - submitted_at)
+    obs.gauge_add_key("executor_inflight", key, 1.0)
     try:
         with obs.span("executor.task", index=index, backend=backend):
             result = fn(item)
     except BaseException:
-        obs.inc("executor_tasks_total", backend=backend, outcome="error")
+        obs.inc_key("executor_tasks_total", error_key)
         raise
     finally:
-        obs.observe(
-            "executor_task_seconds", time.perf_counter() - start, backend=backend
-        )
-        obs.gauge_add("executor_inflight", -1.0, backend=backend)
-    obs.inc("executor_tasks_total", backend=backend, outcome="ok")
+        obs.observe_key("executor_task_seconds", key, time.perf_counter() - start)
+        obs.gauge_add_key("executor_inflight", key, -1.0)
+    obs.inc_key("executor_tasks_total", ok_key)
     return result
 
 

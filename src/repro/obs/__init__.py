@@ -46,6 +46,7 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     HistogramBoundsError,
     MetricsRegistry,
+    label_key,
 )
 from repro.obs.profile import (
     PhaseProfile,
@@ -98,6 +99,7 @@ __all__ = [
     "default_observability",
     "deployment_metrics",
     "get_obs",
+    "label_key",
     "phase_profile",
     "record_phase",
     "render_flame_table",

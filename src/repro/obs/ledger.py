@@ -87,10 +87,10 @@ class RequestLedger:
         with self._lock:
             self._wait_ns += round(seconds * 1_000_000_000)
 
-    def add_cache(self, name: str, hit: bool) -> None:
+    def add_cache(self, name: str, hit: bool, count: int = 1) -> None:
         with self._lock:
             entry = self._caches.setdefault(name, [0, 0])
-            entry[0 if hit else 1] += 1
+            entry[0 if hit else 1] += count
 
     def add_features(self, built: int, reused: int) -> None:
         with self._lock:
@@ -210,10 +210,13 @@ def charge_wait(seconds: float) -> None:
         ledger.add_wait(seconds)
 
 
-def charge_cache(name: str, hit: bool) -> None:
-    """Charge one cache lookup outcome to every active ledger."""
+def charge_cache(name: str, hit: bool, count: int = 1) -> None:
+    """Charge ``count`` cache lookups of one outcome to every active ledger.
+
+    A batched read charges all its hits in one call.
+    """
     for ledger in _ACTIVE.get():
-        ledger.add_cache(name, hit)
+        ledger.add_cache(name, hit, count)
 
 
 def charge_features(built: int, reused: int) -> None:

@@ -16,6 +16,13 @@ Everything mutates under one lock.  Critical sections are a handful of
 dict operations, so a single registry comfortably absorbs writes from
 every worker-pool thread — and, crucially for the determinism contract,
 recording a metric never draws randomness or advances any clock.
+
+A series key is built from its labels by :func:`label_key`.  Call sites
+that write on every simulated request build their keys once and pass
+them to the keyed writes (:meth:`MetricsRegistry.inc_key` and friends),
+so the hot path costs one lock and one add.  A key names a series in
+any registry, so one prebuilt key serves every deployment that shares
+the call site.
 """
 
 from __future__ import annotations
@@ -57,9 +64,18 @@ class HistogramBoundsError(ValueError):
     """Conflicting bucket bounds were declared for one histogram name."""
 
 
+def label_key(**labels: object) -> LabelKey:
+    """The registry key of one label set: sorted ``(name, str(value))`` pairs.
+
+    >>> label_key(status=200, host="dblp")
+    (('host', 'dblp'), ('status', '200'))
+    """
+    return _label_key(labels)
+
+
 def _label_key(labels: dict[str, object]) -> LabelKey:
-    # Hot path: most values are already strings, so convert in place
-    # rather than paying a generator + str() for every pair.
+    # Most values are already strings, so convert in place rather than
+    # paying a generator + str() for every pair.
     items = sorted(labels.items())
     for i, (key, value) in enumerate(items):
         if type(value) is not str:
@@ -204,9 +220,14 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1.0, **labels: object) -> None:
         """Add ``value`` (default 1) to a counter series."""
-        key = _label_key(labels)
+        self.inc_key(name, _label_key(labels), value)
+
+    def inc_key(self, name: str, key: LabelKey, value: float = 1.0) -> None:
+        """:meth:`inc` for a key built by :func:`label_key`."""
         with self._lock:
-            series = self._counters.setdefault(name, {})
+            series = self._counters.get(name)
+            if series is None:
+                series = self._counters[name] = {}
             series[key] = series.get(key, 0.0) + value
 
     def counter_value(self, name: str, **labels: object) -> float:
@@ -228,9 +249,14 @@ class MetricsRegistry:
 
     def gauge_add(self, name: str, delta: float, **labels: object) -> None:
         """Add ``delta`` (may be negative) to a gauge series."""
-        key = _label_key(labels)
+        self.gauge_add_key(name, _label_key(labels), delta)
+
+    def gauge_add_key(self, name: str, key: LabelKey, delta: float) -> None:
+        """:meth:`gauge_add` for a key built by :func:`label_key`."""
         with self._lock:
-            series = self._gauges.setdefault(name, {})
+            series = self._gauges.get(name)
+            if series is None:
+                series = self._gauges[name] = {}
             series[key] = series.get(key, 0.0) + delta
 
     def gauge_value(self, name: str, **labels: object) -> float:
@@ -285,14 +311,26 @@ class MetricsRegistry:
         ``exemplar`` optionally attaches a ``(trace_id, span_id)`` pair
         linking this observation to the span that produced it.
         """
-        key = _label_key(labels)
+        self.observe_key(name, _label_key(labels), value, exemplar, buckets)
+
+    def observe_key(
+        self,
+        name: str,
+        key: LabelKey,
+        value: float,
+        exemplar: tuple[int, int] | None = None,
+        buckets: tuple[float, ...] | None = None,
+    ) -> None:
+        """:meth:`observe` for a key built by :func:`label_key`."""
         with self._lock:
-            bounds = self._histogram_bounds.setdefault(
-                name, tuple(buckets) if buckets else DEFAULT_BUCKETS
-            )
-            series = self._histograms.setdefault(name, {})
+            series = self._histograms.get(name)
+            if series is None:
+                series = self._histograms[name] = {}
             histogram = series.get(key)
             if histogram is None:
+                bounds = self._histogram_bounds.setdefault(
+                    name, tuple(buckets) if buckets else DEFAULT_BUCKETS
+                )
                 histogram = series[key] = _Histogram(bounds)
             histogram.observe(value, exemplar=exemplar)
 

@@ -18,6 +18,10 @@ deployments in one process cannot cross-pollute each other's telemetry.
 A disabled instance (:meth:`Observability.disabled`) turns every
 operation into an early-returning no-op, which is what the EXP-OBS
 overhead benchmark compares against.
+
+The ``*_key`` metric methods take a series key built once by
+:func:`~repro.obs.metrics.label_key`; the per-request layers (HTTP
+client, caches, token buckets, executors) write through them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from repro.obs.events import EventBus, JsonlSink, RingSink
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LabelKey, MetricsRegistry
 from repro.obs.slo import SloEngine
 from repro.obs.spans import NULL_SPAN, Span, Tracer, current_span
 
@@ -80,6 +84,11 @@ class Observability:
         if self.enabled:
             self.metrics.inc(name, value, **labels)
 
+    def inc_key(self, name: str, key: LabelKey, value: float = 1.0) -> None:
+        """Increment a counter series by its prebuilt key."""
+        if self.enabled:
+            self.metrics.inc_key(name, key, value)
+
     def gauge(self, name: str, value: float, **labels: object) -> None:
         """Set a gauge."""
         if self.enabled:
@@ -90,6 +99,11 @@ class Observability:
         if self.enabled:
             self.metrics.gauge_add(name, delta, **labels)
 
+    def gauge_add_key(self, name: str, key: LabelKey, delta: float) -> None:
+        """Adjust a gauge series, by its prebuilt key, by a delta."""
+        if self.enabled:
+            self.metrics.gauge_add_key(name, key, delta)
+
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record a histogram observation.
 
@@ -97,13 +111,16 @@ class Observability:
         observation carries a ``(trace_id, span_id)`` exemplar — the
         bridge from "p99 is bad" to "here is a trace that made it bad".
         """
-        if not self.enabled:
-            return
-        span = current_span()
-        exemplar = (
-            (span.trace_id, span.span_id) if isinstance(span, Span) else None
-        )
-        self.metrics.observe(name, value, exemplar=exemplar, **labels)
+        if self.enabled:
+            self.metrics.observe(name, value, exemplar=_exemplar(), **labels)
+
+    def observe_key(self, name: str, key: LabelKey, value: float) -> None:
+        """Record an observation into a series by its prebuilt key.
+
+        Carries the same span exemplar as :meth:`observe`.
+        """
+        if self.enabled:
+            self.metrics.observe_key(name, key, value, _exemplar())
 
     # -- events --------------------------------------------------------
 
@@ -130,6 +147,12 @@ class Observability:
             "gauges": snapshot["gauges"],
             "histograms": snapshot["histograms"],
         }
+
+
+def _exemplar() -> tuple[int, int] | None:
+    """The open span's ``(trace_id, span_id)``, or ``None`` outside one."""
+    span = current_span()
+    return (span.trace_id, span.span_id) if isinstance(span, Span) else None
 
 
 _DEFAULT = Observability()

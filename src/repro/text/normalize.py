@@ -29,6 +29,9 @@ def fold_diacritics(text: str) -> str:
     >>> fold_diacritics("Sørensen Müller")
     'Sørensen Muller'
     """
+    if text.isascii():
+        # NFKD maps every ASCII character to itself, and none combines.
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

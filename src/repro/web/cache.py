@@ -12,7 +12,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Hashable, Sequence
 
-from repro.obs import get_obs
+from repro.obs import get_obs, label_key
 from repro.obs.ledger import charge_cache
 from repro.web.clock import SimulatedClock
 
@@ -55,6 +55,9 @@ class TTLCache:
         self._capacity = capacity
         self._clock = clock
         self._name = name
+        self._key = label_key(cache=name)
+        self._expired_key = label_key(cache=name, reason="expired")
+        self._capacity_key = label_key(cache=name, reason="capacity")
         self._entries: OrderedDict[Hashable, tuple[float, object]] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -90,13 +93,13 @@ class TTLCache:
         with self._lock:
             if self._ttl == 0:
                 self.misses += 1
-                get_obs().inc("cache_misses_total", cache=self._name)
+                get_obs().inc_key("cache_misses_total", self._key)
                 charge_cache(self._name, hit=False)
                 return None
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                get_obs().inc("cache_misses_total", cache=self._name)
+                get_obs().inc_key("cache_misses_total", self._key)
                 charge_cache(self._name, hit=False)
                 return None
             stored_at, value = entry
@@ -105,13 +108,13 @@ class TTLCache:
                 self.misses += 1
                 self.evictions_expired += 1
                 obs = get_obs()
-                obs.inc("cache_misses_total", cache=self._name)
-                obs.inc("cache_evictions_total", cache=self._name, reason="expired")
+                obs.inc_key("cache_misses_total", self._key)
+                obs.inc_key("cache_evictions_total", self._expired_key)
                 charge_cache(self._name, hit=False)
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            get_obs().inc("cache_hits_total", cache=self._name)
+            get_obs().inc_key("cache_hits_total", self._key)
             charge_cache(self._name, hit=True)
             return value
 
@@ -132,9 +135,9 @@ class TTLCache:
                     hits += 1
             if hits:
                 self.hits += hits
-                get_obs().inc("cache_hits_total", hits, cache=self._name)
-        for __ in range(hits):
-            charge_cache(self._name, hit=True)
+                get_obs().inc_key("cache_hits_total", self._key, hits)
+        if hits:
+            charge_cache(self._name, hit=True, count=hits)
         return found
 
     def peek(self, key: Hashable) -> object | None:
@@ -167,16 +170,12 @@ class TTLCache:
                 # undercounts on write-heavy keys.
                 if self._clock.now() - previous[0] > self._ttl:
                     self.evictions_expired += 1
-                    get_obs().inc(
-                        "cache_evictions_total", cache=self._name, reason="expired"
-                    )
+                    get_obs().inc_key("cache_evictions_total", self._expired_key)
             self._entries[key] = (self._clock.now(), value)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self.evictions_capacity += 1
-                get_obs().inc(
-                    "cache_evictions_total", cache=self._name, reason="capacity"
-                )
+                get_obs().inc_key("cache_evictions_total", self._capacity_key)
 
     def invalidate(self, key: Hashable) -> None:
         """Drop one entry if present."""
@@ -225,9 +224,4 @@ class TTLCache:
             del self._entries[key]
         if expired:
             self.evictions_expired += len(expired)
-            get_obs().inc(
-                "cache_evictions_total",
-                len(expired),
-                cache=self._name,
-                reason="expired",
-            )
+            get_obs().inc_key("cache_evictions_total", self._expired_key, len(expired))

@@ -15,7 +15,9 @@ from repro.obs import get_obs
 from repro.web.cache import TTLCache
 from repro.web.http import (
     HttpError,
+    HttpRequest,
     HttpResponse,
+    NotFoundError,
     Params,
     RateLimitedError,
     ServiceUnavailableError,
@@ -114,8 +116,6 @@ class Crawler:
             self.fetches += 1
         cache_key = None
         if self._cache is not None:
-            from repro.web.http import HttpRequest
-
             cache_key = HttpRequest.create(host, path, params).cache_key()
             cached = self._cache.get(cache_key)
             if cached is not None:
@@ -182,8 +182,6 @@ class Crawler:
         The extraction phase treats "this scholar has no Publons profile"
         as ordinary partial coverage, not an error.
         """
-        from repro.web.http import NotFoundError
-
         try:
             return self.fetch(host, path, params)
         except NotFoundError:

@@ -33,9 +33,11 @@ import zlib
 from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.obs import get_obs
+from repro.obs import get_obs, label_key
 from repro.obs.ledger import charge_http, charge_wait
+from repro.obs.metrics import LabelKey
 from repro.web.clock import SimulatedClock
 from repro.web.faults import FaultPolicy, unit_draw
 from repro.web.ratelimit import TokenBucket
@@ -200,6 +202,22 @@ class RequestTrace:
     at: float
 
 
+#: The statuses an attempt can end with; each host gets one
+#: ``http_requests_total`` key per status.
+_STATUSES = (200, 404, 429, 503)
+
+
+class _Host(NamedTuple):
+    """A registered host: its endpoint, behaviour models and metric keys."""
+
+    endpoint: Endpoint
+    latency: LatencyModel
+    bucket: TokenBucket | None
+    faults: FaultPolicy
+    latency_key: LabelKey
+    status_keys: dict[int, LabelKey]
+
+
 class SimulatedHttpClient:
     """Routes requests to registered endpoints with realistic failure modes.
 
@@ -229,12 +247,10 @@ class SimulatedHttpClient:
                 f"wall_latency_scale must be >= 0, got {wall_latency_scale}"
             )
         self._clock = clock
-        self._endpoints: dict[str, Endpoint] = {}
-        self._latency: dict[str, LatencyModel] = {}
-        self._buckets: dict[str, TokenBucket] = {}
-        self._faults: dict[str, FaultPolicy] = {}
+        self._hosts: dict[str, _Host] = {}
         self.stats: dict[str, HostStats] = {}
-        self._traces: deque[RequestTrace] | None = (
+        # Plain rows; traces() builds the RequestTrace records on read.
+        self._traces: deque[tuple] | None = (
             deque(maxlen=trace_capacity) if trace_capacity > 0 else None
         )
         self._wall_latency_scale = wall_latency_scale
@@ -259,20 +275,24 @@ class SimulatedHttpClient:
         JSON payload; raising :class:`NotFoundError` (or ``KeyError``,
         which is translated) produces a 404.
         """
+        entry = _Host(
+            endpoint,
+            latency or LatencyModel(),
+            rate_limit,
+            faults or FaultPolicy.never(),
+            label_key(host=host),
+            {status: label_key(host=host, status=status) for status in _STATUSES},
+        )
         with self._lock:
-            if host in self._endpoints:
+            if host in self._hosts:
                 raise ValueError(f"host already registered: {host!r}")
-            self._endpoints[host] = endpoint
-            self._latency[host] = latency or LatencyModel()
-            if rate_limit is not None:
-                self._buckets[host] = rate_limit
-            self._faults[host] = faults or FaultPolicy.never()
+            self._hosts[host] = entry
             self.stats[host] = HostStats()
 
     def hosts(self) -> list[str]:
         """All registered host names."""
         with self._lock:
-            return list(self._endpoints)
+            return list(self._hosts)
 
     def set_fault_policy(self, host: str, faults: FaultPolicy) -> None:
         """Swap a registered host's fault policy mid-run.
@@ -283,9 +303,9 @@ class SimulatedHttpClient:
         limits and accumulated statistics stay put.
         """
         with self._lock:
-            if host not in self._endpoints:
+            if host not in self._hosts:
                 raise ValueError(f"host not registered: {host!r}")
-            self._faults[host] = faults
+            self._hosts[host] = self._hosts[host]._replace(faults=faults)
 
     def replace_endpoint(self, host: str, endpoint: Endpoint) -> None:
         """Swap a registered host's endpoint, keeping its behaviour models.
@@ -295,9 +315,9 @@ class SimulatedHttpClient:
         the answers are new.
         """
         with self._lock:
-            if host not in self._endpoints:
+            if host not in self._hosts:
                 raise ValueError(f"host not registered: {host!r}")
-            self._endpoints[host] = endpoint
+            self._hosts[host] = self._hosts[host]._replace(endpoint=endpoint)
 
     def get(
         self,
@@ -315,28 +335,26 @@ class SimulatedHttpClient:
         """
         request = HttpRequest.create(host, path, params)
         with self._lock:
-            if host not in self._endpoints:
+            entry = self._hosts.get(host)
+            if entry is None:
                 raise NotFoundError(request, f"unknown host {host!r}")
-            endpoint = self._endpoints[host]
-            latency_model = self._latency[host]
-            bucket = self._buckets.get(host)
-            fault_policy = self._faults[host]
             stats = self.stats[host]
         ordinal = request.ordinal(attempt)
-        latency = latency_model.sample(ordinal)
+        latency = entry.latency.sample(ordinal)
         self._clock.advance(latency)
         with self._lock:
             stats.requests += 1
             stats.latency_ns += round(latency * 1_000_000_000)
         obs = get_obs()
-        obs.observe("http_request_latency_seconds", latency, host=host)
+        obs.observe_key("http_request_latency_seconds", entry.latency_key, latency)
         if self._wall_latency_scale > 0:
             time.sleep(latency * self._wall_latency_scale)
+        bucket = entry.bucket
         if bucket is not None and not bucket.try_acquire():
             retry_after = bucket.time_until_available()
             with self._lock:
                 stats.rate_limited += 1
-            self._finish(obs, request, 429, latency)
+            self._finish(obs, entry, request, 429, latency)
             obs.emit(
                 "rate_limited",
                 clock=self._clock,
@@ -346,10 +364,10 @@ class SimulatedHttpClient:
                 retry_after=retry_after,
             )
             raise RateLimitedError(request, retry_after)
-        if fault_policy.decide(ordinal):
+        if entry.faults.decide(ordinal):
             with self._lock:
                 stats.faults += 1
-            self._finish(obs, request, 503, latency)
+            self._finish(obs, entry, request, 503, latency)
             obs.emit(
                 "fault_injected",
                 clock=self._clock,
@@ -359,18 +377,18 @@ class SimulatedHttpClient:
             )
             raise ServiceUnavailableError(request)
         try:
-            payload = endpoint(request)
+            payload = entry.endpoint(request)
         except NotFoundError:
             with self._lock:
                 stats.not_found += 1
-            self._finish(obs, request, 404, latency)
+            self._finish(obs, entry, request, 404, latency)
             raise
         except KeyError as exc:
             with self._lock:
                 stats.not_found += 1
-            self._finish(obs, request, 404, latency)
+            self._finish(obs, entry, request, 404, latency)
             raise NotFoundError(request, f"not found: {exc}") from exc
-        self._finish(obs, request, 200, latency)
+        self._finish(obs, entry, request, 200, latency)
         return HttpResponse(status=200, payload=payload, latency=latency)
 
     def sleep(self, seconds: float) -> None:
@@ -433,7 +451,8 @@ class SimulatedHttpClient:
         if self._traces is None:
             return []
         with self._lock:
-            return list(self._traces)
+            rows = list(self._traces)
+        return [RequestTrace(*row) for row in rows]
 
     def clear_traces(self) -> None:
         """Drop all recorded traces."""
@@ -441,23 +460,15 @@ class SimulatedHttpClient:
             with self._lock:
                 self._traces.clear()
 
-    def _finish(self, obs, request: HttpRequest, status: int, latency: float) -> None:
+    def _finish(
+        self, obs, entry: _Host, request: HttpRequest, status: int, latency: float
+    ) -> None:
         """Record one completed attempt: per-host metrics, ledgers, trace ring."""
-        obs.inc("http_requests_total", host=request.host, status=str(status))
+        obs.inc_key("http_requests_total", entry.status_keys[status])
         charge_http(request.host, status, latency)
-        self._trace(request, status, latency)
-
-    def _trace(self, request: HttpRequest, status: int, latency: float) -> None:
         if self._traces is None:
             return
         with self._lock:
             self._traces.append(
-                RequestTrace(
-                    host=request.host,
-                    path=request.path,
-                    params=request.params,
-                    status=status,
-                    latency=latency,
-                    at=self._clock.now(),
-                )
+                (request.host, request.path, request.params, status, latency, self._clock.now())
             )

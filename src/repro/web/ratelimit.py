@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs import get_obs
+from repro.obs import get_obs, label_key
 from repro.web.clock import SimulatedClock
 
 
@@ -48,7 +48,7 @@ class TokenBucket:
         self._capacity = float(capacity)
         self._refill_rate = float(refill_rate)
         self._clock = clock
-        self._name = name
+        self._key = label_key(bucket=name)
         self._tokens = float(capacity)
         self._last_refill = clock.now()
         self._lock = threading.Lock()
@@ -86,9 +86,9 @@ class TokenBucket:
                 granted = True
             else:
                 granted = False
-        get_obs().inc(
+        get_obs().inc_key(
             "ratelimit_granted_total" if granted else "ratelimit_denied_total",
-            bucket=self._name,
+            self._key,
         )
         return granted
 

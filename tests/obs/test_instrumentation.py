@@ -1,13 +1,22 @@
 """End-to-end checks that the hot layers actually report telemetry."""
 
+import threading
+from collections import Counter
+
 import pytest
 
+import repro.obs.metrics as metrics_module
+from repro.api.handlers import MinaretApi
 from repro.core.pipeline import Minaret
 from repro.obs import Observability, get_obs, use
+from repro.scholarly.registry import ScholarlyHub
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
 from repro.web.faults import FaultPolicy
 from repro.web.ratelimit import TokenBucket
+from repro.world.config import WorldConfig
+from repro.world.generator import generate_world
+from tests.conftest import make_manuscript
 
 
 @pytest.fixture()
@@ -199,3 +208,111 @@ class TestStorageAndOntologyEvents:
         [event] = obs.ring.events("ontology_built")
         assert event.fields["topics"] > 0
         assert event.fields["edges"] > 0
+
+
+def _recommend_bodies(world, count, keyword_count=2):
+    """``/recommend`` bodies for ``count`` unambiguous authors, by id."""
+    names = Counter(author.name for author in world.authors.values())
+    bodies = []
+    for author_id in sorted(world.authors):
+        author = world.authors[author_id]
+        if names[author.name] > 1 or len(author.topic_expertise) < keyword_count:
+            continue
+        manuscript = make_manuscript(world, author, keyword_count=keyword_count)
+        payload = {
+            "title": manuscript.title,
+            "keywords": list(manuscript.keywords),
+            "authors": [
+                {"name": a.name, "affiliation": a.affiliation, "country": a.country}
+                for a in manuscript.authors
+            ],
+            "target_venue": manuscript.target_venue,
+        }
+        bodies.append({"manuscript": payload, "config": {}, "debug_cost": True})
+        if len(bodies) == count:
+            return bodies
+    raise RuntimeError("world has too few unambiguous authors")
+
+
+class TestSharedHubAttribution:
+    """Two deployments on one hub: each registry counts only its own work."""
+
+    def test_sequential_requests_split_by_deployment(self, world, hub):
+        apis = [MinaretApi(hub, obs=Observability()) for __ in range(2)]
+        for api, body in zip(apis, _recommend_bodies(world, 2)):
+            before = {host: stats.requests for host, stats in hub.http.stats.items()}
+            other = next(o for o in apis if o is not api).obs.metrics
+            untouched = other.snapshot()
+            response = api.handle("POST", "/api/v1/recommend", body)
+            assert response.ok
+            metrics, bill = api.obs.metrics, response.body["cost"]
+            for host, stats in hub.http.stats.items():
+                assert metrics.counter_matching(
+                    "http_requests_total", {"host": host}
+                ) == stats.requests - before[host]
+            assert metrics.counter_total("http_requests_total") == bill["requests"] > 0
+            assert (
+                metrics.counter_value("cache_misses_total", cache="crawler")
+                == bill["caches"]["crawler"]["misses"]
+                > 0
+            )
+            assert metrics.counter_value(
+                "executor_tasks_total", backend="sequential", outcome="ok"
+            ) == len(api.obs.tracer.finished("executor.task")) > 0
+            assert other.snapshot() == untouched
+
+    def test_concurrent_requests_split_by_deployment(self, world, hub):
+        apis = [MinaretApi(hub, obs=Observability()) for __ in range(2)]
+        bodies = _recommend_bodies(world, 2)
+        responses = [None, None]
+        before = hub.http.total_requests()
+
+        def run(index):
+            responses[index] = apis[index].handle("POST", "/api/v1/recommend", bodies[index])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        bills = [response.body["cost"] for response in responses]
+        for api, bill in zip(apis, bills):
+            metrics = api.obs.metrics
+            assert metrics.counter_total("http_requests_total") == bill["requests"]
+            assert (
+                metrics.counter_value("cache_misses_total", cache="crawler")
+                == bill["caches"]["crawler"]["misses"]
+            )
+        assert sum(bill["requests"] for bill in bills) == (
+            hub.http.total_requests() - before
+        )
+
+
+class TestLabelKeyBudget:
+    """Per-request writes use keys built once per call site."""
+
+    #: A cold op makes about 390 simulated attempts; telemetry that
+    #: rebuilt keys per write built about 1,700 keys per op.
+    MAX_KEYS_PER_OP = 40
+
+    def test_cold_op_builds_few_label_keys(self, monkeypatch):
+        world = generate_world(WorldConfig(author_count=2_000, seed=1))
+        hub = ScholarlyHub.deploy(world)
+        api = MinaretApi(hub)
+        bodies = _recommend_bodies(world, 11, keyword_count=3)
+        assert api.handle("POST", "/api/v1/recommend", bodies[0]).ok
+        builds = []
+        build = metrics_module._label_key
+
+        def counting(labels):
+            builds.append(labels)
+            return build(labels)
+
+        monkeypatch.setattr(metrics_module, "_label_key", counting)
+        before = hub.http.total_requests()
+        for body in bodies[1:]:
+            assert api.handle("POST", "/api/v1/recommend", body).ok
+        ops = len(bodies) - 1
+        assert hub.http.total_requests() - before > 100 * ops
+        assert len(builds) <= self.MAX_KEYS_PER_OP * ops

@@ -154,6 +154,20 @@ class TestChargeHelpers:
         assert outer.virtual_seconds == 0.75
         assert outer.requests == inner.requests == 0
 
+    def test_cache_charge_counts(self):
+        with RequestLedger("outer") as outer:
+            with RequestLedger("inner") as inner:
+                charge_cache("plane", hit=True, count=3)
+                charge_cache("plane", hit=False, count=2)
+            charge_cache("plane", hit=True)
+        charge_cache("plane", hit=True, count=5)  # nobody listening
+        assert inner.to_dict()["caches"]["plane"] == {
+            "hits": 3,
+            "misses": 2,
+            "hit_rate": 0.6,
+        }
+        assert outer.to_dict()["caches"]["plane"]["hits"] == 4
+
     def test_zero_feature_charge_is_free(self):
         with RequestLedger() as ledger:
             charge_features(0, 0)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, label_key
 
 
 class TestCounters:
@@ -142,6 +142,63 @@ class TestDeclaredBounds:
             registry.declare_histogram("latency", (2.0, 1.0))
         with pytest.raises(ValueError, match="strictly increasing"):
             registry.declare_histogram("latency", (1.0, 1.0))
+
+
+class TestKeyedWrites:
+    """A prebuilt key and the labelled call name one series."""
+
+    def test_inc_key_and_inc_share_a_series(self):
+        registry = MetricsRegistry()
+        registry.inc_key("c", label_key(a=1))
+        registry.inc("c", a="1")
+        assert registry.counter_value("c", a="1") == 2.0
+        assert registry.snapshot()["counters"]["c"] == [
+            {"labels": {"a": "1"}, "value": 2.0}
+        ]
+
+    def test_observe_key_and_observe_share_a_series(self):
+        registry = MetricsRegistry()
+        registry.observe_key("h", label_key(a=1), 0.5, exemplar=(1, 2))
+        registry.observe("h", 1.5, a="1")
+        [series] = registry.snapshot()["histograms"]["h"]
+        assert series["labels"] == {"a": "1"}
+        assert series["count"] == 2
+        assert series["sum"] == 2.0
+        assert series["exemplars"] == [{"value": 0.5, "trace_id": 1, "span_id": 2}]
+
+    def test_gauge_add_key_and_gauge_add_share_a_series(self):
+        registry = MetricsRegistry()
+        registry.gauge_add_key("g", label_key(a=1), 1.0)
+        registry.gauge_add("g", 1.0, a="1")
+        assert registry.gauge_value("g", a="1") == 2.0
+
+    def test_observe_key_keeps_declared_then_default_bounds(self):
+        registry = MetricsRegistry()
+        registry.declare_histogram("declared", (1.0, 2.0))
+        registry.observe_key("declared", label_key(a=1), 1.5)
+        registry.observe_key("plain", label_key(a=1), 1.5)
+        assert set(registry.histogram_stats("declared", a=1)["buckets"]) == {
+            "1.0",
+            "2.0",
+            "+Inf",
+        }
+        assert len(registry.histogram_stats("plain", a=1)["buckets"]) == (
+            len(DEFAULT_BUCKETS) + 1
+        )
+
+    def test_keyed_writes_recreate_series_after_reset(self):
+        registry = MetricsRegistry()
+        key = label_key(a=1)
+        registry.inc_key("c", key)
+        registry.observe_key("h", key, 0.1)
+        registry.gauge_add_key("g", key, 1.0)
+        registry.reset()
+        registry.inc_key("c", key)
+        registry.observe_key("h", key, 0.1)
+        registry.gauge_add_key("g", key, 1.0)
+        assert registry.counter_value("c", a=1) == 1.0
+        assert registry.histogram_stats("h", a=1)["count"] == 1
+        assert registry.gauge_value("g", a=1) == 1.0
 
 
 class TestSnapshotAndReset:

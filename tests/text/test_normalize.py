@@ -1,6 +1,10 @@
 """Unit tests for string and name normalization."""
 
+import unicodedata
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.text.normalize import (
     canonical_person_name,
@@ -30,6 +34,12 @@ class TestFoldDiacritics:
     def test_non_decomposable_characters_survive(self):
         # CJK has no ASCII decomposition and must not be dropped.
         assert fold_diacritics("周磊") == "周磊"
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    def test_ascii_matches_the_nfkd_path(self, text):
+        decomposed = unicodedata.normalize("NFKD", text)
+        folded = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+        assert fold_diacritics(text) == folded == text
 
 
 class TestNormalizeWhitespace:

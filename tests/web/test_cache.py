@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability, RequestLedger, use
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
 
@@ -116,15 +117,30 @@ class TestCounters:
         assert cache.hit_rate() == 0.0
 
     def test_get_hits_counts_hits_only(self, clock):
-        """Misses are left for the ``get`` that resolves them to count."""
+        """Misses are left for the ``get`` that resolves them to count.
+
+        The ledger and the hit counter see each hit of a batched read
+        once, whatever the batch size.
+        """
         cache = TTLCache(ttl=5.0, capacity=10, clock=clock)
         cache.put("old", 2)
         clock.advance(6.0)
         cache.put("live", 1)
-        assert cache.get_hits(["live", "old", "missing"]) == [1, None, None]
-        assert (cache.hits, cache.misses, cache.evictions_expired) == (1, 0, 0)
-        assert cache.get("old") is None
-        assert (cache.hits, cache.misses, cache.evictions_expired) == (1, 1, 1)
+        obs = Observability()
+        with use(obs), RequestLedger() as ledger:
+            assert cache.get_hits(["live", "old", "missing"]) == [1, None, None]
+            assert (cache.hits, cache.misses, cache.evictions_expired) == (1, 0, 0)
+            assert ledger.to_dict()["caches"]["cache"]["hits"] == 1
+            assert cache.get("old") is None
+            assert (cache.hits, cache.misses, cache.evictions_expired) == (1, 1, 1)
+            assert cache.get_hits(["live"] * 3) == [1, 1, 1]
+        assert ledger.to_dict()["caches"]["cache"] == {
+            "hits": 4,
+            "misses": 1,
+            "hit_rate": 0.8,
+        }
+        assert obs.metrics.counter_value("cache_hits_total", cache="cache") == 4.0
+        assert obs.metrics.counter_value("cache_misses_total", cache="cache") == 1.0
 
     def test_peek_touches_no_counter(self, clock):
         cache = TTLCache(ttl=None, capacity=10, clock=clock)
