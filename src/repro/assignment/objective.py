@@ -62,10 +62,6 @@ class AssignmentObjective:
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
-    def is_pure_score(self) -> bool:
-        """Whether only the score term is active."""
-        return self.balance_weight == 0.0 and self.coverage_weight == 0.0
-
 
 def paper_facet_universe(
     problem: AssignmentProblem, paper_id: str

@@ -16,14 +16,13 @@ pipeline*, so they see exactly the same observable world through the
 same simulated services — differences in quality are attributable to
 the algorithmic choice alone.
 
-:mod:`repro.baselines.metrics` provides precision@k, recall@k, nDCG@k,
-MAP and Kendall's tau; :mod:`repro.baselines.evaluation` resolves
+:mod:`repro.baselines.metrics` provides precision@k, recall@k, nDCG@k
+and Kendall's tau; :mod:`repro.baselines.evaluation` resolves
 recommended candidates back to world author ids and scores runs against
 the :class:`~repro.world.model.GroundTruthOracle`.
 """
 
 from repro.baselines.metrics import (
-    average_precision,
     kendall_tau,
     ndcg_at_k,
     precision_at_k,
@@ -55,7 +54,6 @@ __all__ = [
     "NoExpansionRecommender",
     "RandomRecommender",
     "Recommender",
-    "average_precision",
     "evaluate_recommendation",
     "kendall_tau",
     "ndcg_at_k",

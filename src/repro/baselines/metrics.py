@@ -67,24 +67,6 @@ def ndcg_at_k(
     return dcg / ideal
 
 
-def average_precision(recommended: Sequence[str], relevant: Set[str]) -> float:
-    """Average precision over the full recommendation list.
-
-    0.0 when there are no relevant items.
-    """
-    if not relevant:
-        return 0.0
-    hits = 0
-    precision_sum = 0.0
-    for rank, item in enumerate(recommended, start=1):
-        if item in relevant:
-            hits += 1
-            precision_sum += hits / rank
-    if hits == 0:
-        return 0.0
-    return precision_sum / len(relevant)
-
-
 def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:
     """Kendall's tau between two rankings of the same item set.
 

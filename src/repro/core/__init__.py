@@ -28,12 +28,11 @@ from repro.core.config import (
 )
 from repro.core.errors import (
     AmbiguousIdentityError,
-    ExtractionError,
     IdentityVerificationError,
     MinaretError,
     SourceUnavailableError,
 )
-from repro.core.explain import explain_candidate, explain_ranking
+from repro.core.explain import explain_candidate
 from repro.core.extraction import CandidateExtractor
 from repro.core.filtering import FilterPhase
 from repro.core.identity import (
@@ -60,13 +59,10 @@ from repro.core.models import (
 )
 from repro.core.pipeline import Minaret
 from repro.core.ranking import Ranker
-from repro.core.track_record import AuthorTrackRecord, build_track_record
 
 __all__ = [
     "AffiliationCoiLevel",
     "AggregationMethod",
-    "AuthorTrackRecord",
-    "build_track_record",
     "AffiliationEvidenceResolver",
     "AmbiguousIdentityError",
     "CallbackResolver",
@@ -77,7 +73,6 @@ __all__ = [
     "CoiDetector",
     "CoiVerdict",
     "ExpertiseConstraints",
-    "ExtractionError",
     "FilterConfig",
     "FilterDecision",
     "FilterPhase",
@@ -103,5 +98,4 @@ __all__ = [
     "UNDATED_SPAN_YEARS",
     "VerifiedAuthor",
     "explain_candidate",
-    "explain_ranking",
 ]

@@ -39,10 +39,6 @@ class AmbiguousIdentityError(MinaretError):
         self.match_count = match_count
 
 
-class ExtractionError(MinaretError):
-    """A non-recoverable failure while querying the scholarly sources."""
-
-
 class SourceUnavailableError(MinaretError):
     """An anchor source stayed down through every retry.
 

@@ -45,24 +45,6 @@ def explain_candidate(
     return [lines[i] for i in order]
 
 
-def explain_ranking(
-    ranked: list[ScoredCandidate],
-    manuscript: Manuscript,
-    expanded: list[ExpandedKeyword],
-    top_k: int = 5,
-    config: PipelineConfig | None = None,
-) -> str:
-    """A multi-candidate explanation block, ready to print."""
-    blocks = []
-    for rank, scored in enumerate(ranked[:top_k], start=1):
-        lines = explain_candidate(scored, manuscript, expanded, config)
-        body = "\n".join(f"    - {line}" for line in lines)
-        blocks.append(
-            f"{rank}. {scored.name} (total {scored.total_score:.3f})\n{body}"
-        )
-    return "\n".join(blocks)
-
-
 # ----------------------------------------------------------------------
 # Per-component renderers
 # ----------------------------------------------------------------------

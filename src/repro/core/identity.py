@@ -88,8 +88,9 @@ class CallbackResolver(IdentityResolver):
     """Delegate the decision to a callable — the "user" of the demo.
 
     The callback receives the author and the matches and returns the
-    chosen match (or ``None`` to refuse).  The CLI wires an interactive
-    prompt here; tests wire oracles.
+    chosen match (or ``None`` to refuse).  It is how a caller puts the
+    editor's manual pick behind the ``resolver=`` hook; tests wire
+    oracles.
     """
 
     def __init__(

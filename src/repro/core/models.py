@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ontology.expansion import ExpandedKeyword
-from repro.scholarly.records import MergedProfile, SourceName, SourceProfile
+from repro.scholarly.records import MergedProfile, SourceName
 
 
 @dataclass(frozen=True)

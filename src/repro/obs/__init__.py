@@ -56,7 +56,6 @@ from repro.obs.profile import (
 )
 from repro.obs.runtime import (
     Observability,
-    default_observability,
     get_obs,
     use,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "charge_wait",
     "current_span",
     "default_http_slos",
-    "default_observability",
     "deployment_metrics",
     "get_obs",
     "label_key",

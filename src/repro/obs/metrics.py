@@ -346,16 +346,6 @@ class MetricsRegistry:
             histogram = self._histograms.get(name, {}).get(_label_key(labels))
             return histogram.quantile(q) if histogram else None
 
-    def histogram_series(self, name: str) -> list[tuple[dict[str, str], dict]]:
-        """Every series of one histogram: ``(labels, stats)`` pairs.
-
-        The SLO engine walks this to aggregate good/total counts across
-        the label sets matching a spec's filter.
-        """
-        with self._lock:
-            series = self._histograms.get(name, {})
-            return [(dict(key), hist.to_dict()) for key, hist in sorted(series.items())]
-
     def histogram_window_counts(
         self,
         name: str,

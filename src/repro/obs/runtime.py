@@ -166,11 +166,6 @@ def get_obs() -> Observability:
     return _AMBIENT.get() or _DEFAULT
 
 
-def default_observability() -> Observability:
-    """The process-wide fallback instance."""
-    return _DEFAULT
-
-
 @contextmanager
 def use(obs: Observability):
     """Install ``obs`` as the ambient instance for the ``with`` body.

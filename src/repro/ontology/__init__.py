@@ -17,7 +17,10 @@ here, so this package provides:
   ``sc ∈ [0, 1]`` by decaying over relation-typed paths (paper §2.1);
 - :mod:`~repro.ontology.builder` — a deterministic generator of large
   synthetic ontologies for scale experiments;
-- :mod:`~repro.ontology.io` — JSON round-tripping.
+- :mod:`~repro.ontology.io` — dict round-tripping, which world files
+  embed;
+- :mod:`~repro.ontology.cso` — a reader/writer for the real CSO CSV
+  export the paper used.
 """
 
 from repro.ontology.builder import SyntheticOntologyConfig, build_synthetic_ontology
@@ -26,11 +29,6 @@ from repro.ontology.data import build_seed_ontology
 from repro.ontology.expansion import ExpandedKeyword, ExpansionConfig, KeywordExpander
 from repro.ontology.graph import Relation, Topic, TopicOntology
 from repro.ontology.io import ontology_from_dict, ontology_to_dict
-from repro.ontology.similarity import (
-    lowest_common_ancestor_depth,
-    path_similarity,
-    wu_palmer_similarity,
-)
 
 __all__ = [
     "ExpandedKeyword",
@@ -43,11 +41,8 @@ __all__ = [
     "build_seed_ontology",
     "build_synthetic_ontology",
     "load_cso_csv",
-    "lowest_common_ancestor_depth",
     "parse_cso_csv",
     "write_cso_csv",
     "ontology_from_dict",
     "ontology_to_dict",
-    "path_similarity",
-    "wu_palmer_similarity",
 ]

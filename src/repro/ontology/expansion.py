@@ -15,9 +15,9 @@ paths.  Traversal stops at a configurable depth and score threshold.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.ontology.graph import Relation, Topic, TopicOntology
+from repro.ontology.graph import Relation, TopicOntology
 
 #: Default per-relation decay factors.  Synonyms are free (1.0); moving to
 #: a narrower topic keeps most relevance (a reviewer of the sub-topic can
@@ -65,14 +65,6 @@ class ExpansionConfig:
                 raise ValueError(
                     f"decay for {relation.value} must be in [0, 1], got {decay}"
                 )
-
-    def with_min_score(self, min_score: float) -> "ExpansionConfig":
-        """A copy of this config with a different score threshold."""
-        return replace(self, min_score=min_score)
-
-    def with_max_depth(self, max_depth: int) -> "ExpansionConfig":
-        """A copy of this config with a different traversal depth."""
-        return replace(self, max_depth=max_depth)
 
 
 @dataclass(frozen=True)
@@ -158,21 +150,6 @@ class KeywordExpander:
         results = list(best.values())
         results.sort(key=lambda e: (-e.score, e.keyword))
         return results
-
-    def expand_to_weights(
-        self, keywords: list[str], config: ExpansionConfig | None = None
-    ) -> dict[str, float]:
-        """Convenience: expansion as a ``normalized keyword -> sc`` map.
-
-        This is the shape the inverted-index search and the keyword-match
-        filter consume.
-        """
-        from repro.text.normalize import normalize_keyword
-
-        return {
-            normalize_keyword(e.keyword): e.score
-            for e in self.expand(keywords, config)
-        }
 
     def _expand_one_cached(
         self, seed: str, config: ExpansionConfig

@@ -19,7 +19,7 @@ and any number of alternative labels, all of which resolve through
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.text.normalize import normalize_keyword, slugify
@@ -214,8 +214,8 @@ class TopicOntology:
         """Walk ``broader`` edges to a root, preferring the first parent.
 
         The ontology is a DAG, not a tree; this deterministic walk (first
-        parent by id) gives each topic a canonical ancestry used by
-        Wu-Palmer similarity.
+        parent by id) gives each topic a canonical ancestry, whose length
+        is :meth:`depth`.
         """
         chain = []
         seen = {slugify(topic_id)}
@@ -257,14 +257,3 @@ class TopicOntology:
     def depth(self, topic_id: str) -> int:
         """Distance to a root along the canonical broader chain (root = 0)."""
         return len(self.broader_chain(topic_id))
-
-    def to_networkx(self):
-        """Export as a ``networkx.MultiDiGraph`` for external analysis."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        for topic in self._topics.values():
-            graph.add_node(topic.topic_id, label=topic.label)
-        for edge in self.edges():
-            graph.add_edge(edge.source, edge.target, relation=edge.relation.value)
-        return graph

@@ -1,15 +1,12 @@
-"""JSON round-tripping for ontologies.
+"""JSON-compatible dict round-tripping for ontologies.
 
 The web application described in the paper loads its topic ontology from
 a downloadable CSO dump; these helpers provide the equivalent
-serialization so an ontology can be shipped alongside a deployment or
-checked into a dataset directory.
+serialization, which world files embed so an ontology ships alongside
+the world it was generated with.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.ontology.graph import Relation, TopicOntology
 
@@ -67,14 +64,3 @@ def ontology_from_dict(data: dict) -> TopicOntology:
         )
     return ontology
 
-
-def save_ontology(ontology: TopicOntology, path: str | Path) -> None:
-    """Write an ontology to a JSON file."""
-    payload = ontology_to_dict(ontology)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_ontology(path: str | Path) -> TopicOntology:
-    """Read an ontology from a JSON file produced by :func:`save_ontology`."""
-    data = json.loads(Path(path).read_text())
-    return ontology_from_dict(data)

@@ -7,10 +7,16 @@ What real DBLP offers (and therefore what this service exposes):
 - author pages keyed by *name*, with numeric homonym suffixes
   ("Lei Zhou 0001") when several scholars share a name — the paper's
   motivating disambiguation example;
-- publication records: title, venue, year, author list.  **No** citation
-  counts, interests or review data — those live on other services;
+- each author page lists the author's publications (title, year,
+  venue) and co-authors.  **No** citation counts, interests or review
+  data — those live on other services;
+- venue search, which resolves the editor's target outlet;
 - the statistics page behind the paper's Figure 1 (new records per
   year by publication type).
+
+Only what MINARET and the Figure 1 table request is served:
+``/search/author``, ``/author``, ``/search/venue`` and
+``/statistics/records-per-year``.
 """
 
 from __future__ import annotations
@@ -20,10 +26,7 @@ from collections import defaultdict
 from repro.scholarly.records import Affiliation, SourceName, SourcePage, SourceProfile
 from repro.scholarly.source import SourceClient, SourceService
 from repro.storage.documents import DocumentStore
-from repro.storage.inverted import InvertedIndex
-from repro.storage.ordered import OrderedIndexManager
 from repro.text.normalize import canonical_person_name
-from repro.text.tokenize import tokenize
 from repro.web.crawler import Crawler
 from repro.web.http import HttpRequest, NotFoundError
 from repro.world.model import ScholarlyWorld
@@ -42,24 +45,11 @@ class DblpService(SourceService):
         self._world = world
         self._authors = DocumentStore(name="dblp-authors")
         self._authors.create_index("name", lambda d: d["normalized_name"])
-        self._publications = DocumentStore(name="dblp-publications")
-        self._publication_indexes = OrderedIndexManager(self._publications)
-        self._title_index = InvertedIndex()
         self._pid_of: dict[str, str] = {}
         self._build()
-        self._publication_indexes.create_index("year", lambda d: d["year"])
-        for document in self._publications.scan():
-            tokens = tokenize(document.payload["title"])
-            if tokens:
-                weights = {t: 1.0 for t in tokens}
-                self._title_index.add(document.doc_id, weights)
         self.route("/search/author", self._search_author)
-        self.route("/search/publications", self._search_publications)
         self.route("/search/venue", self._search_venue)
-        self.route("/search/title", self._search_title)
         self.route("/author", self._author_page)
-        self.route("/publication", self._publication)
-        self.route("/venue", self._venue_page)
         self.route("/statistics/records-per-year", self._statistics)
 
     def pid_of(self, author_id: str) -> str:
@@ -89,23 +79,9 @@ class DblpService(SourceService):
                         "publication_ids": list(
                             self._world.publications_by_author.get(author_id, [])
                         ),
-                        "_world_id": author_id,
                     },
                     doc_id=pid,
                 )
-        for pub_id in sorted(self._world.publications):
-            pub = self._world.publications[pub_id]
-            venue = self._world.venues[pub.venue_id]
-            self._publications.insert(
-                {
-                    "id": pub.pub_id,
-                    "title": pub.title,
-                    "year": pub.year,
-                    "venue": venue.name,
-                    "venue_type": venue.venue_type.value,
-                },
-                doc_id=pub_id,
-            )
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -160,59 +136,6 @@ class DblpService(SourceService):
             "coauthor_pids": sorted(coauthor_pids),
         }
 
-    def _publication(self, request: HttpRequest) -> object:
-        pub_id = str(request.param("id", ""))
-        pub = self._world.publications.get(pub_id)
-        if pub is None:
-            raise NotFoundError(request, f"no dblp publication {pub_id!r}")
-        venue = self._world.venues[pub.venue_id]
-        return {
-            "id": pub.pub_id,
-            "title": pub.title,
-            "year": pub.year,
-            "venue_id": venue.venue_id,
-            "venue": venue.name,
-            "venue_type": venue.venue_type.value,
-            "authors": [
-                {"pid": self._pid_of[a], "name": self._world.authors[a].name}
-                for a in pub.author_ids
-            ],
-        }
-
-    def _search_publications(self, request: HttpRequest) -> object:
-        year_from = request.param("year_from")
-        year_to = request.param("year_to")
-        venue_type = request.param("venue_type")
-        limit = int(request.param("limit", 100))
-        pub_ids = self._publication_indexes.range_lookup(
-            "year",
-            int(year_from) if year_from is not None else None,
-            int(year_to) if year_to is not None else None,
-        )
-        hits = []
-        for pub_id in pub_ids:
-            payload = self._publications.get(pub_id).payload
-            if venue_type is not None and payload["venue_type"] != venue_type:
-                continue
-            hits.append(payload)
-            if len(hits) >= limit:
-                break
-        return {"hits": hits, "total_matched": len(pub_ids)}
-
-    def _search_title(self, request: HttpRequest) -> object:
-        """Ranked full-text search over publication titles."""
-        query = str(request.param("q", ""))
-        limit = int(request.param("limit", 25))
-        tokens = tokenize(query)
-        if not tokens:
-            return {"query": query, "hits": []}
-        postings = self._title_index.search(tokens, limit=limit)
-        hits = []
-        for posting in postings:
-            payload = self._publications.get(posting.doc_id).payload
-            hits.append({**payload, "relevance": round(posting.weight, 4)})
-        return {"query": query, "hits": hits}
-
     def _search_venue(self, request: HttpRequest) -> object:
         """Venue search by (partial) name — the Fig. 2 'Crawl Journal/
         Conf. Data' entry point."""
@@ -233,33 +156,6 @@ class DblpService(SourceService):
                     )
         hits.sort(key=lambda h: h["venue_id"])
         return {"query": query, "hits": hits}
-
-    def _venue_page(self, request: HttpRequest) -> object:
-        venue_id = str(request.param("id", ""))
-        venue = self._world.venues.get(venue_id)
-        if venue is None:
-            raise NotFoundError(request, f"no dblp venue {venue_id!r}")
-        recent = []
-        for pub in self._world.publications.values():
-            if pub.venue_id == venue_id:
-                recent.append((pub.year, pub.pub_id, pub.title))
-        recent.sort(reverse=True)
-        topic_labels = [
-            self._world.ontology.topic(t).label
-            for t in venue.topic_ids
-            if t in self._world.ontology
-        ]
-        return {
-            "venue_id": venue.venue_id,
-            "name": venue.name,
-            "venue_type": venue.venue_type.value,
-            "topics": topic_labels,
-            "publication_count": len(recent),
-            "recent_publications": [
-                {"id": pub_id, "title": title, "year": year}
-                for year, pub_id, title in recent[:25]
-            ],
-        }
 
     def _statistics(self, request: HttpRequest) -> object:
         return {"records_per_year": self._world.dblp_records_per_year()}
@@ -320,41 +216,10 @@ class DblpClient(SourceClient):
             coauthor_pids=tuple(payload["coauthor_pids"]),
         )
 
-    def publication(self, pub_id: str) -> dict | None:
-        """One publication record, or ``None`` if unknown."""
-        return self._get_or_none("/publication", {"id": pub_id})
-
-    def publications_by_year(
-        self,
-        year_from: int | None = None,
-        year_to: int | None = None,
-        venue_type: str | None = None,
-        limit: int = 100,
-    ) -> list[dict]:
-        """Publications in a year range, optionally by venue type."""
-        params: dict[str, object] = {"limit": limit}
-        if year_from is not None:
-            params["year_from"] = year_from
-        if year_to is not None:
-            params["year_to"] = year_to
-        if venue_type is not None:
-            params["venue_type"] = venue_type
-        payload = self._get("/search/publications", params)
-        return list(payload["hits"])
-
-    def search_title(self, query: str, limit: int = 25) -> list[dict]:
-        """Ranked publication hits for a title query."""
-        payload = self._get("/search/title", {"q": query, "limit": limit})
-        return list(payload["hits"])
-
     def search_venue(self, name: str) -> list[dict]:
         """Venue hits for a (partial) name."""
         payload = self._get("/search/venue", {"q": name})
         return list(payload["hits"])
-
-    def venue_page(self, venue_id: str) -> dict | None:
-        """A venue's page: topics, volume, recent publications."""
-        return self._get_or_none("/venue", {"id": venue_id})
 
     def records_per_year(self) -> dict:
         """The Figure 1 statistics table."""

@@ -2,7 +2,9 @@
 
 Publons (now Web of Science Reviewer Recognition) is the only service in
 the paper's stack that documents *reviewing* activity: how many
-manuscripts a scholar has reviewed, for which outlets, and when.  Two of
+manuscripts a scholar has reviewed, for which outlets, and how often on
+time.  The reviewer summary carries those counts; MINARET reads no
+individual review record, so the service keeps none.  Two of
 the five ranking components (§2.3 — review experience and
 familiarity-with-outlet) and one filter (§2.2 — "number of previous
 review activities") depend on it.
@@ -54,7 +56,6 @@ class PublonsService(SourceService):
         self._build(noise)
         self.route("/api/search", self._search)
         self.route("/api/reviewer", self._reviewer)
-        self.route("/api/reviews", self._reviews)
 
     def reviewer_id_of(self, author_id: str) -> str | None:
         """The Publons reviewer id for a world author, if covered."""
@@ -91,16 +92,6 @@ class PublonsService(SourceService):
                     ),
                     "venues_reviewed": venues_reviewed,
                     "interests": list(interests),
-                    "reviews": [
-                        {
-                            "venue_id": r.venue_id,
-                            "venue": self._world.venues[r.venue_id].name,
-                            "year": r.year,
-                            "days_to_complete": r.days_to_complete,
-                            "on_time": r.on_time,
-                        }
-                        for r in reviews
-                    ],
                 },
                 doc_id=reviewer_id,
             )
@@ -134,16 +125,7 @@ class PublonsService(SourceService):
         doc = self._reviewers.get_or_none(reviewer_id)
         if doc is None:
             raise NotFoundError(request, f"no publons reviewer {reviewer_id!r}")
-        payload = dict(doc.payload)
-        payload.pop("reviews")  # the summary endpoint omits the raw list
-        return payload
-
-    def _reviews(self, request: HttpRequest) -> object:
-        reviewer_id = str(request.param("id", ""))
-        doc = self._reviewers.get_or_none(reviewer_id)
-        if doc is None:
-            raise NotFoundError(request, f"no publons reviewer {reviewer_id!r}")
-        return {"reviewer_id": reviewer_id, "reviews": doc.payload["reviews"]}
+        return doc.payload
 
     def _interest_search(self, request: HttpRequest) -> object:
         keyword = normalize_keyword(str(request.param("q", "")))
@@ -181,13 +163,6 @@ class PublonsClient(SourceClient):
             interests=tuple(payload["interests"]),
             review_ids=(),  # raw ids are not exposed; counts live in summary
         )
-
-    def reviews(self, reviewer_id: str) -> list[dict]:
-        """The reviewer's individual review records."""
-        payload = self._get_or_none("/api/reviews", {"id": reviewer_id})
-        if payload is None:
-            return []
-        return list(payload["reviews"])
 
     def reviewers_by_interest(self, keyword: str, limit: int = 50) -> list[str]:
         """Reviewer ids registering ``keyword`` as an interest."""

@@ -11,9 +11,9 @@ would run on:
   index used for interest-keyword → scholar retrieval (the heart of the
   candidate-reviewer search).
 
-Keeping this layer explicit (rather than ad-hoc dicts inside each source)
-is what makes the per-source query accounting in the EXP-SCALE experiment
-meaningful.
+:class:`~repro.storage.persistence.JournaledStore` adds a write-ahead
+journal and snapshots to a document store.  EXP-STORAGE measures it; no
+service runs on it.
 """
 
 from repro.storage.documents import Document, DocumentStore
@@ -25,7 +25,6 @@ from repro.storage.errors import (
     VersionConflictError,
 )
 from repro.storage.inverted import InvertedIndex, Posting
-from repro.storage.ordered import OrderedIndex, OrderedIndexManager
 from repro.storage.persistence import JournaledStore, PersistentStoreError
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "IndexError_",
     "InvertedIndex",
     "JournaledStore",
-    "OrderedIndex",
-    "OrderedIndexManager",
     "PersistentStoreError",
     "Posting",
     "StorageError",

@@ -23,7 +23,6 @@ Design notes
 - Secondary indexes map an extracted key to the *set* of document ids;
   extractors may return a single key, an iterable of keys (multi-valued
   index, e.g. one entry per interest keyword) or ``None`` (unindexed).
-- Statistics counters (reads/writes/scans) feed the EXP-SCALE benchmark.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import itertools
 import marshal
 from collections.abc import Callable, Hashable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.storage.errors import (
     DocumentNotFoundError,
@@ -96,29 +95,6 @@ class Document:
     version: int
 
 
-@dataclass
-class StoreStats:
-    """Operation counters, reset with :meth:`DocumentStore.reset_stats`."""
-
-    inserts: int = 0
-    reads: int = 0
-    updates: int = 0
-    deletes: int = 0
-    index_lookups: int = 0
-    scans: int = 0
-
-    def total_operations(self) -> int:
-        """Sum of all counters."""
-        return (
-            self.inserts
-            + self.reads
-            + self.updates
-            + self.deletes
-            + self.index_lookups
-            + self.scans
-        )
-
-
 class DocumentStore:
     """In-memory document store with versioning and secondary indexes.
 
@@ -138,7 +114,6 @@ class DocumentStore:
         self._indexes: dict[str, dict[IndexKey, set[str]]] = {}
         self._extractors: dict[str, Extractor] = {}
         self._id_counter = itertools.count(1)
-        self.stats = StoreStats()
 
     # ------------------------------------------------------------------
     # Basic CRUD
@@ -166,7 +141,6 @@ class DocumentStore:
         self._documents[doc_id] = blob
         self._versions[doc_id] = 1
         self._add_entries(doc_id, entries)
-        self.stats.inserts += 1
         return Document(doc_id=doc_id, payload=marshal.loads(blob), version=1)
 
     def get(self, doc_id: str) -> Document:
@@ -175,7 +149,6 @@ class DocumentStore:
             blob = self._documents[doc_id]
         except KeyError:
             raise DocumentNotFoundError(doc_id) from None
-        self.stats.reads += 1
         return Document(
             doc_id=doc_id,
             payload=marshal.loads(blob),
@@ -208,7 +181,6 @@ class DocumentStore:
         self._documents[doc_id] = blob
         self._versions[doc_id] = current_version + 1
         self._add_entries(doc_id, entries)
-        self.stats.updates += 1
         return Document(
             doc_id=doc_id, payload=marshal.loads(blob), version=current_version + 1
         )
@@ -220,7 +192,6 @@ class DocumentStore:
         self._remove_entries(doc_id, self._stored_entries(doc_id))
         del self._documents[doc_id]
         del self._versions[doc_id]
-        self.stats.deletes += 1
 
     def ids(self) -> list[str]:
         """All document ids, in insertion order."""
@@ -228,7 +199,6 @@ class DocumentStore:
 
     def scan(self) -> Iterator[Document]:
         """Iterate over snapshots of every document (a full table scan)."""
-        self.stats.scans += 1
         for doc_id in list(self._documents):
             yield Document(
                 doc_id=doc_id,
@@ -274,7 +244,6 @@ class DocumentStore:
         """Like :meth:`lookup` but returns only ids (cheaper)."""
         if index_name not in self._indexes:
             raise IndexError_(f"no such index: {index_name!r}")
-        self.stats.index_lookups += 1
         return sorted(self._indexes[index_name].get(key, set()))
 
     def index_keys(self, index_name: str) -> list[IndexKey]:
@@ -286,10 +255,6 @@ class DocumentStore:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-
-    def reset_stats(self) -> None:
-        """Zero all operation counters."""
-        self.stats = StoreStats()
 
     def clear(self) -> None:
         """Remove every document but keep index definitions."""

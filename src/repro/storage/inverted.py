@@ -37,7 +37,7 @@ class Posting:
 
 
 class InvertedIndex:
-    """Term → posting-list index with ranked and boolean retrieval.
+    """Term → posting-list index with ranked retrieval.
 
     Example
     -------
@@ -133,10 +133,6 @@ class InvertedIndex:
             if not bucket:
                 del self._postings[term]
 
-    def terms_of(self, doc_id: str) -> set[str]:
-        """The set of terms under which ``doc_id`` is indexed."""
-        return set(self._document_terms.get(doc_id, set()))
-
     def postings(self, term: str) -> list[Posting]:
         """The posting list of ``term``, sorted by descending weight."""
         bucket = self._postings.get(term, {})
@@ -205,29 +201,3 @@ class InvertedIndex:
         else:
             ranked.sort()
         return [Posting(d, -neg) for neg, d in ranked]
-
-    def search_all(self, terms: Iterable[str]) -> list[str]:
-        """Boolean AND-retrieval: ids of documents containing *every* term."""
-        term_list = list(dict.fromkeys(terms))
-        if not term_list:
-            return []
-        buckets = []
-        for term in term_list:
-            bucket = self._postings.get(term)
-            if not bucket:
-                return []
-            buckets.append(set(bucket))
-        buckets.sort(key=len)
-        result = buckets[0]
-        for bucket in buckets[1:]:
-            result = result & bucket
-            if not result:
-                return []
-        return sorted(result)
-
-    def search_any(self, terms: Iterable[str]) -> list[str]:
-        """Boolean OR-retrieval: ids of documents containing *any* term."""
-        result: set[str] = set()
-        for term in terms:
-            result.update(self._postings.get(term, {}))
-        return sorted(result)

@@ -2,84 +2,57 @@
 
 The original MINARET system scrapes scholarly websites and therefore needs
 a fair amount of light-weight natural-language machinery: name
-normalization for author identity verification, keyword tokenization for
-matching manuscript topics against reviewer interests, and string/set
-similarity measures used throughout the extraction, filtering and ranking
-phases.  This package provides all of it in pure Python.
+normalization for author identity verification, tokenization for matching
+manuscript topics against publication titles, and the string and set
+similarities identity verification compares names and affiliations with.
+This package provides all of it in pure Python.
 
 Modules
 -------
 normalize
     Unicode/diacritic folding, whitespace cleanup, person-name
-    canonicalization (initials, surname-first forms) and slugs.
+    canonicalization (surname-first forms, family and given names) and
+    slugs.
 tokenize
-    Tokenizers, stopword handling and n-gram extraction for topic strings.
+    Tokenizer and stopword handling for titles and affiliations.
 metrics
-    Set-based similarities (Jaccard, Dice, overlap, cosine on bags).
+    Jaccard similarity of token sets.
 strings
-    Edit-distance family (Levenshtein, Jaro, Jaro-Winkler) used for fuzzy
-    author-name matching.
-tfidf
-    A small TF-IDF vectorizer with cosine scoring for publication
-    title/abstract relevance.
+    Jaro and Jaro-Winkler similarity and the structured person-name
+    similarity used for fuzzy author-name matching.
+phonetic
+    Soundex and NYSIIS codes that corroborate family-name spelling drift.
 """
 
-from repro.text.metrics import (
-    cosine_bag_similarity,
-    dice_coefficient,
-    jaccard_similarity,
-    overlap_coefficient,
-    weighted_jaccard,
-)
+from repro.text.metrics import jaccard_similarity
 from repro.text.phonetic import nysiis, phonetic_family_match, soundex
 from repro.text.normalize import (
     canonical_person_name,
     fold_diacritics,
-    name_initials_form,
     normalize_keyword,
     normalize_whitespace,
     slugify,
 )
 from repro.text.strings import (
-    damerau_levenshtein_distance,
     jaro_similarity,
     jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_ratio,
     name_similarity,
 )
-from repro.text.tfidf import TfidfVectorizer
-from repro.text.tokenize import (
-    DEFAULT_STOPWORDS,
-    character_ngrams,
-    tokenize,
-    word_ngrams,
-)
+from repro.text.tokenize import DEFAULT_STOPWORDS, tokenize
 
 __all__ = [
     "DEFAULT_STOPWORDS",
-    "TfidfVectorizer",
     "canonical_person_name",
-    "character_ngrams",
-    "cosine_bag_similarity",
-    "damerau_levenshtein_distance",
-    "dice_coefficient",
     "fold_diacritics",
     "jaccard_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
-    "levenshtein_distance",
-    "levenshtein_ratio",
-    "name_initials_form",
     "name_similarity",
     "normalize_keyword",
     "normalize_whitespace",
     "nysiis",
-    "overlap_coefficient",
     "phonetic_family_match",
     "slugify",
     "soundex",
     "tokenize",
-    "weighted_jaccard",
-    "word_ngrams",
 ]

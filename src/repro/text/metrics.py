@@ -1,14 +1,8 @@
-"""Set- and bag-based similarity measures.
-
-These are the primitive scores combined by the keyword-matching filter
-(paper §2.2) and the topic-coverage ranking component (§2.3).
-"""
+"""Set similarity for the identity resolver's affiliation evidence (paper §2.1)."""
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection
 
 
 def jaccard_similarity(a: Collection[object], b: Collection[object]) -> float:
@@ -26,70 +20,3 @@ def jaccard_similarity(a: Collection[object], b: Collection[object]) -> float:
         return 1.0
     union = len(set_a | set_b)
     return len(set_a & set_b) / union
-
-
-def dice_coefficient(a: Collection[object], b: Collection[object]) -> float:
-    """Sørensen–Dice coefficient 2|A ∩ B| / (|A| + |B|)."""
-    set_a, set_b = set(a), set(b)
-    if not set_a and not set_b:
-        return 1.0
-    return 2 * len(set_a & set_b) / (len(set_a) + len(set_b))
-
-
-def overlap_coefficient(a: Collection[object], b: Collection[object]) -> float:
-    """Overlap (Szymkiewicz–Simpson) coefficient |A ∩ B| / min(|A|, |B|).
-
-    Preferred when one side (a manuscript's 3-5 keywords) is much smaller
-    than the other (a prolific reviewer's interest list): full containment
-    scores 1.0 regardless of the larger set's size.
-    """
-    set_a, set_b = set(a), set(b)
-    if not set_a and not set_b:
-        return 1.0
-    smaller = min(len(set_a), len(set_b))
-    if smaller == 0:
-        return 0.0
-    return len(set_a & set_b) / smaller
-
-
-def cosine_bag_similarity(a: Iterable[object], b: Iterable[object]) -> float:
-    """Cosine similarity of two multisets (bags) of items.
-
-    >>> round(cosine_bag_similarity(["rdf", "rdf", "owl"], ["rdf"]), 4)
-    0.8944
-    """
-    counts_a, counts_b = Counter(a), Counter(b)
-    if not counts_a and not counts_b:
-        return 1.0
-    if not counts_a or not counts_b:
-        return 0.0
-    dot = sum(counts_a[item] * counts_b[item] for item in counts_a.keys() & counts_b.keys())
-    norm_a = math.sqrt(sum(v * v for v in counts_a.values()))
-    norm_b = math.sqrt(sum(v * v for v in counts_b.values()))
-    return dot / (norm_a * norm_b)
-
-
-def weighted_jaccard(
-    a: Mapping[object, float], b: Mapping[object, float]
-) -> float:
-    """Weighted Jaccard: Σ min(wa, wb) / Σ max(wa, wb).
-
-    The keyword-expansion step attaches a similarity score ``sc`` to each
-    expanded keyword; this measure compares such weighted keyword sets.
-    Missing keys count as weight 0.  Negative weights are rejected.
-    """
-    keys = set(a) | set(b)
-    if not keys:
-        return 1.0
-    numerator = 0.0
-    denominator = 0.0
-    for key in keys:
-        weight_a = a.get(key, 0.0)
-        weight_b = b.get(key, 0.0)
-        if weight_a < 0 or weight_b < 0:
-            raise ValueError("weighted_jaccard requires non-negative weights")
-        numerator += min(weight_a, weight_b)
-        denominator += max(weight_a, weight_b)
-    if denominator == 0.0:
-        return 1.0
-    return numerator / denominator

@@ -99,27 +99,6 @@ def canonical_person_name(name: str) -> str:
     return " ".join(p.lower() for p in parts if p)
 
 
-def name_initials_form(name: str) -> str:
-    """Reduce a name to "f. m. family" — the abbreviated citation form.
-
-    All tokens except the final family name are reduced to their initial.
-    This is the form most bibliographies use, and the form under which
-    distinct scholars are most likely to collide — which is exactly what
-    the disambiguation step needs to detect.
-
-    >>> name_initials_form("Mohamed Ragab Moawad")
-    'm. r. moawad'
-    """
-    canonical = canonical_person_name(name)
-    if not canonical:
-        return ""
-    parts = canonical.split(" ")
-    if len(parts) == 1:
-        return parts[0]
-    initials = [f"{p[0]}." for p in parts[:-1]]
-    return " ".join(initials + [parts[-1]])
-
-
 def family_name(name: str) -> str:
     """Extract the family name from any supported name form.
 

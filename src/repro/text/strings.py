@@ -1,92 +1,15 @@
-"""Edit-distance family of string similarities for fuzzy name matching.
+"""String similarities for fuzzy name matching.
 
 Author identity verification (paper §2.1) matches names across sources
 that abbreviate, transliterate and typo them differently.  MINARET's
-matching layer uses Jaro-Winkler for full names (it privileges agreement
-on the prefix, which survives abbreviation poorly but typos well) and
-Levenshtein ratio as a secondary check.
+matching layer uses Jaro-Winkler (it privileges agreement on the prefix,
+which survives abbreviation poorly but typos well), backed by a phonetic
+check on family names.
 """
 
 from __future__ import annotations
 
-from repro.text.normalize import canonical_person_name, family_name, given_names
-
-
-def levenshtein_distance(a: str, b: str) -> int:
-    """Classic Levenshtein (insert/delete/substitute) distance.
-
-    Runs in O(len(a) * len(b)) time and O(min) space.
-
-    >>> levenshtein_distance("kitten", "sitting")
-    3
-    """
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
-
-
-def damerau_levenshtein_distance(a: str, b: str) -> int:
-    """Levenshtein distance extended with adjacent transpositions.
-
-    Transpositions ("Mohamed" / "Mohmaed") are the most common typo class
-    in hand-entered author names, so the name matcher counts them as a
-    single edit.
-    """
-    if a == b:
-        return 0
-    len_a, len_b = len(a), len(b)
-    if not len_a:
-        return len_b
-    if not len_b:
-        return len_a
-    # Full matrix; restricted (optimal string alignment) variant.
-    dist = [[0] * (len_b + 1) for __ in range(len_a + 1)]
-    for i in range(len_a + 1):
-        dist[i][0] = i
-    for j in range(len_b + 1):
-        dist[0][j] = j
-    for i in range(1, len_a + 1):
-        for j in range(1, len_b + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            dist[i][j] = min(
-                dist[i - 1][j] + 1,
-                dist[i][j - 1] + 1,
-                dist[i - 1][j - 1] + cost,
-            )
-            transposable = (
-                i > 1
-                and j > 1
-                and a[i - 1] == b[j - 2]
-                and a[i - 2] == b[j - 1]
-            )
-            if transposable:
-                dist[i][j] = min(dist[i][j], dist[i - 2][j - 2] + 1)
-    return dist[len_a][len_b]
-
-
-def levenshtein_ratio(a: str, b: str) -> float:
-    """Normalized Levenshtein similarity in [0, 1].
-
-    Defined as ``1 - distance / max(len)``; two empty strings are
-    identical (1.0).
-    """
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein_distance(a, b) / longest
+from repro.text.normalize import family_name, given_names
 
 
 def jaro_similarity(a: str, b: str) -> float:
@@ -204,17 +127,3 @@ def _given_token_similarity(a: str, b: str) -> float:
     if len(a) == 1 or len(b) == 1:
         return 1.0
     return jaro_winkler_similarity(a, b)
-
-
-def same_person_heuristic(a: str, b: str, threshold: float = 0.88) -> bool:
-    """Decide whether two name strings plausibly denote the same person.
-
-    This is the quick pre-filter the identity-verification step applies
-    before consulting profile evidence (affiliations, co-authors).  The
-    ``threshold`` default was tuned on the synthetic name pool so that
-    abbreviation variants pass and sibling names ("Lei Zhou" vs "Wei
-    Zhou") fail.
-    """
-    if canonical_person_name(a) == canonical_person_name(b):
-        return True
-    return name_similarity(a, b) >= threshold

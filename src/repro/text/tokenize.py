@@ -1,15 +1,14 @@
-"""Tokenization helpers for topic keywords, titles and abstracts.
+"""Tokenization of publication titles and affiliations.
 
-Keyword matching between a manuscript and reviewer interest profiles
-(paper §2.2) works on token sets; recency and topic-coverage ranking
-(§2.3) additionally use n-grams so that multi-word topics such as
-"linked open data" match as units.
+The recency ranking component (paper §2.3) matches expanded keywords
+against the token set of a publication's title when it carries no
+keyword list, and identity verification (§2.1) compares affiliation
+token sets.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from repro.text.normalize import normalize_keyword
@@ -83,50 +82,3 @@ def _tokenize_cached(
     if min_length > 1:
         tokens = [t for t in tokens if len(t) >= min_length]
     return tuple(tokens)
-
-
-def word_ngrams(tokens: Iterable[str], n: int) -> list[tuple[str, ...]]:
-    """Return the list of word ``n``-grams over ``tokens``.
-
-    >>> word_ngrams(["linked", "open", "data"], 2)
-    [('linked', 'open'), ('open', 'data')]
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    token_list = list(tokens)
-    if len(token_list) < n:
-        return []
-    return [tuple(token_list[i : i + n]) for i in range(len(token_list) - n + 1)]
-
-
-def character_ngrams(text: str, n: int, pad: bool = True) -> list[str]:
-    """Return character ``n``-grams of ``text``, optionally edge-padded.
-
-    Character n-grams drive fuzzy matching of short keywords ("RDFS" vs
-    "RDF").  Padding with ``#`` weights word boundaries, the standard
-    trick for name matching.
-
-    >>> character_ngrams("rdf", 2)
-    ['#r', 'rd', 'df', 'f#']
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not text:
-        return []
-    padded = f"{'#' * (n - 1)}{text}{'#' * (n - 1)}" if pad and n > 1 else text
-    if len(padded) < n:
-        return [padded]
-    return [padded[i : i + n] for i in range(len(padded) - n + 1)]
-
-
-def sentences(text: str) -> Iterator[str]:
-    """Yield rough sentence splits of ``text``.
-
-    Used only for abstract processing in the extraction phase; a simple
-    period/question/exclamation splitter is sufficient for synthetic
-    abstracts.
-    """
-    for raw in re.split(r"(?<=[.!?])\s+", text):
-        stripped = raw.strip()
-        if stripped:
-            yield stripped

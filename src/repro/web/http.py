@@ -411,12 +411,6 @@ class SimulatedHttpClient:
         with self._lock:
             return sum(s.latency_ns for s in self.stats.values()) / 1_000_000_000
 
-    def reset_stats(self) -> None:
-        """Zero all per-host counters."""
-        with self._lock:
-            for host in self.stats:
-                self.stats[host] = HostStats()
-
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------

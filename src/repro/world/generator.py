@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro.ontology.graph import Relation, TopicOntology
+from repro.ontology.graph import TopicOntology
 from repro.ontology.data import build_seed_ontology
 from repro.scholarly.records import (
     Affiliation,

@@ -383,7 +383,7 @@ class TestFlowMatchesNetworkxOracle:
 
 
 def test_importing_assignment_leaves_networkx_unloaded():
-    """The solver needs no networkx; only the graph export imports it."""
+    """The solver needs no networkx; only these tests import it, as the oracle."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.metrics import (
-    average_precision,
     kendall_tau,
     ndcg_at_k,
     precision_at_k,
@@ -71,20 +70,6 @@ class TestNdcg:
     )
     def test_bounded(self, ranking, gains):
         assert 0.0 <= ndcg_at_k(ranking, gains, 5) <= 1.0 + 1e-9
-
-
-class TestAveragePrecision:
-    def test_perfect_prefix(self):
-        assert average_precision(["a", "b", "x"], {"a", "b"}) == 1.0
-
-    def test_relevant_at_end(self):
-        assert average_precision(["x", "y", "a"], {"a"}) == pytest.approx(1 / 3)
-
-    def test_none_found(self):
-        assert average_precision(["x", "y"], {"a"}) == 0.0
-
-    def test_empty_relevant(self):
-        assert average_precision(["x"], set()) == 0.0
 
 
 class TestKendallTau:

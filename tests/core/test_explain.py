@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import ImpactMetric, PipelineConfig
-from repro.core.explain import explain_candidate, explain_ranking
+from repro.core.explain import explain_candidate
 from repro.core.models import (
     Candidate,
     Manuscript,
@@ -161,20 +161,12 @@ class TestExplainCandidate:
         assert any("75% of past reviews on time" in l for l in lines)
 
 
-class TestExplainRanking:
-    def test_block_format(self):
-        block = explain_ranking(
-            [make_scored(), make_scored()], MANUSCRIPT, EXPANDED, top_k=2
-        )
-        assert block.count("1. Ada") == 1
-        assert block.count("2. Ada") == 1
-        assert "    - " in block
-
     def test_real_pipeline_output_explains(self, hub, manuscript):
         minaret = Minaret(hub)
         result = minaret.recommend(manuscript)
-        block = explain_ranking(
-            result.ranked, result.manuscript, result.expanded_keywords, top_k=3
+        lines = explain_candidate(
+            result.ranked[0], result.manuscript, result.expanded_keywords,
+            minaret.config,
         )
-        assert "topic coverage" in block
-        assert "total" in block
+        assert len(lines) == 6
+        assert any(line.startswith("topic coverage") for line in lines)

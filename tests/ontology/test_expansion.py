@@ -109,13 +109,6 @@ class TestUnknownKeywords:
         assert "RDF Stores" in labels
 
 
-class TestExpandToWeights:
-    def test_weight_map_normalized_keys(self, expander):
-        weights = expander.expand_to_weights(["RDF"])
-        assert "semantic web" in weights
-        assert all(0.0 <= w <= 1.0 for w in weights.values())
-
-
 class TestProperties:
     """Hypothesis invariants over arbitrary seed topics and configs."""
 
@@ -201,10 +194,3 @@ class TestConfigValidation:
     def test_bad_decay_rejected(self):
         with pytest.raises(ValueError):
             ExpansionConfig(relation_decay={Relation.RELATED: 2.0})
-
-    def test_with_helpers(self):
-        config = ExpansionConfig()
-        assert config.with_min_score(0.9).min_score == 0.9
-        assert config.with_max_depth(4).max_depth == 4
-        # Originals untouched (frozen dataclass copies).
-        assert config.min_score == 0.5

@@ -143,12 +143,3 @@ class TestHierarchy:
         graph.add_edge("b", Relation.BROADER, "a")
         chain = graph.broader_chain("a")
         assert [t.topic_id for t in chain] == ["b"]
-
-
-class TestExport:
-    def test_to_networkx(self, onto):
-        graph = onto.to_networkx()
-        assert graph.number_of_nodes() == 5
-        assert graph.nodes["rdf"]["label"] == "RDF"
-        # Directed multigraph: each link stored with its inverse.
-        assert graph.number_of_edges() == 10

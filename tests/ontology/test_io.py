@@ -5,12 +5,7 @@ import pytest
 from repro.ontology.builder import SyntheticOntologyConfig, build_synthetic_ontology
 from repro.ontology.data import build_seed_ontology
 from repro.ontology.graph import Relation
-from repro.ontology.io import (
-    load_ontology,
-    ontology_from_dict,
-    ontology_to_dict,
-    save_ontology,
-)
+from repro.ontology.io import ontology_from_dict, ontology_to_dict
 
 
 class TestRoundTrip:
@@ -61,13 +56,3 @@ class TestFormatGuard:
     def test_missing_format_rejected(self):
         with pytest.raises(ValueError):
             ontology_from_dict({"topics": [], "edges": []})
-
-
-class TestFiles:
-    def test_save_and_load(self, tmp_path):
-        path = tmp_path / "onto.json"
-        original = build_seed_ontology()
-        save_ontology(original, path)
-        restored = load_ontology(path)
-        assert len(restored) == len(original)
-        assert restored.edge_count() == original.edge_count()

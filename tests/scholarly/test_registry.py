@@ -90,3 +90,46 @@ class TestBehaviourModels:
         for author in itertools.islice(world.authors.values(), 8):
             assert hub.dblp.search_author(author.name) is not None
         assert hub.http.stats["dblp.org"].faults > 0
+
+
+class TestRoutes:
+    def test_services_serve_only_what_minaret_requests(self, world):
+        """Each simulated route is one the pipeline or Figure 1 reads.
+
+        Three cold recommendations that consult every source for a
+        target venue, plus the Figure 1 statistics call, request every
+        path each service routes, and nothing else.
+        """
+        from repro.core.config import PipelineConfig
+        from repro.core.pipeline import Minaret
+        from tests.conftest import make_manuscript
+
+        capacity = 1 << 16
+        hub = ScholarlyHub.deploy(world, trace_capacity=capacity)
+        minaret = Minaret(hub, config=PipelineConfig(use_all_sources=True))
+        authors = [
+            author
+            for author in world.authors.values()
+            if len(world.authors_by_name(author.name)) == 1
+        ][:3]
+        for author in authors:
+            manuscript = make_manuscript(world, author)
+            assert manuscript.target_venue
+            minaret.recommend(manuscript)
+        hub.dblp.records_per_year()
+        traces = hub.http.traces()
+        assert len(traces) < capacity
+        requested: dict[str, set[str]] = {}
+        for trace in traces:
+            requested.setdefault(trace.host, set()).add(trace.path)
+        services = (
+            hub.dblp_service,
+            hub.scholar_service,
+            hub.publons_service,
+            hub.acm_service,
+            hub.orcid_service,
+            hub.rid_service,
+        )
+        assert {s.host: set(s.paths()) for s in services} == {
+            s.host: requested.get(s.host, set()) for s in services
+        }

@@ -1,4 +1,4 @@
-"""Tests for DBLP venue search and venue pages (Fig. 2's outlet crawl)."""
+"""Tests for DBLP venue search (Fig. 2's outlet crawl)."""
 
 import pytest
 
@@ -27,57 +27,6 @@ class TestVenueSearch:
 
     def test_empty_query(self, shared_hub):
         assert shared_hub.dblp.search_venue("") == []
-
-
-class TestVenuePage:
-    def test_page_contents(self, shared_hub, world):
-        venue = world.journal_venues()[0]
-        page = shared_hub.dblp.venue_page(venue.venue_id)
-        assert page["name"] == venue.name
-        assert page["venue_type"] == "journal"
-        expected = sum(
-            1 for p in world.publications.values() if p.venue_id == venue.venue_id
-        )
-        assert page["publication_count"] == expected
-        assert len(page["recent_publications"]) <= 25
-
-    def test_recent_first(self, shared_hub, world):
-        venue = world.journal_venues()[0]
-        page = shared_hub.dblp.venue_page(venue.venue_id)
-        years = [p["year"] for p in page["recent_publications"]]
-        assert years == sorted(years, reverse=True)
-
-    def test_topics_resolved_to_labels(self, shared_hub, world):
-        venue = world.journal_venues()[0]
-        page = shared_hub.dblp.venue_page(venue.venue_id)
-        assert page["topics"]
-        assert all(isinstance(t, str) and t for t in page["topics"])
-
-    def test_missing_venue(self, shared_hub):
-        assert shared_hub.dblp.venue_page("venue-nope") is None
-
-
-class TestTitleSearch:
-    def test_finds_publication_by_its_own_title(self, shared_hub, world):
-        pub = next(iter(world.publications.values()))
-        hits = shared_hub.dblp.search_title(pub.title)
-        assert any(h["id"] == pub.pub_id for h in hits)
-
-    def test_ranked_by_relevance(self, shared_hub, world):
-        pub = next(iter(world.publications.values()))
-        hits = shared_hub.dblp.search_title(pub.title, limit=10)
-        relevances = [h["relevance"] for h in hits]
-        assert relevances == sorted(relevances, reverse=True)
-
-    def test_limit_respected(self, shared_hub):
-        hits = shared_hub.dblp.search_title("efficient scalable", limit=3)
-        assert len(hits) <= 3
-
-    def test_stopword_only_query_empty(self, shared_hub):
-        assert shared_hub.dblp.search_title("of the and") == []
-
-    def test_no_match(self, shared_hub):
-        assert shared_hub.dblp.search_title("zymurgy quixotic") == []
 
 
 class TestOutletResolution:

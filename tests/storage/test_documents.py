@@ -134,10 +134,10 @@ class TestAtomicWrites:
         with pytest.raises(error):
             store.insert({"b": 1}, doc_id="x")
         assert len(store) == 0
+        assert "x" not in store
         assert store.index_keys("a") == []
-        assert store.stats.inserts == 0
         store.drop_index("a")
-        store.insert({"b": 1}, doc_id="x")
+        assert store.insert({"b": 1}, doc_id="x").version == 1
         store.delete("x")
         assert len(store) == 0
 
@@ -153,7 +153,7 @@ class TestAtomicWrites:
         assert store.lookup_ids("a", 1) == ["y"]
         assert store.lookup_ids("b", 1) == ["y"]
         assert store.lookup_ids("b", 2) == []
-        assert store.stats.updates == 0
+        assert store.update("y", {"a": 2}).version == 2
 
     def test_failed_create_index_is_not_registered(self, store):
         store.insert({"a": 1}, doc_id="x")
@@ -256,27 +256,11 @@ class TestSecondaryIndexes:
             store.drop_index("nope")
 
 
-class TestScanAndStats:
+class TestScanAndClear:
     def test_scan_yields_everything(self, store):
         for i in range(5):
             store.insert({"i": i})
         assert sorted(d.payload["i"] for d in store.scan()) == list(range(5))
-
-    def test_stats_count_operations(self, store):
-        store.insert({}, doc_id="a")
-        store.get("a")
-        store.update("a", {})
-        store.delete("a")
-        assert store.stats.inserts == 1
-        assert store.stats.reads == 1
-        assert store.stats.updates == 1
-        assert store.stats.deletes == 1
-        assert store.stats.total_operations() == 4
-
-    def test_reset_stats(self, store):
-        store.insert({})
-        store.reset_stats()
-        assert store.stats.total_operations() == 0
 
     def test_clear_keeps_indexes(self, store):
         store.create_index("k", lambda d: d.get("k"))

@@ -56,10 +56,6 @@ class TestAddRemove:
         idx.remove("only")
         assert idx.term_count == 0
 
-    def test_terms_of(self, index):
-        assert index.terms_of("alice") == {"rdf", "sparql"}
-        assert index.terms_of("nobody") == set()
-
 
 class TestPostings:
     def test_sorted_by_weight_desc(self, index):
@@ -113,44 +109,7 @@ class TestRankedSearch:
         assert index.search([]) == []
 
 
-class TestBooleanSearch:
-    def test_and_semantics(self, index):
-        assert index.search_all(["rdf", "ml"]) == ["bob"]
-
-    def test_and_with_missing_term_is_empty(self, index):
-        assert index.search_all(["rdf", "nope"]) == []
-
-    def test_and_empty_query(self, index):
-        assert index.search_all([]) == []
-
-    def test_or_semantics(self, index):
-        assert index.search_any(["sparql", "ml"]) == ["alice", "bob", "carol"]
-
-    def test_or_unknown_terms(self, index):
-        assert index.search_any(["nope"]) == []
-
-
 class TestProperties:
-    @given(
-        st.dictionaries(
-            st.sampled_from(["d1", "d2", "d3", "d4"]),
-            st.dictionaries(
-                st.sampled_from(["t1", "t2", "t3"]),
-                st.floats(0.1, 5.0),
-                min_size=1,
-                max_size=3,
-            ),
-            max_size=4,
-        )
-    )
-    def test_search_any_matches_union_of_postings(self, corpus):
-        index = InvertedIndex()
-        for doc_id, weights in corpus.items():
-            index.add(doc_id, weights)
-        all_terms = {t for weights in corpus.values() for t in weights}
-        expected = sorted(corpus)
-        assert index.search_any(all_terms) == expected
-
     @given(
         corpus=st.dictionaries(
             st.sampled_from([f"d{i}" for i in range(8)]),
@@ -198,7 +157,7 @@ class TestStats:
         assert stats["terms"] == index.term_count
         assert stats["postings"] == sum(
             index.document_frequency(t)
-            for t in {term for d in index._document_terms for term in index.terms_of(d)}
+            for t in {term for terms in index._document_terms.values() for term in terms}
         )
 
     def test_empty_index(self):

@@ -1,21 +1,12 @@
-"""Unit and property tests for set/bag similarity measures."""
+"""Unit and property tests for the Jaccard set similarity."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text.metrics import (
-    cosine_bag_similarity,
-    dice_coefficient,
-    jaccard_similarity,
-    overlap_coefficient,
-    weighted_jaccard,
-)
+from repro.text.metrics import jaccard_similarity
 
 small_sets = st.sets(st.sampled_from("abcdefgh"), max_size=8)
-weight_maps = st.dictionaries(
-    st.sampled_from("abcdef"), st.floats(0.0, 10.0), max_size=6
-)
 
 
 class TestJaccard:
@@ -50,92 +41,3 @@ class TestJaccard:
     @given(small_sets)
     def test_self_similarity_is_one(self, a):
         assert jaccard_similarity(a, a) == 1.0
-
-
-class TestDice:
-    def test_known_value(self):
-        assert dice_coefficient({"a", "b"}, {"b", "c"}) == pytest.approx(0.5)
-
-    def test_both_empty(self):
-        assert dice_coefficient(set(), set()) == 1.0
-
-    @given(small_sets, small_sets)
-    def test_dice_geq_jaccard(self, a, b):
-        # Dice >= Jaccard always (equality iff 0 or 1).
-        assert dice_coefficient(a, b) >= jaccard_similarity(a, b) - 1e-12
-
-
-class TestOverlap:
-    def test_containment_scores_one(self):
-        assert overlap_coefficient({"a"}, {"a", "b", "c"}) == 1.0
-
-    def test_disjoint(self):
-        assert overlap_coefficient({"a"}, {"b"}) == 0.0
-
-    def test_one_empty(self):
-        assert overlap_coefficient(set(), {"a"}) == 0.0
-
-    def test_both_empty(self):
-        assert overlap_coefficient(set(), set()) == 1.0
-
-    @given(small_sets, small_sets)
-    def test_overlap_geq_jaccard(self, a, b):
-        assert overlap_coefficient(a, b) >= jaccard_similarity(a, b) - 1e-12
-
-
-class TestCosineBag:
-    def test_known_value(self):
-        assert cosine_bag_similarity(["rdf", "rdf", "owl"], ["rdf"]) == pytest.approx(
-            2 / (5**0.5), rel=1e-6
-        )
-
-    def test_identical_bags(self):
-        assert cosine_bag_similarity(["a", "b"], ["a", "b"]) == pytest.approx(1.0)
-
-    def test_disjoint(self):
-        assert cosine_bag_similarity(["a"], ["b"]) == 0.0
-
-    def test_both_empty(self):
-        assert cosine_bag_similarity([], []) == 1.0
-
-    def test_one_empty(self):
-        assert cosine_bag_similarity(["a"], []) == 0.0
-
-    @given(
-        st.lists(st.sampled_from("abc"), max_size=6),
-        st.lists(st.sampled_from("abc"), max_size=6),
-    )
-    def test_symmetric_and_bounded(self, a, b):
-        value = cosine_bag_similarity(a, b)
-        assert value == pytest.approx(cosine_bag_similarity(b, a))
-        assert -1e-9 <= value <= 1.0 + 1e-9
-
-
-class TestWeightedJaccard:
-    def test_known_value(self):
-        a = {"x": 1.0, "y": 2.0}
-        b = {"x": 2.0, "y": 1.0}
-        assert weighted_jaccard(a, b) == pytest.approx(2.0 / 4.0)
-
-    def test_identical(self):
-        assert weighted_jaccard({"x": 0.7}, {"x": 0.7}) == 1.0
-
-    def test_empty(self):
-        assert weighted_jaccard({}, {}) == 1.0
-
-    def test_all_zero_weights(self):
-        assert weighted_jaccard({"x": 0.0}, {"x": 0.0}) == 1.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_jaccard({"x": -1.0}, {"x": 1.0})
-
-    @given(weight_maps, weight_maps)
-    def test_symmetric_and_bounded(self, a, b):
-        value = weighted_jaccard(a, b)
-        assert value == pytest.approx(weighted_jaccard(b, a))
-        assert 0.0 <= value <= 1.0
-
-    @given(weight_maps)
-    def test_self_is_one(self, a):
-        assert weighted_jaccard(a, a) == 1.0

@@ -11,7 +11,6 @@ from repro.text.normalize import (
     family_name,
     fold_diacritics,
     given_names,
-    name_initials_form,
     normalize_keyword,
     normalize_whitespace,
     slugify,
@@ -103,20 +102,6 @@ class TestCanonicalPersonName:
         assert canonical_person_name("Sakr, Sherif") == canonical_person_name(
             "Sherif Sakr"
         )
-
-
-class TestNameInitialsForm:
-    def test_reduces_given_names(self):
-        assert name_initials_form("Mohamed Ragab Moawad") == "m. r. moawad"
-
-    def test_single_token(self):
-        assert name_initials_form("Moawad") == "moawad"
-
-    def test_already_initials(self):
-        assert name_initials_form("M. R. Moawad") == "m. r. moawad"
-
-    def test_empty(self):
-        assert name_initials_form("") == ""
 
 
 class TestFamilyAndGivenNames:

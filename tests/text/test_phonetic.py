@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.text.phonetic import nysiis, phonetic_family_match, soundex
-from repro.text.strings import name_similarity, same_person_heuristic
+from repro.text.strings import name_similarity
 
 surnames = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12)
 
@@ -81,7 +81,7 @@ class TestNameSimilarityIntegration:
         assert drifted > 0.9
 
     def test_same_person_across_transliteration(self):
-        assert same_person_heuristic("Mohamed Moawad", "Mohamed Mouawad")
+        assert name_similarity("Mohamed Moawad", "Mohamed Mouawad") > 0.9
 
     def test_phonetic_boost_capped_below_exact(self):
         exact = name_similarity("Anna Schmidt", "Anna Schmidt")

@@ -1,79 +1,16 @@
-"""Unit and property tests for the edit-distance family."""
+"""Unit and property tests for the Jaro family and name similarity."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.text.strings import (
-    damerau_levenshtein_distance,
     jaro_similarity,
     jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_ratio,
     name_similarity,
-    same_person_heuristic,
 )
 
 short_text = st.text(alphabet="abcdef", max_size=8)
-
-
-class TestLevenshtein:
-    def test_classic_example(self):
-        assert levenshtein_distance("kitten", "sitting") == 3
-
-    def test_identical(self):
-        assert levenshtein_distance("abc", "abc") == 0
-
-    def test_empty_vs_word(self):
-        assert levenshtein_distance("", "abc") == 3
-
-    def test_single_substitution(self):
-        assert levenshtein_distance("cat", "car") == 1
-
-    @given(short_text, short_text)
-    def test_symmetric(self, a, b):
-        assert levenshtein_distance(a, b) == levenshtein_distance(b, a)
-
-    @given(short_text, short_text)
-    def test_bounded_by_longer_length(self, a, b):
-        assert levenshtein_distance(a, b) <= max(len(a), len(b))
-
-    @given(short_text, short_text, short_text)
-    def test_triangle_inequality(self, a, b, c):
-        assert levenshtein_distance(a, c) <= levenshtein_distance(
-            a, b
-        ) + levenshtein_distance(b, c)
-
-
-class TestDamerauLevenshtein:
-    def test_transposition_costs_one(self):
-        assert damerau_levenshtein_distance("mohamed", "mohmaed") == 1
-
-    def test_matches_levenshtein_without_transpositions(self):
-        assert damerau_levenshtein_distance("kitten", "sitting") == 3
-
-    def test_empty_cases(self):
-        assert damerau_levenshtein_distance("", "ab") == 2
-        assert damerau_levenshtein_distance("ab", "") == 2
-
-    @given(short_text, short_text)
-    def test_never_exceeds_levenshtein(self, a, b):
-        assert damerau_levenshtein_distance(a, b) <= levenshtein_distance(a, b)
-
-
-class TestLevenshteinRatio:
-    def test_identical(self):
-        assert levenshtein_ratio("abc", "abc") == 1.0
-
-    def test_empty_pair(self):
-        assert levenshtein_ratio("", "") == 1.0
-
-    def test_completely_different(self):
-        assert levenshtein_ratio("aa", "bb") == 0.0
-
-    @given(short_text, short_text)
-    def test_bounded(self, a, b):
-        assert 0.0 <= levenshtein_ratio(a, b) <= 1.0
 
 
 class TestJaro:
@@ -137,18 +74,3 @@ class TestNameSimilarity:
     def test_symmetry_on_typical_names(self):
         a, b = "Sherif Sakr", "Sakr, Sherif"
         assert name_similarity(a, b) == pytest.approx(name_similarity(b, a))
-
-
-class TestSamePersonHeuristic:
-    def test_exact_canonical_match(self):
-        assert same_person_heuristic("Sakr, Sherif", "Sherif Sakr")
-
-    def test_initials_variant(self):
-        assert same_person_heuristic("Mohamed R. Moawad", "M. R. Moawad")
-
-    def test_different_people(self):
-        assert not same_person_heuristic("Lei Zhou", "Wei Zhou")
-
-    def test_threshold_respected(self):
-        # An absurdly high threshold rejects everything non-identical.
-        assert not same_person_heuristic("Jon Smith", "John Smith", threshold=1.0)

@@ -1,14 +1,6 @@
-"""Unit tests for tokenization and n-grams."""
+"""Unit tests for tokenization."""
 
-import pytest
-
-from repro.text.tokenize import (
-    DEFAULT_STOPWORDS,
-    character_ngrams,
-    sentences,
-    tokenize,
-    word_ngrams,
-)
+from repro.text.tokenize import DEFAULT_STOPWORDS, tokenize
 
 
 class TestTokenize:
@@ -40,67 +32,6 @@ class TestTokenize:
 
     def test_numbers_kept(self):
         assert "5g" in tokenize("5g networks")
-
-
-class TestWordNgrams:
-    def test_bigrams(self):
-        assert word_ngrams(["linked", "open", "data"], 2) == [
-            ("linked", "open"),
-            ("open", "data"),
-        ]
-
-    def test_n_equals_length(self):
-        assert word_ngrams(["a", "b"], 2) == [("a", "b")]
-
-    def test_n_longer_than_input(self):
-        assert word_ngrams(["a"], 2) == []
-
-    def test_unigrams(self):
-        assert word_ngrams(["x", "y"], 1) == [("x",), ("y",)]
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            word_ngrams(["a"], 0)
-
-    def test_accepts_generators(self):
-        assert word_ngrams((t for t in ["a", "b", "c"]), 3) == [("a", "b", "c")]
-
-
-class TestCharacterNgrams:
-    def test_padded_bigrams(self):
-        assert character_ngrams("rdf", 2) == ["#r", "rd", "df", "f#"]
-
-    def test_unpadded(self):
-        assert character_ngrams("rdf", 2, pad=False) == ["rd", "df"]
-
-    def test_short_string(self):
-        assert character_ngrams("a", 3, pad=False) == ["a"]
-
-    def test_empty(self):
-        assert character_ngrams("", 2) == []
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            character_ngrams("abc", 0)
-
-    def test_unigrams_never_padded(self):
-        assert character_ngrams("ab", 1) == ["a", "b"]
-
-
-class TestSentences:
-    def test_splits_on_terminators(self):
-        text = "First sentence. Second one! Third?"
-        assert list(sentences(text)) == [
-            "First sentence.",
-            "Second one!",
-            "Third?",
-        ]
-
-    def test_empty(self):
-        assert list(sentences("")) == []
-
-    def test_no_terminator(self):
-        assert list(sentences("just a fragment")) == ["just a fragment"]
 
 
 class TestStopwords:

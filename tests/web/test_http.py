@@ -148,11 +148,6 @@ class TestStats:
         assert client.total_requests() == 2
         assert client.total_latency() == pytest.approx(0.02)
 
-    def test_reset(self, client):
-        client.get("fast.example", "/a")
-        client.reset_stats()
-        assert client.total_requests() == 0
-
 
 class TestLatencyModel:
     def test_no_jitter_is_constant(self):
