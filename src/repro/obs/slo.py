@@ -90,8 +90,8 @@ def default_alerts(window: float) -> tuple[BurnAlert, ...]:
 
     Page ("burning") on a fast burn — 14.4× budget over window/24 and
     window/288 — and ticket ("warn") on a slow one: 3× over window/4
-    and window/48.  At a 30-day window these are the canonical
-    1h/5m/14.4 and 6h/30m/3 pairs.
+    and window/48.  At a one-day window these are the 1h/5m/14.4 and
+    6h/30m/3 pairs.
     """
     return (
         BurnAlert("burning", 14.4, window / 24, window / 288),

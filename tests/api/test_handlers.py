@@ -144,6 +144,10 @@ class TestInputValidation:
             ),
             pytest.param("assign", {"capacity": 0}, "capacity", id="assign-capacity0"),
             pytest.param("assign", {"max_load": 0}, "max_load", id="assign-max_load0"),
+            pytest.param("assign", {"workers": 0}, "workers", id="assign-workers0"),
+            pytest.param(
+                "assign", {"workers": -1}, "workers", id="assign-workers-negative"
+            ),
         ],
     )
     def test_out_of_range_or_malformed_is_400(
@@ -985,3 +989,107 @@ class TestDebugCost:
         assert response.status == 400
         assert "debug_cost" in response.body["error"]
         assert "cost" not in response.body
+
+
+def _ambiguous_name(world):
+    return next(
+        a.name for a in world.authors.values() if len(world.authors_by_name(a.name)) > 1
+    )
+
+
+def _with_author(payload, name):
+    return {**payload, "authors": [{"name": name}]}
+
+
+class TestIdentityErrors:
+    def test_recommend_unknown_author_404(self, api, manuscript):
+        body = _with_author(manuscript_payload(manuscript), "Nobody Nowhere")
+        response = api.handle("POST", "/api/v1/recommend", {"manuscript": body})
+        assert response.status == 404
+
+    def test_recommend_ambiguous_author_409(self, api, world, manuscript):
+        body = _with_author(manuscript_payload(manuscript), _ambiguous_name(world))
+        response = api.handle("POST", "/api/v1/recommend", {"manuscript": body})
+        assert response.status == 409
+
+    def test_assign_unknown_author_404(self, api, manuscript):
+        body = _with_author(manuscript_payload(manuscript), "Nobody Nowhere")
+        response = api.handle(
+            "POST",
+            "/api/v1/assign",
+            {"manuscripts": [{"paper_id": "p0", "manuscript": body}]},
+        )
+        assert response.status == 404
+
+    def test_assign_ambiguous_author_409(self, api, world, manuscript):
+        body = _with_author(manuscript_payload(manuscript), _ambiguous_name(world))
+        response = api.handle(
+            "POST",
+            "/api/v1/assign",
+            {"manuscripts": [{"paper_id": "p0", "manuscript": body}]},
+        )
+        assert response.status == 409
+
+    def test_assign_skip_reports_failed_papers(self, api, manuscript):
+        good = manuscript_payload(manuscript)
+        bad = _with_author(good, "Nobody Nowhere")
+        response = api.handle(
+            "POST",
+            "/api/v1/assign",
+            {
+                "manuscripts": [
+                    {"paper_id": "good", "manuscript": good},
+                    {"paper_id": "bad", "manuscript": bad},
+                ],
+                "reviewers_per_paper": 1,
+                "on_error": "skip",
+            },
+        )
+        assert response.ok
+        assert list(response.body["assignments"]) == ["good"]
+        (failure,) = response.body["failures"]
+        assert failure["paper_id"] == "bad"
+        assert failure["error"] == "IdentityVerificationError"
+        assert "Nobody Nowhere" in failure["message"]
+
+    @pytest.mark.parametrize("entry", [{}, {"affiliation": "MIT"}, "Lei Zhou"])
+    def test_verify_author_entry_without_name_400(self, api, entry):
+        response = api.handle("POST", "/api/v1/verify-authors", {"authors": [entry]})
+        assert response.status == 400
+
+    def test_verify_authors_empty_list_400(self, api):
+        response = api.handle("POST", "/api/v1/verify-authors", {"authors": []})
+        assert response.status == 400
+
+
+class TestWarmPlane:
+    def _recommend(self, api, manuscript, **config):
+        return api.handle(
+            "POST",
+            "/api/v1/recommend",
+            {"manuscript": manuscript_payload(manuscript), "config": config},
+        )
+
+    def test_cold_requests_build_no_plane(self, api, manuscript):
+        assert self._recommend(api, manuscript).ok
+        assert api.plane is None
+
+    def test_first_warm_request_builds_the_shared_plane(self, api, manuscript):
+        assert self._recommend(api, manuscript, warm_cache=True).ok
+        plane = api.plane
+        assert plane is not None
+        assert self._recommend(api, manuscript, warm_cache=True).ok
+        assert api.plane is plane
+
+    def test_repeat_warm_request_is_served_from_the_plane(self, api, hub, manuscript):
+        self._recommend(api, manuscript, warm_cache=True)
+        first = hub.total_requests()
+        assert self._recommend(api, manuscript, warm_cache=True).ok
+        second = hub.total_requests() - first
+        assert second * 5 <= first
+        assert api.plane.hits > 0
+
+    def test_warm_answer_matches_cold_answer(self, api, manuscript):
+        cold = self._recommend(api, manuscript).body["recommendations"]
+        warm = self._recommend(api, manuscript, warm_cache=True).body["recommendations"]
+        assert warm == cold

@@ -99,6 +99,46 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(recency_half_life_years=0)
 
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"workers": 0}, "workers"),
+            ({"warm_cache_ttl": -1.0}, "warm_cache_ttl"),
+            ({"warm_cache_capacity": 0}, "warm_cache_capacity"),
+            ({"owa_weights": (0.5, -0.1)}, "owa_weights"),
+            ({"owa_weights": (float("nan"), 1.0)}, "owa_weights"),
+            ({"owa_weights": (float("inf"),)}, "owa_weights"),
+            ({"owa_weights": (0.0, 0.0)}, "owa_weights"),
+        ],
+        ids=[
+            "workers",
+            "ttl-negative",
+            "capacity",
+            "owa-negative",
+            "owa-nan",
+            "owa-inf",
+            "owa-zero-sum",
+        ],
+    )
+    def test_out_of_range_field_rejected(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"warm_cache_ttl": 0.0},
+            {"warm_cache_ttl": None},
+            {"top_k": 1},
+            {"owa_weights": (0.0, 1.0)},
+        ],
+        ids=["ttl-zero", "ttl-none", "top_k-one", "owa-one-positive"],
+    )
+    def test_boundary_values_accepted(self, overrides):
+        config = PipelineConfig(**overrides)
+        for field_name, value in overrides.items():
+            assert getattr(config, field_name) == value
+
 
 class TestEnums:
     def test_affiliation_levels(self):

@@ -20,6 +20,7 @@ from repro.obs import (
     default_http_slos,
     use,
 )
+from repro.obs.slo import default_alerts
 from repro.obs.metrics import MetricsRegistry
 from repro.web.clock import SimulatedClock
 from repro.web.faults import FaultPolicy
@@ -49,6 +50,51 @@ class TestSloSpec:
             BurnAlert("page", 1.0, 60.0, 10.0)
         with pytest.raises(ValueError, match="short window"):
             BurnAlert("warn", 1.0, 10.0, 60.0)
+
+    @pytest.mark.parametrize(
+        ("factor", "long_window", "short_window", "message"),
+        [
+            (0.0, 60.0, 10.0, "factor"),
+            (-1.0, 60.0, 10.0, "factor"),
+            (1.0, 0.0, 10.0, "windows"),
+            (1.0, 60.0, 0.0, "windows"),
+            (1.0, 60.0, -5.0, "windows"),
+        ],
+        ids=["factor-zero", "factor-negative", "long-zero", "short-zero", "short-negative"],
+    )
+    def test_alert_rates_and_windows_validated(
+        self, factor, long_window, short_window, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            BurnAlert("warn", factor, long_window, short_window)
+
+    def test_equal_windows_accepted(self):
+        alert = BurnAlert("burning", 2.0, 60.0, 60.0)
+        assert alert.long_window == alert.short_window == 60.0
+
+    @pytest.mark.parametrize("objective", [0.0, -0.1, 1.5])
+    def test_objective_outside_open_unit_interval_rejected(self, objective):
+        with pytest.raises(ValueError, match="objective"):
+            SloSpec(name="s", metric="m", objective=objective)
+
+    @pytest.mark.parametrize("window", [0.0, -60.0])
+    def test_non_positive_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            SloSpec(name="s", metric="m", window=window)
+
+    def test_default_alerts_scale_with_the_window(self):
+        # At a one-day window the ladder is 1h/5m at 14.4x and 6h/30m
+        # at 3x.
+        burning, warn = default_alerts(24 * 3600.0)
+        assert (burning.severity, burning.factor) == ("burning", 14.4)
+        assert (burning.long_window, burning.short_window) == (3600.0, 300.0)
+        assert (warn.severity, warn.factor) == ("warn", 3.0)
+        assert (warn.long_window, warn.short_window) == (6 * 3600.0, 1800.0)
+
+    def test_explicit_alerts_kept(self):
+        alert = BurnAlert("warn", 2.0, 120.0, 30.0)
+        spec = SloSpec(name="s", metric="m", alerts=(alert,))
+        assert spec.alerts == (alert,)
 
 
 class TestSloEngine:
@@ -143,6 +189,34 @@ class TestSloEngine:
             ("host", "a.example"),
             ("status", "503"),
         )
+
+    def test_default_http_slos_pass_overrides_through(self):
+        (spec,) = default_http_slos(
+            ["a.example"], objective=0.9, threshold=0.25, window=600.0
+        )
+        assert (spec.objective, spec.threshold, spec.window) == (0.9, 0.25, 600.0)
+        assert spec.labels == (("host", "a.example"),)
+        assert spec.alerts == default_alerts(600.0)
+
+    def test_has_specs_follows_add_and_remove(self):
+        engine = SloEngine(MetricsRegistry())
+        assert not engine.has_specs
+        engine.add(SloSpec(name="s", metric="m"))
+        assert engine.has_specs
+        engine.remove("s")
+        assert not engine.has_specs
+        engine.remove("s")  # a missing name is ignored
+
+    def test_unbound_engine_measures_time_in_ticks(self):
+        engine = SloEngine(MetricsRegistry())
+        assert engine.now() == 0.0
+        engine.tick()
+        engine.tick()
+        assert engine.now() == 2.0
+
+    def test_status_of_unknown_spec_raises(self):
+        with pytest.raises(KeyError):
+            SloEngine(MetricsRegistry()).status("missing")
 
     def test_status_to_dict_round_trips_alerts(self):
         engine = SloEngine(MetricsRegistry())

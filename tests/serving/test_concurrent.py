@@ -20,9 +20,11 @@ from repro.serving import (
     ServingFrontend,
     TenantPolicy,
     canonical_body,
+    latency_summary,
     manuscript_templates,
     run_load,
 )
+from repro.serving.harness import _quantile
 
 
 def _requests(world):
@@ -276,3 +278,35 @@ class TestRetryAfterContract:
         assert front.submit("GET", "/api/v1/health").status == 429
         front.clock.advance(shed.retry_after / 2)
         assert front.submit("GET", "/api/v1/health").admitted
+
+
+class TestLatencySummary:
+    def test_empty_sample_reads_zero(self):
+        assert latency_summary([]) == {
+            "p50": 0.0,
+            "p95": 0.0,
+            "p99": 0.0,
+            "mean": 0.0,
+            "max": 0.0,
+        }
+
+    def test_single_value_is_every_quantile(self):
+        summary = latency_summary([0.25])
+        assert set(summary.values()) == {0.25}
+
+    def test_nearest_rank_over_unsorted_input(self):
+        # 101 values 0..100 in reverse: rank q*(n-1) lands on q*100.
+        summary = latency_summary([float(v) for v in range(100, -1, -1)])
+        assert summary["p50"] == 50.0
+        assert summary["p95"] == 95.0
+        assert summary["p99"] == 99.0
+        assert summary["max"] == 100.0
+        assert summary["mean"] == pytest.approx(50.0)
+
+    @pytest.mark.parametrize(
+        ("q", "expected"),
+        [(0.0, 1.0), (0.5, 3.0), (1.0, 5.0)],
+        ids=["min", "median", "max"],
+    )
+    def test_quantile_is_nearest_rank(self, q, expected):
+        assert _quantile([1.0, 2.0, 3.0, 4.0, 5.0], q) == expected

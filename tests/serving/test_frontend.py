@@ -341,6 +341,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ServingConfig(degraded_top_k=0)
 
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"warm_capacity": -1}, "warm_capacity"),
+            ({"shed_retry_after": -0.5}, "shed_retry_after"),
+        ],
+        ids=["warm_capacity", "shed_retry_after"],
+    )
+    def test_negative_field_rejected(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            ServingConfig(**overrides)
+
+    def test_zero_warm_capacity_and_retry_hint_accepted(self):
+        config = ServingConfig(warm_capacity=0, shed_retry_after=0.0, degraded_top_k=None)
+        assert (config.warm_capacity, config.shed_retry_after) == (0, 0.0)
+        assert config.degraded_top_k is None
+
     def test_policy_for_falls_back_to_default(self):
         policy = TenantPolicy(capacity=2, refill_rate=2.0)
         config = ServingConfig(tenant_policies=(("vip", policy),))

@@ -105,8 +105,26 @@ class TestJsonLikeContract:
 
     @pytest.mark.parametrize(
         "value",
-        [object(), _Colour.RED, np.float64(1.5), {1, 2}],
-        ids=["object", "enum", "numpy-scalar", "set"],
+        [
+            object(),
+            _Colour.RED,
+            np.float64(1.5),
+            {1, 2},
+            b"raw",
+            bytearray(b"raw"),
+            1 + 2j,
+            frozenset({1}),
+        ],
+        ids=[
+            "object",
+            "enum",
+            "numpy-scalar",
+            "set",
+            "bytes",
+            "bytearray",
+            "complex",
+            "frozenset",
+        ],
     )
     def test_non_json_like_payload_rejected(self, store, value):
         store.create_index("tag", lambda d: d["tag"])
@@ -121,6 +139,46 @@ class TestJsonLikeContract:
         assert document.version == 1
         assert store.index_keys("tag") == ["t"]
         assert store.lookup_ids("tag", "t") == ["k"]
+
+
+class TestEncodingEdges:
+    def test_shared_subvalue_round_trips(self, store):
+        shared = {"k": [1, 2]}
+        store.insert({"a": shared, "b": [shared, shared]}, doc_id="k")
+        assert store.get("k").payload == {
+            "a": {"k": [1, 2]},
+            "b": [{"k": [1, 2]}, {"k": [1, 2]}],
+        }
+
+    def test_nesting_deeper_than_marshal_allows_is_a_type_error(self, store):
+        deep: list = []
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(TypeError, match="cannot encode"):
+            store.insert({"deep": deep}, doc_id="deep")
+        assert "deep" not in store
+        assert len(store) == 0
+
+
+class TestErrorMessages:
+    def test_not_found_is_a_readable_key_error(self):
+        error = DocumentNotFoundError("k1")
+        assert isinstance(error, KeyError)
+        assert str(error) == "document not found: 'k1'"
+        assert error.doc_id == "k1"
+
+    def test_duplicate_names_the_id(self):
+        error = DuplicateDocumentError("k1")
+        assert str(error) == "document already exists: 'k1'"
+        assert error.doc_id == "k1"
+
+    def test_conflict_names_both_versions(self):
+        error = VersionConflictError("k1", expected=1, actual=3)
+        assert str(error) == "version conflict on 'k1': expected 1, found 3"
+
+    def test_store_raises_the_readable_form(self, store):
+        with pytest.raises(DocumentNotFoundError, match="document not found: 'nope'"):
+            store.get("nope")
 
 
 class TestAtomicWrites:
@@ -254,6 +312,12 @@ class TestSecondaryIndexes:
     def test_drop_unknown_index_rejected(self, store):
         with pytest.raises(IndexError_):
             store.drop_index("nope")
+
+    @pytest.mark.parametrize("read", ["index_keys", "lookup_ids"])
+    def test_reads_of_unknown_index_rejected(self, store, read):
+        args = ("nope",) if read == "index_keys" else ("nope", "x")
+        with pytest.raises(IndexError_, match="no such index"):
+            getattr(store, read)(*args)
 
 
 class TestScanAndClear:

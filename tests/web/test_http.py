@@ -58,6 +58,34 @@ class TestFaultPolicy:
         with pytest.raises(ValueError):
             FaultPolicy(burst_every=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"failure_probability": -0.01},
+            {"burst_every": -2},
+            {"burst_length": 0},
+            {"burst_length": -1},
+        ],
+        ids=[
+            "probability-negative",
+            "burst_every-negative",
+            "burst_length-zero",
+            "burst_length-negative",
+        ],
+    )
+    def test_out_of_range_parameter_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            FaultPolicy(**overrides)
+
+    def test_seed_exposed(self):
+        assert FaultPolicy(seed=7).seed == 7
+        assert FaultPolicy.never().seed == 0
+
+    def test_bursts_override_probability_zero_only_on_schedule(self):
+        policy = FaultPolicy(failure_probability=0.0, burst_every=4, burst_length=1)
+        failing = [o for o in range(1, 13) if policy.decide(o)]
+        assert failing == [4, 8, 12]
+
 
 class TestRequest:
     def test_params_normalized(self):
@@ -99,6 +127,76 @@ class TestDispatch:
 
     def test_hosts_listing(self, client):
         assert client.hosts() == ["fast.example"]
+
+
+class TestHostManagement:
+    def test_replace_endpoint_changes_answers_only(self, client):
+        first = client.get("fast.example", "/any", {"q": "x"})
+        client.replace_endpoint("fast.example", lambda req: {"new": True})
+        second = client.get("fast.example", "/any", {"q": "x"})
+        assert first.payload == {"echo": "x"}
+        assert second.payload == {"new": True}
+        assert second.latency == first.latency
+        assert client.stats["fast.example"].requests == 2
+
+    def test_replace_endpoint_on_unknown_host_rejected(self, client):
+        with pytest.raises(ValueError, match="not registered"):
+            client.replace_endpoint("nowhere.example", lambda req: {})
+
+    def test_set_fault_policy_on_unknown_host_rejected(self, client):
+        with pytest.raises(ValueError, match="not registered"):
+            client.set_fault_policy("nowhere.example", FaultPolicy.never())
+
+    def test_set_fault_policy_changes_future_requests(self, client):
+        assert client.get("fast.example", "/any").ok
+        client.set_fault_policy("fast.example", FaultPolicy(failure_probability=1.0))
+        with pytest.raises(ServiceUnavailableError):
+            client.get("fast.example", "/any")
+        client.set_fault_policy("fast.example", FaultPolicy.never())
+        assert client.get("fast.example", "/any").ok
+        assert client.stats["fast.example"].requests == 3
+
+    def test_negative_wall_latency_scale_rejected(self, clock):
+        with pytest.raises(ValueError, match="wall_latency_scale"):
+            SimulatedHttpClient(clock, wall_latency_scale=-0.5)
+
+    def test_clock_exposed(self, client, clock):
+        assert client.clock is clock
+
+
+class TestTracingControls:
+    def test_off_by_default(self, client):
+        client.get("fast.example", "/any")
+        assert not client.tracing_enabled
+        assert client.trace_capacity == 0
+        assert client.traces() == []
+
+    def test_enable_tracing_records_later_requests(self, client):
+        client.get("fast.example", "/before")
+        client.enable_tracing(capacity=4)
+        client.get("fast.example", "/after")
+        assert client.tracing_enabled
+        assert client.trace_capacity == 4
+        assert [trace.path for trace in client.traces()] == ["/after"]
+
+    def test_enable_tracing_keeps_an_active_ring(self, client):
+        client.enable_tracing(capacity=2)
+        client.get("fast.example", "/one")
+        client.enable_tracing(capacity=16)
+        assert client.trace_capacity == 2
+        assert [trace.path for trace in client.traces()] == ["/one"]
+
+    def test_ring_keeps_the_newest(self, client):
+        client.enable_tracing(capacity=2)
+        for path in ("/a", "/b", "/c"):
+            client.get("fast.example", path)
+        assert [trace.path for trace in client.traces()] == ["/b", "/c"]
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_non_positive_capacity_rejected(self, client, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            client.enable_tracing(capacity=capacity)
+        assert not client.tracing_enabled
 
 
 class TestRateLimiting:

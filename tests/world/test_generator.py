@@ -187,3 +187,50 @@ class TestConfigValidation:
     def test_bad_noise_rejected(self):
         with pytest.raises(ValueError):
             WorldConfig(interest_noise=1.5)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"min_career_length": 0},
+            {"topics_per_author": 0.5},
+            {"max_team_size": 0},
+            {"journals_count": 0},
+            {"conferences_count": 0},
+            {"interest_noise": -0.1},
+            {"source_coverage": {SourceName.DBLP: 1.5}},
+            {"source_coverage": {SourceName.ORCID: -0.2}},
+        ],
+        ids=[
+            "min_career_length",
+            "topics_per_author",
+            "max_team_size",
+            "journals_count",
+            "conferences_count",
+            "interest_noise-negative",
+            "coverage-above-one",
+            "coverage-negative",
+        ],
+    )
+    def test_out_of_range_field_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            WorldConfig(**overrides)
+
+    def test_coverage_error_names_the_source(self):
+        with pytest.raises(ValueError, match="publons"):
+            WorldConfig(source_coverage={SourceName.PUBLONS: 2.0})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"interest_noise": 0.0},
+            {"interest_noise": 1.0},
+            {"collision_group_count": 0, "collision_group_size": 1},
+            {"min_career_length": 4, "max_career_length": 4},
+            {"source_coverage": {SourceName.GOOGLE_SCHOLAR: 0.0}},
+        ],
+        ids=["noise-zero", "noise-one", "no-collisions", "fixed-career", "coverage-zero"],
+    )
+    def test_boundary_values_accepted(self, overrides):
+        config = WorldConfig(**overrides)
+        for field_name, value in overrides.items():
+            assert getattr(config, field_name) == value
