@@ -137,7 +137,10 @@ class MinaretApi:
     :class:`~repro.retrieval.RetrievalPlane`, created lazily on the
     first request whose config sets ``warm_cache`` and shared by every
     warm request thereafter — cross-request reuse is the point.  Its
-    stats appear under ``retrieval`` on ``/api/v1/metrics``.
+    stats appear under ``retrieval`` on ``/api/v1/metrics``.  One
+    :class:`~repro.ontology.expansion.KeywordExpander` serves every
+    request, so each keyword is expanded once per expansion config
+    (its memo is a bounded LRU).
     """
 
     def __init__(
@@ -153,7 +156,7 @@ class MinaretApi:
         from repro.ontology.data import build_seed_ontology
 
         self._sources = sources
-        self._ontology = ontology or build_seed_ontology()
+        self._expander = KeywordExpander(ontology or build_seed_ontology())
         self._resolver = resolver
         self._obs = obs or Observability()
         self._plane = None
@@ -209,6 +212,11 @@ class MinaretApi:
     def plane(self):
         """The deployment's shared retrieval plane (``None`` until warm)."""
         return self._plane
+
+    @property
+    def expander(self) -> KeywordExpander:
+        """The deployment's shared keyword expander."""
+        return self._expander
 
     @property
     def serving(self):
@@ -417,9 +425,9 @@ class MinaretApi:
         except ValueError as exc:
             # The config's own range checks name the field.
             raise ValidationError(str(exc)) from exc
-        expander = KeywordExpander(self._ontology, config)
-        expansions = expander.expand(
-            [as_name(k, f"keywords[{index}]") for index, k in enumerate(keywords)]
+        expansions = self._expander.expand(
+            [as_name(k, f"keywords[{index}]") for index, k in enumerate(keywords)],
+            config,
         )
         return {
             "expansions": [
@@ -480,10 +488,10 @@ class MinaretApi:
         top_k = _top_k(request)
         pipeline = Minaret(
             self._sources,
-            ontology=self._ontology,
             config=config,
             resolver=self._resolver,
             plane=self._plane_for(config),
+            expander=self._expander,
         )
         try:
             result = pipeline.recommend(manuscript)
@@ -535,10 +543,10 @@ class MinaretApi:
         config = config_from_payload(request.body.get("config", {}))
         pipeline = Minaret(
             self._sources,
-            ontology=self._ontology,
             config=config,
             resolver=self._resolver,
             plane=self._plane_for(config),
+            expander=self._expander,
         )
         require_full = as_bool(request.body.get("require_full", False), "require_full")
         try:

@@ -257,13 +257,19 @@ class PipelineConfig:
         bit-identical recommendation output — parallelism only buys
         wall-clock time (see :mod:`repro.concurrency`).
     warm_cache:
-        Route extraction through the shared warm-path retrieval plane
-        (:mod:`repro.retrieval`): interest queries, profile assemblies
-        and Publons summaries are cached across requests, coalesced when
-        issued concurrently, and invalidated when the world re-indexes.
-        ``False`` (the default) is the paper's pure on-the-fly mode.
-        Rankings are bit-identical either way — only request volume
-        changes.
+        Route the pipeline through the shared warm-path retrieval plane
+        (:mod:`repro.retrieval`): interest queries, profile assemblies,
+        Publons summaries, each manuscript author's verification and
+        each typed target outlet's resolution are cached across
+        requests and coalesced when issued concurrently.  Everything is
+        invalidated when the world re-indexes
+        (``ScholarlyHub.refresh_services`` bumps the plane's epoch) and,
+        when ``warm_cache_ttl`` is set, when an entry expires.  Errors,
+        a verification where a resolver chose among DBLP homonyms and
+        one that lost a secondary source through every retry are never
+        stored.  ``False`` (the default) is the paper's pure on-the-fly
+        mode, which verifies and resolves live on every run.  Rankings
+        are bit-identical either way — only request volume changes.
     warm_cache_ttl:
         Profile-store entry lifetime in *virtual* seconds; ``None``
         (default) keeps entries until the freshness epoch bumps or LRU

@@ -35,7 +35,6 @@ replay is unchanged, so warm runs rank bit-identically to cold ones.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 
 from repro.concurrency import Executor, create_executor
@@ -413,11 +412,15 @@ class CandidateExtractor:
     def _rank_matches(
         matches: dict[str, dict[str, float]]
     ) -> list[tuple[str, dict[str, float]]]:
-        """Order retrieved ids by aggregate matched-``sc``, best first."""
-        return sorted(
-            matches.items(),
-            key=lambda item: (-sum(item[1].values()), item[0]),
-        )
+        """Order retrieved ids by aggregate matched-``sc``, best first.
+
+        Ties keep id order: the ids are sorted first, and the stable
+        sort on the float total moves only unequal totals.  Most totals
+        tie, and two flat sorts beat one over ``(total, id)`` tuples.
+        """
+        ranked = [(source_id, matches[source_id]) for source_id in sorted(matches)]
+        ranked.sort(key=lambda item: -sum(item[1].values()))
+        return ranked
 
     # ------------------------------------------------------------------
     # Profile assembly
@@ -574,15 +577,19 @@ def _stamp_matched(template: Candidate | None, matched: dict[str, float]) -> Can
     and :class:`Candidate` is mutable, so every request gets its own
     instance with fresh container fields — downstream phases are free to
     mutate them without corrupting the cache.  ``None`` (no profile)
-    passes through.
+    passes through.  A shallow copy of the template's fields, not
+    :func:`dataclasses.replace`, which re-runs ``__init__`` at more than
+    twice the cost.
     """
     if template is None:
         return None
-    return dataclasses.replace(
-        template,
-        matched_keywords=dict(matched),
-        keyword_match_score=max(matched.values(), default=0.0),
-        scholar_publications=list(template.scholar_publications),
-        dblp_publications=list(template.dblp_publications),
-        venues_reviewed=list(template.venues_reviewed),
-    )
+    stamped = Candidate.__new__(Candidate)
+    stamped.__dict__ = {
+        **template.__dict__,
+        "matched_keywords": dict(matched),
+        "keyword_match_score": max(matched.values(), default=0.0),
+        "scholar_publications": list(template.scholar_publications),
+        "dblp_publications": list(template.dblp_publications),
+        "venues_reviewed": list(template.venues_reviewed),
+    }
+    return stamped

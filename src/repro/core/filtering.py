@@ -77,7 +77,7 @@ class FilterPhase:
         self,
         candidates: list[Candidate],
         authors: list[VerifiedAuthor],
-        publication_years: dict[str, int],
+        publication_years: dict[str, int] | None,
     ) -> list:
         # Author records are prebuilt once per manuscript, candidate
         # features come from the shared store.
@@ -98,7 +98,12 @@ class FilterPhase:
         authors: list[VerifiedAuthor],
     ) -> tuple[list[Candidate], list[FilterDecision]]:
         """Filter candidates; returns (kept, all decisions)."""
-        publication_years = _collect_publication_years(candidates)
+        # Only the co-authorship lookback reads publication years.
+        publication_years = (
+            _collect_publication_years(candidates)
+            if self._config.coi.coauthorship_lookback_years is not None
+            else None
+        )
         verdicts = self._verdicts(candidates, authors, publication_years)
         kept: list[Candidate] = []
         decisions: list[FilterDecision] = []

@@ -13,11 +13,16 @@ Verification proceeds the way the paper's demo does (Fig. 4):
    exposes publication ids (names alone would mislink the very homonyms
    this step exists to separate);
 4. merge everything into one :class:`~repro.scholarly.records.MergedProfile`.
+
+With a :class:`~repro.retrieval.RetrievalPlane` attached (warm mode),
+each author is verified once per epoch: the verification is stored in
+the plane's ``author_identity`` layer unless a resolver had to choose
+among several DBLP hits or a secondary source stayed down through every
+retry.  Those two are verified again on every run.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 
 from repro.core.errors import (
@@ -145,17 +150,19 @@ class ProfileLinker:
     def __init__(self, sources, use_all_sources: bool = False):
         self._sources = sources
         self._use_all_sources = use_all_sources
-        self._counter_lock = threading.Lock()
-        #: Source links abandoned because the source stayed down.
-        self.link_failures = 0
 
-    def link_from_dblp(self, dblp_profile: SourceProfile) -> list[SourceProfile]:
+    def link_from_dblp(
+        self, dblp_profile: SourceProfile
+    ) -> tuple[list[SourceProfile], int]:
         """Collect every source's profile for the scholar anchored at DBLP.
 
         Publication overlap with the DBLP record is the primary linking
         evidence; sources that expose no publications (Publons) fall
         back to name identity, accepting that homonyms can mislink there
         — as they genuinely can in the real system.
+
+        Returns the profiles and how many source links this call lost
+        because their source stayed down through every retry.
         """
         profiles: list[SourceProfile] = [dblp_profile]
         known_pubs = set(dblp_profile.publication_ids)
@@ -168,6 +175,7 @@ class ProfileLinker:
         if self._use_all_sources:
             links.append(lambda: self._link_acm(name, known_pubs))
             links.append(lambda: self._link_rid(name, known_pubs))
+        lost = 0
         for link in links:
             # A secondary source staying down through every retry costs
             # its fields (metrics, affiliations, reviews) — the merged
@@ -175,12 +183,11 @@ class ProfileLinker:
             try:
                 profile = link()
             except CrawlError:
-                with self._counter_lock:
-                    self.link_failures += 1
+                lost += 1
                 continue
             if profile is not None:
                 profiles.append(profile)
-        return profiles
+        return profiles, lost
 
     # ------------------------------------------------------------------
     # Per-source linking
@@ -257,19 +264,27 @@ def _page_profile(page: SourcePage | None) -> SourceProfile | None:
 
 
 class IdentityVerifier:
-    """Verifies manuscript-author identities (the Fig. 4 step)."""
+    """Verifies manuscript-author identities (the Fig. 4 step).
+
+    ``plane`` attaches a shared warm-path
+    :class:`~repro.retrieval.RetrievalPlane`; ``None`` (the default)
+    verifies every author live, the paper's on-the-fly mode.
+    """
 
     def __init__(
         self,
         sources,
         resolver: IdentityResolver | None = None,
         use_all_sources: bool = False,
+        plane=None,
     ):
         self._sources = sources
         self._resolver = resolver or ChainResolver(
             [AffiliationEvidenceResolver()]
         )
+        self._use_all_sources = use_all_sources
         self._linker = ProfileLinker(sources, use_all_sources=use_all_sources)
+        self._plane = plane
 
     def verify(self, author: ManuscriptAuthor) -> VerifiedAuthor:
         """Verify one author; raises on not-found or unresolved ambiguity.
@@ -281,6 +296,27 @@ class IdentityVerifier:
         paper instead of crashing the whole program.  The chosen
         author page is fetched once and supplies both the anchor
         profile and the dated publication list.
+
+        With a plane attached, a settled verification is served from
+        its ``author_identity`` layer for the rest of the epoch.  The
+        result is then shared across requests and must not be mutated.
+        """
+        if self._plane is None:
+            return self._verify(author)[0]
+        verified, __ = self._plane.fetch(
+            "author_identity",
+            (author, self._use_all_sources),
+            lambda: self._verify(author),
+            keep=_settled,
+        )
+        return verified
+
+    def _verify(self, author: ManuscriptAuthor) -> tuple[VerifiedAuthor, bool]:
+        """The live verification, and whether it is settled.
+
+        A settled verification depends only on what the sources serve
+        this epoch: no resolver chose among DBLP hits, and no secondary
+        source link was lost.
         """
         try:
             hits = self._sources.dblp.search_author(author.name)
@@ -311,15 +347,20 @@ class IdentityVerifier:
             raise SourceUnavailableError(exc.host, str(exc)) from exc
         if dblp_page is None:
             raise IdentityVerificationError(author.name)
-        profiles = self._linker.link_from_dblp(dblp_page.profile)
-        return VerifiedAuthor(
+        profiles, lost = self._linker.link_from_dblp(dblp_page.profile)
+        verified = VerifiedAuthor(
             submitted=author,
             profile=merge_source_profiles(profiles),
             ambiguous=ambiguous,
             candidates_considered=tuple(matches),
             dblp_publications=dblp_page.publications,
         )
+        return verified, not ambiguous and not lost
 
     def verify_all(self, authors: tuple[ManuscriptAuthor, ...]) -> list[VerifiedAuthor]:
         """Verify every author of a manuscript, in order."""
         return [self.verify(author) for author in authors]
+
+
+def _settled(outcome: tuple[VerifiedAuthor, bool]) -> bool:
+    return outcome[1]

@@ -61,6 +61,11 @@ class Minaret:
         pass an existing plane to share its store across pipelines (the
         API deployment does this per hub).  ``None`` with
         ``warm_cache=False`` is the paper's pure on-the-fly mode.
+    expander:
+        A shared :class:`~repro.ontology.expansion.KeywordExpander`,
+        whose memo then outlives this pipeline (the API deployment keeps
+        one).  It is called with ``config.expansion``.  When omitted,
+        one is built over ``ontology``.
 
     Example
     -------
@@ -77,16 +82,15 @@ class Minaret:
         config: PipelineConfig | None = None,
         resolver: IdentityResolver | None = None,
         plane: RetrievalPlane | None = None,
+        expander: KeywordExpander | None = None,
     ):
         self._sources = sources
         self._config = config or PipelineConfig()
-        self._ontology = ontology or build_seed_ontology()
-        self._expander = KeywordExpander(self._ontology, self._config.expansion)
-        self._verifier = IdentityVerifier(
-            sources,
-            resolver=resolver,
-            use_all_sources=self._config.use_all_sources,
-        )
+        if expander is None:
+            expander = KeywordExpander(
+                ontology or build_seed_ontology(), self._config.expansion
+            )
+        self._expander = expander
         self._executor = create_executor(self._config.workers)
         if plane is None and self._config.warm_cache:
             plane = RetrievalPlane.for_sources(
@@ -95,6 +99,12 @@ class Minaret:
                 capacity=self._config.warm_cache_capacity,
             )
         self._plane = plane
+        self._verifier = IdentityVerifier(
+            sources,
+            resolver=resolver,
+            use_all_sources=self._config.use_all_sources,
+            plane=plane,
+        )
         self._extractor = CandidateExtractor(
             sources, self._config, executor=self._executor, plane=plane
         )
@@ -168,7 +178,9 @@ class Minaret:
 
         with self._phase("expand_keywords", reports) as report:
             report.items_in = len(manuscript.keywords)
-            expanded = self._expander.expand(list(manuscript.keywords))
+            expanded = self._expander.expand(
+                list(manuscript.keywords), self._config.expansion
+            )
             report.items_out = len(expanded)
 
         with self._phase("extract_candidates", reports) as report:
@@ -252,20 +264,30 @@ class Minaret:
         venue's canonical one; ambiguity, no match, or an exhausted
         lookup leaves the input untouched (name-based familiarity
         matching still applies) — the lookup is advisory, so a degraded
-        DBLP must not sink the whole run.
+        DBLP must not sink the whole run.  With a plane attached, each
+        typed name is looked up once per epoch (its ``target_venue``
+        layer); an exhausted lookup is not stored.
         """
-        if not manuscript.target_venue:
+        typed = manuscript.target_venue
+        if not typed:
             return manuscript
         try:
-            hits = self._sources.dblp.search_venue(manuscript.target_venue)
+            if self._plane is None:
+                canonical = self._canonical_venue(typed)
+            else:
+                canonical = self._plane.fetch(
+                    "target_venue", typed, lambda: self._canonical_venue(typed)
+                )
         except CrawlError:
             return manuscript
-        if len(hits) != 1:
-            return manuscript
-        canonical = hits[0]["name"]
-        if canonical == manuscript.target_venue:
+        if canonical == typed:
             return manuscript
         return dataclasses.replace(manuscript, target_venue=canonical)
+
+    def _canonical_venue(self, typed: str) -> str:
+        """The DBLP name of a unique venue hit, else ``typed`` itself."""
+        hits = self._sources.dblp.search_venue(typed)
+        return hits[0]["name"] if len(hits) == 1 else typed
 
     def _phase(self, name: str, reports: list[PhaseReport]) -> "_PhaseTimer":
         return _PhaseTimer(name, reports, self._sources)

@@ -15,9 +15,15 @@ paths.  Traversal stops at a configurable depth and score threshold.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.ontology.graph import Relation, TopicOntology
+
+#: Seed expansions one expander memoizes, least recently used evicted
+#: first.  A deployment shares one expander across requests, and request
+#: keywords are arbitrary strings, so the memo must be bounded.
+MEMO_CAPACITY = 4096
 
 #: Default per-relation decay factors.  Synonyms are free (1.0); moving to
 #: a narrower topic keeps most relevance (a reviewer of the sub-topic can
@@ -113,7 +119,7 @@ class KeywordExpander:
         # because the ontology is treated as immutable once wrapped.
         # The lock keeps the memo and its hit counter exact when one
         # expander serves a parallel batch of manuscripts.
-        self._memo: dict[tuple, list[ExpandedKeyword]] = {}
+        self._memo: OrderedDict[tuple, list[ExpandedKeyword]] = OrderedDict()
         self._memo_lock = threading.Lock()
         self.memo_hits = 0
 
@@ -164,11 +170,14 @@ class KeywordExpander:
         with self._memo_lock:
             cached = self._memo.get(key)
             if cached is not None:
+                self._memo.move_to_end(key)
                 self.memo_hits += 1
                 return cached
         result = self._expand_one(seed, config)
         with self._memo_lock:
             self._memo[key] = result
+            if len(self._memo) > MEMO_CAPACITY:
+                self._memo.popitem(last=False)
         return result
 
     def _expand_one(

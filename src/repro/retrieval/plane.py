@@ -12,10 +12,23 @@ extraction/track-record code and the simulated sources.  Three
 cooperating pieces:
 
 **Cross-request profile store.**  A TTL+LRU :class:`~repro.web.cache.TTLCache`
-holding the *assembled* results of expensive fetch sequences (candidate
-profile bundles, Publons summaries, author dossiers), keyed on the
-normalized query **and the plane's epoch**.  One warm hit saves the
-whole multi-request assembly, not just one HTTP response.
+holding the *assembled* results of expensive fetch sequences, keyed on
+the query **and the plane's epoch**.  One warm hit saves the whole
+multi-request assembly, not just one HTTP response.  Its layers:
+
+- ``scholar_profile`` and ``publons_candidate`` — candidate templates
+  assembled across the sources (:mod:`repro.core.extraction`);
+- ``publons_summary`` — a Publons reviewer's summary;
+- ``author_identity`` — a manuscript author's verification, keyed by
+  the submitted author and ``use_all_sources``
+  (:mod:`repro.core.identity`).  A verification where a resolver chose
+  among several DBLP hits, or that lost a secondary source through
+  every retry, is returned but never stored;
+- ``target_venue`` — the canonical name of a typed target outlet
+  (:class:`~repro.core.pipeline.Minaret`).
+
+Stored values are shared by every request of the epoch, so no caller
+may mutate them.  Loader errors are never stored.
 
 **Singleflight coalescing.**  Concurrent identical fetches — the same
 keyword across batch manuscripts, or across workers in one wave —
@@ -264,7 +277,13 @@ class RetrievalPlane:
     # Generic cached fetch (profile store + singleflight)
     # ------------------------------------------------------------------
 
-    def fetch(self, layer: str, key: Hashable, loader: Callable[[], object]) -> object:
+    def fetch(
+        self,
+        layer: str,
+        key: Hashable,
+        loader: Callable[[], object],
+        keep: Callable[[object], bool] | None = None,
+    ) -> object:
         """Resolve ``key`` warm when possible, else coalesce one fetch.
 
         ``layer`` labels the metrics (``scholar_profile``,
@@ -272,21 +291,33 @@ class RetrievalPlane:
         leader *and* every coalesced waiter, and nothing is cached — a
         retried request re-draws the same simulated outcome, so warm
         runs degrade exactly like cold ones.
+
+        ``keep``, when given, decides whether a loaded value is stored.
+        A value it rejects goes back to the caller that loaded it and to
+        no one else: every other caller loads its own, as it would one
+        at a time, so loads and requests match at any worker count.
         """
         epoch_key = (self.epoch, layer, key)
         cached = self._store.get(epoch_key)
         if cached is not None:
             self._count("hit", layer)
             return cached[0]
+        rejected: list[object] = []
 
-        def load() -> tuple[object]:
-            entry = (self._load(layer, loader),)
+        def load() -> tuple[object] | None:
+            value = self._load(layer, loader)
+            if keep is not None and not keep(value):
+                rejected.append(value)
+                return None
+            entry = (value,)
             self._store.put(epoch_key, entry)
             return entry
 
         entry, loaded = self._load_once(
             epoch_key, layer, lambda: self._store.peek(epoch_key), load
         )
+        if entry is None:
+            return rejected[0]
         if loaded:
             get_obs().gauge(
                 "retrieval_store_entries", float(len(self._store)), plane=self._name
@@ -330,7 +361,9 @@ class RetrievalPlane:
         count.  ``recheck`` and ``load`` return the same shape; the
         outcome is whichever the leader produced.  ``loaded`` is true
         only for the caller that ran ``load``: that lookup counts as the
-        miss, every other one as coalesced.
+        miss, every other one as coalesced.  A ``load`` that publishes
+        nothing returns ``None``; a waiter on such a flight runs its own
+        ``load`` and counts as a miss.
         """
 
         def lead() -> tuple[object, bool]:
@@ -341,6 +374,8 @@ class RetrievalPlane:
 
         (outcome, loaded), leader = self._flight.do(epoch_key, lead)
         loaded = leader and loaded
+        if outcome is None and not loaded:
+            outcome, loaded = load(), True
         self._count("miss" if loaded else "coalesced", layer)
         return outcome, loaded
 

@@ -114,9 +114,11 @@ class Crawler:
         """
         with self._lock:
             self.fetches += 1
+        # One request object per fetch: it keys the cache and every attempt.
+        request = HttpRequest.create(host, path, params)
         cache_key = None
         if self._cache is not None:
-            cache_key = HttpRequest.create(host, path, params).cache_key()
+            cache_key = request.cache_key()
             cached = self._cache.get(cache_key)
             if cached is not None:
                 with self._lock:
@@ -127,7 +129,9 @@ class Crawler:
         last_error: HttpError | None = None
         for attempt in range(1, self._retry.max_attempts + 1):
             try:
-                response = self._client.get(host, path, params, attempt=attempt)
+                response = self._client.get(
+                    host, path, params, attempt=attempt, request=request
+                )
             except RateLimitedError as exc:
                 last_error = exc
                 if attempt == self._retry.max_attempts:

@@ -325,6 +325,7 @@ class SimulatedHttpClient:
         path: str,
         params: Params | None = None,
         attempt: int = 1,
+        request: HttpRequest | None = None,
     ) -> HttpResponse:
         """Issue a GET; raises typed :class:`HttpError` subclasses on failure.
 
@@ -332,8 +333,12 @@ class SimulatedHttpClient:
         by a sampled latency and is recorded in :attr:`stats`.
         ``attempt`` is the caller's retry counter (1-based); together
         with the request content it keys the latency and fault draws.
+        ``request``, when given, is the already built request for
+        ``host``, ``path`` and ``params``, so a caller that retries
+        builds it once.
         """
-        request = HttpRequest.create(host, path, params)
+        if request is None:
+            request = HttpRequest.create(host, path, params)
         with self._lock:
             entry = self._hosts.get(host)
             if entry is None:

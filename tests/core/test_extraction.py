@@ -1,11 +1,12 @@
 """Tests for candidate retrieval and profile assembly."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from repro.core.config import PipelineConfig
-from repro.core.extraction import CandidateExtractor
+from repro.core.extraction import CandidateExtractor, _stamp_matched
 from repro.ontology.expansion import ExpandedKeyword
 from repro.scholarly.records import SourceName
 
@@ -239,3 +240,46 @@ class TestExtraction:
             ]
             if dropped_scholar and kept_scores:
                 assert min(kept_scores) >= max(dropped_scholar) - 1e-9
+
+
+class TestPerRequestCopies:
+    def test_rank_matches_orders_by_total_then_id(self):
+        matches = {
+            "u3": {"a": 0.5, "b": 0.3},
+            "u1": {"a": 0.8},
+            "u2": {"b": 0.8},
+            "u0": {"c": 0.4},
+            "u4": {"a": 1.0},
+        }
+        expected = sorted(
+            matches.items(), key=lambda item: (-sum(item[1].values()), item[0])
+        )
+        assert CandidateExtractor._rank_matches(matches) == expected
+        assert [user for user, __ in expected] == ["u4", "u1", "u2", "u3", "u0"]
+
+    def test_stamped_copy_has_fresh_containers(self, hub, world):
+        template = CandidateExtractor(hub)._assemble_from_scholar(
+            next(
+                user
+                for user in (
+                    hub.scholar_service.user_of(a) for a in sorted(world.authors)
+                )
+                if user is not None
+            )
+        )
+        template.venues_reviewed = [{"venue": "V"}]
+        matched = {"rdf": 0.7, "sparql": 0.9}
+        stamped = _stamp_matched(template, matched)
+        assert stamped == dataclasses.replace(
+            template, matched_keywords=matched, keyword_match_score=0.9
+        )
+        for name in (
+            "matched_keywords",
+            "scholar_publications",
+            "dblp_publications",
+            "venues_reviewed",
+        ):
+            assert getattr(stamped, name) is not getattr(template, name)
+        assert stamped.matched_keywords is not matched
+        assert stamped.profile is template.profile
+        assert _stamp_matched(None, matched) is None

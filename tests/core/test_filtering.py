@@ -8,6 +8,7 @@ from repro.core.config import (
     ExpertiseConstraints,
     FilterConfig,
 )
+from repro.core import filtering
 from repro.core.filtering import FilterPhase
 from repro.core.models import Candidate, ManuscriptAuthor, VerifiedAuthor
 from repro.scholarly.records import MergedProfile, Metrics
@@ -169,3 +170,30 @@ class TestDecisions:
 def phase_apply(config, candidate):
     phase = FilterPhase(config)
     return phase.apply([candidate], [make_author()])
+
+
+class TestPublicationYears:
+    """The year map is built only for the co-authorship lookback."""
+
+    def test_not_built_without_a_lookback(self, monkeypatch):
+        def refuse(candidates):
+            raise AssertionError("year map built without a lookback")
+
+        monkeypatch.setattr(filtering, "_collect_publication_years", refuse)
+        phase = FilterPhase(FilterConfig())
+        kept, decisions = phase.apply(
+            [make_candidate(pub_ids=("p1",))], [make_author(pub_ids=("p1",))]
+        )
+        assert kept == []
+        assert decisions[0].reasons == (
+            "COI: co-authored 1 publication(s) with 'Author A'",
+        )
+
+    def test_lookback_reads_candidate_years(self):
+        old = make_candidate(pub_ids=("p1",))
+        old.dblp_publications = [{"id": "p1", "year": 2001}]
+        phase = FilterPhase(
+            FilterConfig(coi=CoiConfig(coauthorship_lookback_years=5))
+        )
+        kept, __ = phase.apply([old], [make_author(pub_ids=("p1",))])
+        assert kept == [old]

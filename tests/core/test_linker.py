@@ -6,10 +6,11 @@ publication sets, sources with no overlap evidence — to pin down the
 linker's decision rules.
 """
 
-import pytest
 
 from repro.core.identity import ProfileLinker
 from repro.scholarly.records import SourceName, SourcePage, SourceProfile
+from repro.web.crawler import CrawlError
+from repro.web.http import HttpRequest, ServiceUnavailableError
 
 
 class StubScholar:
@@ -76,7 +77,7 @@ class TestPublicationOverlapLinking:
             },
         )
         linker = ProfileLinker(StubSources(scholar))
-        profiles = linker.link_from_dblp(dblp_anchor(["p1", "p2", "p3"]))
+        profiles, __ = linker.link_from_dblp(dblp_anchor(["p1", "p2", "p3"]))
         linked_users = [
             p.source_author_id
             for p in profiles
@@ -93,7 +94,7 @@ class TestPublicationOverlapLinking:
             },
         )
         linker = ProfileLinker(StubSources(scholar))
-        profiles = linker.link_from_dblp(dblp_anchor(["p1", "p2", "p3"]))
+        profiles, __ = linker.link_from_dblp(dblp_anchor(["p1", "p2", "p3"]))
         linked = [
             p.source_author_id
             for p in profiles
@@ -110,7 +111,7 @@ class TestPublicationOverlapLinking:
             },
         )
         linker = ProfileLinker(StubSources(scholar))
-        profiles = linker.link_from_dblp(dblp_anchor(["p1"]))
+        profiles, __ = linker.link_from_dblp(dblp_anchor(["p1"]))
         assert all(p.source is not SourceName.GOOGLE_SCHOLAR for p in profiles)
 
     def test_single_hit_accepted_when_anchor_has_no_pubs(self):
@@ -119,7 +120,7 @@ class TestPublicationOverlapLinking:
             profiles={"only": scholar_profile("only", ["x1"])},
         )
         linker = ProfileLinker(StubSources(scholar))
-        profiles = linker.link_from_dblp(dblp_anchor([]))
+        profiles, __ = linker.link_from_dblp(dblp_anchor([]))
         linked = [
             p.source_author_id
             for p in profiles
@@ -136,12 +137,12 @@ class TestPublicationOverlapLinking:
             profiles={"only": scholar_profile("only", ["x1"])},
         )
         linker = ProfileLinker(StubSources(scholar))
-        profiles = linker.link_from_dblp(dblp_anchor(["p1", "p2"]))
+        profiles, __ = linker.link_from_dblp(dblp_anchor(["p1", "p2"]))
         assert all(p.source is not SourceName.GOOGLE_SCHOLAR for p in profiles)
 
     def test_no_hits_anywhere_returns_anchor_only(self):
         linker = ProfileLinker(StubSources(StubScholar([], {})))
-        profiles = linker.link_from_dblp(dblp_anchor(["p1"]))
+        profiles, __ = linker.link_from_dblp(dblp_anchor(["p1"]))
         assert len(profiles) == 1
         assert profiles[0].source is SourceName.DBLP
 
@@ -160,3 +161,25 @@ class TestPublicationOverlapLinking:
         linker = ProfileLinker(StubSources(scholar))
         linker.link_from_dblp(dblp_anchor(["p1"]))
         assert len(fetched) <= 5
+
+
+class TestLostLinks:
+    """Each call reports the links it lost, whatever other calls do."""
+
+    class DownScholar(StubScholar):
+        def search_author(self, name):
+            request = HttpRequest.create("scholar.google.com", "/citations")
+            raise CrawlError(
+                request.host, request.path, 4, ServiceUnavailableError(request)
+            )
+
+    def test_a_source_down_through_every_retry_is_counted(self):
+        linker = ProfileLinker(StubSources(self.DownScholar([], {})))
+        profiles, lost = linker.link_from_dblp(dblp_anchor(["p1"]))
+        assert lost == 1
+        assert [p.source for p in profiles] == [SourceName.DBLP]
+
+    def test_a_healthy_call_loses_nothing(self):
+        linker = ProfileLinker(StubSources(StubScholar([], {})))
+        __, lost = linker.link_from_dblp(dblp_anchor(["p1"]))
+        assert lost == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ontology import expansion
 from repro.ontology.data import build_seed_ontology
 from repro.ontology.expansion import (
     DEFAULT_RELATION_DECAY,
@@ -180,6 +181,20 @@ class TestMemoization:
         expander.expand(["RDF", "Big Data"])
         expander.expand(["Big Data", "Indexing"])
         assert expander.memo_hits == 1
+
+    def test_least_recently_used_seed_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(expansion, "MEMO_CAPACITY", 2)
+        expander = KeywordExpander(build_seed_ontology())
+        expander.expand(["RDF"])
+        expander.expand(["SPARQL"])
+        expander.expand(["RDF"])  # RDF is now the most recent
+        expander.expand(["Semantic Web"])  # evicts SPARQL
+        hits = expander.memo_hits
+        expander.expand(["RDF"])
+        assert expander.memo_hits == hits + 1
+        expander.expand(["SPARQL"])
+        assert expander.memo_hits == hits + 1
+        assert len(expander._memo) == 2
 
 
 class TestConfigValidation:

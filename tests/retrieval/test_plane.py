@@ -1,5 +1,8 @@
 """Unit tests for the warm-path retrieval plane."""
 
+import threading
+import time
+
 import pytest
 
 from repro.retrieval import RetrievalPlane
@@ -58,6 +61,50 @@ class TestFetch:
         assert (plane.hits, plane.misses) == (2, 2)
         store = plane.store.stats()
         assert (store["hits"], store["misses"]) == (2, 2)
+
+    def test_rejected_value_goes_to_its_loader_only(self, plane):
+        calls = []
+
+        def loader():
+            calls.append(1)
+            return len(calls)
+
+        reject = lambda value: False  # noqa: E731
+        assert plane.fetch("layer", "k", loader, keep=reject) == 1
+        assert plane.fetch("layer", "k", loader, keep=reject) == 2
+        assert len(plane.store) == 0
+        assert (plane.hits, plane.misses, plane.coalesced) == (0, 2, 0)
+
+    def test_kept_value_is_stored(self, plane):
+        keep = lambda value: value > 0  # noqa: E731
+        assert plane.fetch("layer", "k", lambda: 1, keep=keep) == 1
+        assert plane.fetch("layer", "k", lambda: 2, keep=keep) == 1
+
+    def test_every_caller_loads_its_own_rejected_value(self, plane):
+        """Concurrent callers match one-at-a-time callers: 8 loads."""
+        workers = 8
+        barrier = threading.Barrier(workers)
+        loads = []
+        lock = threading.Lock()
+
+        def loader():
+            time.sleep(0.01)  # keep the flight open for the others
+            with lock:
+                loads.append(threading.get_ident())
+                return len(loads)
+
+        def call():
+            barrier.wait()
+            return plane.fetch("layer", "k", loader, keep=lambda value: False)
+
+        threads = [threading.Thread(target=call) for __ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(loads) == workers
+        assert (plane.misses, plane.coalesced) == (workers, 0)
+        assert len(plane.store) == 0
 
     def test_hit_rate(self, plane):
         assert plane.hit_rate() == 0.0

@@ -7,6 +7,7 @@ from repro.web.clock import SimulatedClock
 from repro.web.crawler import Crawler, CrawlError, RetryPolicy
 from repro.web.faults import FaultPolicy
 from repro.web.http import (
+    HttpRequest,
     LatencyModel,
     NotFoundError,
     SimulatedHttpClient,
@@ -148,3 +149,38 @@ class TestCaching:
         crawler = Crawler(make_client(clock))
         crawler.fetch("svc", "/p")
         assert crawler.cache_hit_rate() == 0.0
+
+
+class TestRequestBuiltOnce:
+    """One request object per fetch keys the cache and every attempt."""
+
+    def test_every_attempt_carries_the_fetch_request(self, clock, monkeypatch):
+        client = make_client(clock, faults=FaultPolicy(failure_probability=1.0))
+        seen = []
+        get = client.get
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["request"])
+            return get(*args, **kwargs)
+
+        monkeypatch.setattr(client, "get", spy)
+        created = []
+        create = HttpRequest.create.__func__
+
+        def counting_create(cls, *args, **kwargs):
+            created.append(args)
+            return create(cls, *args, **kwargs)
+
+        monkeypatch.setattr(HttpRequest, "create", classmethod(counting_create))
+        cache = TTLCache(ttl=0, capacity=10, clock=clock)
+        crawler = Crawler(
+            client, retry=RetryPolicy(max_attempts=3, base_backoff=0.01), cache=cache
+        )
+        with pytest.raises(CrawlError):
+            crawler.fetch("svc", "/p", {"q": 1})
+        assert len(seen) == 3
+        assert all(request is seen[0] for request in seen)
+        assert seen[0] == HttpRequest("svc", "/p", (("q", 1),))
+        assert len(created) == 1
+        assert cache.stats()["misses"] == 1
+        assert client.stats["svc"].requests == 3
