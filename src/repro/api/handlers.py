@@ -39,8 +39,9 @@ is crawled.
     The deployment's observability snapshot: counters, gauges and
     histograms (with p50/p95/p99 estimates and trace exemplars) from
     the ambient :mod:`repro.obs` registry, plus per-host HTTP
-    statistics, the crawler cache's hit ratio, and retrieval-plane and
-    feature-store stats.  ``?format=prometheus`` returns the registry
+    statistics, the crawler cache's hit ratio (``null`` at
+    ``cache_ttl=0``, which builds no crawler cache), and retrieval-plane
+    and feature-store stats.  ``?format=prometheus`` returns the registry
     in the Prometheus text exposition format instead.
 ``GET  /api/v1/slo``
     Every registered SLO's full status: verdict, good-ratio over the

@@ -18,6 +18,20 @@ Both uphold the same observable contract:
   :mod:`repro.obs.ledger`) attribute work done in pool threads to the
   caller that submitted it.
 
+Telemetry is written once per ``map`` call, the unit of work a caller
+sees, not once per task:
+
+- one ``executor.map`` span, labelled ``backend``, ``tasks`` and
+  ``failures``, parents under the span open at the call site, and the
+  work inside every task (its spans, its HTTP attempts' exemplars)
+  parents under it; it carries the lowest-index task error;
+- each task records its queue time, run time and outcome in its own
+  slot, and after the map one registry call writes
+  ``executor_queue_seconds{backend}``, ``executor_task_seconds{backend}``
+  and ``executor_tasks_total{backend,outcome}`` for all of them.
+
+Both backends emit that same shape, for empty and single-item maps too.
+
 ``ThreadExecutor`` deliberately builds a fresh pool per ``map`` call:
 pools are cheap at this scale, nothing leaks when callers forget to
 close anything, and nested fan-out (a batch of manuscripts each running
@@ -29,7 +43,7 @@ from __future__ import annotations
 import contextvars
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import get_obs, label_key
@@ -62,31 +76,59 @@ class Executor(ABC):
         """
 
 
-def _run_task(fn: Callable, item, index: int, backend: str, submitted_at: float):
-    """Run one task under a span with queue/run metrics.
+def _fan_out(backend: str, fn: Callable, items: Iterable, run_all) -> list:
+    """One ``map`` call: its tasks under one span, then one metrics write.
 
-    Shared by both executors so the telemetry a caller sees is identical
-    whichever pool executed the work.  The span opens in the task's own
-    (copied) context, so it parents under whatever span was current at
-    the ``map`` call site — a pipeline phase, a batch entry, an API
-    request.
+    ``run_all(task, tasks)`` runs ``task(index, item, submitted_at)``
+    for every task and returns the outcomes in input order and the
+    failed tasks' ``(index, exception)`` pairs in index order.  Each
+    task times itself into its own slot, so the slots need no lock.
     """
+    tasks = list(items)
+    queued = [0.0] * len(tasks)
+    ran = [0.0] * len(tasks)
+
+    def task(index: int, item, submitted_at: float):
+        start = time.perf_counter()
+        queued[index] = start - submitted_at
+        try:
+            return fn(item)
+        finally:
+            ran[index] = time.perf_counter() - start
+
     obs = get_obs()
-    key, ok_key, error_key = _KEYS[backend]
-    start = time.perf_counter()
-    obs.observe_key("executor_queue_seconds", key, start - submitted_at)
-    obs.gauge_add_key("executor_inflight", key, 1.0)
-    try:
-        with obs.span("executor.task", index=index, backend=backend):
-            result = fn(item)
-    except BaseException:
-        obs.inc_key("executor_tasks_total", error_key)
-        raise
-    finally:
-        obs.observe_key("executor_task_seconds", key, time.perf_counter() - start)
-        obs.gauge_add_key("executor_inflight", key, -1.0)
-    obs.inc_key("executor_tasks_total", ok_key)
-    return result
+    with obs.span("executor.map", backend=backend, tasks=len(tasks)) as span:
+        outcomes, errors = run_all(task, tasks)
+        span.set_label("failures", len(errors))
+        if tasks:
+            key, ok_key, error_key = _KEYS[backend]
+            outcomes_by_key = ((ok_key, len(tasks) - len(errors)), (error_key, len(errors)))
+            obs.write(
+                counters=[
+                    ("executor_tasks_total", outcome, count)
+                    for outcome, count in outcomes_by_key
+                    if count
+                ],
+                observations=(
+                    ("executor_queue_seconds", key, queued),
+                    ("executor_task_seconds", key, ran),
+                ),
+            )
+        if errors:
+            raise errors[0][1]
+    return outcomes
+
+
+def _run_inline(task: Callable, tasks: list) -> tuple[list, list]:
+    outcomes: list = []
+    errors: list[tuple[int, BaseException]] = []
+    for index, item in enumerate(tasks):
+        try:
+            outcomes.append(task(index, item, time.perf_counter()))
+        except BaseException as exc:  # noqa: BLE001 — re-raised by _fan_out
+            outcomes.append(None)
+            errors.append((index, exc))
+    return outcomes, errors
 
 
 class SequentialExecutor(Executor):
@@ -103,20 +145,7 @@ class SequentialExecutor(Executor):
         return 1
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        tasks: Sequence = list(items)
-        outcomes: list = []
-        errors: list[tuple[int, BaseException]] = []
-        for index, item in enumerate(tasks):
-            try:
-                outcomes.append(
-                    _run_task(fn, item, index, "sequential", time.perf_counter())
-                )
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                outcomes.append(None)
-                errors.append((index, exc))
-        if errors:
-            raise errors[0][1]
-        return outcomes
+        return _fan_out("sequential", fn, items, _run_inline)
 
 
 class ThreadExecutor(Executor):
@@ -138,37 +167,34 @@ class ThreadExecutor(Executor):
         return self._workers
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        tasks: Sequence = list(items)
-        if not tasks:
-            return []
-        if len(tasks) == 1:
+        return _fan_out("thread", fn, items, self._run_pooled)
+
+    def _run_pooled(self, task: Callable, tasks: list) -> tuple[list, list]:
+        if len(tasks) < 2:
             # No point spinning a pool up for a single task.
-            return [_run_task(fn, tasks[0], 0, "thread", time.perf_counter())]
+            return _run_inline(task, tasks)
         outcomes: list = [None] * len(tasks)
         errors: list[tuple[int, BaseException]] = []
         with ThreadPoolExecutor(max_workers=self._workers) as pool:
             futures = [
                 # One context copy per task: a Context object can only
-                # be entered by one thread at a time.
+                # be entered by one thread at a time.  Copied inside the
+                # map's span, so every task parents under it.
                 pool.submit(
                     contextvars.copy_context().run,
-                    _run_task,
-                    fn,
                     task,
                     index,
-                    "thread",
+                    item,
                     time.perf_counter(),
                 )
-                for index, task in enumerate(tasks)
+                for index, item in enumerate(tasks)
             ]
             for index, future in enumerate(futures):
                 try:
                     outcomes[index] = future.result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised below
+                except BaseException as exc:  # noqa: BLE001 — re-raised by _fan_out
                     errors.append((index, exc))
-        if errors:
-            raise min(errors)[1]
-        return outcomes
+        return outcomes, errors
 
 
 def create_executor(workers: int | None) -> Executor:

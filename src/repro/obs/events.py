@@ -4,10 +4,13 @@ An :class:`Event` is a flat, JSON-serialisable record — a name, a wall
 timestamp, an optional virtual timestamp, and free-form fields.  The
 :class:`EventBus` fans each emitted event out to every attached sink:
 
-- :class:`RingSink` keeps the most recent events in memory (tests, the
-  API's introspection endpoints);
+- :class:`RingSink` keeps the most recent events in memory, as given
+  (tests, the API's introspection endpoints);
 - :class:`JsonlSink` appends one JSON object per line to a file (the
-  CLI's ``--log-json``).
+  CLI's ``--log-json``), serialising each event as it is written.
+
+A tracer publishes a :class:`SpanEndEvent` per finished span, which
+renders the span's fields only when something reads them.
 
 Sinks never feed back into the system under observation: emitting draws
 no randomness, advances no clock, and a slow or failed file write only
@@ -38,6 +41,37 @@ class Event:
             record["virtual_time"] = self.virtual_time
         record.update(self.fields)
         return record
+
+
+class SpanEndEvent:
+    """A ``span_end`` event that renders its finished span when first read.
+
+    It holds the span and the emission timestamps.  ``fields`` is the
+    span's :meth:`~repro.obs.spans.Span.to_dict` with ``name`` moved to
+    ``span`` (``name`` is the event's own), built on first access, so a
+    span whose event nobody reads is never rendered.  It reads the same
+    as an :class:`Event` built at emission time.
+    """
+
+    __slots__ = ("span", "wall_time", "virtual_time", "_fields")
+
+    name = "span_end"
+
+    def __init__(self, span, wall_time: float, virtual_time: float | None = None):
+        self.span = span
+        self.wall_time = wall_time
+        self.virtual_time = virtual_time
+        self._fields: dict | None = None
+
+    @property
+    def fields(self) -> dict:
+        if self._fields is None:
+            fields = self.span.to_dict()
+            fields["span"] = fields.pop("name")
+            self._fields = fields
+        return self._fields
+
+    to_dict = Event.to_dict
 
 
 class RingSink:
@@ -145,27 +179,28 @@ class JsonlSink:
 
 
 class EventBus:
-    """Distributes emitted events to every attached sink."""
+    """Distributes emitted events to every attached sink.
+
+    The sinks are an immutable tuple, replaced on add and remove, so
+    emitting reads it without a lock or a copy.
+    """
 
     def __init__(self, sinks: list | None = None):
-        self._sinks = list(sinks or [])
-        self._lock = threading.Lock()
+        self._sinks: tuple = tuple(sinks or ())
+        self._lock = threading.Lock()  # serialises add and remove
 
     def add_sink(self, sink) -> None:
         """Attach a sink; it sees events emitted from now on."""
         with self._lock:
-            self._sinks.append(sink)
+            self._sinks = (*self._sinks, sink)
 
     def remove_sink(self, sink) -> None:
         """Detach a sink if attached."""
         with self._lock:
             if sink in self._sinks:
-                self._sinks.remove(sink)
-
-    def sinks(self) -> list:
-        """The currently attached sinks."""
-        with self._lock:
-            return list(self._sinks)
+                sinks = list(self._sinks)
+                sinks.remove(sink)
+                self._sinks = tuple(sinks)
 
     def emit(self, name: str, clock=None, **fields: object) -> Event:
         """Build an :class:`Event` and hand it to every sink.
@@ -179,6 +214,10 @@ class EventBus:
             virtual_time=clock.now() if clock is not None else None,
             fields=dict(fields),
         )
-        for sink in self.sinks():
-            sink.write(event)
+        self.publish(event)
         return event
+
+    def publish(self, event) -> None:
+        """Hand an already built event to every sink."""
+        for sink in self._sinks:
+            sink.write(event)

@@ -19,16 +19,22 @@ recording a metric never draws randomness or advances any clock.
 
 A series key is built from its labels by :func:`label_key`.  Call sites
 that write on every simulated request build their keys once and pass
-them to the keyed writes (:meth:`MetricsRegistry.inc_key` and friends),
-so the hot path costs one lock and one add.  A key names a series in
-any registry, so one prebuilt key serves every deployment that shares
-the call site.
+them to the keyed writes (:meth:`MetricsRegistry.inc_key`,
+:meth:`MetricsRegistry.observe_key`), so the hot path costs one lock and
+one add.  A unit of work that feeds several series records them in one
+call: a simulated attempt its latency and status count in
+:meth:`MetricsRegistry.observe_inc_key`, an executor fan-out every
+task's timings and outcome in :meth:`MetricsRegistry.write`.  A key
+names a series in any registry, so one prebuilt key serves every
+deployment that shares the call site.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterable
 
 #: Default histogram bounds, tuned for the simulated web's latencies
 #: (tens of milliseconds) while still resolving multi-second waits.
@@ -46,9 +52,9 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     10.0,
 )
 
-#: Raw observations retained per histogram series.  While ``count`` is
-#: still within this window the quantile path is exact; past it the
-#: estimate falls back to bucket interpolation.
+#: Raw observations retained per histogram series: its first ones.
+#: While ``count`` is still within this window the quantile path is
+#: exact; past it the estimate falls back to bucket interpolation.
 SAMPLE_CAPACITY = 512
 
 #: Exemplars retained per histogram series (most recent first out).
@@ -86,10 +92,10 @@ def _label_key(labels: dict[str, object]) -> LabelKey:
 class _Histogram:
     """One histogram series: cumulative bucket counts + sum + count.
 
-    Alongside the buckets it keeps a bounded window of raw observations
-    (exact quantiles while nothing has been dropped) and a bounded ring
-    of exemplars — ``(value, trace_id, span_id)`` triples linking
-    observations back to the span that produced them.
+    Alongside the buckets it keeps the first :data:`SAMPLE_CAPACITY`
+    raw observations (exact quantiles until the count passes them) and a
+    bounded ring of exemplars — ``(value, (trace_id, span_id))`` pairs
+    linking observations back to the span that produced them.
     """
 
     __slots__ = ("bounds", "bucket_counts", "total", "count", "samples", "exemplars")
@@ -99,22 +105,26 @@ class _Histogram:
         self.bucket_counts = [0] * (len(bounds) + 1)  # +1 for +Inf
         self.total = 0.0
         self.count = 0
-        self.samples: deque[float] = deque(maxlen=SAMPLE_CAPACITY)
-        self.exemplars: deque[tuple[float, int, int]] = deque(
+        self.samples: list[float] = []
+        self.exemplars: deque[tuple[float, tuple[int, int]]] = deque(
             maxlen=EXEMPLAR_CAPACITY
         )
 
     def observe(self, value: float, exemplar: tuple[int, int] | None = None) -> None:
         self.total += value
         self.count += 1
-        self.samples.append(value)
+        if self.count <= SAMPLE_CAPACITY:
+            # Past the window no read uses the samples (quantiles go to
+            # the buckets), so later values are not kept.
+            self.samples.append(value)
         if exemplar is not None:
-            self.exemplars.append((value, exemplar[0], exemplar[1]))
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+            self.exemplars.append((value, exemplar))
+        # The first bound >= value; NaN, which compares false with every
+        # bound, goes to +Inf.
+        if value == value:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        else:
+            self.bucket_counts[-1] += 1
 
     def quantile(self, q: float) -> float | None:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) of this series.
@@ -192,7 +202,7 @@ class _Histogram:
         if self.exemplars:
             record["exemplars"] = [
                 {"value": value, "trace_id": trace_id, "span_id": span_id}
-                for value, trace_id, span_id in self.exemplars
+                for value, (trace_id, span_id) in self.exemplars
             ]
         return record
 
@@ -225,10 +235,7 @@ class MetricsRegistry:
     def inc_key(self, name: str, key: LabelKey, value: float = 1.0) -> None:
         """:meth:`inc` for a key built by :func:`label_key`."""
         with self._lock:
-            series = self._counters.get(name)
-            if series is None:
-                series = self._counters[name] = {}
-            series[key] = series.get(key, 0.0) + value
+            self._inc(name, key, value)
 
     def counter_value(self, name: str, **labels: object) -> float:
         """Current value of one counter series (0 when never written)."""
@@ -246,18 +253,6 @@ class MetricsRegistry:
         """Set a gauge series to ``value``."""
         with self._lock:
             self._gauges.setdefault(name, {})[_label_key(labels)] = float(value)
-
-    def gauge_add(self, name: str, delta: float, **labels: object) -> None:
-        """Add ``delta`` (may be negative) to a gauge series."""
-        self.gauge_add_key(name, _label_key(labels), delta)
-
-    def gauge_add_key(self, name: str, key: LabelKey, delta: float) -> None:
-        """:meth:`gauge_add` for a key built by :func:`label_key`."""
-        with self._lock:
-            series = self._gauges.get(name)
-            if series is None:
-                series = self._gauges[name] = {}
-            series[key] = series.get(key, 0.0) + delta
 
     def gauge_value(self, name: str, **labels: object) -> float:
         """Current value of one gauge series (0 when never written)."""
@@ -323,16 +318,69 @@ class MetricsRegistry:
     ) -> None:
         """:meth:`observe` for a key built by :func:`label_key`."""
         with self._lock:
-            series = self._histograms.get(name)
-            if series is None:
-                series = self._histograms[name] = {}
-            histogram = series.get(key)
-            if histogram is None:
-                bounds = self._histogram_bounds.setdefault(
-                    name, tuple(buckets) if buckets else DEFAULT_BUCKETS
-                )
-                histogram = series[key] = _Histogram(bounds)
-            histogram.observe(value, exemplar=exemplar)
+            self._histogram(name, key, buckets).observe(value, exemplar)
+
+    def observe_inc_key(
+        self,
+        name: str,
+        key: LabelKey,
+        value: float,
+        counter: str,
+        counter_key: LabelKey,
+        exemplar: tuple[int, int] | None = None,
+    ) -> None:
+        """One observation and one counter increment under one lock.
+
+        The shape of one simulated attempt, its latency and its status
+        count, written without building the tuples :meth:`write` takes.
+        """
+        with self._lock:
+            self._inc(counter, counter_key, 1.0)
+            self._histogram(name, key, None).observe(value, exemplar)
+
+    def write(
+        self,
+        counters: Iterable[tuple[str, LabelKey, float]] = (),
+        observations: Iterable[tuple[str, LabelKey, Iterable[float]]] = (),
+        exemplar: tuple[int, int] | None = None,
+    ) -> None:
+        """Several keyed writes under one lock acquisition.
+
+        Each ``(name, key, value)`` in ``counters`` adds ``value`` to a
+        counter series, as :meth:`inc_key` does; each ``(name, key,
+        values)`` in ``observations`` records every value into a
+        histogram series, as :meth:`observe_key` does, all carrying
+        ``exemplar``.
+        """
+        with self._lock:
+            for name, key, value in counters:
+                self._inc(name, key, value)
+            for name, key, values in observations:
+                histogram = self._histogram(name, key, None)
+                for value in values:
+                    histogram.observe(value, exemplar)
+
+    def _inc(self, name: str, key: LabelKey, value: float) -> None:
+        # Caller holds self._lock.
+        series = self._counters.get(name)
+        if series is None:
+            series = self._counters[name] = {}
+        series[key] = series.get(key, 0.0) + value
+
+    def _histogram(
+        self, name: str, key: LabelKey, buckets: tuple[float, ...] | None
+    ) -> _Histogram:
+        # Caller holds self._lock.
+        series = self._histograms.get(name)
+        if series is None:
+            series = self._histograms[name] = {}
+        histogram = series.get(key)
+        if histogram is None:
+            bounds = self._histogram_bounds.setdefault(
+                name, tuple(buckets) if buckets else DEFAULT_BUCKETS
+            )
+            histogram = series[key] = _Histogram(bounds)
+        return histogram
 
     def histogram_stats(self, name: str, **labels: object) -> dict | None:
         """``{"buckets": ..., "sum": ..., "count": ..., "p50": ...}`` or ``None``."""

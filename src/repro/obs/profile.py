@@ -1,12 +1,13 @@
 """Deterministic phase profiler: self-time rollups over the span forest.
 
 Spans nest — ``pipeline.recommend`` above six ``phase.*`` spans above
-hundreds of fan-out task spans — so a span's raw duration double-counts
-its children.  The profiler subtracts each span's children to get
-**self time**, then aggregates by span name into a flame *table* (the
-text-mode cousin of a flame graph): calls, total and self durations for
-both clocks, sorted by virtual self time so the most expensive layer of
-the workload tops the list regardless of machine noise.
+the ``executor.map`` spans of their fan-outs — so a span's raw duration
+double-counts its children.  The profiler subtracts each span's
+children to get **self time**, then aggregates by span name into a
+flame *table* (the text-mode cousin of a flame graph): calls, total and
+self durations for both clocks, sorted by virtual self time so the most
+expensive layer of the workload tops the list regardless of machine
+noise.
 
 Input is anything span-shaped: live :class:`~repro.obs.spans.Span`
 objects, their ``to_dict()`` renderings, or ``span_end`` event records

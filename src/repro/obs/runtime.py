@@ -19,9 +19,11 @@ A disabled instance (:meth:`Observability.disabled`) turns every
 operation into an early-returning no-op, which is what the EXP-OBS
 overhead benchmark compares against.
 
-The ``*_key`` metric methods take a series key built once by
-:func:`~repro.obs.metrics.label_key`; the per-request layers (HTTP
-client, caches, token buckets, executors) write through them.
+The keyed methods (:meth:`Observability.inc_key`,
+:meth:`Observability.observe_inc_key`, :meth:`Observability.write`)
+take series keys built once by :func:`~repro.obs.metrics.label_key`;
+the per-request layers (HTTP client, caches, token buckets, executors)
+write through them.
 """
 
 from __future__ import annotations
@@ -94,16 +96,6 @@ class Observability:
         if self.enabled:
             self.metrics.gauge_set(name, value, **labels)
 
-    def gauge_add(self, name: str, delta: float, **labels: object) -> None:
-        """Adjust a gauge by a delta."""
-        if self.enabled:
-            self.metrics.gauge_add(name, delta, **labels)
-
-    def gauge_add_key(self, name: str, key: LabelKey, delta: float) -> None:
-        """Adjust a gauge series, by its prebuilt key, by a delta."""
-        if self.enabled:
-            self.metrics.gauge_add_key(name, key, delta)
-
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record a histogram observation.
 
@@ -114,13 +106,27 @@ class Observability:
         if self.enabled:
             self.metrics.observe(name, value, exemplar=_exemplar(), **labels)
 
-    def observe_key(self, name: str, key: LabelKey, value: float) -> None:
-        """Record an observation into a series by its prebuilt key.
+    def observe_inc_key(
+        self, name: str, key: LabelKey, value: float, counter: str, counter_key: LabelKey
+    ) -> None:
+        """One observation and one counter increment in one registry call.
 
-        Carries the same span exemplar as :meth:`observe`.
+        See :meth:`~repro.obs.metrics.MetricsRegistry.observe_inc_key`;
+        the observation carries the same span exemplar as :meth:`observe`.
         """
         if self.enabled:
-            self.metrics.observe_key(name, key, value, _exemplar())
+            self.metrics.observe_inc_key(
+                name, key, value, counter, counter_key, _exemplar()
+            )
+
+    def write(self, counters=(), observations=()) -> None:
+        """Several keyed counter and histogram writes in one registry call.
+
+        See :meth:`~repro.obs.metrics.MetricsRegistry.write`; every
+        observation carries the same span exemplar as :meth:`observe`.
+        """
+        if self.enabled:
+            self.metrics.write(counters, observations, _exemplar())
 
     # -- events --------------------------------------------------------
 
@@ -152,7 +158,7 @@ class Observability:
 def _exemplar() -> tuple[int, int] | None:
     """The open span's ``(trace_id, span_id)``, or ``None`` outside one."""
     span = current_span()
-    return (span.trace_id, span.span_id) if isinstance(span, Span) else None
+    return span.exemplar if isinstance(span, Span) else None
 
 
 _DEFAULT = Observability()

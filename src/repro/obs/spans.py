@@ -35,6 +35,8 @@ from collections import OrderedDict, deque
 from contextvars import ContextVar
 from dataclasses import dataclass
 
+from repro.obs.events import SpanEndEvent
+
 _CURRENT_SPAN: ContextVar["Span | None"] = ContextVar(
     "repro_obs_current_span", default=None
 )
@@ -64,6 +66,7 @@ class Span:
         "virtual_start",
         "virtual_end",
         "error",
+        "exemplar",
         "_tracer",
         "_clock",
         "_token",
@@ -81,6 +84,9 @@ class Span:
     ):
         self.trace_id = trace_id
         self.span_id = span_id
+        #: ``(trace_id, span_id)``, built once: the exemplar of every
+        #: metric observed inside this span.
+        self.exemplar = (trace_id, span_id)
         self.parent_id = parent_id
         self.name = name
         self.labels = labels
@@ -217,7 +223,8 @@ class Tracer:
 
     ``events`` (an :class:`~repro.obs.events.EventBus`) receives one
     ``span_end`` event per finished span, which is how span data reaches
-    the CLI's JSONL log.
+    the CLI's JSONL log.  The event holds the span and renders its
+    fields only when a reader or a file sink asks for them.
 
     Example
     -------
@@ -349,10 +356,12 @@ class Tracer:
                     self._evicted_traces += 1
                     self._evicted_spans += len(stale)
         if self._events is not None:
-            fields = span.to_dict()
-            # ``name`` would collide with the event's own name.
-            fields["span"] = fields.pop("name")
-            self._events.emit("span_end", clock=span._clock, **fields)
+            clock = span._clock
+            self._events.publish(
+                SpanEndEvent(
+                    span, time.time(), clock.now() if clock is not None else None
+                )
+            )
 
     def finished(self, name: str | None = None) -> list[Span]:
         """Finished spans, oldest first, optionally filtered by name."""

@@ -140,19 +140,22 @@ class KeywordExpander:
 
         Keywords that do not resolve to any ontology topic are passed
         through unexpanded with score 1.0 (the manuscript keyword itself
-        is always a valid search term, ontology coverage or not).
+        is always a valid search term, ontology coverage or not); each
+        keeps its own entry, since none of them has a topic to share.
 
         When several seeds reach the same topic, the best score wins and
         the contributing seed is the one that produced it.  Results are
         sorted by descending score, then label, for determinism.
         """
         config = config or self._config
-        best: dict[str, ExpandedKeyword] = {}
+        best: dict[tuple[str, str], ExpandedKeyword] = {}
         for seed in keywords:
             for expanded in self._expand_one_cached(seed, config):
-                current = best.get(expanded.topic_id)
+                # A pass-through has no topic id: key it by its keyword.
+                key = (expanded.topic_id, "" if expanded.topic_id else expanded.keyword)
+                current = best.get(key)
                 if current is None or expanded.score > current.score:
-                    best[expanded.topic_id] = expanded
+                    best[key] = expanded
         results = list(best.values())
         results.sort(key=lambda e: (-e.score, e.keyword))
         return results

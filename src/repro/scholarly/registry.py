@@ -98,9 +98,12 @@ class ScholarlyHub:
         """Stand up the whole simulated scholarly web.
 
         ``cache_ttl=0`` (the default) is the paper's pure on-the-fly
-        mode: every query hits the services.  A positive TTL (or ``None``
-        for immortal entries) enables response caching — the EXP-SCALE
-        knob.  ``trace_capacity > 0`` records the most recent requests
+        mode: every query hits the services, and the crawler gets no
+        cache at all (``hub.crawler.cache`` is ``None``), so a fetch
+        makes no lookup, counts no miss and charges no ledger.  A
+        positive TTL (or ``None`` for immortal entries) builds the
+        ``crawler`` response cache — the EXP-SCALE knob.
+        ``trace_capacity > 0`` records the most recent requests
         (host, path, status, latency) for inspection via
         ``hub.http.traces()`` or the API's ``/api/v1/trace``; the
         default of 0 keeps bare library use allocation-free, and
@@ -154,9 +157,11 @@ class ScholarlyHub:
                     name=source.value,
                 ),
             )
-        cache = TTLCache(
-            ttl=cache_ttl, capacity=cache_capacity, clock=clock, name="crawler"
-        )
+        cache = None
+        if cache_ttl != 0:
+            cache = TTLCache(
+                ttl=cache_ttl, capacity=cache_capacity, clock=clock, name="crawler"
+            )
         crawler = Crawler(http, retry=retry or RetryPolicy(), cache=cache)
         return cls(
             world=world,

@@ -3,7 +3,8 @@
 "On-the-fly" extraction (the paper's freshness guarantee) and caching
 pull in opposite directions: every cache hit saves a request but risks
 staleness.  The cache's TTL is the experimental knob of EXP-SCALE —
-TTL 0 is the paper's pure on-the-fly mode, TTL ∞ is a static snapshot.
+TTL 0 is the paper's pure on-the-fly mode (the hub then builds no
+crawler cache), TTL ∞ is a static snapshot.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ class TTLCache:
 
     ``ttl=0`` disables caching entirely (every get misses); ``ttl=None``
     means entries never expire.  Capacity-bound with LRU eviction.
+    :meth:`~repro.scholarly.registry.ScholarlyHub.deploy` builds no
+    crawler cache at TTL 0; the ``ttl == 0`` path serves caches built
+    with a configurable TTL, such as the warm plane's
+    (``warm_cache_ttl=0``).
 
     Thread-safe: one crawler cache is shared by every worker in a
     parallel extraction, so lookup, insert and eviction each happen

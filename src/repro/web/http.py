@@ -208,12 +208,17 @@ _STATUSES = (200, 404, 429, 503)
 
 
 class _Host(NamedTuple):
-    """A registered host: its endpoint, behaviour models and metric keys."""
+    """A registered host: its endpoint, behaviour models, stats and metric keys.
+
+    Immutable: a swap replaces the record (keeping ``stats``), so
+    requests read it without the client's lock.
+    """
 
     endpoint: Endpoint
     latency: LatencyModel
     bucket: TokenBucket | None
     faults: FaultPolicy
+    stats: HostStats
     latency_key: LabelKey
     status_keys: dict[int, LabelKey]
 
@@ -280,6 +285,7 @@ class SimulatedHttpClient:
             latency or LatencyModel(),
             rate_limit,
             faults or FaultPolicy.never(),
+            HostStats(),
             label_key(host=host),
             {status: label_key(host=host, status=status) for status in _STATUSES},
         )
@@ -287,7 +293,7 @@ class SimulatedHttpClient:
             if host in self._hosts:
                 raise ValueError(f"host already registered: {host!r}")
             self._hosts[host] = entry
-            self.stats[host] = HostStats()
+            self.stats[host] = entry.stats
 
     def hosts(self) -> list[str]:
         """All registered host names."""
@@ -329,8 +335,10 @@ class SimulatedHttpClient:
     ) -> HttpResponse:
         """Issue a GET; raises typed :class:`HttpError` subclasses on failure.
 
-        Every attempt — successful or not — advances the virtual clock
-        by a sampled latency and is recorded in :attr:`stats`.
+        Every attempt advances the virtual clock by a sampled latency.
+        Each one that ends in a status (200, 404, 429 or 503) is then
+        recorded once: in :attr:`stats`, the trace ring, the metrics
+        and the active ledgers.
         ``attempt`` is the caller's retry counter (1-based); together
         with the request content it keys the latency and fault draws.
         ``request``, when given, is the already built request for
@@ -339,26 +347,18 @@ class SimulatedHttpClient:
         """
         if request is None:
             request = HttpRequest.create(host, path, params)
-        with self._lock:
-            entry = self._hosts.get(host)
-            if entry is None:
-                raise NotFoundError(request, f"unknown host {host!r}")
-            stats = self.stats[host]
+        entry = self._hosts.get(host)
+        if entry is None:
+            raise NotFoundError(request, f"unknown host {host!r}")
         ordinal = request.ordinal(attempt)
         latency = entry.latency.sample(ordinal)
         self._clock.advance(latency)
-        with self._lock:
-            stats.requests += 1
-            stats.latency_ns += round(latency * 1_000_000_000)
-        obs = get_obs()
-        obs.observe_key("http_request_latency_seconds", entry.latency_key, latency)
         if self._wall_latency_scale > 0:
             time.sleep(latency * self._wall_latency_scale)
+        obs = get_obs()
         bucket = entry.bucket
         if bucket is not None and not bucket.try_acquire():
             retry_after = bucket.time_until_available()
-            with self._lock:
-                stats.rate_limited += 1
             self._finish(obs, entry, request, 429, latency)
             obs.emit(
                 "rate_limited",
@@ -370,8 +370,6 @@ class SimulatedHttpClient:
             )
             raise RateLimitedError(request, retry_after)
         if entry.faults.decide(ordinal):
-            with self._lock:
-                stats.faults += 1
             self._finish(obs, entry, request, 503, latency)
             obs.emit(
                 "fault_injected",
@@ -384,13 +382,9 @@ class SimulatedHttpClient:
         try:
             payload = entry.endpoint(request)
         except NotFoundError:
-            with self._lock:
-                stats.not_found += 1
             self._finish(obs, entry, request, 404, latency)
             raise
         except KeyError as exc:
-            with self._lock:
-                stats.not_found += 1
             self._finish(obs, entry, request, 404, latency)
             raise NotFoundError(request, f"not found: {exc}") from exc
         self._finish(obs, entry, request, 200, latency)
@@ -462,12 +456,30 @@ class SimulatedHttpClient:
     def _finish(
         self, obs, entry: _Host, request: HttpRequest, status: int, latency: float
     ) -> None:
-        """Record one completed attempt: per-host metrics, ledgers, trace ring."""
-        obs.inc_key("http_requests_total", entry.status_keys[status])
-        charge_http(request.host, status, latency)
-        if self._traces is None:
-            return
+        """Record one completed attempt: host stats, trace ring, metrics, ledgers.
+
+        The stats and the trace ring update under one lock acquisition,
+        and one registry call records the latency and the status count.
+        """
+        stats = entry.stats
         with self._lock:
-            self._traces.append(
-                (request.host, request.path, request.params, status, latency, self._clock.now())
-            )
+            stats.requests += 1
+            stats.latency_ns += round(latency * 1_000_000_000)
+            if status == 429:
+                stats.rate_limited += 1
+            elif status == 503:
+                stats.faults += 1
+            elif status == 404:
+                stats.not_found += 1
+            if self._traces is not None:
+                self._traces.append(
+                    (request.host, request.path, request.params, status, latency, self._clock.now())
+                )
+        obs.observe_inc_key(
+            "http_request_latency_seconds",
+            entry.latency_key,
+            latency,
+            "http_requests_total",
+            entry.status_keys[status],
+        )
+        charge_http(request.host, status, latency)

@@ -685,11 +685,10 @@ class TestMetricsEndpoint:
         )
         body = api.handle("GET", "/api/v1/metrics").body
         assert body["http"]["scholar.google.com"]["requests"] > 0
-        cache = body["cache"]
-        assert cache["name"] == "crawler"
-        # Default deployment has caching off (ttl=0): every get misses.
-        assert cache["misses"] > 0
-        assert cache["hit_rate"] == pytest.approx(0.0)
+        # Default deployment has caching off (ttl=0): it builds no
+        # crawler cache, so there is no cache section and no miss.
+        assert body["cache"] is None
+        assert "cache_misses_total" not in body["metrics"]["counters"]
 
     def test_cache_hit_ratio_reported(self, world, manuscript):
         from repro.scholarly.registry import ScholarlyHub
@@ -799,9 +798,12 @@ class TestTraceEndpoint:
         assert pipeline, "pipeline span must parent under the API request"
         phases = {c["name"]: c for c in pipeline[0]["children"]}
         extract = phases["phase.extract_candidates"]
-        tasks = [c for c in extract["children"] if c["name"] == "executor.task"]
-        assert len(tasks) > 1, "fan-out tasks must parent under their phase"
-        assert all(t["labels"]["backend"] == "thread" for t in tasks)
+        fanouts = [c for c in extract["children"] if c["name"] == "executor.map"]
+        assert fanouts, "fan-outs must parent under their phase"
+        assert all(f["labels"]["backend"] == "thread" for f in fanouts)
+        assert max(f["labels"]["tasks"] for f in fanouts) > 1
+        assert all(f["labels"]["failures"] == 0 for f in fanouts)
+        assert "executor.task" not in {s["name"] for s in _walk([request])}
         trace_ids = {s["trace_id"] for s in _walk([request])}
         assert trace_ids == {request["trace_id"]}
 

@@ -19,6 +19,7 @@ from repro.assignment.objective import (
     paper_facet_universe,
 )
 from repro.assignment.solvers import (
+    _LocalSearch,
     greedy_assignment,
     greedy_swap_assignment,
     min_cost_flow_assignment,
@@ -273,6 +274,55 @@ class TestLocalSearchMoves:
         result = greedy_swap_assignment(problem, objective)
         assert assess_assignment(problem, result).unfilled_slots == 0
         assert result.reviewers_of("p3") == ["r1"]
+
+    def test_fill_seats_a_reviewer_a_replace_freed(self, monkeypatch):
+        # Greedy leaves p5 open: its only candidate x is full on p2 and
+        # p3, and no augmenting path exists (p2's other candidate y is
+        # full too, p3 has no other).  Under the balance term, the
+        # replace pass moves p1 from y to the idle w, which frees y for
+        # p2, which frees x.  The next round's fill pass seats x on p5.
+        problem = AssignmentProblem(
+            scores={
+                "p1": {"y": 0.95, "w": 0.5},
+                "p2": {"y": 0.85, "x": 0.8},
+                "p3": {"x": 0.75},
+                "p4": {"y": 0.9},
+                "p5": {"x": 0.7},
+            },
+            reviewers_per_paper=1,
+            max_load=2,
+        )
+        objective = AssignmentObjective(balance_weight=0.5)
+        assert greedy_assignment(problem).reviewers_of("p5") == []
+        seated = []
+        fill_pass = _LocalSearch.fill_pass
+
+        def spy(search):
+            before = {paper: set(search.assigned[paper]) for paper in search.papers}
+            improved = fill_pass(search)
+            seated.append(
+                {
+                    paper: sorted(search.assigned[paper] - before[paper])
+                    for paper in search.papers
+                    if search.assigned[paper] - before[paper]
+                }
+            )
+            return improved
+
+        monkeypatch.setattr(_LocalSearch, "fill_pass", spy)
+        result = greedy_swap_assignment(problem, objective)
+        assert seated == [{}, {"p5": ["x"]}, {}]
+        assert result.by_paper == {
+            "p1": ["w"],
+            "p2": ["y"],
+            "p3": ["x"],
+            "p4": ["y"],
+            "p5": ["x"],
+        }
+        flow = min_cost_flow_assignment(problem, objective)
+        assert objective_value(problem, result, objective) == pytest.approx(
+            objective_value(problem, flow, objective)
+        )
 
 
 class TestLocalSearchProperties:

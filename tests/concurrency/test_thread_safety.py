@@ -11,11 +11,11 @@ import threading
 import pytest
 
 from repro.concurrency import create_executor
-from repro.obs import RequestLedger
+from repro.obs import Observability, RequestLedger, use
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
 from repro.web.crawler import Crawler
-from repro.web.http import LatencyModel, SimulatedHttpClient
+from repro.web.http import LatencyModel, NotFoundError, SimulatedHttpClient
 from repro.web.ratelimit import TokenBucket
 
 THREADS = 16
@@ -144,6 +144,60 @@ class TestRequestLedger:
         assert ledger.requests == THREADS * 50
         assert ledger.to_dict()["wait_seconds"] == 1.6
         assert ledger.virtual_seconds == 2.4
+
+
+class TestTelemetryUnderContention:
+    def test_per_map_and_per_attempt_writes_exact(self):
+        # Nested fan-outs write the executor metrics once per map and
+        # the HTTP metrics once per attempt; a lost update in a task's
+        # slot, the registry or the host stats shows as an off-by-N.
+        obs = Observability()
+        http = SimulatedHttpClient(SimulatedClock())
+
+        def endpoint(request):
+            if request.param("k") % 5 == 0:
+                raise NotFoundError(request)
+            return {}
+
+        http.register_host("h", endpoint, latency=LatencyModel(base=0.001, jitter=0.0))
+
+        def attempt(item):
+            index, k = item
+            try:
+                http.get("h", "/p", {"i": index, "k": k})
+            except NotFoundError:
+                pass
+
+        def work(index):
+            create_executor(4).map(attempt, [(index, k) for k in range(50)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use(obs):
+                create_executor(THREADS).map(work, range(THREADS))
+        finally:
+            sys.setswitchinterval(interval)
+        metrics = obs.metrics
+        tasks = THREADS + THREADS * 50  # the outer map's and the inner maps'
+        assert metrics.counter_value(
+            "executor_tasks_total", backend="thread", outcome="ok"
+        ) == tasks
+        for name in ("executor_queue_seconds", "executor_task_seconds"):
+            assert metrics.histogram_stats(name, backend="thread")["count"] == tasks
+        maps = obs.tracer.finished("executor.map")
+        assert len(maps) == THREADS + 1
+        assert sum(span.labels["tasks"] for span in maps) == tasks
+        attempts = THREADS * 50
+        assert http.stats["h"].requests == attempts
+        assert http.stats["h"].not_found == attempts // 5
+        assert metrics.counter_value("http_requests_total", host="h", status=404) == (
+            attempts // 5
+        )
+        assert metrics.counter_total("http_requests_total") == attempts
+        assert metrics.histogram_stats(
+            "http_request_latency_seconds", host="h"
+        )["count"] == attempts
 
 
 class TestCrawler:

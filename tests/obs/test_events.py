@@ -120,3 +120,58 @@ class TestEventBus:
         clock.advance(7.5)
         event = EventBus([RingSink()]).emit("tick", clock=clock)
         assert event.virtual_time == 7.5
+
+
+class TestSpanEndEvents:
+    """A ``span_end`` event reads as the finished span's ``to_dict()``."""
+
+    def _span_fields(self, span):
+        fields = span.to_dict()
+        fields["span"] = fields.pop("name")
+        return fields
+
+    def test_ring_and_jsonl_carry_the_span_fields(self, tmp_path):
+        from repro.obs import Observability
+        from repro.web.clock import SimulatedClock
+
+        obs = Observability()
+        clock = SimulatedClock()
+        path = tmp_path / "events.jsonl"
+        sink = obs.add_jsonl_sink(path)
+        with obs.span("outer", clock=clock, k="v") as outer:
+            clock.advance(1.5)
+            with pytest.raises(ValueError):
+                with obs.span("inner", n=3):
+                    raise ValueError("boom")
+        sink.close()
+        events = obs.ring.events("span_end")
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e.fields["span"] for e in events] == ["inner", "outer"]
+        assert [line["span"] for line in lines] == ["inner", "outer"]
+        for event, line, span in zip(events, lines, obs.tracer.finished()):
+            assert event.name == line["event"] == "span_end"
+            assert event.fields == self._span_fields(span)
+            assert event.to_dict() == line
+            assert line["wall_time"] == event.wall_time
+            assert line["virtual_time"] == event.virtual_time == 1.5
+        assert events[0].fields["error"] == "ValueError: boom"
+        assert events[1].fields["labels"] == {"k": "v"}
+        assert events[1].fields["virtual_seconds"] == outer.virtual_seconds == 1.5
+
+    def test_fields_match_an_eagerly_built_event(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        with obs.span("work", a=1):
+            pass
+        [event] = obs.ring.events("span_end")
+        [span] = obs.tracer.finished("work")
+        eager = Event(
+            "span_end",
+            wall_time=event.wall_time,
+            virtual_time=event.virtual_time,
+            fields=self._span_fields(span),
+        )
+        assert event.to_dict() == eager.to_dict()
+        assert list(event.to_dict()) == list(eager.to_dict())
+

@@ -74,7 +74,8 @@ class TestDeploymentMetrics:
         from repro.core.pipeline import Minaret
         from tests.conftest import make_manuscript
 
-        hub = ScholarlyHub.deploy(world)
+        # A positive TTL builds the crawler cache (TTL 0 builds none).
+        hub = ScholarlyHub.deploy(world, cache_ttl=3600.0)
         obs = Observability()
         with use(obs):
             minaret = Minaret(hub, config=PipelineConfig(warm_cache=True))
@@ -92,6 +93,8 @@ class TestDeploymentMetrics:
         host, row = next(iter(payload["http"].items()))
         assert {"requests", "rate_limited", "faults", "not_found",
                 "total_latency"} <= set(row)
+        assert payload["cache"]["name"] == "crawler"
+        assert payload["cache"]["misses"] > 0
         assert payload["cache"]["hit_rate"] == pytest.approx(
             hub.crawler.cache.hit_rate(), abs=1e-4
         )

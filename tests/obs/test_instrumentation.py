@@ -7,12 +7,14 @@ import pytest
 
 import repro.obs.metrics as metrics_module
 from repro.api.handlers import MinaretApi
+from repro.concurrency import create_executor
 from repro.core.pipeline import Minaret
-from repro.obs import Observability, get_obs, use
+from repro.obs import Observability, RequestLedger, get_obs, use
 from repro.scholarly.registry import ScholarlyHub
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
 from repro.web.faults import FaultPolicy
+from repro.web.http import SimulatedHttpClient
 from repro.web.ratelimit import TokenBucket
 from repro.world.config import WorldConfig
 from repro.world.generator import generate_world
@@ -120,31 +122,86 @@ class TestFaultInstrumentation:
         assert obs.metrics.counter_total("faults_injected_total") == 0.0
 
 
-class TestExecutorInstrumentation:
-    @pytest.mark.parametrize("workers,backend", [(1, "sequential"), (4, "thread")])
-    def test_task_counters_and_spans(self, obs, workers, backend):
-        from repro.concurrency import create_executor
+def _backend(workers):
+    return "sequential" if workers == 1 else "thread"
 
-        executor = create_executor(workers)
+
+class TestExecutorInstrumentation:
+    """One ``executor.map`` span and one metrics write per map call."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    @pytest.mark.parametrize("count", [0, 1, 6])
+    def test_task_counters_and_spans(self, obs, workers, count):
+        backend = _backend(workers)
         with use(obs):
-            with obs.span("driver"):
-                results = executor.map(lambda x: x * 2, range(6))
-        assert results == [0, 2, 4, 6, 8, 10]
+            with obs.span("caller"):
+                results = create_executor(workers).map(lambda x: x * 2, range(count))
+        assert results == [x * 2 for x in range(count)]
+        # Empty and single-item maps emit the same shape as any other.
+        [fanout] = obs.tracer.finished("executor.map")
+        [caller] = obs.tracer.finished("caller")
+        assert fanout.parent_id == caller.span_id
+        assert fanout.labels == {"backend": backend, "tasks": count, "failures": 0}
+        assert fanout.error is None
+        assert obs.tracer.finished("executor.task") == []
         assert (
             obs.metrics.counter_value(
                 "executor_tasks_total", backend=backend, outcome="ok"
             )
-            == 6.0
+            == count
         )
-        assert obs.metrics.gauge_value("executor_inflight", backend=backend) == 0.0
-        tasks = obs.tracer.finished("executor.task")
-        assert len(tasks) == 6
-        [driver] = obs.tracer.finished("driver")
-        assert all(t.parent_id == driver.span_id for t in tasks)
+        for name in ("executor_queue_seconds", "executor_task_seconds"):
+            stats = obs.metrics.histogram_stats(name, backend=backend)
+            assert (stats["count"] if stats else 0) == count
+        assert "executor_inflight" not in obs.metrics.snapshot()["gauges"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_task_spans_and_http_parent_under_the_map(self, obs, workers):
+        client = SimulatedHttpClient(SimulatedClock())
+        client.register_host("h.example", lambda req: {})
+
+        def task(i):
+            client.get("h.example", f"/item/{i}")
+            with obs.span("child", i=i) as span:
+                return span
+
+        with use(obs):
+            with obs.span("caller"):
+                children = create_executor(workers).map(task, range(8))
+        [fanout] = obs.tracer.finished("executor.map")
+        assert all(child.parent_id == fanout.span_id for child in children)
+        # Attempts made in a task attribute to the map's span.
+        [series] = obs.metrics.snapshot()["histograms"][
+            "http_request_latency_seconds"
+        ]
+        assert series["count"] == 8
+        assert {(e["trace_id"], e["span_id"]) for e in series["exemplars"]} == {
+            (fanout.trace_id, fanout.span_id)
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_lowest_index_error_raised_and_counted(self, obs, workers):
+        backend = _backend(workers)
+
+        def boom_on_odd(i):
+            if i % 2 == 1:
+                raise ValueError(str(i))
+            return i
+
+        with use(obs):
+            with pytest.raises(ValueError, match="^1$"):
+                create_executor(workers).map(boom_on_odd, range(6))
+        counter = obs.metrics.counter_value
+        assert counter("executor_tasks_total", backend=backend, outcome="ok") == 3.0
+        assert counter("executor_tasks_total", backend=backend, outcome="error") == 3.0
+        assert obs.metrics.histogram_stats(
+            "executor_task_seconds", backend=backend
+        )["count"] == 6
+        [fanout] = obs.tracer.finished("executor.map")
+        assert fanout.labels["failures"] == 3
+        assert fanout.error == "ValueError: 1"
 
     def test_failed_task_counted_as_error(self, obs):
-        from repro.concurrency import create_executor
-
         def boom(x):
             raise ValueError(x)
 
@@ -157,7 +214,10 @@ class TestExecutorInstrumentation:
             )
             == 1.0
         )
-        assert obs.metrics.gauge_value("executor_inflight", backend="sequential") == 0.0
+        assert obs.metrics.counter_value(
+            "executor_tasks_total", backend="sequential", outcome="ok"
+        ) == 0.0
+        assert "executor_inflight" not in obs.metrics.snapshot()["gauges"]
 
 
 class TestPipelineSpans:
@@ -251,14 +311,15 @@ class TestSharedHubAttribution:
                     "http_requests_total", {"host": host}
                 ) == stats.requests - before[host]
             assert metrics.counter_total("http_requests_total") == bill["requests"] > 0
-            assert (
-                metrics.counter_value("cache_misses_total", cache="crawler")
-                == bill["caches"]["crawler"]["misses"]
-                > 0
-            )
+            # TTL 0 builds no crawler cache: no lookup, no miss, no row.
+            assert metrics.counter_total("cache_misses_total") == 0.0
+            assert "crawler" not in bill["caches"]
             assert metrics.counter_value(
                 "executor_tasks_total", backend="sequential", outcome="ok"
-            ) == len(api.obs.tracer.finished("executor.task")) > 0
+            ) == sum(
+                span.labels["tasks"]
+                for span in api.obs.tracer.finished("executor.map")
+            ) > 0
             assert other.snapshot() == untouched
 
     def test_concurrent_requests_split_by_deployment(self, world, hub):
@@ -280,13 +341,17 @@ class TestSharedHubAttribution:
         for api, bill in zip(apis, bills):
             metrics = api.obs.metrics
             assert metrics.counter_total("http_requests_total") == bill["requests"]
-            assert (
-                metrics.counter_value("cache_misses_total", cache="crawler")
-                == bill["caches"]["crawler"]["misses"]
-            )
+            assert metrics.counter_total("cache_misses_total") == 0.0
+            assert "crawler" not in bill["caches"]
         assert sum(bill["requests"] for bill in bills) == (
             hub.http.total_requests() - before
         )
+
+
+@pytest.fixture(scope="module")
+def cold_world():
+    """The 2,000-scholar world the per-op budgets are measured on."""
+    return generate_world(WorldConfig(author_count=2_000, seed=1))
 
 
 class TestLabelKeyBudget:
@@ -296,11 +361,10 @@ class TestLabelKeyBudget:
     #: rebuilt keys per write built about 1,700 keys per op.
     MAX_KEYS_PER_OP = 40
 
-    def test_cold_op_builds_few_label_keys(self, monkeypatch):
-        world = generate_world(WorldConfig(author_count=2_000, seed=1))
-        hub = ScholarlyHub.deploy(world)
+    def test_cold_op_builds_few_label_keys(self, monkeypatch, cold_world):
+        hub = ScholarlyHub.deploy(cold_world)
         api = MinaretApi(hub)
-        bodies = _recommend_bodies(world, 11, keyword_count=3)
+        bodies = _recommend_bodies(cold_world, 11, keyword_count=3)
         assert api.handle("POST", "/api/v1/recommend", bodies[0]).ok
         builds = []
         build = metrics_module._label_key
@@ -316,3 +380,81 @@ class TestLabelKeyBudget:
         ops = len(bodies) - 1
         assert hub.http.total_requests() - before > 100 * ops
         assert len(builds) <= self.MAX_KEYS_PER_OP * ops
+
+
+class _CountingLock:
+    """A registry lock that counts its acquisitions: one per registry call."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+#: The ledger methods the ``charge_*`` helpers call on each active ledger.
+_LEDGER_CHARGES = (
+    "add_http",
+    "add_wait",
+    "add_cache",
+    "add_features",
+    "add_pruning",
+    "add_phase",
+)
+
+
+class TestTelemetryCountBudget:
+    """A cold op writes telemetry per unit of work, not per internal step.
+
+    Counts, not timings, so the guard resolves on any host.  Telemetry
+    that opened a span per executor task, wrote the registry twice per
+    simulated attempt and charged a TTL-0 crawler cache on every fetch
+    read 94.5 spans, 1,689 registry writes and 781 ledger charges per
+    cold op on this world.
+    """
+
+    MAX_SPANS_PER_OP = 20
+    MAX_REGISTRY_WRITES_PER_OP = 600
+    MAX_CHARGES_PER_OP = 450
+
+    def test_cold_op_telemetry_counts(self, monkeypatch, cold_world):
+        hub = ScholarlyHub.deploy(cold_world)
+        api = MinaretApi(hub)
+        bodies = _recommend_bodies(cold_world, 11, keyword_count=3)
+        assert api.handle("POST", "/api/v1/recommend", bodies[0]).ok
+        # Nothing reads the registry during an op, so every acquisition
+        # of its lock is one write call.
+        lock = _CountingLock(api.obs.metrics._lock)
+        monkeypatch.setattr(api.obs.metrics, "_lock", lock)
+        charges = Counter()
+        label = "POST /api/v1/recommend"
+        for name in _LEDGER_CHARGES:
+            method = getattr(RequestLedger, name)
+
+            def charge(ledger, *args, _method=method):
+                # Every charge reaches every active ledger; count it once,
+                # on the request's own ledger.
+                if ledger.label == label:
+                    charges[_method.__name__] += 1
+                return _method(ledger, *args)
+
+            monkeypatch.setattr(RequestLedger, name, charge)
+        spans_before = len(api.obs.tracer.finished())
+        for body in bodies[1:]:
+            assert api.handle("POST", "/api/v1/recommend", body).ok
+        ops = len(bodies) - 1
+        spans = len(api.obs.tracer.finished()) - spans_before
+        assert spans_before + spans < api.obs.tracer._finished.maxlen
+        per_op = {
+            "spans": spans / ops,
+            "writes": lock.acquired / ops,
+            "charges": sum(charges.values()) / ops,
+        }
+        assert per_op["charges"] > 300, per_op  # one per attempt at least
+        assert per_op["spans"] <= self.MAX_SPANS_PER_OP, per_op
+        assert per_op["writes"] <= self.MAX_REGISTRY_WRITES_PER_OP, per_op
+        assert per_op["charges"] <= self.MAX_CHARGES_PER_OP, per_op

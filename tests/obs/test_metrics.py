@@ -34,16 +34,17 @@ class TestCounters:
 
 
 class TestGauges:
-    def test_set_and_add(self):
+    def test_set_keeps_the_last_value(self):
         registry = MetricsRegistry()
-        registry.gauge_set("inflight", 4.0, pool="a")
-        registry.gauge_add("inflight", -1.0, pool="a")
-        assert registry.gauge_value("inflight", pool="a") == 3.0
+        registry.gauge_set("depth", 4.0, pool="a")
+        registry.gauge_set("depth", 3.0, pool="a")
+        assert registry.gauge_value("depth", pool="a") == 3.0
+        assert registry.gauge_value("depth", pool="b") == 0.0
 
-    def test_add_creates_series(self):
+    def test_unwritten_gauge_reads_zero(self):
         registry = MetricsRegistry()
-        registry.gauge_add("inflight", 2.0)
-        assert registry.gauge_value("inflight") == 2.0
+        assert registry.gauge_value("depth") == 0.0
+        assert registry.snapshot()["gauges"] == {}
 
 
 class TestHistograms:
@@ -166,11 +167,24 @@ class TestKeyedWrites:
         assert series["sum"] == 2.0
         assert series["exemplars"] == [{"value": 0.5, "trace_id": 1, "span_id": 2}]
 
-    def test_gauge_add_key_and_gauge_add_share_a_series(self):
+    def test_write_and_keyed_calls_share_series(self):
         registry = MetricsRegistry()
-        registry.gauge_add_key("g", label_key(a=1), 1.0)
-        registry.gauge_add("g", 1.0, a="1")
-        assert registry.gauge_value("g", a="1") == 2.0
+        registry.inc_key("c", label_key(a=1))
+        registry.observe_key("h", label_key(a=1), 0.5)
+        registry.write(
+            counters=[("c", label_key(a=1), 2.0), ("c", label_key(a=2), 1.0)],
+            observations=[("h", label_key(a=1), (1.0, 1.5))],
+            exemplar=(3, 4),
+        )
+        assert registry.counter_value("c", a="1") == 3.0
+        assert registry.counter_value("c", a="2") == 1.0
+        [series] = registry.snapshot()["histograms"]["h"]
+        assert series["count"] == 3
+        assert series["sum"] == 3.0
+        assert series["exemplars"] == [
+            {"value": 1.0, "trace_id": 3, "span_id": 4},
+            {"value": 1.5, "trace_id": 3, "span_id": 4},
+        ]
 
     def test_observe_key_keeps_declared_then_default_bounds(self):
         registry = MetricsRegistry()
@@ -191,14 +205,15 @@ class TestKeyedWrites:
         key = label_key(a=1)
         registry.inc_key("c", key)
         registry.observe_key("h", key, 0.1)
-        registry.gauge_add_key("g", key, 1.0)
+        registry.write([("w", key, 1.0)], [("hw", key, (0.1,))])
         registry.reset()
         registry.inc_key("c", key)
         registry.observe_key("h", key, 0.1)
-        registry.gauge_add_key("g", key, 1.0)
+        registry.write([("w", key, 1.0)], [("hw", key, (0.1,))])
         assert registry.counter_value("c", a=1) == 1.0
         assert registry.histogram_stats("h", a=1)["count"] == 1
-        assert registry.gauge_value("g", a=1) == 1.0
+        assert registry.counter_value("w", a=1) == 1.0
+        assert registry.histogram_stats("hw", a=1)["count"] == 1
 
 
 class TestSnapshotAndReset:

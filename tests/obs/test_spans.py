@@ -54,11 +54,11 @@ class TestParenting:
             with obs.span("parent") as parent:
                 children = executor.map(task, range(8))
         assert all(c.trace_id == parent.trace_id for c in children)
-        # Each child sits inside the executor's own per-task span, which
-        # in turn parents under the span that was open at submit time.
-        wrappers = {s.span_id: s for s in obs.tracer.finished("executor.task")}
-        for child in children:
-            assert wrappers[child.parent_id].parent_id == parent.span_id
+        # Each child sits inside the map's one ``executor.map`` span,
+        # which in turn parents under the span open at the call site.
+        [fanout] = obs.tracer.finished("executor.map")
+        assert fanout.parent_id == parent.span_id
+        assert all(child.parent_id == fanout.span_id for child in children)
 
 
 class TestTiming:

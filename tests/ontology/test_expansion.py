@@ -109,6 +109,22 @@ class TestUnknownKeywords:
         labels = {e.keyword for e in expander.expand(["triple stores"])}
         assert "RDF Stores" in labels
 
+    def test_each_unknown_keyword_kept(self, expander):
+        seeds = ["quantum basket weaving", "medieval pottery", "RDF"]
+        results = expander.expand(seeds)
+        unknown = [e for e in results if e.topic_id == ""]
+        assert sorted(e.keyword for e in unknown) == [
+            "medieval pottery",
+            "quantum basket weaving",
+        ]
+        assert all(e.score == 1.0 and e.seed == e.keyword for e in unknown)
+        known = [e for e in results if e.topic_id]
+        assert known == expander.expand(["RDF"])
+
+    def test_repeated_unknown_keyword_kept_once(self, expander):
+        results = expander.expand(["medieval pottery", "medieval pottery"])
+        assert [e.keyword for e in results] == ["medieval pottery"]
+
 
 class TestProperties:
     """Hypothesis invariants over arbitrary seed topics and configs."""

@@ -406,7 +406,8 @@ class TestObservabilityFlags:
         assert "fault_injected" in names
         span_names = {e["span"] for e in events if e["event"] == "span_end"}
         assert "pipeline.recommend" in span_names
-        assert "executor.task" in span_names
+        assert "executor.map" in span_names
+        assert "executor.task" not in span_names
 
     def test_metrics_summary_on_stderr(self, capsys):
         import json
@@ -540,7 +541,7 @@ class TestProfileCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("span")
         assert any("pipeline.recommend" in line for line in lines)
-        assert any("executor.task" in line for line in lines)
+        assert any("executor.map" in line for line in lines)
 
     def test_top_and_json(self, tmp_path, capsys):
         import json
@@ -588,7 +589,8 @@ class TestMetricsParity:
         assert {"counters", "gauges", "histograms", "http",
                 "cache", "retrieval", "features"} <= set(summary)
         assert summary["http"]["dblp.org"]["requests"] > 0
-        assert summary["cache"]["name"] == "crawler"
+        # The demo deploys at TTL 0, which builds no crawler cache.
+        assert summary["cache"] is None
         assert summary["retrieval"]["store_entries"] >= 0
         assert summary["features"]["features_built"] > 0
 
