@@ -2,9 +2,8 @@
 
 Not a paper figure — infrastructure characterization: how fast the
 document store indexes and serves, what a read that returns a payload
-costs, what WAL durability costs per write, and how quickly a journaled
-store recovers.  These numbers bound how large a simulated scholarly
-world stays interactive.
+costs, and how fast the inverted index answers a ranked query.  These
+numbers bound how large a simulated scholarly world stays interactive.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from repro.storage.documents import DocumentStore
 from repro.storage.inverted import InvertedIndex
-from repro.storage.persistence import JournaledStore
 
 DOCS = 2000
 
@@ -109,32 +107,3 @@ def test_bench_inverted_search(benchmark):
     result = benchmark(index.search, ["topic-5", "topic-11"], limit=50)
     assert result
 
-
-def test_bench_wal_write_throughput(benchmark, tmp_path_factory):
-    payloads = seed_payloads(500)
-
-    def journaled_inserts():
-        directory = tmp_path_factory.mktemp("wal-bench")
-        with JournaledStore.open(directory) as store:
-            for payload in payloads:
-                store.insert(payload)
-        return directory
-
-    directory = benchmark.pedantic(journaled_inserts, rounds=3, iterations=1)
-    assert (directory / "wal.jsonl").stat().st_size > 0
-    print("\nstorage: 500 WAL-durable inserts per round")
-
-
-def test_bench_recovery_time(benchmark, tmp_path):
-    directory = tmp_path / "recovery"
-    with JournaledStore.open(directory) as store:
-        for payload in seed_payloads():
-            store.insert(payload)
-
-    def recover():
-        with JournaledStore.open(directory) as reopened:
-            return len(reopened)
-
-    count = benchmark(recover)
-    assert count == DOCS
-    print(f"\nstorage: recovery replays {DOCS} WAL entries per round")

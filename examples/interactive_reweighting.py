@@ -66,7 +66,6 @@ def main() -> None:
         reranked = minaret.rerank(base, **overrides)
         top_lists[label] = [s.name for s in reranked.top(5)]
 
-    width = max(len(label) for label in philosophies)
     print(f"{'rank':>4s}  " + "  ".join(f"{label:<24s}" for label in philosophies))
     for rank in range(5):
         cells = [f"{top_lists[label][rank]:<24s}" for label in philosophies]

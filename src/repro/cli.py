@@ -66,10 +66,64 @@ from repro.world.config import WorldConfig
 from repro.world.generator import generate_world
 
 
+_AT_LEAST_0 = (lambda value: value >= 0, ">= 0")
+_AT_LEAST_1 = (lambda value: value >= 1, ">= 1")
+_POSITIVE = (lambda value: value > 0, "> 0")
+_UNIT = (lambda value: 0 <= value <= 1, "in [0, 1]")
+
+#: Each command's numeric flags and the range each must fall in, checked
+#: before any world is generated or loaded.  A flag left at ``None``
+#: (not given, no default) passes.
+_FLAG_RANGES = {
+    "demo": {"--authors": _AT_LEAST_1, "--top": _AT_LEAST_1},
+    "expand": {"--max-depth": _AT_LEAST_0, "--min-score": _UNIT},
+    "stats": {"--authors": _AT_LEAST_1},
+    "generate": {"--authors": _AT_LEAST_1},
+    "recommend": {"--top": _AT_LEAST_1, "--workers": _AT_LEAST_1, "--top-k": _AT_LEAST_1},
+    "assign": {"--workers": _AT_LEAST_1, "--top-k": _AT_LEAST_1},
+    "slo": {
+        "--papers": _AT_LEAST_1,
+        "--objective": (lambda value: 0 < value < 1, "in (0, 1)"),
+        "--window": _POSITIVE,
+        "--failure-rate": _UNIT,
+    },
+    "profile": {"--top": _AT_LEAST_1},
+    "serve-bench": {
+        "--authors": _AT_LEAST_1,
+        "--requests": _AT_LEAST_1,
+        "--rate": _POSITIVE,
+        "--workers": _AT_LEAST_1,
+        "--queue-capacity": _AT_LEAST_1,
+        "--bucket-capacity": _POSITIVE,
+        "--refill-rate": _POSITIVE,
+    },
+    "scale-bench": {
+        "--pool-size": _AT_LEAST_1,
+        "--queries": _AT_LEAST_1,
+        "--top": _AT_LEAST_1,
+        "--pool-limit": _AT_LEAST_0,
+    },
+}
+
+
+def _range_error(args) -> str | None:
+    """The first numeric flag of ``args`` out of its range, as an error line."""
+    for flag, (allowed, wording) in _FLAG_RANGES.get(args.command, {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        for item in value if isinstance(value, list) else (value,):
+            if item is not None and not allowed(item):
+                return f"error: {flag} must be {wording}, got {item}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    error = _range_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 1
     if args.command == "demo":
         return _observed_run(args, _run_demo)
     if args.command == "expand":
@@ -98,7 +152,7 @@ def _observed_run(args, run) -> int:
     """Run a pipeline subcommand under its own observability instance.
 
     ``--log-json PATH`` streams every structured event (span ends, HTTP
-    retries, fault injections, WAL appends ...) to ``PATH`` as one JSON
+    retries, fault injections, rate-limit hits ...) to ``PATH`` as one JSON
     object per line; ``--metrics`` prints the run's metrics summary to
     stderr on exit.  Both default off, in which case telemetry still
     accumulates in the per-run instance and simply vanishes with it.
@@ -573,7 +627,7 @@ def _run_recommend(args) -> int:
         return 1
     hub = ScholarlyHub.deploy(world)
     config = PipelineConfig(
-        workers=max(1, args.workers),
+        workers=args.workers,
         warm_cache=args.warm_cache,
         top_k=args.top_k,
     )
@@ -677,7 +731,7 @@ def _run_assign(args) -> int:
             top_k=args.top_k,
             solver=args.solver,
             objective=objective,
-            workers=max(1, args.workers),
+            workers=args.workers,
             on_error=args.on_error,
             candidate_filter=candidate_filter,
         )
@@ -766,7 +820,7 @@ def _run_slo(args) -> int:
             return 1
         minaret = Minaret(hub)
         manuscript = _demo_manuscript(world)
-        papers = max(1, args.papers)
+        papers = args.papers
         degrade_at = papers // 2 if args.degrade is not None else None
         failed = 0
         for index in range(papers):
@@ -924,9 +978,9 @@ def _run_scale_bench(args) -> int:
     sizes = tuple(args.pool_size) if args.pool_size else (1_000, 10_000, 100_000)
     report = run_scale_bench(
         sizes=sizes,
-        queries_per_size=max(1, args.queries),
-        k=max(1, args.top),
-        pool_limit=args.pool_limit if args.pool_limit > 0 else None,
+        queries_per_size=args.queries,
+        k=args.top,
+        pool_limit=args.pool_limit or None,
         seed=args.seed,
     )
     if args.out:

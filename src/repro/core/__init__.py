@@ -37,8 +37,6 @@ from repro.core.extraction import CandidateExtractor
 from repro.core.filtering import FilterPhase
 from repro.core.identity import (
     AffiliationEvidenceResolver,
-    CallbackResolver,
-    ChainResolver,
     FirstMatchResolver,
     IdentityResolver,
     IdentityVerifier,
@@ -65,10 +63,8 @@ __all__ = [
     "AggregationMethod",
     "AffiliationEvidenceResolver",
     "AmbiguousIdentityError",
-    "CallbackResolver",
     "Candidate",
     "CandidateExtractor",
-    "ChainResolver",
     "CoiConfig",
     "CoiDetector",
     "CoiVerdict",

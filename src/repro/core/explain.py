@@ -28,7 +28,6 @@ def explain_candidate(
     evidence is exactly what the editor needs to see.
     """
     config = config or PipelineConfig()
-    candidate = scored.candidate
     breakdown = scored.breakdown
     lines = [
         _explain_coverage(scored, manuscript, expanded),

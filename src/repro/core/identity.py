@@ -6,8 +6,9 @@ Verification proceeds the way the paper's demo does (Fig. 4):
 1. search the sources for each submitted author name;
 2. when several profiles match, *resolve* the ambiguity — automatically
    when evidence (the submitted affiliation, publication overlap)
-   suffices, otherwise by asking the user (a resolver callback), and
-   failing loudly when neither is possible;
+   suffices, otherwise by asking the user (a custom
+   :class:`IdentityResolver`), and failing loudly when neither is
+   possible;
 3. link the chosen anchor profile to the other five sources, using
    publication-set overlap as the linking evidence wherever a source
    exposes publication ids (names alone would mislink the very homonyms
@@ -22,8 +23,6 @@ retry.  Those two are verified again on every run.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from repro.core.errors import (
     AmbiguousIdentityError,
@@ -89,27 +88,6 @@ class AffiliationEvidenceResolver(IdentityResolver):
         return best[1] if best else None
 
 
-class CallbackResolver(IdentityResolver):
-    """Delegate the decision to a callable — the "user" of the demo.
-
-    The callback receives the author and the matches and returns the
-    chosen match (or ``None`` to refuse).  It is how a caller puts the
-    editor's manual pick behind the ``resolver=`` hook; tests wire
-    oracles.
-    """
-
-    def __init__(
-        self,
-        callback: Callable[[ManuscriptAuthor, list[IdentityMatch]], IdentityMatch | None],
-    ):
-        self._callback = callback
-
-    def resolve(
-        self, author: ManuscriptAuthor, matches: list[IdentityMatch]
-    ) -> IdentityMatch | None:
-        return self._callback(author, matches)
-
-
 class FirstMatchResolver(IdentityResolver):
     """Always pick the first (deterministic) match.
 
@@ -121,22 +99,6 @@ class FirstMatchResolver(IdentityResolver):
         self, author: ManuscriptAuthor, matches: list[IdentityMatch]
     ) -> IdentityMatch | None:
         return matches[0] if matches else None
-
-
-class ChainResolver(IdentityResolver):
-    """Try resolvers in order until one decides."""
-
-    def __init__(self, resolvers: list[IdentityResolver]):
-        self._resolvers = list(resolvers)
-
-    def resolve(
-        self, author: ManuscriptAuthor, matches: list[IdentityMatch]
-    ) -> IdentityMatch | None:
-        for resolver in self._resolvers:
-            choice = resolver.resolve(author, matches)
-            if choice is not None:
-                return choice
-        return None
 
 
 class ProfileLinker:
@@ -279,9 +241,7 @@ class IdentityVerifier:
         plane=None,
     ):
         self._sources = sources
-        self._resolver = resolver or ChainResolver(
-            [AffiliationEvidenceResolver()]
-        )
+        self._resolver = resolver or AffiliationEvidenceResolver()
         self._use_all_sources = use_all_sources
         self._linker = ProfileLinker(sources, use_all_sources=use_all_sources)
         self._plane = plane

@@ -134,12 +134,7 @@ class ScholarlyHub:
             model = behaviour.get(source, SourceBehaviour(0.05, 0.02))
             bucket = None
             if model.rate_capacity is not None and model.rate_refill is not None:
-                bucket = TokenBucket(
-                    model.rate_capacity,
-                    model.rate_refill,
-                    clock,
-                    name=service.host,
-                )
+                bucket = TokenBucket(model.rate_capacity, model.rate_refill, clock)
             http.register_host(
                 service.host,
                 service.endpoint,

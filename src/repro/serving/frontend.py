@@ -533,7 +533,6 @@ class ServingFrontend:
                     capacity=policy.capacity,
                     refill_rate=policy.refill_rate,
                     clock=self._clock,
-                    name=f"tenant:{tenant}",
                 )
                 self._buckets[tenant] = bucket
             return bucket

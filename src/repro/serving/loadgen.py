@@ -143,12 +143,14 @@ class LoadGenerator:
         before ``duration`` virtual seconds (pass exactly one)."""
         if (count is None) == (duration is None):
             raise ValueError("pass exactly one of count or duration")
+        if count is not None and count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         rng = random.Random(self._seed)
         template_weights = [t.weight for t in self._templates]
         tenant_weights = [t.weight for t in self._tenants]
         out: list[Arrival] = []
         at = 0.0
-        while True:
+        while count is None or len(out) < count:
             at += rng.expovariate(self.rate_at(at))
             if duration is not None and at >= duration:
                 break
@@ -167,8 +169,6 @@ class LoadGenerator:
                     body=template.body,
                 )
             )
-            if count is not None and len(out) >= count:
-                break
         return out
 
 

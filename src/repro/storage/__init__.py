@@ -5,15 +5,15 @@ Publons, ...) is backed by the same storage primitives a real service
 would run on:
 
 - :class:`~repro.storage.documents.DocumentStore` — a schemaless document
-  store with unique ids, optimistic versioning and hash-based secondary
-  indexes;
+  store with unique ids and hash-based secondary indexes;
 - :class:`~repro.storage.inverted.InvertedIndex` — a weighted inverted
   index used for interest-keyword → scholar retrieval (the heart of the
   candidate-reviewer search).
 
-:class:`~repro.storage.persistence.JournaledStore` adds a write-ahead
-journal and snapshots to a document store.  EXP-STORAGE measures it; no
-service runs on it.
+Both are write-once: a service fills them when it is built and only
+reads them afterwards, and re-indexing builds new services
+(:meth:`repro.scholarly.registry.ScholarlyHub.refresh_services`), so
+neither has an update, a delete or a durable log.
 """
 
 from repro.storage.documents import Document, DocumentStore
@@ -22,10 +22,8 @@ from repro.storage.errors import (
     DuplicateDocumentError,
     IndexError_,
     StorageError,
-    VersionConflictError,
 )
 from repro.storage.inverted import InvertedIndex, Posting
-from repro.storage.persistence import JournaledStore, PersistentStoreError
 
 __all__ = [
     "Document",
@@ -34,9 +32,6 @@ __all__ = [
     "DuplicateDocumentError",
     "IndexError_",
     "InvertedIndex",
-    "JournaledStore",
-    "PersistentStoreError",
     "Posting",
     "StorageError",
-    "VersionConflictError",
 ]

@@ -1,9 +1,10 @@
 """A schemaless in-memory document store with secondary indexes.
 
-The store keeps JSON-like dict documents under string ids, supports
-optimistic concurrency through per-document version counters, and
-maintains hash-based secondary indexes over arbitrary extractor
-functions.  All the simulated scholarly services are built on it.
+The store keeps JSON-like dict documents under string ids and maintains
+hash-based secondary indexes over arbitrary extractor functions.  All
+the simulated scholarly services are built on it.  A store is written
+once, when its service is built: it has no update or delete, and
+re-indexing builds a new service and so a new store.
 
 Design notes
 ------------
@@ -17,9 +18,9 @@ Design notes
   marshal round-trips every value exactly.  Anything else — a custom
   object, a dict or str subclass, an ``Enum`` member, a numpy scalar —
   raises ``TypeError`` at write time.
-- Writes are all-or-nothing: a write encodes its payload and extracts
-  every index's keys before it changes any state, so a rejected payload
-  or a raising extractor leaves the store exactly as it was.
+- Inserts are all-or-nothing: an insert encodes its payload and
+  extracts every index's keys before it changes any state, so a rejected
+  payload or a raising extractor leaves the store exactly as it was.
 - Secondary indexes map an extracted key to the *set* of document ids;
   extractors may return a single key, an iterable of keys (multi-valued
   index, e.g. one entry per interest keyword) or ``None`` (unindexed).
@@ -29,15 +30,10 @@ from __future__ import annotations
 
 import itertools
 import marshal
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 
-from repro.storage.errors import (
-    DocumentNotFoundError,
-    DuplicateDocumentError,
-    IndexError_,
-    VersionConflictError,
-)
+from repro.storage.errors import DocumentNotFoundError, DuplicateDocumentError, IndexError_
 
 IndexKey = Hashable
 Extractor = Callable[[dict], object]
@@ -88,15 +84,14 @@ def _keys(extracted: object) -> list[IndexKey]:
 
 @dataclass(frozen=True)
 class Document:
-    """A stored document snapshot: id, payload and version."""
+    """A stored document snapshot: id and payload."""
 
     doc_id: str
     payload: dict
-    version: int
 
 
 class DocumentStore:
-    """In-memory document store with versioning and secondary indexes.
+    """Write-once in-memory document store with secondary indexes.
 
     Example
     -------
@@ -110,13 +105,12 @@ class DocumentStore:
     def __init__(self, name: str = "store"):
         self.name = name
         self._documents: dict[str, bytes] = {}
-        self._versions: dict[str, int] = {}
         self._indexes: dict[str, dict[IndexKey, set[str]]] = {}
         self._extractors: dict[str, Extractor] = {}
         self._id_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
-    # Basic CRUD
+    # Documents
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -133,15 +127,19 @@ class DocumentStore:
         :class:`~repro.storage.errors.DuplicateDocumentError` on id reuse.
         """
         blob = _encode(payload)
-        entries = self._index_entries(payload)
+        entries = [
+            (self._indexes[index_name], _keys(extractor(payload)))
+            for index_name, extractor in self._extractors.items()
+        ]
         if doc_id is None:
             doc_id = f"{self.name}:{next(self._id_counter)}"
         if doc_id in self._documents:
             raise DuplicateDocumentError(doc_id)
         self._documents[doc_id] = blob
-        self._versions[doc_id] = 1
-        self._add_entries(doc_id, entries)
-        return Document(doc_id=doc_id, payload=marshal.loads(blob), version=1)
+        for index, keys in entries:
+            for key in keys:
+                index.setdefault(key, set()).add(doc_id)
+        return Document(doc_id=doc_id, payload=marshal.loads(blob))
 
     def get(self, doc_id: str) -> Document:
         """Fetch a document snapshot by id or raise ``DocumentNotFoundError``."""
@@ -149,62 +147,13 @@ class DocumentStore:
             blob = self._documents[doc_id]
         except KeyError:
             raise DocumentNotFoundError(doc_id) from None
-        return Document(
-            doc_id=doc_id,
-            payload=marshal.loads(blob),
-            version=self._versions[doc_id],
-        )
+        return Document(doc_id=doc_id, payload=marshal.loads(blob))
 
     def get_or_none(self, doc_id: str) -> Document | None:
         """Fetch a document, returning ``None`` when absent."""
         if doc_id not in self._documents:
             return None
         return self.get(doc_id)
-
-    def update(
-        self, doc_id: str, payload: dict, expected_version: int | None = None
-    ) -> Document:
-        """Replace a document's payload, bumping its version.
-
-        When ``expected_version`` is given the update is a compare-and-swap
-        and raises :class:`VersionConflictError` on staleness — the same
-        protocol the crawler uses to merge concurrently refreshed profiles.
-        """
-        if doc_id not in self._documents:
-            raise DocumentNotFoundError(doc_id)
-        current_version = self._versions[doc_id]
-        if expected_version is not None and expected_version != current_version:
-            raise VersionConflictError(doc_id, expected_version, current_version)
-        blob = _encode(payload)
-        entries = self._index_entries(payload)
-        self._remove_entries(doc_id, self._stored_entries(doc_id))
-        self._documents[doc_id] = blob
-        self._versions[doc_id] = current_version + 1
-        self._add_entries(doc_id, entries)
-        return Document(
-            doc_id=doc_id, payload=marshal.loads(blob), version=current_version + 1
-        )
-
-    def delete(self, doc_id: str) -> None:
-        """Remove a document; raises ``DocumentNotFoundError`` when absent."""
-        if doc_id not in self._documents:
-            raise DocumentNotFoundError(doc_id)
-        self._remove_entries(doc_id, self._stored_entries(doc_id))
-        del self._documents[doc_id]
-        del self._versions[doc_id]
-
-    def ids(self) -> list[str]:
-        """All document ids, in insertion order."""
-        return list(self._documents)
-
-    def scan(self) -> Iterator[Document]:
-        """Iterate over snapshots of every document (a full table scan)."""
-        for doc_id in list(self._documents):
-            yield Document(
-                doc_id=doc_id,
-                payload=marshal.loads(self._documents[doc_id]),
-                version=self._versions[doc_id],
-            )
 
     # ------------------------------------------------------------------
     # Secondary indexes
@@ -225,17 +174,6 @@ class DocumentStore:
         self._indexes[index_name] = index
         self._extractors[index_name] = extractor
 
-    def drop_index(self, index_name: str) -> None:
-        """Remove a secondary index."""
-        if index_name not in self._indexes:
-            raise IndexError_(f"no such index: {index_name!r}")
-        del self._indexes[index_name]
-        del self._extractors[index_name]
-
-    def index_names(self) -> list[str]:
-        """Names of all registered indexes."""
-        return list(self._indexes)
-
     def lookup(self, index_name: str, key: IndexKey) -> list[Document]:
         """Fetch all documents whose indexed key equals ``key``."""
         return [self.get(doc_id) for doc_id in self.lookup_ids(index_name, key)]
@@ -245,54 +183,3 @@ class DocumentStore:
         if index_name not in self._indexes:
             raise IndexError_(f"no such index: {index_name!r}")
         return sorted(self._indexes[index_name].get(key, set()))
-
-    def index_keys(self, index_name: str) -> list[IndexKey]:
-        """All distinct keys currently present in an index."""
-        if index_name not in self._indexes:
-            raise IndexError_(f"no such index: {index_name!r}")
-        return list(self._indexes[index_name])
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def clear(self) -> None:
-        """Remove every document but keep index definitions."""
-        self._documents.clear()
-        self._versions.clear()
-        for index in self._indexes.values():
-            index.clear()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _index_entries(self, payload: dict) -> dict[str, list[IndexKey]]:
-        """Every index's keys for ``payload``, by index name."""
-        return {
-            index_name: _keys(extractor(payload))
-            for index_name, extractor in self._extractors.items()
-        }
-
-    def _stored_entries(self, doc_id: str) -> dict[str, list[IndexKey]]:
-        """The index keys a stored document was filed under."""
-        if not self._extractors:
-            return {}
-        return self._index_entries(marshal.loads(self._documents[doc_id]))
-
-    def _add_entries(self, doc_id: str, entries: dict[str, list[IndexKey]]) -> None:
-        for index_name, keys in entries.items():
-            index = self._indexes[index_name]
-            for key in keys:
-                index.setdefault(key, set()).add(doc_id)
-
-    def _remove_entries(self, doc_id: str, entries: dict[str, list[IndexKey]]) -> None:
-        for index_name, keys in entries.items():
-            index = self._indexes[index_name]
-            for key in keys:
-                bucket = index.get(key)
-                if bucket is None:
-                    continue
-                bucket.discard(doc_id)
-                if not bucket:
-                    del index[key]

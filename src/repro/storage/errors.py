@@ -26,17 +26,5 @@ class DuplicateDocumentError(StorageError):
         self.doc_id = doc_id
 
 
-class VersionConflictError(StorageError):
-    """Raised by compare-and-swap updates when the expected version is stale."""
-
-    def __init__(self, doc_id: str, expected: int, actual: int):
-        super().__init__(
-            f"version conflict on {doc_id!r}: expected {expected}, found {actual}"
-        )
-        self.doc_id = doc_id
-        self.expected = expected
-        self.actual = actual
-
-
 class IndexError_(StorageError):
     """Raised for secondary-index misuse (unknown index, duplicate name)."""

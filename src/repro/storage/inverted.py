@@ -49,18 +49,18 @@ class InvertedIndex:
     """
 
     def __init__(self):
-        # Plain dicts, not defaultdicts: every write path goes through
-        # the helpers below, so a lookup typo can never materialize an
-        # empty posting list that then haunts ``term_count``/``stats``.
+        # A plain dict, not a defaultdict: only ``add`` creates a posting
+        # list, so a lookup can never materialize an empty one that then
+        # haunts ``term_count``/``stats``.
         self._postings: dict[str, dict[str, float]] = {}
-        self._document_terms: dict[str, set[str]] = {}
+        self._documents: set[str] = set()
 
     def __len__(self) -> int:
         """Number of indexed documents."""
-        return len(self._document_terms)
+        return len(self._documents)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._document_terms
+        return doc_id in self._documents
 
     @property
     def term_count(self) -> int:
@@ -81,80 +81,18 @@ class InvertedIndex:
                 )
         for term, weight in term_weights.items():
             self._postings.setdefault(term, {})[doc_id] = float(weight)
-            self._document_terms.setdefault(doc_id, set()).add(term)
-
-    def replace_term(self, term: str, doc_weights: Mapping[str, float]) -> None:
-        """Atomically replace ``term``'s entire posting list.
-
-        Replacing per-term (rather than re-adding per-doc) guarantees no
-        stale posting of the old list survives.  An empty
-        ``doc_weights`` simply drops the term.
-        """
-        for weight in doc_weights.values():
-            if weight <= 0:
-                raise ValueError(f"posting weight must be positive, got {weight!r}")
-        old = self._postings.pop(term, {})
-        for doc_id in old:
-            terms = self._document_terms.get(doc_id)
-            if terms is not None:
-                terms.discard(term)
-                if not terms:
-                    del self._document_terms[doc_id]
-        if doc_weights:
-            self.add_term(term, doc_weights)
-
-    def add_term(self, term: str, doc_weights: Mapping[str, float]) -> None:
-        """Index every document in ``doc_weights`` under one ``term``.
-
-        An empty ``doc_weights`` is a no-op: no empty posting list is
-        ever created, so the term dictionary only holds terms that can
-        actually match (``stats`` counts stay an honest size measure).
-        """
-        for doc_id, weight in doc_weights.items():
-            if weight <= 0:
-                raise ValueError(
-                    f"posting weight must be positive, got {weight!r} for {doc_id!r}"
-                )
-        if not doc_weights:
-            return
-        bucket = self._postings.setdefault(term, {})
-        for doc_id, weight in doc_weights.items():
-            bucket[doc_id] = float(weight)
-            self._document_terms.setdefault(doc_id, set()).add(term)
-
-    def remove(self, doc_id: str) -> None:
-        """Drop every posting of ``doc_id``; silently ignores unknown ids."""
-        terms = self._document_terms.pop(doc_id, set())
-        for term in terms:
-            bucket = self._postings.get(term)
-            if bucket is None:
-                continue
-            bucket.pop(doc_id, None)
-            if not bucket:
-                del self._postings[term]
-
-    def postings(self, term: str) -> list[Posting]:
-        """The posting list of ``term``, sorted by descending weight."""
-        bucket = self._postings.get(term, {})
-        entries = [Posting(doc_id=d, weight=w) for d, w in bucket.items()]
-        entries.sort(key=lambda p: (-p.weight, p.doc_id))
-        return entries
-
-    def document_frequency(self, term: str) -> int:
-        """How many documents contain ``term``."""
-        return len(self._postings.get(term, {}))
+        if term_weights:
+            self._documents.add(doc_id)
 
     def stats(self) -> dict:
         """Size snapshot: distinct terms, documents and total postings.
 
-        Every term counted here has at least one posting (empty lists
-        are dropped on ``remove``/``replace_term`` and never created by
-        ``add``/``add_term``), so repeated index churn must leave these
-        counts bounded by live content, not history.
+        ``add`` never creates an empty posting list, so every term
+        counted here has at least one posting.
         """
         return {
             "terms": len(self._postings),
-            "documents": len(self._document_terms),
+            "documents": len(self._documents),
             "postings": sum(len(bucket) for bucket in self._postings.values()),
         }
 
@@ -184,7 +122,7 @@ class InvertedIndex:
         postings are built only for the cut that is returned.
         """
         weights = query_weights or {}
-        total_docs = len(self._document_terms)
+        total_docs = len(self._documents)
         scores: dict[str, float] = defaultdict(float)
         for term in terms:
             bucket = self._postings.get(term)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs import get_obs, label_key
 from repro.web.clock import SimulatedClock
 
 
@@ -21,8 +20,9 @@ class TokenBucket:
     Thread-safe: refill-and-take is one atomic step, so hammering
     threads can never jointly overdraw the bucket.
 
-    ``name`` labels this bucket's grant/denial metrics in the ambient
-    :mod:`repro.obs` registry (deployments pass the host being limited).
+    A bucket counts nothing itself: a host's denials show as its 429s in
+    ``http_requests_total`` and a tenant's as
+    ``serving_shed_total{reason="rate_limited"}``.
 
     Example
     -------
@@ -34,13 +34,7 @@ class TokenBucket:
     True
     """
 
-    def __init__(
-        self,
-        capacity: float,
-        refill_rate: float,
-        clock: SimulatedClock,
-        name: str = "bucket",
-    ):
+    def __init__(self, capacity: float, refill_rate: float, clock: SimulatedClock):
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         if refill_rate <= 0:
@@ -48,7 +42,6 @@ class TokenBucket:
         self._capacity = float(capacity)
         self._refill_rate = float(refill_rate)
         self._clock = clock
-        self._key = label_key(bucket=name)
         self._tokens = float(capacity)
         self._last_refill = clock.now()
         self._lock = threading.Lock()
@@ -83,14 +76,8 @@ class TokenBucket:
             self._refill()
             if self._tokens >= tokens:
                 self._tokens -= tokens
-                granted = True
-            else:
-                granted = False
-        get_obs().inc_key(
-            "ratelimit_granted_total" if granted else "ratelimit_denied_total",
-            self._key,
-        )
-        return granted
+                return True
+            return False
 
     def refund(self, tokens: float = 1.0) -> None:
         """Return ``tokens`` to the bucket (capped at ``capacity``).

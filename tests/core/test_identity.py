@@ -5,8 +5,6 @@ import pytest
 from repro.core.errors import AmbiguousIdentityError, IdentityVerificationError
 from repro.core.identity import (
     AffiliationEvidenceResolver,
-    CallbackResolver,
-    ChainResolver,
     FirstMatchResolver,
     IdentityResolver,
     IdentityVerifier,
@@ -28,6 +26,16 @@ def colliding_authors(world):
         if len(group) > 1:
             return group
     raise RuntimeError("no collision group")
+
+
+class PickResolver(IdentityResolver):
+    """Picks the match at one position, as an editor choosing by hand would."""
+
+    def __init__(self, position):
+        self.position = position
+
+    def resolve(self, author, matches):
+        return matches[self.position]
 
 
 def matches_for(names_and_notes):
@@ -79,23 +87,6 @@ class TestResolvers:
         with pytest.raises(ValueError):
             AffiliationEvidenceResolver(min_overlap=2.0)
 
-    def test_callback_resolver_delegates(self):
-        picked = []
-
-        def choose(author, matches):
-            picked.append(author.name)
-            return matches[-1]
-
-        resolver = CallbackResolver(choose)
-        matches = matches_for([("A B", ""), ("A B", "")])
-        assert resolver.resolve(ManuscriptAuthor("A B"), matches) is matches[-1]
-        assert picked == ["A B"]
-
-    def test_chain_resolver_falls_through(self):
-        chain = ChainResolver([IdentityResolver(), FirstMatchResolver()])
-        matches = matches_for([("X Y", "")])
-        assert chain.resolve(ManuscriptAuthor("X Y"), matches) is matches[0]
-
 
 class TestVerifier:
     def test_unique_author_verifies(self, hub, world):
@@ -146,9 +137,7 @@ class TestVerifier:
 
     def test_collision_with_callback_resolver(self, hub, world):
         group = colliding_authors(world)
-        verifier = IdentityVerifier(
-            hub, resolver=CallbackResolver(lambda a, m: m[1])
-        )
+        verifier = IdentityVerifier(hub, resolver=PickResolver(1))
         verified = verifier.verify(ManuscriptAuthor(group[0].name))
         assert verified.ambiguous
         assert len(verified.candidates_considered) == len(group)

@@ -14,7 +14,7 @@ from repro.scholarly.registry import ScholarlyHub
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
 from repro.web.faults import FaultPolicy
-from repro.web.http import SimulatedHttpClient
+from repro.web.http import LatencyModel, RateLimitedError, SimulatedHttpClient
 from repro.web.ratelimit import TokenBucket
 from repro.world.config import WorldConfig
 from repro.world.generator import generate_world
@@ -94,14 +94,24 @@ class TestCacheInstrumentation:
 
 class TestRateLimitInstrumentation:
     def test_granted_and_denied(self, obs):
+        """A host's denials are its 429s; the bucket writes no series."""
         clock = SimulatedClock()
-        bucket = TokenBucket(2, 1.0, clock, name="b")
+        http = SimulatedHttpClient(clock)
+        http.register_host(
+            "limited",
+            lambda request: {},
+            rate_limit=TokenBucket(2, 1.0, clock),
+            latency=LatencyModel(base=0.0, jitter=0.0),
+        )
         with use(obs):
-            assert bucket.try_acquire()
-            assert bucket.try_acquire()
-            assert not bucket.try_acquire()
-        assert obs.metrics.counter_value("ratelimit_granted_total", bucket="b") == 2.0
-        assert obs.metrics.counter_value("ratelimit_denied_total", bucket="b") == 1.0
+            http.get("limited", "/p")
+            http.get("limited", "/p")
+            with pytest.raises(RateLimitedError):
+                http.get("limited", "/p")
+        counter = obs.metrics.counter_value
+        assert counter("http_requests_total", host="limited", status="200") == 2.0
+        assert counter("http_requests_total", host="limited", status="429") == 1.0
+        assert list(obs.metrics.snapshot()["counters"]) == ["http_requests_total"]
 
 
 class TestFaultInstrumentation:
@@ -242,24 +252,7 @@ class TestPipelineSpans:
             assert span.virtual_seconds == pytest.approx(report.virtual_seconds)
 
 
-class TestStorageAndOntologyEvents:
-    def test_wal_appends_reported(self, obs, tmp_path):
-        from repro.storage.persistence import JournaledStore
-
-        with use(obs):
-            with JournaledStore.open(tmp_path, name="profiles") as store:
-                store.insert({"name": "Ada"})
-                store.snapshot()
-        assert (
-            obs.metrics.counter_value(
-                "wal_appends_total", store="profiles", op="insert"
-            )
-            == 1.0
-        )
-        assert obs.metrics.counter_value("snapshots_total", store="profiles") == 1.0
-        names = {e.name for e in obs.ring.events()}
-        assert {"wal_recovered", "wal_append", "snapshot_written"} <= names
-
+class TestOntologyEvents:
     def test_ontology_build_event(self, obs):
         from repro.ontology.data import build_seed_ontology
 

@@ -10,7 +10,7 @@ from repro.api.handlers import MinaretApi
 from repro.assignment import recommend_batch
 from repro.core.config import PipelineConfig
 from repro.core.errors import IdentityVerificationError
-from repro.core.identity import CallbackResolver, IdentityVerifier
+from repro.core.identity import IdentityVerifier
 from repro.core.models import ManuscriptAuthor
 from repro.core.pipeline import Minaret
 from repro.obs import Observability, use
@@ -26,6 +26,7 @@ from repro.world.dynamics import WorldDynamics
 from repro.world.generator import generate_world
 from tests.api.test_handlers import manuscript_payload
 from tests.conftest import make_manuscript
+from tests.core.test_identity import PickResolver
 
 
 def signature(result):
@@ -281,9 +282,7 @@ class TestWarmContract:
         hub = ScholarlyHub.deploy(world)
         plane = RetrievalPlane.for_sources(hub)
         picks = [
-            IdentityVerifier(
-                hub, resolver=CallbackResolver(lambda a, m, i=i: m[i]), plane=plane
-            ).verify(author)
+            IdentityVerifier(hub, resolver=PickResolver(i), plane=plane).verify(author)
             for i in (0, 1, 0)
         ]
         chosen = [v.profile.source_id(SourceName.DBLP) for v in picks]

@@ -36,6 +36,14 @@ class TestModes:
     def test_count_mode_returns_exactly_count(self):
         assert len(LoadGenerator((HEALTH,), seed=1).arrivals(count=37)) == 37
 
+    def test_zero_count_returns_nothing(self):
+        assert LoadGenerator((HEALTH,), seed=1).arrivals(count=0) == []
+
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"count must be >= 0, got {count}"):
+            LoadGenerator((HEALTH,), seed=1).arrivals(count=count)
+
     def test_duration_mode_bounds_times(self):
         arrivals = LoadGenerator((HEALTH,), rate=30.0, seed=1).arrivals(
             duration=5.0

@@ -8,12 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.storage.documents import DocumentStore
-from repro.storage.errors import (
-    DocumentNotFoundError,
-    DuplicateDocumentError,
-    IndexError_,
-    VersionConflictError,
-)
+from repro.storage.errors import DocumentNotFoundError, DuplicateDocumentError, IndexError_
 
 
 @pytest.fixture()
@@ -31,9 +26,7 @@ READ_PATHS = {
     "get": lambda store: store.get("k"),
     "get_or_none": lambda store: store.get_or_none("k"),
     "lookup": lambda store: store.lookup("tag", "t")[0],
-    "scan": lambda store: next(store.scan()),
     "insert": lambda store: store.insert(nested_payload(), doc_id="k2"),
-    "update": lambda store: store.update("k", nested_payload()),
 }
 
 
@@ -45,7 +38,6 @@ class TestInsertAndGet:
     def test_insert_returns_snapshot(self, store):
         doc = store.insert({"x": 1})
         assert doc.payload == {"x": 1}
-        assert doc.version == 1
 
     def test_auto_ids_are_unique(self, store):
         ids = {store.insert({}).doc_id for __ in range(10)}
@@ -131,13 +123,9 @@ class TestJsonLikeContract:
         store.insert({"tag": "t", "x": 1}, doc_id="k")
         with pytest.raises(TypeError):
             store.insert({"tag": "t", "x": value}, doc_id="bad")
-        with pytest.raises(TypeError):
-            store.update("k", {"tag": "u", "x": value})
         assert "bad" not in store
-        document = store.get("k")
-        assert document.payload == {"tag": "t", "x": 1}
-        assert document.version == 1
-        assert store.index_keys("tag") == ["t"]
+        assert len(store) == 1
+        assert store.get("k").payload == {"tag": "t", "x": 1}
         assert store.lookup_ids("tag", "t") == ["k"]
 
 
@@ -172,10 +160,6 @@ class TestErrorMessages:
         assert str(error) == "document already exists: 'k1'"
         assert error.doc_id == "k1"
 
-    def test_conflict_names_both_versions(self):
-        error = VersionConflictError("k1", expected=1, actual=3)
-        assert str(error) == "version conflict on 'k1': expected 1, found 3"
-
     def test_store_raises_the_readable_form(self, store):
         with pytest.raises(DocumentNotFoundError, match="document not found: 'nope'"):
             store.get("nope")
@@ -193,69 +177,19 @@ class TestAtomicWrites:
             store.insert({"b": 1}, doc_id="x")
         assert len(store) == 0
         assert "x" not in store
-        assert store.index_keys("a") == []
-        store.drop_index("a")
-        assert store.insert({"b": 1}, doc_id="x").version == 1
-        store.delete("x")
-        assert len(store) == 0
-
-    def test_failed_update_changes_nothing(self, store):
-        store.create_index("a", lambda d: d["a"])
-        store.create_index("b", lambda d: d.get("b"))
-        store.insert({"a": 1, "b": 1}, doc_id="y")
-        with pytest.raises(KeyError):
-            store.update("y", {"b": 2})
-        document = store.get("y")
-        assert document.payload == {"a": 1, "b": 1}
-        assert document.version == 1
-        assert store.lookup_ids("a", 1) == ["y"]
-        assert store.lookup_ids("b", 1) == ["y"]
-        assert store.lookup_ids("b", 2) == []
-        assert store.update("y", {"a": 2}).version == 2
+        assert store.lookup_ids("a", None) == []
 
     def test_failed_create_index_is_not_registered(self, store):
         store.insert({"a": 1}, doc_id="x")
         store.insert({"b": 2}, doc_id="y")
         with pytest.raises(KeyError):
             store.create_index("a", lambda d: d["a"])
-        assert store.index_names() == []
+        with pytest.raises(IndexError_):
+            store.lookup_ids("a", 1)
         store.insert({"c": 3}, doc_id="z")
         assert len(store) == 3
         store.create_index("a", lambda d: d.get("a"))
         assert store.lookup_ids("a", 1) == ["x"]
-
-
-class TestUpdateAndDelete:
-    def test_update_bumps_version(self, store):
-        store.insert({"x": 1}, doc_id="k")
-        updated = store.update("k", {"x": 2})
-        assert updated.version == 2
-        assert store.get("k").payload == {"x": 2}
-
-    def test_update_missing_raises(self, store):
-        with pytest.raises(DocumentNotFoundError):
-            store.update("nope", {})
-
-    def test_cas_success(self, store):
-        store.insert({"x": 1}, doc_id="k")
-        store.update("k", {"x": 2}, expected_version=1)
-
-    def test_cas_conflict(self, store):
-        store.insert({"x": 1}, doc_id="k")
-        store.update("k", {"x": 2})
-        with pytest.raises(VersionConflictError) as exc_info:
-            store.update("k", {"x": 3}, expected_version=1)
-        assert exc_info.value.expected == 1
-        assert exc_info.value.actual == 2
-
-    def test_delete(self, store):
-        store.insert({}, doc_id="k")
-        store.delete("k")
-        assert "k" not in store
-
-    def test_delete_missing_raises(self, store):
-        with pytest.raises(DocumentNotFoundError):
-            store.delete("nope")
 
 
 class TestSecondaryIndexes:
@@ -274,65 +208,24 @@ class TestSecondaryIndexes:
 
     def test_none_key_excluded(self, store):
         store.create_index("maybe", lambda d: d.get("maybe"))
-        store.insert({})
-        assert store.index_keys("maybe") == []
+        store.insert({}, doc_id="d")
+        assert "d" in store
+        assert store.lookup_ids("maybe", None) == []
 
     def test_backfill_on_creation(self, store):
         store.insert({"k": "v"}, doc_id="d")
         store.create_index("k", lambda d: d.get("k"))
         assert store.lookup_ids("k", "v") == ["d"]
 
-    def test_update_reindexes(self, store):
-        store.create_index("k", lambda d: d.get("k"))
-        store.insert({"k": "old"}, doc_id="d")
-        store.update("d", {"k": "new"})
-        assert store.lookup_ids("k", "old") == []
-        assert store.lookup_ids("k", "new") == ["d"]
-
-    def test_delete_unindexes(self, store):
-        store.create_index("k", lambda d: d.get("k"))
-        store.insert({"k": "v"}, doc_id="d")
-        store.delete("d")
-        assert store.lookup_ids("k", "v") == []
-
     def test_duplicate_index_name_rejected(self, store):
         store.create_index("k", lambda d: None)
         with pytest.raises(IndexError_):
             store.create_index("k", lambda d: None)
 
-    def test_unknown_index_rejected(self, store):
-        with pytest.raises(IndexError_):
-            store.lookup("nope", "x")
-
-    def test_drop_index(self, store):
-        store.create_index("k", lambda d: d.get("k"))
-        store.drop_index("k")
-        assert "k" not in store.index_names()
-
-    def test_drop_unknown_index_rejected(self, store):
-        with pytest.raises(IndexError_):
-            store.drop_index("nope")
-
-    @pytest.mark.parametrize("read", ["index_keys", "lookup_ids"])
+    @pytest.mark.parametrize("read", ["lookup", "lookup_ids"])
     def test_reads_of_unknown_index_rejected(self, store, read):
-        args = ("nope",) if read == "index_keys" else ("nope", "x")
         with pytest.raises(IndexError_, match="no such index"):
-            getattr(store, read)(*args)
-
-
-class TestScanAndClear:
-    def test_scan_yields_everything(self, store):
-        for i in range(5):
-            store.insert({"i": i})
-        assert sorted(d.payload["i"] for d in store.scan()) == list(range(5))
-
-    def test_clear_keeps_indexes(self, store):
-        store.create_index("k", lambda d: d.get("k"))
-        store.insert({"k": "v"})
-        store.clear()
-        assert len(store) == 0
-        assert store.index_names() == ["k"]
-        assert store.lookup_ids("k", "v") == []
+            getattr(store, read)("nope", "x")
 
 
 class TestProperties:
@@ -349,12 +242,12 @@ class TestProperties:
             assert store.get(doc.doc_id).payload == payload
 
     @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=30))
-    def test_index_is_consistent_with_scan(self, keys):
+    def test_index_is_consistent_with_get(self, keys):
         store = DocumentStore()
         store.create_index("key", lambda d: d["key"])
-        for key in keys:
-            store.insert({"key": key})
+        doc_ids = [store.insert({"key": key}).doc_id for key in keys]
+        assert len(store) == len(keys)
         for key in set(keys):
-            via_index = len(store.lookup_ids("key", key))
-            via_scan = sum(1 for d in store.scan() if d.payload["key"] == key)
-            assert via_index == via_scan
+            via_index = store.lookup_ids("key", key)
+            via_get = sorted(d for d in doc_ids if store.get(d).payload["key"] == key)
+            assert via_index == via_get

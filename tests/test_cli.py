@@ -694,3 +694,87 @@ class TestScaleBenchCommand:
         payload = json.loads(out.read_text())
         assert payload["name"] == "EXP-SCALE"
         assert [entry["authors"] for entry in payload["sizes"]] == [300, 900]
+
+
+#: One out-of-range value per numeric flag, with the error line it gets.
+OUT_OF_RANGE = [
+    (["demo", "--authors", "0"], "--authors must be >= 1, got 0"),
+    (["demo", "--top", "0"], "--top must be >= 1, got 0"),
+    (["expand", "--keyword", "RDF", "--max-depth", "-1"], "--max-depth must be >= 0, got -1"),
+    (["expand", "--keyword", "RDF", "--min-score", "2"], "--min-score must be in [0, 1], got 2.0"),
+    (["stats", "--authors", "0"], "--authors must be >= 1, got 0"),
+    (["generate", "--out", "w.json", "--authors", "0"], "--authors must be >= 1, got 0"),
+    (
+        ["recommend", "--world", "w.json", "--manuscript", "m.json", "--top", "-1"],
+        "--top must be >= 1, got -1",
+    ),
+    (
+        ["recommend", "--world", "w.json", "--manuscript", "m.json", "--workers", "0"],
+        "--workers must be >= 1, got 0",
+    ),
+    (
+        ["recommend", "--world", "w.json", "--manuscript", "m.json", "--top-k", "0"],
+        "--top-k must be >= 1, got 0",
+    ),
+    (
+        ["assign", "--world", "w.json", "--batch", "b.json", "--workers", "0"],
+        "--workers must be >= 1, got 0",
+    ),
+    (
+        ["assign", "--world", "w.json", "--batch", "b.json", "--top-k", "0"],
+        "--top-k must be >= 1, got 0",
+    ),
+    (["slo", "--world", "w.json", "--papers", "0"], "--papers must be >= 1, got 0"),
+    (["slo", "--world", "w.json", "--objective", "2"], "--objective must be in (0, 1), got 2.0"),
+    (["slo", "--world", "w.json", "--window", "0"], "--window must be > 0, got 0.0"),
+    (
+        ["slo", "--world", "w.json", "--failure-rate", "2"],
+        "--failure-rate must be in [0, 1], got 2.0",
+    ),
+    (["profile", "--log", "e.jsonl", "--top", "-1"], "--top must be >= 1, got -1"),
+    (["profile", "--log", "e.jsonl", "--top", "0"], "--top must be >= 1, got 0"),
+    (["serve-bench", "--authors", "0"], "--authors must be >= 1, got 0"),
+    (["serve-bench", "--requests", "0"], "--requests must be >= 1, got 0"),
+    (["serve-bench", "--rate", "0"], "--rate must be > 0, got 0.0"),
+    (["serve-bench", "--workers", "0"], "--workers must be >= 1, got 0"),
+    (["serve-bench", "--queue-capacity", "0"], "--queue-capacity must be >= 1, got 0"),
+    (["serve-bench", "--bucket-capacity", "0"], "--bucket-capacity must be > 0, got 0.0"),
+    (["serve-bench", "--refill-rate", "-1"], "--refill-rate must be > 0, got -1.0"),
+    (
+        ["scale-bench", "--pool-size", "300", "--pool-size", "0"],
+        "--pool-size must be >= 1, got 0",
+    ),
+    (["scale-bench", "--pool-size", "300", "--queries", "0"], "--queries must be >= 1, got 0"),
+    (["scale-bench", "--pool-size", "300", "--top", "0"], "--top must be >= 1, got 0"),
+    (
+        ["scale-bench", "--pool-size", "300", "--pool-limit", "-1"],
+        "--pool-limit must be >= 0, got -1",
+    ),
+]
+
+
+class TestFlagRanges:
+    @pytest.fixture()
+    def no_world(self, monkeypatch):
+        """Fail the test if the command builds, loads or streams a world."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a world was built before the flags were checked")
+
+        monkeypatch.setattr("repro.cli.generate_world", refuse)
+        monkeypatch.setattr("repro.world.io.load_world", refuse)
+        monkeypatch.setattr("repro.scale.bench.run_scale_bench", refuse)
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        OUT_OF_RANGE,
+        ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv, __ in OUT_OF_RANGE],
+    )
+    def test_out_of_range_flag_errors_before_any_world(
+        self, no_world, capsys, argv, message
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
