@@ -43,6 +43,9 @@ class TestInsertAndGet:
         ids = {store.insert({}).doc_id for __ in range(10)}
         assert len(ids) == 10
 
+    def test_auto_ids_are_minted_from_the_store_name(self, store):
+        assert [store.insert({}).doc_id for __ in range(3)] == ["test:1", "test:2", "test:3"]
+
     def test_explicit_id(self, store):
         doc = store.insert({"x": 1}, doc_id="k")
         assert doc.doc_id == "k"
@@ -179,6 +182,24 @@ class TestAtomicWrites:
         assert "x" not in store
         assert store.lookup_ids("a", None) == []
 
+    def test_duplicate_insert_changes_nothing(self, store):
+        store.create_index("tag", lambda d: d["tag"])
+        store.insert({"tag": "a"}, doc_id="k")
+        with pytest.raises(DuplicateDocumentError):
+            store.insert({"tag": "b"}, doc_id="k")
+        assert len(store) == 1
+        assert store.get("k").payload == {"tag": "a"}
+        assert store.lookup_ids("tag", "a") == ["k"]
+        assert store.lookup_ids("tag", "b") == []
+
+    def test_failed_insert_mints_no_id(self, store):
+        store.create_index("a", lambda d: d["a"])
+        with pytest.raises(KeyError):
+            store.insert({})
+        with pytest.raises(TypeError):
+            store.insert({"a": object()})
+        assert store.insert({"a": 1}).doc_id == "test:1"
+
     def test_failed_create_index_is_not_registered(self, store):
         store.insert({"a": 1}, doc_id="x")
         store.insert({"b": 2}, doc_id="y")
@@ -205,6 +226,26 @@ class TestSecondaryIndexes:
         store.create_index("tags", lambda d: d.get("tags", ()))
         store.insert({"name": "a", "tags": ["x", "y"]})
         assert store.lookup_ids("tags", "x") == store.lookup_ids("tags", "y")
+
+    def test_string_key_is_one_key(self, store):
+        store.create_index("name", lambda d: d["name"])
+        store.insert({"name": "ada"}, doc_id="d")
+        assert store.lookup_ids("name", "ada") == ["d"]
+        assert store.lookup_ids("name", "a") == []
+
+    def test_unknown_key_finds_nothing(self, store):
+        store.create_index("k", lambda d: d.get("k"))
+        store.insert({"k": "v"}, doc_id="d")
+        assert store.lookup("k", "other") == []
+        assert store.lookup_ids("k", "other") == []
+
+    def test_lookup_returns_documents_in_id_order(self, store):
+        store.create_index("k", lambda d: d["k"])
+        for doc_id in ["c", "a", "b"]:
+            store.insert({"k": 1, "id": doc_id}, doc_id=doc_id)
+        found = store.lookup("k", 1)
+        assert [doc.doc_id for doc in found] == ["a", "b", "c"]
+        assert [doc.payload["id"] for doc in found] == ["a", "b", "c"]
 
     def test_none_key_excluded(self, store):
         store.create_index("maybe", lambda d: d.get("maybe"))
@@ -251,3 +292,16 @@ class TestProperties:
             via_index = store.lookup_ids("key", key)
             via_get = sorted(d for d in doc_ids if store.get(d).payload["key"] == key)
             assert via_index == via_get
+
+    @pytest.mark.parametrize("backfill", [False, True], ids=["on-insert", "backfilled"])
+    @given(st.lists(st.lists(st.sampled_from("abcd"), max_size=4), max_size=15))
+    def test_multi_value_index_is_consistent_with_get(self, backfill, tag_lists):
+        store = DocumentStore()
+        if not backfill:
+            store.create_index("tags", lambda d: d["tags"])
+        doc_ids = [store.insert({"tags": tags}).doc_id for tags in tag_lists]
+        if backfill:
+            store.create_index("tags", lambda d: d["tags"])
+        for tag in "abcd":
+            via_get = sorted(d for d in doc_ids if tag in store.get(d).payload["tags"])
+            assert store.lookup_ids("tags", tag) == via_get

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage.inverted import InvertedIndex
+from repro.storage.inverted import InvertedIndex, idf_of
 
 
 @pytest.fixture()
@@ -41,6 +41,35 @@ class TestAdd:
         alice = next(p for p in postings if p.doc_id == "alice")
         assert alice.weight == 5.0
         assert len(index) == 3
+
+
+class TestDocumentCount:
+    """``len``, ``stats`` and the idf denominator count indexed documents."""
+
+    def test_idf_divides_by_indexed_documents(self, index):
+        scores = {p.doc_id: p.weight for p in index.search(["rdf"])}
+        assert scores == {
+            "alice": pytest.approx(2.0 * idf_of(3, 2)),
+            "bob": pytest.approx(1.0 * idf_of(3, 2)),
+        }
+
+    def test_empty_add_leaves_scores_unchanged(self, index):
+        before = index.search(["rdf", "ml"])
+        index.add("ghost", {})
+        assert index.search(["rdf", "ml"]) == before
+
+    def test_document_with_new_terms_counts_once(self, index):
+        index.add("alice", {"ml": 1.0})
+        assert len(index) == 3
+        assert index.stats() == {"terms": 3, "documents": 3, "postings": 6}
+        scores = {p.doc_id: p.weight for p in index.search(["ml"])}
+        assert scores["alice"] == pytest.approx(idf_of(3, 3))
+
+    def test_search_for_unknown_term_creates_no_posting_list(self, index):
+        assert index.search(["nope"], limit=1) == []
+        assert index.term_count == 3
+        assert index.stats() == {"terms": 3, "documents": 3, "postings": 5}
+
 
 class TestRankedSearch:
     def test_single_term(self, index):
@@ -110,6 +139,46 @@ class TestProperties:
         for n in {0, 1, max(len(full) - 1, 0), len(full), len(full) + 3}:
             cut = index.search(terms, query_weights, limit=n, use_idf=use_idf)
             assert cut == full[:n]
+
+    @given(
+        adds=st.lists(
+            st.tuples(
+                st.sampled_from(["d0", "d1", "d2", "d3"]),
+                st.dictionaries(
+                    st.sampled_from(["t1", "t2", "t3"]),
+                    st.sampled_from([0.5, 1.0, 2.0]),
+                    max_size=3,
+                ),
+            ),
+            max_size=10,
+        ),
+        terms=st.lists(st.sampled_from(["t1", "t2", "t3", "t4"]), max_size=4),
+    )
+    def test_counts_and_scores_match_the_adds(self, adds, terms):
+        """Repeated and empty adds against a brute-force model: a
+        document counts once, and only after it has a term."""
+        index = InvertedIndex()
+        corpus: dict[str, dict[str, float]] = {}
+        for doc_id, weights in adds:
+            index.add(doc_id, weights)
+            if weights:
+                corpus.setdefault(doc_id, {}).update(weights)
+        assert len(index) == len(corpus)
+        assert all((doc_id in index) == (doc_id in corpus) for doc_id, __ in adds)
+        assert index.stats() == {
+            "terms": len({t for weights in corpus.values() for t in weights}),
+            "documents": len(corpus),
+            "postings": sum(len(weights) for weights in corpus.values()),
+        }
+        expected: dict[str, float] = {}
+        for term in terms:
+            holders = [d for d, weights in corpus.items() if term in weights]
+            for doc_id in holders:
+                idf = idf_of(len(corpus), len(holders))
+                expected[doc_id] = expected.get(doc_id, 0.0) + corpus[doc_id][term] * idf
+        scores = {p.doc_id: p.weight for p in index.search(terms)}
+        assert scores == pytest.approx(expected)
+
 
 class TestStats:
     def test_counts_live_content(self, index):

@@ -702,6 +702,10 @@ OUT_OF_RANGE = [
     (["demo", "--top", "0"], "--top must be >= 1, got 0"),
     (["expand", "--keyword", "RDF", "--max-depth", "-1"], "--max-depth must be >= 0, got -1"),
     (["expand", "--keyword", "RDF", "--min-score", "2"], "--min-score must be in [0, 1], got 2.0"),
+    (
+        ["expand", "--keyword", "RDF", "--min-score", "-0.5"],
+        "--min-score must be in [0, 1], got -0.5",
+    ),
     (["stats", "--authors", "0"], "--authors must be >= 1, got 0"),
     (["generate", "--out", "w.json", "--authors", "0"], "--authors must be >= 1, got 0"),
     (
@@ -726,10 +730,16 @@ OUT_OF_RANGE = [
     ),
     (["slo", "--world", "w.json", "--papers", "0"], "--papers must be >= 1, got 0"),
     (["slo", "--world", "w.json", "--objective", "2"], "--objective must be in (0, 1), got 2.0"),
+    (["slo", "--world", "w.json", "--objective", "1"], "--objective must be in (0, 1), got 1.0"),
+    (["slo", "--world", "w.json", "--objective", "0"], "--objective must be in (0, 1), got 0.0"),
     (["slo", "--world", "w.json", "--window", "0"], "--window must be > 0, got 0.0"),
     (
         ["slo", "--world", "w.json", "--failure-rate", "2"],
         "--failure-rate must be in [0, 1], got 2.0",
+    ),
+    (
+        ["slo", "--world", "w.json", "--failure-rate", "-0.5"],
+        "--failure-rate must be in [0, 1], got -0.5",
     ),
     (["profile", "--log", "e.jsonl", "--top", "-1"], "--top must be >= 1, got -1"),
     (["profile", "--log", "e.jsonl", "--top", "0"], "--top must be >= 1, got 0"),
@@ -740,6 +750,7 @@ OUT_OF_RANGE = [
     (["serve-bench", "--queue-capacity", "0"], "--queue-capacity must be >= 1, got 0"),
     (["serve-bench", "--bucket-capacity", "0"], "--bucket-capacity must be > 0, got 0.0"),
     (["serve-bench", "--refill-rate", "-1"], "--refill-rate must be > 0, got -1.0"),
+    (["serve-bench", "--refill-rate", "0"], "--refill-rate must be > 0, got 0.0"),
     (
         ["scale-bench", "--pool-size", "300", "--pool-size", "0"],
         "--pool-size must be >= 1, got 0",
@@ -752,8 +763,62 @@ OUT_OF_RANGE = [
     ),
 ]
 
+#: Each command with only its required flags, so every numeric flag is
+#: at its default (or ``None``, where it has none).
+DEFAULTS = [
+    ["demo"],
+    ["expand", "--keyword", "RDF"],
+    ["stats"],
+    ["generate", "--out", "w.json"],
+    ["recommend", "--world", "w.json", "--manuscript", "m.json"],
+    ["assign", "--world", "w.json", "--batch", "b.json"],
+    ["slo", "--world", "w.json"],
+    ["profile", "--log", "e.jsonl"],
+    ["serve-bench"],
+    ["scale-bench"],
+]
+
+#: Closed range ends a user means: ``--min-score`` and ``--failure-rate``
+#: take both ends of [0, 1], and ``--pool-limit 0`` is the documented way
+#: to turn the pool cap off.
+IN_RANGE_EDGES = [
+    ["expand", "--keyword", "RDF", "--min-score", "0"],
+    ["expand", "--keyword", "RDF", "--min-score", "1"],
+    ["slo", "--world", "w.json", "--failure-rate", "0"],
+    ["slo", "--world", "w.json", "--failure-rate", "1"],
+    ["scale-bench", "--pool-size", "300", "--pool-limit", "0"],
+]
+
 
 class TestFlagRanges:
+    @pytest.fixture()
+    def dispatched(self, monkeypatch):
+        """Record the arguments each command is dispatched with, and run none."""
+        calls = []
+        for argv in DEFAULTS:
+            monkeypatch.setattr(
+                f"repro.cli._run_{argv[0].replace('-', '_')}",
+                lambda args: calls.append(args) or 0,
+            )
+        return calls
+
+    @pytest.mark.parametrize("argv", DEFAULTS, ids=[argv[0] for argv in DEFAULTS])
+    def test_defaults_are_in_range(self, dispatched, capsys, argv):
+        assert main(argv) == 0
+        assert [args.command for args in dispatched] == [argv[0]]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        IN_RANGE_EDGES,
+        ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv in IN_RANGE_EDGES],
+    )
+    def test_closed_range_edge_is_accepted(self, dispatched, capsys, argv):
+        assert main(argv) == 0
+        [args] = dispatched
+        assert getattr(args, argv[-2][2:].replace("-", "_")) == float(argv[-1])
+        assert capsys.readouterr().err == ""
+
     @pytest.fixture()
     def no_world(self, monkeypatch):
         """Fail the test if the command builds, loads or streams a world."""
