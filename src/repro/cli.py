@@ -73,7 +73,13 @@ _UNIT = (lambda value: 0 <= value <= 1, "in [0, 1]")
 
 #: Each command's numeric flags and the range each must fall in, checked
 #: before any world is generated or loaded.  A flag left at ``None``
-#: (not given, no default) passes.
+#: (not given, no default) passes.  ``--top``, ``--papers``, ``--queries``,
+#: ``--requests``, ``--pool-size`` and ``--pool-limit`` are checked only
+#: here.  Every other entry restates the check of the object its flag
+#: feeds (``WorldConfig``, ``PipelineConfig``, ``ExpansionConfig``,
+#: ``SloSpec``, ``FaultPolicy``, ``LoadGenerator``, ``run_load``,
+#: ``ServingConfig``, ``TenantPolicy``), so that the error names the flag
+#: before anything is built; change the two together.
 _FLAG_RANGES = {
     "demo": {"--authors": _AT_LEAST_1, "--top": _AT_LEAST_1},
     "expand": {"--max-depth": _AT_LEAST_0, "--min-score": _UNIT},

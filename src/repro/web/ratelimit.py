@@ -21,8 +21,9 @@ class TokenBucket:
     threads can never jointly overdraw the bucket.
 
     A bucket counts nothing itself: a host's denials show as its 429s in
-    ``http_requests_total`` and a tenant's as
-    ``serving_shed_total{reason="rate_limited"}``.
+    ``http_requests_total``.  A tenant's are ``serving_shed_total`` plus
+    ``serving_degraded_total``, both with ``reason="rate_limited"``: the
+    front-end answers a denied request from its warm store when it can.
 
     Example
     -------

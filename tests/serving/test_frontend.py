@@ -238,6 +238,28 @@ class TestTelemetry:
             == 1
         )
 
+    def test_tenant_denials_are_shed_plus_degraded(self, api, recommend_body):
+        """A denied tenant is counted as shed or, when answered warm, degraded."""
+        front = make_frontend(api)
+        front.handle("POST", "/api/v1/recommend", recommend_body)
+        while front._bucket_for("default").try_acquire():
+            pass
+        assert front.handle("POST", "/api/v1/recommend", recommend_body).status == 200
+        assert front.handle("GET", "/api/v1/health").status == 429
+        metrics = api.obs.metrics
+        assert (
+            metrics.counter_value(
+                "serving_degraded_total", tenant="default", reason="rate_limited"
+            )
+            == 1
+        )
+        assert (
+            metrics.counter_value(
+                "serving_shed_total", tenant="default", reason="rate_limited", status="429"
+            )
+            == 1
+        )
+
     def test_latency_histogram_feeds_slo(self, api):
         front = make_frontend(api, slo_threshold=1e9)
         front.handle("GET", "/api/v1/health")

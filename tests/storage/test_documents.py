@@ -175,12 +175,15 @@ class TestAtomicWrites:
         ids=["extractor-raises", "unhashable-key"],
     )
     def test_failed_insert_stores_nothing(self, store, extractor, error):
+        store.create_index("b", lambda d: d.get("b"))
         store.create_index("a", extractor)
         with pytest.raises(error):
             store.insert({"b": 1}, doc_id="x")
         assert len(store) == 0
         assert "x" not in store
-        assert store.lookup_ids("a", None) == []
+        # 1 is the one key the payload yields, for either index.
+        assert store.lookup_ids("a", 1) == []
+        assert store.lookup_ids("b", 1) == []
 
     def test_duplicate_insert_changes_nothing(self, store):
         store.create_index("tag", lambda d: d["tag"])

@@ -1,8 +1,16 @@
 """Tests for the command-line demo."""
 
+import ast
+
 import pytest
 
 from repro.cli import main
+from repro.core.config import PipelineConfig
+from repro.obs.slo import SloSpec
+from repro.ontology.expansion import ExpansionConfig
+from repro.serving import LoadGenerator, RequestTemplate, ServingConfig, TenantPolicy
+from repro.web.faults import FaultPolicy
+from repro.world.config import WorldConfig
 
 
 class TestExpandCommand:
@@ -789,6 +797,41 @@ IN_RANGE_EDGES = [
     ["scale-bench", "--pool-size", "300", "--pool-limit", "0"],
 ]
 
+#: Each flag whose range the CLI restates from the object the flag feeds,
+#: with that object built from one value.  (``serve-bench --workers``
+#: restates ``run_load``'s check, which needs a front-end to reach.)
+RESTATED = {
+    **{
+        (command, "--authors"): lambda value: WorldConfig(author_count=value)
+        for command in ("demo", "stats", "generate", "serve-bench")
+    },
+    **{
+        (command, "--workers"): lambda value: PipelineConfig(workers=value)
+        for command in ("recommend", "assign")
+    },
+    **{
+        (command, "--top-k"): lambda value: PipelineConfig(top_k=value)
+        for command in ("recommend", "assign")
+    },
+    ("expand", "--max-depth"): lambda value: ExpansionConfig(max_depth=value),
+    ("expand", "--min-score"): lambda value: ExpansionConfig(min_score=value),
+    ("slo", "--objective"): lambda value: SloSpec("s", "m", objective=value),
+    ("slo", "--window"): lambda value: SloSpec("s", "m", window=value),
+    ("slo", "--failure-rate"): lambda value: FaultPolicy(failure_probability=value),
+    ("serve-bench", "--rate"): lambda value: LoadGenerator(
+        (RequestTemplate("GET", "/"),), rate=value
+    ),
+    ("serve-bench", "--queue-capacity"): lambda value: ServingConfig(queue_capacity=value),
+    ("serve-bench", "--bucket-capacity"): lambda value: TenantPolicy(capacity=value),
+    ("serve-bench", "--refill-rate"): lambda value: TenantPolicy(refill_rate=value),
+}
+
+RESTATED_EDGES = [
+    argv
+    for argv in [argv for argv, __ in OUT_OF_RANGE] + IN_RANGE_EDGES
+    if (argv[0], argv[-2]) in RESTATED
+]
+
 
 class TestFlagRanges:
     @pytest.fixture()
@@ -843,3 +886,21 @@ class TestFlagRanges:
         assert code == 1
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        RESTATED_EDGES,
+        ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv in RESTATED_EDGES],
+    )
+    def test_restated_range_agrees_with_the_object_it_feeds(
+        self, dispatched, capsys, argv
+    ):
+        cli_accepts = main(argv) == 0
+        capsys.readouterr()
+        try:
+            RESTATED[argv[0], argv[-2]](ast.literal_eval(argv[-1]))
+        except ValueError:
+            library_accepts = False
+        else:
+            library_accepts = True
+        assert cli_accepts == library_accepts
