@@ -30,7 +30,8 @@ Endpoints
     under-filled program into a 409 (the flag must be a JSON boolean).
     Paper ids must be distinct non-empty strings and the sizes at
     least 1; a violation answers 400, naming the field sent, before
-    any pipeline runs.
+    any pipeline runs.  Only these up-front checks answer 400: any other
+    ``ValueError`` from the run is a 500, as on every route.
 
 Author names and keywords must be non-empty JSON strings on every
 endpoint that takes them; anything else answers 400 before any source
@@ -507,30 +508,34 @@ class MinaretApi:
             AssignmentObjective,
             InfeasibleAssignmentError,
             assign_conference,
-            solver_by_name,
+            check_assignment_inputs,
         )
+        from repro.concurrency import create_executor
 
         entries = batch_from_payload(request.require("manuscripts"))
         solver_name = str(request.body.get("solver", "optimal"))
-        try:
-            solver_by_name(solver_name)
-        except ValueError as exc:
-            raise ApiError(400, str(exc)) from exc
-        workers = as_int(request.body.get("workers", 1), "workers")
-        if workers < 1:
-            raise ApiError(400, "workers must be >= 1")
         on_error = str(request.body.get("on_error", "raise"))
-        if on_error not in ("raise", "skip"):
-            raise ApiError(400, "on_error must be 'raise' or 'skip'")
         if "capacity" in request.body and "max_load" in request.body:
             raise ApiError(400, "pass capacity or max_load, not both")
         # Errors name the field the client sent: ``max_load`` is an alias.
         capacity_field = "max_load" if "max_load" in request.body else "capacity"
         capacity = as_int(request.body.get(capacity_field, 2), capacity_field)
-        if capacity < 1:
-            raise ValidationError(f"{capacity_field} must be >= 1, got {capacity}")
+        reviewers_per_paper = as_int(
+            request.body.get("reviewers_per_paper", 3), "reviewers_per_paper"
+        )
+        workers = as_int(request.body.get("workers", 1), "workers")
         top_k = _top_k(request)
+        # The run's own checks, made before any request; a ValueError from
+        # inside the run is a bug, which the router answers with a 500.
         try:
+            check_assignment_inputs(
+                entries,
+                solver_name,
+                on_error,
+                reviewers_per_paper=reviewers_per_paper,
+                **{capacity_field: capacity},
+            )
+            executor = create_executor(workers)
             objective = AssignmentObjective(
                 balance_weight=as_float(
                     request.body.get("balance_weight", 0.0), "balance_weight"
@@ -554,14 +559,12 @@ class MinaretApi:
             conference = assign_conference(
                 pipeline,
                 entries,
-                reviewers_per_paper=as_int(
-                    request.body.get("reviewers_per_paper", 3), "reviewers_per_paper"
-                ),
+                reviewers_per_paper=reviewers_per_paper,
                 capacity=capacity,
                 top_k=top_k,
                 solver=solver_name,
                 objective=objective,
-                workers=workers,
+                executor=executor,
                 on_error=on_error,
                 require_full=require_full,
             )
@@ -571,8 +574,6 @@ class MinaretApi:
             raise ApiError(409, str(exc)) from exc
         except IdentityVerificationError as exc:
             raise ApiError(404, str(exc)) from exc
-        except ValueError as exc:
-            raise ApiError(400, str(exc)) from exc
         names = conference.reviewer_names
         return {
             "solver": solver_name,

@@ -40,6 +40,7 @@ from repro.assignment.models import (
     InfeasibleAssignmentError,
     assess_assignment,
     require_full_assignment,
+    require_set_sizes,
 )
 from repro.assignment.batch import (
     SOLVERS,
@@ -51,6 +52,7 @@ from repro.assignment.builder import problem_from_results
 from repro.assignment.conference import (
     ConferenceAssignment,
     assign_conference,
+    check_assignment_inputs,
     scenario_metrics,
 )
 from repro.assignment.objective import (
@@ -77,6 +79,7 @@ __all__ = [
     "PaperFailure",
     "assess_assignment",
     "assign_conference",
+    "check_assignment_inputs",
     "coverage_fraction",
     "greedy_assignment",
     "greedy_swap_assignment",
@@ -87,6 +90,7 @@ __all__ = [
     "random_assignment",
     "recommend_batch",
     "require_full_assignment",
+    "require_set_sizes",
     "scenario_metrics",
     "solver_by_name",
 ]

@@ -62,6 +62,12 @@ def solver_by_name(name: str):
         ) from None
 
 
+def require_on_error(on_error: str) -> None:
+    """Raise ``ValueError`` unless ``on_error`` names a mode of :func:`recommend_batch`."""
+    if on_error not in ("raise", "skip"):
+        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+
+
 @dataclass(frozen=True)
 class PaperFailure:
     """One submission whose pipeline run failed with a typed error."""
@@ -104,8 +110,7 @@ def recommend_batch(
     own ``config.workers`` — the two pools nest safely because each
     ``map`` call runs on its own pool.
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+    require_on_error(on_error)
     executor = executor or create_executor(workers)
     obs = get_obs()
     clock = getattr(getattr(minaret, "sources", None), "clock", None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.assignment.batch import PaperFailure, solver_by_name
+from repro.assignment.batch import PaperFailure, require_on_error, solver_by_name
 from repro.assignment.builder import problem_from_results
 from repro.assignment.models import (
     Assignment,
@@ -31,6 +31,7 @@ from repro.assignment.models import (
     AssignmentQuality,
     assess_assignment,
     require_full_assignment,
+    require_set_sizes,
 )
 from repro.assignment.objective import AssignmentObjective, objective_value
 from repro.concurrency import Executor
@@ -56,6 +57,21 @@ class ConferenceAssignment:
     reviewer_names: dict[str, str]
     objective: AssignmentObjective
     objective_value: float
+
+
+def check_assignment_inputs(
+    entries: Sequence[tuple[str, Manuscript]], solver: str, on_error: str, **sizes: int
+):
+    """Refuse with ``ValueError`` what :func:`assign_conference` cannot run; return the solver."""
+    solve = solver_by_name(solver)
+    require_on_error(on_error)
+    require_set_sizes(**sizes)
+    seen: set[str] = set()
+    for paper_id, __ in entries:
+        if paper_id in seen:
+            raise ValueError(f"duplicate paper id {paper_id!r}")
+        seen.add(paper_id)
+    return solve
 
 
 def assign_conference(
@@ -94,26 +110,16 @@ def assign_conference(
         ``candidate_id -> bool`` predicate restricting assignable
         reviewers — conference mode's "must be on the PC" rule.
 
-    The sizes, the solver name and the paper ids (which must be
-    distinct) are checked before any pipeline runs, so a malformed
-    request costs no requests; each raises ``ValueError``.
+    The inputs are checked by :func:`check_assignment_inputs` before
+    any pipeline runs, so a malformed request costs no requests.
     """
     # Imported per call, not at module load: the benchmark harness
     # times the batch fan-out by wrapping this module attribute.
     from repro.assignment.batch import recommend_batch
 
-    solve = solver_by_name(solver)
-    if reviewers_per_paper < 1:
-        raise ValueError(
-            f"reviewers_per_paper must be >= 1, got {reviewers_per_paper}"
-        )
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    seen: set[str] = set()
-    for paper_id, __ in entries:
-        if paper_id in seen:
-            raise ValueError(f"duplicate paper id {paper_id!r}")
-        seen.add(paper_id)
+    solve = check_assignment_inputs(
+        entries, solver, on_error, reviewers_per_paper=reviewers_per_paper, capacity=capacity
+    )
     objective = objective or AssignmentObjective()
     obs = get_obs()
     clock = getattr(getattr(minaret, "sources", None), "clock", None)

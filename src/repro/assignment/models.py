@@ -29,6 +29,13 @@ class InfeasibleAssignmentError(MinaretError):
         self.unfilled = dict(unfilled)
 
 
+def require_set_sizes(**sizes: int) -> None:
+    """Refuse a reviewer quota or paper cap below 1, named as the caller names it."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+
+
 @dataclass(frozen=True)
 class AssignmentProblem:
     """A batch assignment instance.
@@ -57,12 +64,7 @@ class AssignmentProblem:
     facets: dict[str, dict[str, frozenset[str]]] | None = None
 
     def __post_init__(self):
-        if self.reviewers_per_paper < 1:
-            raise ValueError(
-                f"reviewers_per_paper must be >= 1, got {self.reviewers_per_paper}"
-            )
-        if self.max_load < 1:
-            raise ValueError(f"max_load must be >= 1, got {self.max_load}")
+        require_set_sizes(reviewers_per_paper=self.reviewers_per_paper, max_load=self.max_load)
         for paper_id, candidates in self.scores.items():
             for reviewer_id, score in candidates.items():
                 if score < 0:

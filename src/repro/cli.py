@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from repro.core.config import PipelineConfig
 from repro.core.models import Manuscript, ManuscriptAuthor
@@ -68,41 +69,17 @@ from repro.world.generator import generate_world
 
 _AT_LEAST_0 = (lambda value: value >= 0, ">= 0")
 _AT_LEAST_1 = (lambda value: value >= 1, ">= 1")
-_POSITIVE = (lambda value: value > 0, "> 0")
-_UNIT = (lambda value: 0 <= value <= 1, "in [0, 1]")
 
-#: Each command's numeric flags and the range each must fall in, checked
-#: before any world is generated or loaded.  A flag left at ``None``
-#: (not given, no default) passes.  ``--top``, ``--papers``, ``--queries``,
-#: ``--requests``, ``--pool-size`` and ``--pool-limit`` are checked only
-#: here.  Every other entry restates the check of the object its flag
-#: feeds (``WorldConfig``, ``PipelineConfig``, ``ExpansionConfig``,
-#: ``SloSpec``, ``FaultPolicy``, ``LoadGenerator``, ``run_load``,
-#: ``ServingConfig``, ``TenantPolicy``), so that the error names the flag
-#: before anything is built; change the two together.
+#: The numeric flags that feed no object with a check of its own, and the
+#: range each must fall in (``None`` passes).  Every other flag is checked
+#: by the object it feeds, built before any world (``_fed``); ``run_load``
+#: needs a live front-end to reach its ``serve-bench --workers`` check.
 _FLAG_RANGES = {
-    "demo": {"--authors": _AT_LEAST_1, "--top": _AT_LEAST_1},
-    "expand": {"--max-depth": _AT_LEAST_0, "--min-score": _UNIT},
-    "stats": {"--authors": _AT_LEAST_1},
-    "generate": {"--authors": _AT_LEAST_1},
-    "recommend": {"--top": _AT_LEAST_1, "--workers": _AT_LEAST_1, "--top-k": _AT_LEAST_1},
-    "assign": {"--workers": _AT_LEAST_1, "--top-k": _AT_LEAST_1},
-    "slo": {
-        "--papers": _AT_LEAST_1,
-        "--objective": (lambda value: 0 < value < 1, "in (0, 1)"),
-        "--window": _POSITIVE,
-        "--failure-rate": _UNIT,
-    },
+    "demo": {"--top": _AT_LEAST_1},
+    "recommend": {"--top": _AT_LEAST_1},
+    "slo": {"--papers": _AT_LEAST_1},
     "profile": {"--top": _AT_LEAST_1},
-    "serve-bench": {
-        "--authors": _AT_LEAST_1,
-        "--requests": _AT_LEAST_1,
-        "--rate": _POSITIVE,
-        "--workers": _AT_LEAST_1,
-        "--queue-capacity": _AT_LEAST_1,
-        "--bucket-capacity": _POSITIVE,
-        "--refill-rate": _POSITIVE,
-    },
+    "serve-bench": {"--requests": _AT_LEAST_1, "--workers": _AT_LEAST_1},
     "scale-bench": {
         "--pool-size": _AT_LEAST_1,
         "--queries": _AT_LEAST_1,
@@ -112,46 +89,54 @@ _FLAG_RANGES = {
 }
 
 
-def _range_error(args) -> str | None:
-    """The first numeric flag of ``args`` out of its range, as an error line."""
+class _FlagError(Exception):
+    """A flag refused before any world is built, printed as one ``error:`` line."""
+
+
+def _check_ranges(args) -> None:
+    """Refuse the first flag of ``_FLAG_RANGES`` out of its range."""
     for flag, (allowed, wording) in _FLAG_RANGES.get(args.command, {}).items():
         value = getattr(args, flag[2:].replace("-", "_"))
         for item in value if isinstance(value, list) else (value,):
             if item is not None and not allowed(item):
-                return f"error: {flag} must be {wording}, got {item}"
-    return None
+                raise _FlagError(f"{flag} must be {wording}, got {item}")
+
+
+def _fed(flag: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ``ValueError`` reported under ``flag``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _FlagError(f"{flag}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    error = _range_error(args)
-    if error is not None:
-        print(error, file=sys.stderr)
+    run = {
+        "demo": _run_demo,
+        "expand": _run_expand,
+        "stats": _run_stats,
+        "generate": _run_generate,
+        "recommend": _run_recommend,
+        "assign": _run_assign,
+        "slo": _run_slo,
+        "profile": _run_profile,
+        "serve-bench": _run_serve_bench,
+        "scale-bench": _run_scale_bench,
+    }.get(args.command)
+    if run is None:
+        parser.print_help()
+        return 2
+    try:
+        _check_ranges(args)
+        if args.command in ("demo", "recommend", "assign"):
+            return _observed_run(args, run)
+        return run(args)
+    except _FlagError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "demo":
-        return _observed_run(args, _run_demo)
-    if args.command == "expand":
-        return _run_expand(args)
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command == "generate":
-        return _run_generate(args)
-    if args.command == "recommend":
-        return _observed_run(args, _run_recommend)
-    if args.command == "assign":
-        return _observed_run(args, _run_assign)
-    if args.command == "slo":
-        return _run_slo(args)
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "serve-bench":
-        return _run_serve_bench(args)
-    if args.command == "scale-bench":
-        return _run_scale_bench(args)
-    parser.print_help()
-    return 2
 
 
 def _observed_run(args, run) -> int:
@@ -464,11 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_demo(args) -> int:
+    config = _fed("--authors", WorldConfig, author_count=args.authors, seed=args.seed)
     print("=" * 72)
     print("MINARET demo scenario")
     print("=" * 72)
     print(f"Generating a synthetic scholarly world ({args.authors} scholars) ...")
-    world = generate_world(WorldConfig(author_count=args.authors, seed=args.seed))
+    world = generate_world(config)
     hub = ScholarlyHub.deploy(world)
     print(
         f"  {len(world.authors)} scholars, {len(world.publications)} publications, "
@@ -576,10 +562,9 @@ def _demo_manuscript(world) -> Manuscript:
 
 
 def _run_expand(args) -> int:
-    expander = KeywordExpander(
-        build_seed_ontology(),
-        ExpansionConfig(max_depth=args.max_depth, min_score=args.min_score),
-    )
+    config = _fed("--max-depth", ExpansionConfig, max_depth=args.max_depth)
+    config = _fed("--min-score", replace, config, min_score=args.min_score)
+    expander = KeywordExpander(build_seed_ontology(), config)
     for expansion in expander.expand(args.keyword):
         print(
             f"{expansion.keyword:40s} sc={expansion.score:.3f} "
@@ -589,7 +574,8 @@ def _run_expand(args) -> int:
 
 
 def _run_stats(args) -> int:
-    world = generate_world(WorldConfig(author_count=args.authors, seed=args.seed))
+    config = _fed("--authors", WorldConfig, author_count=args.authors, seed=args.seed)
+    world = generate_world(config)
     print(f"{'year':>6s} {'journal':>9s} {'conference':>11s} {'total':>7s}")
     for year, by_type in world.dblp_records_per_year().items():
         journal = by_type.get("journal", 0)
@@ -601,7 +587,8 @@ def _run_stats(args) -> int:
 def _run_generate(args) -> int:
     from repro.world.io import save_world
 
-    world = generate_world(WorldConfig(author_count=args.authors, seed=args.seed))
+    config = _fed("--authors", WorldConfig, author_count=args.authors, seed=args.seed)
+    world = generate_world(config)
     save_world(world, args.out)
     print(
         f"Wrote {args.out}: {len(world.authors)} scholars, "
@@ -616,6 +603,8 @@ def _run_recommend(args) -> int:
     from repro.core.errors import MinaretError
     from repro.world.io import load_world
 
+    config = _fed("--workers", PipelineConfig, workers=args.workers, warm_cache=args.warm_cache)
+    config = _fed("--top-k", replace, config, top_k=args.top_k)
     try:
         world = load_world(args.world)
     except (OSError, ValueError) as exc:
@@ -632,11 +621,6 @@ def _run_recommend(args) -> int:
         )
         return 1
     hub = ScholarlyHub.deploy(world)
-    config = PipelineConfig(
-        workers=args.workers,
-        warm_cache=args.warm_cache,
-        top_k=args.top_k,
-    )
     minaret = Minaret(hub, config=config)
     _stash_deployment(args, hub, minaret)
     try:
@@ -663,23 +647,31 @@ def _run_assign(args) -> int:
     from repro.assignment import (
         AssignmentObjective,
         assign_conference,
+        require_set_sizes,
         scenario_metrics,
     )
+    from repro.concurrency import create_executor
     from repro.core.errors import MinaretError
+    from repro.world.conference import ConferenceConfig, generate_conference
     from repro.world.io import load_world
 
     if (args.batch is None) == (args.conference is None):
-        print(
-            "error: pass exactly one of --batch or --conference", file=sys.stderr
+        raise _FlagError("pass exactly one of --batch or --conference")
+    objective = _fed("--balance", AssignmentObjective, balance_weight=args.balance)
+    objective = _fed("--coverage", replace, objective, coverage_weight=args.coverage)
+    config = _fed("--top-k", PipelineConfig, warm_cache=args.warm_cache, top_k=args.top_k)
+    executor = _fed("--workers", create_executor, args.workers)
+    _fed("--reviewers-per-paper", require_set_sizes, reviewers_per_paper=args.reviewers_per_paper)
+    _fed("--max-load", require_set_sizes, capacity=args.max_load)
+    if args.conference is not None:
+        scenario_config = _fed(
+            "--conference",
+            ConferenceConfig,
+            paper_count=args.conference,
+            reviewers_per_paper=args.reviewers_per_paper,
+            max_load=args.max_load,
+            seed=args.scenario_seed,
         )
-        return 1
-    try:
-        objective = AssignmentObjective(
-            balance_weight=args.balance, coverage_weight=args.coverage
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     try:
         world = load_world(args.world)
     except (OSError, ValueError) as exc:
@@ -687,18 +679,8 @@ def _run_assign(args) -> int:
         return 1
     scenario = None
     if args.conference is not None:
-        from repro.world.conference import ConferenceConfig, generate_conference
-
         try:
-            scenario = generate_conference(
-                world,
-                ConferenceConfig(
-                    paper_count=args.conference,
-                    reviewers_per_paper=args.reviewers_per_paper,
-                    max_load=args.max_load,
-                    seed=args.scenario_seed,
-                ),
-            )
+            scenario = generate_conference(world, scenario_config)
         except ValueError as exc:
             print(f"error: cannot plant scenario: {exc}", file=sys.stderr)
             return 1
@@ -711,10 +693,7 @@ def _run_assign(args) -> int:
             print(f"error: cannot load inputs: {exc}", file=sys.stderr)
             return 1
     hub = ScholarlyHub.deploy(world)
-    minaret = Minaret(
-        hub,
-        config=PipelineConfig(warm_cache=args.warm_cache, top_k=args.top_k),
-    )
+    minaret = Minaret(hub, config=config)
     _stash_deployment(args, hub, minaret)
     candidate_filter = None
     if scenario is not None:
@@ -737,7 +716,7 @@ def _run_assign(args) -> int:
             top_k=args.top_k,
             solver=args.solver,
             objective=objective,
-            workers=args.workers,
+            executor=executor,
             on_error=args.on_error,
             candidate_filter=candidate_filter,
         )
@@ -796,10 +775,19 @@ def _run_slo(args) -> int:
     a degraded source is exactly what the report is for.
     """
     from repro.api.serialization import slo_report_to_payload
-    from repro.obs import Observability, default_http_slos, use
+    from repro.obs import Observability, SloSpec, default_http_slos, use
     from repro.web.faults import FaultPolicy
     from repro.world.io import load_world
 
+    # The specs need the deployment's hosts: one built from each flag
+    # alone checks it before the world is loaded.
+    _fed("--objective", SloSpec, "slo", "metric", objective=args.objective)
+    _fed("--window", SloSpec, "slo", "metric", window=args.window)
+    papers = args.papers
+    degrade_at = papers // 2
+    faults = _fed(
+        "--failure-rate", FaultPolicy, failure_probability=args.failure_rate, seed=degrade_at
+    )
     try:
         world = load_world(args.world)
     except (OSError, ValueError) as exc:
@@ -826,15 +814,10 @@ def _run_slo(args) -> int:
             return 1
         minaret = Minaret(hub)
         manuscript = _demo_manuscript(world)
-        papers = args.papers
-        degrade_at = papers // 2 if args.degrade is not None else None
         failed = 0
         for index in range(papers):
-            if degrade_at is not None and index == degrade_at:
-                hub.http.set_fault_policy(
-                    args.degrade,
-                    FaultPolicy(failure_probability=args.failure_rate, seed=index),
-                )
+            if args.degrade is not None and index == degrade_at:
+                hub.http.set_fault_policy(args.degrade, faults)
             try:
                 minaret.recommend(manuscript)
             except Exception as exc:  # degraded sources sink whole runs
@@ -896,43 +879,43 @@ def _run_serve_bench(args) -> int:
         run_load,
     )
 
-    try:
-        bursts = tuple(
-            Burst(*(float(part) for part in spec.split(":")))
-            for spec in (args.burst or ())
-        )
-        tenants = tuple(
-            TenantLoad(name, float(weight))
-            for name, _, weight in (
-                spec.partition(":") for spec in (args.tenant or ())
-            )
-        ) or (TenantLoad("chairs", 3.0), TenantLoad("editors", 1.0))
-    except (TypeError, ValueError) as exc:
-        print(f"error: bad --burst/--tenant spec: {exc}", file=sys.stderr)
-        return 1
-    world = generate_world(WorldConfig(author_count=args.authors, seed=args.seed))
+    def burst(spec: str) -> Burst:
+        start, duration, multiplier = map(float, spec.split(":"))
+        return Burst(start, duration, multiplier)
+
+    def tenant(spec: str) -> TenantLoad:
+        name, _, weight = spec.partition(":")
+        return TenantLoad(name, float(weight))
+
+    config = _fed("--authors", WorldConfig, author_count=args.authors, seed=args.seed)
+    bursts = tuple(_fed("--burst", burst, spec) for spec in args.burst or ())
+    tenants = tuple(_fed("--tenant", tenant, spec) for spec in args.tenant or ())
+    tenants = tenants or (TenantLoad("chairs", 3.0), TenantLoad("editors", 1.0))
+    policy = _fed("--bucket-capacity", TenantPolicy, capacity=args.bucket_capacity)
+    policy = _fed("--refill-rate", replace, policy, refill_rate=args.refill_rate)
+    serving = _fed(
+        "--queue-capacity",
+        ServingConfig,
+        queue_capacity=args.queue_capacity,
+        default_policy=policy,
+        degraded_serving=not args.no_degrade,
+        slo_threshold=args.slo_threshold,
+    )
+    # The generator's other templates come from the world: one built
+    # from the health template alone checks --rate before the world.
+    health = RequestTemplate("GET", "/api/v1/health", weight=0.5)
+    _fed("--rate", LoadGenerator, [health], rate=args.rate)
+    world = generate_world(config)
     hub = ScholarlyHub.deploy(world)
     api = MinaretApi(hub)
-    templates = manuscript_templates(world, count=3)
-    templates.append(RequestTemplate("GET", "/api/v1/health", weight=0.5))
     generator = LoadGenerator(
-        templates,
+        [*manuscript_templates(world, count=3), health],
         tenants=tenants,
         rate=args.rate,
         seed=args.load_seed,
         bursts=bursts,
     )
-    frontend = ServingFrontend(
-        api,
-        ServingConfig(
-            queue_capacity=args.queue_capacity,
-            default_policy=TenantPolicy(
-                capacity=args.bucket_capacity, refill_rate=args.refill_rate
-            ),
-            degraded_serving=not args.no_degrade,
-            slo_threshold=args.slo_threshold,
-        ),
-    )
+    frontend = ServingFrontend(api, serving)
     report = run_load(
         frontend, generator.arrivals(count=args.requests), workers=args.workers
     )

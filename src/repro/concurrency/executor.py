@@ -200,12 +200,10 @@ class ThreadExecutor(Executor):
 def create_executor(workers: int | None) -> Executor:
     """Build an executor from a worker count.
 
-    ``None`` or ``1`` gives a :class:`SequentialExecutor`; any larger
-    count gives a :class:`ThreadExecutor` of that many workers.
+    ``None`` or ``1`` gives a :class:`SequentialExecutor`; any other count
+    a :class:`ThreadExecutor` of that many workers, which refuses below 1.
     """
     count = 1 if workers is None else int(workers)
-    if count < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if count == 1:
         return SequentialExecutor()
     return ThreadExecutor(count)

@@ -142,7 +142,7 @@ class SloSpec:
     def __post_init__(self):
         if not 0.0 < self.objective < 1.0:
             raise ValueError(f"objective must be in (0, 1), got {self.objective}")
-        if self.window <= 0:
+        if not self.window > 0:
             raise ValueError(f"window must be > 0, got {self.window}")
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
         object.__setattr__(self, "error_labels", tuple(sorted(self.error_labels)))

@@ -66,9 +66,9 @@ class TenantPolicy:
     refill_rate: float = 10.0
 
     def __post_init__(self):
-        if self.capacity <= 0:
+        if not self.capacity > 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.refill_rate <= 0:
+        if not self.refill_rate > 0:
             raise ValueError(f"refill_rate must be > 0, got {self.refill_rate}")
 
 

@@ -30,7 +30,7 @@ class RequestTemplate:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
 
 
@@ -42,7 +42,7 @@ class TenantLoad:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
 
 
@@ -55,11 +55,11 @@ class Burst:
     multiplier: float
 
     def __post_init__(self):
-        if self.start < 0:
+        if not self.start >= 0:
             raise ValueError(f"start must be >= 0, got {self.start}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.multiplier <= 0:
+        if not self.multiplier > 0:
             raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
 
     def active_at(self, at: float) -> bool:
@@ -120,7 +120,7 @@ class LoadGenerator:
             raise ValueError("at least one request template is required")
         if not tenants:
             raise ValueError("at least one tenant is required")
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError(f"rate must be > 0, got {rate}")
         self._templates = templates
         self._tenants = tenants

@@ -36,9 +36,9 @@ class TokenBucket:
     """
 
     def __init__(self, capacity: float, refill_rate: float, clock: SimulatedClock):
-        if capacity <= 0:
+        if not capacity > 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
-        if refill_rate <= 0:
+        if not refill_rate > 0:
             raise ValueError(f"refill_rate must be > 0, got {refill_rate}")
         self._capacity = float(capacity)
         self._refill_rate = float(refill_rate)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.assignment.models import Assignment, AssignmentProblem
+from repro.assignment.models import Assignment, AssignmentProblem, require_set_sizes
 from repro.core.models import Manuscript, ManuscriptAuthor
 from repro.world.model import GroundTruthOracle, ScholarlyWorld
 
@@ -83,10 +83,7 @@ class ConferenceConfig:
     def __post_init__(self):
         if self.paper_count < 1:
             raise ValueError(f"paper_count must be >= 1, got {self.paper_count}")
-        if self.reviewers_per_paper < 1:
-            raise ValueError("reviewers_per_paper must be >= 1")
-        if self.max_load < 1:
-            raise ValueError("max_load must be >= 1")
+        require_set_sizes(reviewers_per_paper=self.reviewers_per_paper, max_load=self.max_load)
         if not 0.0 <= self.score_noise <= 1.0:
             raise ValueError("score_noise must be in [0, 1]")
         if self.candidates_per_paper is not None and self.candidates_per_paper < 0:

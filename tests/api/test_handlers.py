@@ -597,6 +597,25 @@ class TestAssign:
         )
         assert response.status == 400
 
+    @pytest.mark.parametrize("on_error", ["raise", "skip"])
+    def test_value_error_inside_a_run_is_500(self, api, world, monkeypatch, on_error):
+        """Only the up-front checks answer 400: a ``ValueError`` raised inside a
+        paper's pipeline is a handler bug, as it is on ``/recommend``, and
+        ``skip`` passes over typed failures only."""
+        from repro.core.ranking import Ranker
+
+        def broken(*args, **kwargs):
+            raise ValueError("ranking broke")
+
+        monkeypatch.setattr(Ranker, "rank", broken)
+        body = {"manuscripts": self.batch_payload(world, count=1), "on_error": on_error}
+        response = api.handle("POST", "/api/v1/assign", body)
+        assert response.status == 500
+        assert response.body["exception"] == "ValueError"
+        assert response.body["detail"] == "ranking broke"
+        recommend = {"manuscript": body["manuscripts"][0]["manuscript"]}
+        assert api.handle("POST", "/api/v1/recommend", recommend).status == 500
+
     @pytest.mark.parametrize("top_k", [[1], -1, 0])
     def test_invalid_top_k_400(self, api, world, top_k):
         response = api.handle(

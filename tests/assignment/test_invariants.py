@@ -22,6 +22,7 @@ from repro.assignment import (
     AssignmentObjective,
     InfeasibleAssignmentError,
     assign_conference,
+    check_assignment_inputs,
     greedy_assignment,
     greedy_swap_assignment,
     min_cost_flow_assignment,
@@ -232,3 +233,49 @@ class TestChecksBeforeFanOut:
                 Minaret(hub), [("p0", manuscript), ("p1", manuscript), ("p0", manuscript)]
             )
         assert hub.total_requests() == before
+
+
+
+class TestOneSizeCheck:
+    """One set-size check serves the problem, the scenario and the run, and
+    names each size as its caller does (``capacity`` or its alias)."""
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            pytest.param(
+                lambda: AssignmentProblem({}, reviewers_per_paper=0),
+                "reviewers_per_paper must be >= 1, got 0",
+                id="problem-quota",
+            ),
+            pytest.param(
+                lambda: AssignmentProblem({}, max_load=-1),
+                "max_load must be >= 1, got -1",
+                id="problem-cap",
+            ),
+            pytest.param(
+                lambda: ConferenceConfig(reviewers_per_paper=0),
+                "reviewers_per_paper must be >= 1, got 0",
+                id="scenario-quota",
+            ),
+            pytest.param(
+                lambda: ConferenceConfig(max_load=0),
+                "max_load must be >= 1, got 0",
+                id="scenario-cap",
+            ),
+            pytest.param(
+                lambda: check_assignment_inputs([], "flow", "raise", capacity=0),
+                "capacity must be >= 1, got 0",
+                id="run-capacity",
+            ),
+            pytest.param(
+                lambda: check_assignment_inputs([], "flow", "raise", max_load=0),
+                "max_load must be >= 1, got 0",
+                id="run-alias",
+            ),
+        ],
+    )
+    def test_size_below_one_is_refused_under_its_name(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message

@@ -77,7 +77,7 @@ class TestSloSpec:
         with pytest.raises(ValueError, match="objective"):
             SloSpec(name="s", metric="m", objective=objective)
 
-    @pytest.mark.parametrize("window", [0.0, -60.0])
+    @pytest.mark.parametrize("window", [0.0, -60.0, float("nan")])
     def test_non_positive_window_rejected(self, window):
         with pytest.raises(ValueError, match="window"):
             SloSpec(name="s", metric="m", window=window)

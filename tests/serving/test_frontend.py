@@ -358,6 +358,10 @@ class TestConfigValidation:
             TenantPolicy(capacity=0)
         with pytest.raises(ValueError):
             TenantPolicy(refill_rate=-1)
+        with pytest.raises(ValueError):
+            TenantPolicy(capacity=float("nan"))
+        with pytest.raises(ValueError):
+            TenantPolicy(refill_rate=float("nan"))
 
     def test_bad_degraded_top_k(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from repro.serving import (
 )
 
 HEALTH = RequestTemplate("GET", "/api/v1/health")
+NAN = float("nan")
 
 
 class TestDeterminism:
@@ -94,6 +95,9 @@ class TestBursts:
             Burst(0.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             Burst(0.0, 1.0, 0.0)
+        for spec in ((NAN, 1.0, 2.0), (0.0, NAN, 2.0), (0.0, 1.0, NAN)):
+            with pytest.raises(ValueError):
+                Burst(*spec)
 
 
 class TestMixes:
@@ -124,9 +128,15 @@ class TestMixes:
         with pytest.raises(ValueError):
             LoadGenerator((HEALTH,), rate=0.0)
         with pytest.raises(ValueError):
+            LoadGenerator((HEALTH,), rate=NAN)
+        with pytest.raises(ValueError):
             RequestTemplate("GET", "/x", weight=0.0)
         with pytest.raises(ValueError):
+            RequestTemplate("GET", "/x", weight=NAN)
+        with pytest.raises(ValueError):
             TenantLoad("t", weight=-1.0)
+        with pytest.raises(ValueError):
+            TenantLoad("t", weight=NAN)
 
 
 class TestManuscriptTemplates:

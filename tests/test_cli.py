@@ -1,16 +1,8 @@
 """Tests for the command-line demo."""
 
-import ast
-
 import pytest
 
 from repro.cli import main
-from repro.core.config import PipelineConfig
-from repro.obs.slo import SloSpec
-from repro.ontology.expansion import ExpansionConfig
-from repro.serving import LoadGenerator, RequestTemplate, ServingConfig, TenantPolicy
-from repro.web.faults import FaultPolicy
-from repro.world.config import WorldConfig
 
 
 class TestExpandCommand:
@@ -288,7 +280,7 @@ class TestAssignCommand:
             ["assign", "--world", str(dataset), "--batch", str(batch), flag, value]
         )
         assert code == 1
-        assert f"error: {field}" in capsys.readouterr().err
+        assert f"error: {flag}: {field}" in capsys.readouterr().err
 
     def ambiguous_batch_file(self, tmp_path, dataset):
         """``paper-0`` by a unique author, ``paper-1`` by a colliding name."""
@@ -336,6 +328,9 @@ class TestAssignCommand:
     def test_size_below_one_errors_before_any_request(
         self, tmp_path, dataset, capsys, flag, field
     ):
+        """The sizes are checked before the world is loaded, and the error
+        names the flag; ``--capacity`` is named as ``--max-load``, the
+        flag it aliases."""
         import json
 
         batch = self.batch_file(tmp_path, dataset)
@@ -348,9 +343,10 @@ class TestAssignCommand:
                 "--metrics",
             ]
         )
-        error, summary = capsys.readouterr().err.split("\n", 1)
+        summary, error = capsys.readouterr().err.rstrip("\n").rsplit("\n", 1)
+        named = "--max-load" if flag == "--capacity" else flag
         assert code == 1
-        assert error == f"error: {field} must be >= 1, got 0"
+        assert error == f"error: {named}: {field} must be >= 1, got 0"
         assert "http_requests_total" not in json.loads(summary)["counters"]
 
     @pytest.mark.parametrize("paper_id", ["null", "5", '""'])
@@ -649,7 +645,18 @@ class TestServeBenchCommand:
 
     def test_bad_burst_spec_errors(self, capsys):
         assert main(["serve-bench", "--burst", "nope"]) == 1
-        assert "bad --burst" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: --burst: ")
+
+    @pytest.mark.parametrize(
+        ("flag", "spec"),
+        [("--burst", "1:2"), ("--burst", "1:2:3:4"), ("--tenant", "chairs"), ("--tenant", "a:many")],
+    )
+    def test_malformed_spec_names_its_flag(self, capsys, flag, spec):
+        assert main(["serve-bench", flag, spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestScaleBenchCommand:
@@ -704,61 +711,128 @@ class TestScaleBenchCommand:
         assert [entry["authors"] for entry in payload["sizes"]] == [300, 900]
 
 
-#: One out-of-range value per numeric flag, with the error line it gets.
+#: One out-of-range value per numeric flag, with the error line it gets.  A
+#: flag that feeds an object is refused by that object's own check, and the
+#: line names the flag before the object's message.
 OUT_OF_RANGE = [
-    (["demo", "--authors", "0"], "--authors must be >= 1, got 0"),
+    (["demo", "--authors", "0"], "--authors: author_count must be >= 1, got 0"),
     (["demo", "--top", "0"], "--top must be >= 1, got 0"),
-    (["expand", "--keyword", "RDF", "--max-depth", "-1"], "--max-depth must be >= 0, got -1"),
-    (["expand", "--keyword", "RDF", "--min-score", "2"], "--min-score must be in [0, 1], got 2.0"),
+    (
+        ["expand", "--keyword", "RDF", "--max-depth", "-1"],
+        "--max-depth: max_depth must be >= 0, got -1",
+    ),
+    (
+        ["expand", "--keyword", "RDF", "--min-score", "2"],
+        "--min-score: min_score must be in [0, 1], got 2.0",
+    ),
     (
         ["expand", "--keyword", "RDF", "--min-score", "-0.5"],
-        "--min-score must be in [0, 1], got -0.5",
+        "--min-score: min_score must be in [0, 1], got -0.5",
     ),
-    (["stats", "--authors", "0"], "--authors must be >= 1, got 0"),
-    (["generate", "--out", "w.json", "--authors", "0"], "--authors must be >= 1, got 0"),
+    (
+        ["expand", "--keyword", "RDF", "--min-score", "nan"],
+        "--min-score: min_score must be in [0, 1], got nan",
+    ),
+    (["stats", "--authors", "0"], "--authors: author_count must be >= 1, got 0"),
+    (
+        ["generate", "--out", "w.json", "--authors", "0"],
+        "--authors: author_count must be >= 1, got 0",
+    ),
     (
         ["recommend", "--world", "w.json", "--manuscript", "m.json", "--top", "-1"],
         "--top must be >= 1, got -1",
     ),
     (
         ["recommend", "--world", "w.json", "--manuscript", "m.json", "--workers", "0"],
-        "--workers must be >= 1, got 0",
+        "--workers: workers must be >= 1, got 0",
     ),
     (
         ["recommend", "--world", "w.json", "--manuscript", "m.json", "--top-k", "0"],
-        "--top-k must be >= 1, got 0",
+        "--top-k: top_k must be >= 1 or None, got 0",
     ),
     (
         ["assign", "--world", "w.json", "--batch", "b.json", "--workers", "0"],
-        "--workers must be >= 1, got 0",
+        "--workers: workers must be >= 1, got 0",
+    ),
+    (
+        ["assign", "--world", "w.json", "--batch", "b.json", "--workers", "-1"],
+        "--workers: workers must be >= 1, got -1",
     ),
     (
         ["assign", "--world", "w.json", "--batch", "b.json", "--top-k", "0"],
-        "--top-k must be >= 1, got 0",
+        "--top-k: top_k must be >= 1 or None, got 0",
+    ),
+    (
+        ["assign", "--world", "w.json", "--conference", "0"],
+        "--conference: paper_count must be >= 1, got 0",
+    ),
+    (
+        ["assign", "--world", "w.json", "--batch", "b.json", "--reviewers-per-paper", "0"],
+        "--reviewers-per-paper: reviewers_per_paper must be >= 1, got 0",
+    ),
+    (
+        ["assign", "--world", "w.json", "--batch", "b.json", "--max-load", "0"],
+        "--max-load: capacity must be >= 1, got 0",
+    ),
+    (
+        ["assign", "--world", "w.json", "--batch", "b.json", "--capacity", "0"],
+        "--max-load: capacity must be >= 1, got 0",
     ),
     (["slo", "--world", "w.json", "--papers", "0"], "--papers must be >= 1, got 0"),
-    (["slo", "--world", "w.json", "--objective", "2"], "--objective must be in (0, 1), got 2.0"),
-    (["slo", "--world", "w.json", "--objective", "1"], "--objective must be in (0, 1), got 1.0"),
-    (["slo", "--world", "w.json", "--objective", "0"], "--objective must be in (0, 1), got 0.0"),
-    (["slo", "--world", "w.json", "--window", "0"], "--window must be > 0, got 0.0"),
+    (
+        ["slo", "--world", "w.json", "--objective", "2"],
+        "--objective: objective must be in (0, 1), got 2.0",
+    ),
+    (
+        ["slo", "--world", "w.json", "--objective", "1"],
+        "--objective: objective must be in (0, 1), got 1.0",
+    ),
+    (
+        ["slo", "--world", "w.json", "--objective", "0"],
+        "--objective: objective must be in (0, 1), got 0.0",
+    ),
+    (
+        ["slo", "--world", "w.json", "--objective", "nan"],
+        "--objective: objective must be in (0, 1), got nan",
+    ),
+    (["slo", "--world", "w.json", "--window", "0"], "--window: window must be > 0, got 0.0"),
+    (["slo", "--world", "w.json", "--window", "nan"], "--window: window must be > 0, got nan"),
     (
         ["slo", "--world", "w.json", "--failure-rate", "2"],
-        "--failure-rate must be in [0, 1], got 2.0",
+        "--failure-rate: failure_probability must be in [0, 1], got 2.0",
     ),
     (
         ["slo", "--world", "w.json", "--failure-rate", "-0.5"],
-        "--failure-rate must be in [0, 1], got -0.5",
+        "--failure-rate: failure_probability must be in [0, 1], got -0.5",
+    ),
+    (
+        ["slo", "--world", "w.json", "--failure-rate", "nan"],
+        "--failure-rate: failure_probability must be in [0, 1], got nan",
     ),
     (["profile", "--log", "e.jsonl", "--top", "-1"], "--top must be >= 1, got -1"),
     (["profile", "--log", "e.jsonl", "--top", "0"], "--top must be >= 1, got 0"),
-    (["serve-bench", "--authors", "0"], "--authors must be >= 1, got 0"),
+    (["serve-bench", "--authors", "0"], "--authors: author_count must be >= 1, got 0"),
     (["serve-bench", "--requests", "0"], "--requests must be >= 1, got 0"),
-    (["serve-bench", "--rate", "0"], "--rate must be > 0, got 0.0"),
+    (["serve-bench", "--rate", "0"], "--rate: rate must be > 0, got 0.0"),
+    (["serve-bench", "--rate", "nan"], "--rate: rate must be > 0, got nan"),
     (["serve-bench", "--workers", "0"], "--workers must be >= 1, got 0"),
-    (["serve-bench", "--queue-capacity", "0"], "--queue-capacity must be >= 1, got 0"),
-    (["serve-bench", "--bucket-capacity", "0"], "--bucket-capacity must be > 0, got 0.0"),
-    (["serve-bench", "--refill-rate", "-1"], "--refill-rate must be > 0, got -1.0"),
-    (["serve-bench", "--refill-rate", "0"], "--refill-rate must be > 0, got 0.0"),
+    (
+        ["serve-bench", "--queue-capacity", "0"],
+        "--queue-capacity: queue_capacity must be >= 1, got 0",
+    ),
+    (
+        ["serve-bench", "--bucket-capacity", "0"],
+        "--bucket-capacity: capacity must be > 0, got 0.0",
+    ),
+    (
+        ["serve-bench", "--bucket-capacity", "nan"],
+        "--bucket-capacity: capacity must be > 0, got nan",
+    ),
+    (["serve-bench", "--refill-rate", "-1"], "--refill-rate: refill_rate must be > 0, got -1.0"),
+    (["serve-bench", "--refill-rate", "0"], "--refill-rate: refill_rate must be > 0, got 0.0"),
+    (["serve-bench", "--refill-rate", "nan"], "--refill-rate: refill_rate must be > 0, got nan"),
+    (["serve-bench", "--burst", "2:3:nan"], "--burst: multiplier must be > 0, got nan"),
+    (["serve-bench", "--tenant", "chairs:nan"], "--tenant: weight must be > 0, got nan"),
     (
         ["scale-bench", "--pool-size", "300", "--pool-size", "0"],
         "--pool-size must be >= 1, got 0",
@@ -797,81 +871,48 @@ IN_RANGE_EDGES = [
     ["scale-bench", "--pool-size", "300", "--pool-limit", "0"],
 ]
 
-#: Each flag whose range the CLI restates from the object the flag feeds,
-#: with that object built from one value.  (``serve-bench --workers``
-#: restates ``run_load``'s check, which needs a front-end to reach.)
-RESTATED = {
-    **{
-        (command, "--authors"): lambda value: WorldConfig(author_count=value)
-        for command in ("demo", "stats", "generate", "serve-bench")
-    },
-    **{
-        (command, "--workers"): lambda value: PipelineConfig(workers=value)
-        for command in ("recommend", "assign")
-    },
-    **{
-        (command, "--top-k"): lambda value: PipelineConfig(top_k=value)
-        for command in ("recommend", "assign")
-    },
-    ("expand", "--max-depth"): lambda value: ExpansionConfig(max_depth=value),
-    ("expand", "--min-score"): lambda value: ExpansionConfig(min_score=value),
-    ("slo", "--objective"): lambda value: SloSpec("s", "m", objective=value),
-    ("slo", "--window"): lambda value: SloSpec("s", "m", window=value),
-    ("slo", "--failure-rate"): lambda value: FaultPolicy(failure_probability=value),
-    ("serve-bench", "--rate"): lambda value: LoadGenerator(
-        (RequestTemplate("GET", "/"),), rate=value
-    ),
-    ("serve-bench", "--queue-capacity"): lambda value: ServingConfig(queue_capacity=value),
-    ("serve-bench", "--bucket-capacity"): lambda value: TenantPolicy(capacity=value),
-    ("serve-bench", "--refill-rate"): lambda value: TenantPolicy(refill_rate=value),
-}
 
-RESTATED_EDGES = [
-    argv
-    for argv in [argv for argv, __ in OUT_OF_RANGE] + IN_RANGE_EDGES
-    if (argv[0], argv[-2]) in RESTATED
-]
+class WorldBuilt(AssertionError):
+    """A command reached the step where it builds, loads or streams a world."""
+
+
+def run_to_world(argv) -> int | None:
+    """``main(argv)``, or ``None`` once it reaches its world (see ``no_world``)."""
+    try:
+        return main(argv)
+    except WorldBuilt:
+        return None
 
 
 class TestFlagRanges:
     @pytest.fixture()
-    def dispatched(self, monkeypatch):
-        """Record the arguments each command is dispatched with, and run none."""
-        calls = []
-        for argv in DEFAULTS:
-            monkeypatch.setattr(
-                f"repro.cli._run_{argv[0].replace('-', '_')}",
-                lambda args: calls.append(args) or 0,
-            )
-        return calls
+    def no_world(self, monkeypatch):
+        """Stop the command where it would build, load, deploy or stream a world."""
+
+        def refuse(*args, **kwargs):
+            raise WorldBuilt("a world was built before the flags were checked")
+
+        monkeypatch.setattr("repro.cli.generate_world", refuse)
+        monkeypatch.setattr("repro.world.io.load_world", refuse)
+        monkeypatch.setattr("repro.scholarly.registry.ScholarlyHub.deploy", refuse)
+        monkeypatch.setattr("repro.scale.bench.run_scale_bench", refuse)
 
     @pytest.mark.parametrize("argv", DEFAULTS, ids=[argv[0] for argv in DEFAULTS])
-    def test_defaults_are_in_range(self, dispatched, capsys, argv):
-        assert main(argv) == 0
-        assert [args.command for args in dispatched] == [argv[0]]
-        assert capsys.readouterr().err == ""
+    def test_defaults_are_in_range(self, no_world, capsys, argv):
+        """Every default passes the check of the object it feeds, or of the
+        table: the command gets to its world, or runs on where it builds
+        none (``profile`` then fails to read its made-up log)."""
+        run_to_world(argv)
+        assert "error: --" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
         IN_RANGE_EDGES,
         ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv in IN_RANGE_EDGES],
     )
-    def test_closed_range_edge_is_accepted(self, dispatched, capsys, argv):
-        assert main(argv) == 0
-        [args] = dispatched
-        assert getattr(args, argv[-2][2:].replace("-", "_")) == float(argv[-1])
+    def test_closed_range_edge_is_accepted(self, no_world, capsys, argv):
+        assert run_to_world(argv) in (0, None)
         assert capsys.readouterr().err == ""
-
-    @pytest.fixture()
-    def no_world(self, monkeypatch):
-        """Fail the test if the command builds, loads or streams a world."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a world was built before the flags were checked")
-
-        monkeypatch.setattr("repro.cli.generate_world", refuse)
-        monkeypatch.setattr("repro.world.io.load_world", refuse)
-        monkeypatch.setattr("repro.scale.bench.run_scale_bench", refuse)
 
     @pytest.mark.parametrize(
         ("argv", "message"),
@@ -886,21 +927,3 @@ class TestFlagRanges:
         assert code == 1
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
-
-    @pytest.mark.parametrize(
-        "argv",
-        RESTATED_EDGES,
-        ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv in RESTATED_EDGES],
-    )
-    def test_restated_range_agrees_with_the_object_it_feeds(
-        self, dispatched, capsys, argv
-    ):
-        cli_accepts = main(argv) == 0
-        capsys.readouterr()
-        try:
-            RESTATED[argv[0], argv[-2]](ast.literal_eval(argv[-1]))
-        except ValueError:
-            library_accepts = False
-        else:
-            library_accepts = True
-        assert cli_accepts == library_accepts

@@ -102,6 +102,10 @@ class TestTokenBucket:
             TokenBucket(capacity=0, refill_rate=1.0, clock=clock)
         with pytest.raises(ValueError):
             TokenBucket(capacity=1, refill_rate=0.0, clock=clock)
+        with pytest.raises(ValueError):
+            TokenBucket(capacity=float("nan"), refill_rate=1.0, clock=clock)
+        with pytest.raises(ValueError):
+            TokenBucket(capacity=1, refill_rate=float("nan"), clock=clock)
 
     def test_invalid_acquire_rejected(self, clock):
         bucket = TokenBucket(capacity=1, refill_rate=1.0, clock=clock)
