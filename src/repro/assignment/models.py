@@ -123,10 +123,6 @@ class AssignmentQuality:
     max_load: int
     load_stddev: float
 
-    def is_feasible(self) -> bool:
-        """Whether every paper received its full reviewer quota."""
-        return self.unfilled_slots == 0
-
 
 def assess_assignment(
     problem: AssignmentProblem, assignment: Assignment

@@ -647,6 +647,7 @@ def _run_assign(args) -> int:
     from repro.assignment import (
         AssignmentObjective,
         assign_conference,
+        check_assignment_inputs,
         require_set_sizes,
         scenario_metrics,
     )
@@ -692,6 +693,12 @@ def _run_assign(args) -> int:
         except (OSError, ValueError, ApiError) as exc:
             print(f"error: cannot load inputs: {exc}", file=sys.stderr)
             return 1
+    try:
+        # The sizes were checked before the world was loaded.
+        check_assignment_inputs(entries, args.solver, args.on_error)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     hub = ScholarlyHub.deploy(world)
     minaret = Minaret(hub, config=config)
     _stash_deployment(args, hub, minaret)
@@ -720,7 +727,7 @@ def _run_assign(args) -> int:
             on_error=args.on_error,
             candidate_filter=candidate_filter,
         )
-    except (MinaretError, ValueError) as exc:
+    except MinaretError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     quality = conference.quality

@@ -187,10 +187,6 @@ class ExpertiseConstraints:
                     f"{low_name} ({low!r}) must not exceed {high_name} ({high!r})"
                 )
 
-    def is_trivial(self) -> bool:
-        """Whether no constraint is active."""
-        return all(getattr(self, spec.name) is None for spec in fields(self))
-
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -271,11 +267,11 @@ class PipelineConfig:
         mode, which verifies and resolves live on every run.  Rankings
         are bit-identical either way — only request volume changes.
     warm_cache_ttl:
-        Profile-store entry lifetime in *virtual* seconds; ``None``
-        (default) keeps entries until the freshness epoch bumps or LRU
-        evicts them.
+        Lifetime of every warm entry, interest rankings included, in
+        *virtual* seconds; ``None`` (default) keeps entries until the
+        freshness epoch bumps or LRU evicts them.
     warm_cache_capacity:
-        Profile-store LRU bound.
+        LRU bound on the warm entries held, interest rankings included.
     top_k:
         When set, only the best ``top_k`` entries of the ranking are
         produced — exactly the first ``top_k`` of the full ranking

@@ -113,8 +113,9 @@ class CandidateExtractor:
         warm_users, warm_reviewers = {}, {}
         if self._plane is not None:
             limit = self._config.per_keyword_retrieval_limit
-            warm_users = self._plane.cached_interest_ids("scholar", queries, limit)
-            warm_reviewers = self._plane.cached_interest_ids("publons", queries, limit)
+            keys = [(keyword, limit) for keyword in groups]
+            warm_users = self._plane.cached("scholar_interest", keys)
+            warm_reviewers = self._plane.cached("publons_interest", keys)
         items = [
             (query, warm_users.get(i, _UNFETCHED), warm_reviewers.get(i, _UNFETCHED))
             for i, query in enumerate(queries)
@@ -175,7 +176,9 @@ class CandidateExtractor:
                 return self._sources.publons.reviewers_by_interest(keyword, limit=limit)
         if self._plane is None:
             return query()
-        return self._plane.interest_ids(source, keyword, limit, query)
+        return self._plane.fetch(
+            f"{source}_interest", (normalize_keyword(keyword), limit), query
+        )
 
     def extract_candidates(
         self, expanded: list[ExpandedKeyword]

@@ -34,7 +34,6 @@ from repro.obs.events import Event, EventBus, JsonlSink, RingSink, SinkClosedErr
 from repro.obs.export import deployment_metrics, render_prometheus
 from repro.obs.ledger import (
     RequestLedger,
-    active_ledgers,
     charge_cache,
     charge_features,
     charge_http,
@@ -87,7 +86,6 @@ __all__ = [
     "Span",
     "TailRetentionPolicy",
     "Tracer",
-    "active_ledgers",
     "charge_cache",
     "charge_features",
     "charge_http",

@@ -193,11 +193,6 @@ class RequestLedger:
             _ACTIVE.reset(self._tokens.pop())
 
 
-def active_ledgers() -> tuple[RequestLedger, ...]:
-    """The ledgers active in the calling context, outermost first."""
-    return _ACTIVE.get()
-
-
 def charge_http(host: str, status: int, latency: float) -> None:
     """Charge one simulated HTTP attempt to every active ledger."""
     for ledger in _ACTIVE.get():

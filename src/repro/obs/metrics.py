@@ -254,11 +254,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges.setdefault(name, {})[_label_key(labels)] = float(value)
 
-    def gauge_value(self, name: str, **labels: object) -> float:
-        """Current value of one gauge series (0 when never written)."""
-        with self._lock:
-            return self._gauges.get(name, {}).get(_label_key(labels), 0.0)
-
     # -- histograms ----------------------------------------------------
 
     def declare_histogram(self, name: str, buckets: tuple[float, ...]) -> None:

@@ -289,15 +289,6 @@ class Tracer:
         with self._lock:
             self._retention = policy
 
-    def disable_tail_retention(self) -> None:
-        """Commit everything pending and go back to keep-all behaviour."""
-        with self._lock:
-            self._retention = None
-            for spans in self._pending.values():
-                self._finished.extend(spans)
-            self._pending.clear()
-            self._marked.clear()
-
     def mark_retain(self, trace_id: int) -> None:
         """Force retention of ``trace_id`` whatever the policy says."""
         with self._lock:

@@ -393,8 +393,3 @@ def build_seed_ontology() -> TopicOntology:
     # Telemetry goes through repro.obs like every other subsystem.
     get_obs().emit("ontology_built", topics=len(_TOPICS), edges=edges)
     return ontology
-
-
-def seed_topic_ids() -> list[str]:
-    """Ids of all topics in the curated catalogue, in declaration order."""
-    return [topic_id for topic_id, *__ in _TOPICS]

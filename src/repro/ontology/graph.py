@@ -237,15 +237,6 @@ class TopicOntology:
                 for target in sorted(targets):
                     yield Edge(source=source, relation=relation, target=target)
 
-    def edge_count(self) -> int:
-        """Count of *undirected* ontology links (inverse pairs counted once)."""
-        directed = sum(
-            len(targets)
-            for by_relation in self._edges.values()
-            for targets in by_relation.values()
-        )
-        return directed // 2
-
     def roots(self) -> list[Topic]:
         """Topics with no broader parent (the top of the hierarchy)."""
         return [

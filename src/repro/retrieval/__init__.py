@@ -2,10 +2,10 @@
 
 Candidate extraction dominates a recommendation's request volume (see
 EXPERIMENTS.md FIG2); this subsystem amortizes it, and the author
-verification and venue resolution before it, across requests with a
-shared profile store, singleflight coalescing of concurrent identical
-fetches, and an incremental local mirror of the services' interest
-indexes.  See :mod:`repro.retrieval.plane` for the full design.
+verification and venue resolution before it, across requests with one
+shared store of interest rankings and assembled profiles, and
+singleflight coalescing of concurrent identical fetches.  See
+:mod:`repro.retrieval.plane` for the full design.
 """
 
 from repro.retrieval.plane import RetrievalPlane

@@ -11,13 +11,16 @@ and under sustained editor traffic.
 extraction/track-record code and the simulated sources.  Three
 cooperating pieces:
 
-**Cross-request profile store.**  A TTL+LRU :class:`~repro.web.cache.TTLCache`
+**Cross-request store.**  One TTL+LRU :class:`~repro.web.cache.TTLCache`
 holding the *assembled* results of expensive fetch sequences, keyed on
 the query **and the plane's epoch**.  One warm hit saves the whole
 multi-request assembly, not just one HTTP response.  Its layers:
 
+- ``scholar_interest`` and ``publons_interest`` — a source's ranked
+  interest → candidate list, keyed by the normalized keyword and the
+  ``limit`` it was fetched with (:mod:`repro.core.extraction`);
 - ``scholar_profile`` and ``publons_candidate`` — candidate templates
-  assembled across the sources (:mod:`repro.core.extraction`);
+  assembled across the sources;
 - ``publons_summary`` — a Publons reviewer's summary;
 - ``author_identity`` — a manuscript author's verification, keyed by
   the submitted author and ``use_all_sources``
@@ -36,35 +39,27 @@ collapse into one in-flight request whose result fans out to every
 waiter (:mod:`repro.retrieval.singleflight`).  Because the simulated
 web keys its latency/fault draws by request content, the leader's draw
 is canonical and rankings stay bit-identical at any worker count.  The
-leader publishes its value (store put or mirror fold) before its flight
-lands, and a new leader re-checks before loading, so each key loads at
-most once per epoch however the workers interleave.
+leader stores its value before its flight lands, and a new leader
+re-checks before loading, so each key loads at most once per epoch
+however the workers interleave.
 
-**Incremental interest mirror.**  After first contact, each source's
-ranked interest → candidate list is folded into a local mirror per
-source, with the ``limit`` it was fetched with.  A later query for the
-same keyword resolves its candidate ids locally, as a prefix of the
-stored ranking, unless it asks for more than a truncated fetch holds;
-recommendations then only assemble profiles not yet cached.
-
-**Batched wave reads.**  :meth:`RetrievalPlane.cached` and
-:meth:`RetrievalPlane.cached_interest_ids` serve a whole extraction
-wave's warm hits in one read — one epoch read, one critical section,
-one counter update per outcome — so a warm candidate costs a lookup,
-not an executor task.  They count only hits; the caller resolves each
-miss through :meth:`RetrievalPlane.fetch` or
-:meth:`RetrievalPlane.interest_ids`, which count it, so every lookup is
-counted once.
+**Batched wave reads.**  :meth:`RetrievalPlane.cached` serves a whole
+extraction wave's warm hits in one read — one epoch read, one critical
+section, one counter update per outcome — so a warm candidate or
+keyword costs a lookup, not an executor task.  It counts only hits; the
+caller resolves each miss through :meth:`RetrievalPlane.fetch`, which
+counts it, so every lookup is counted once.
 
 Freshness is governed by the **epoch**: :meth:`bump_epoch` (called by
 :meth:`~repro.scholarly.registry.ScholarlyHub.refresh_services` when
 :mod:`repro.world.dynamics` mutations are re-indexed) makes every
-cached entry and folded ranking unreachable, so world advancement can
-never serve stale profiles.  The TTL bounds staleness *within* an
-epoch against the shared virtual clock.
+cached entry unreachable, so world advancement can never serve stale
+profiles or rankings.  The TTL bounds staleness *within* an epoch
+against the shared virtual clock, and the LRU capacity bounds the
+entries held; both apply to every layer alike.
 
 Everything is instrumented through :mod:`repro.obs`: per-layer
-hit/miss/coalesce counters, store/index gauges, and spans around leader
+hit/miss/coalesce counters, a store gauge, and spans around leader
 fetches.  ``GET /api/v1/metrics`` serves :meth:`stats`.
 """
 
@@ -75,64 +70,8 @@ from collections.abc import Callable, Hashable, Sequence
 
 from repro.obs import get_obs
 from repro.retrieval.singleflight import SingleFlight
-from repro.text.normalize import normalize_keyword
 from repro.web.cache import TTLCache
 from repro.web.clock import SimulatedClock
-
-
-class _InterestMirror:
-    """Epoch-scoped local mirror of one source's interest index.
-
-    Each folded keyword keeps the service's ranked id list and the
-    ``limit`` it was fetched with: a narrower later query is a prefix of
-    the stored ranking and resolves locally; a wider one must go back to
-    the source.
-    """
-
-    def __init__(self, source: str):
-        self.source = source
-        self._fetched_limit: dict[str, int] = {}
-        self._order: dict[str, list[str]] = {}
-        self._lock = threading.Lock()
-
-    def lookup(self, keyword: str, limit: int) -> list[str] | None:
-        """Locally resolved ids, or ``None`` when the mirror can't answer."""
-        return self.lookup_many([keyword], limit)[0]
-
-    def lookup_many(self, keywords: list[str], limit: int) -> list[list[str] | None]:
-        """:meth:`lookup` for many keywords in one critical section."""
-        with self._lock:
-            return [self._resolve(keyword, limit) for keyword in keywords]
-
-    def _resolve(self, keyword: str, limit: int) -> list[str] | None:
-        # Caller holds self._lock.
-        stored = self._order.get(keyword)
-        if stored is None:
-            return None
-        fetched_limit = self._fetched_limit[keyword]
-        if limit > fetched_limit and len(stored) >= fetched_limit:
-            # The stored ranking may be truncated below what the
-            # caller wants; only the source knows the tail.
-            return None
-        return stored[:limit]
-
-    def fold(self, keyword: str, ids: list[str], limit: int) -> None:
-        """Record one fetched posting list (idempotent per epoch)."""
-        with self._lock:
-            known = self._fetched_limit.get(keyword, -1)
-            if known >= limit:
-                return
-            self._order[keyword] = list(ids)
-            self._fetched_limit[keyword] = limit
-
-    def term_count(self) -> int:
-        with self._lock:
-            return len(self._order)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._fetched_limit.clear()
-            self._order.clear()
 
 
 class RetrievalPlane:
@@ -143,10 +82,11 @@ class RetrievalPlane:
     clock:
         The virtual clock TTLs are measured against (the hub's).
     ttl:
-        Profile-store entry lifetime in virtual seconds; ``None`` (the
-        default) keeps entries until the epoch bumps or LRU evicts them.
+        Store entry lifetime in virtual seconds, for every layer;
+        ``None`` (the default) keeps entries until the epoch bumps or
+        LRU evicts them.
     capacity:
-        Profile-store LRU bound.
+        Store LRU bound, over every layer.
     name:
         Label for this plane's metrics (one per deployment).
 
@@ -172,10 +112,6 @@ class RetrievalPlane:
             ttl=ttl, capacity=capacity, clock=self._clock, name=name
         )
         self._flight = SingleFlight()
-        self._mirrors = {
-            "scholar": _InterestMirror("scholar"),
-            "publons": _InterestMirror("publons"),
-        }
         self._lock = threading.Lock()
         self._epoch = 0
         self.hits = 0
@@ -227,22 +163,19 @@ class RetrievalPlane:
 
     @property
     def store(self) -> TTLCache:
-        """The underlying profile store (exposed for inspection)."""
+        """The underlying store (exposed for inspection)."""
         return self._store
 
     def bump_epoch(self) -> int:
         """Invalidate everything: the world has visibly changed.
 
         Cached entries are keyed by epoch, so bumping makes them
-        unreachable in O(1); the interest mirrors are rebuilt from
-        scratch on next contact.  Returns the new epoch.
+        unreachable in O(1).  Returns the new epoch.
         """
         with self._lock:
             self._epoch += 1
             epoch = self._epoch
             feature_store = self._feature_store
-        for mirror in self._mirrors.values():
-            mirror.clear()
         self._store.clear()
         if feature_store is not None:
             # Entries are epoch-validated anyway; dropping them now
@@ -274,7 +207,7 @@ class RetrievalPlane:
             return self._feature_store
 
     # ------------------------------------------------------------------
-    # Generic cached fetch (profile store + singleflight)
+    # Cached fetch (store + singleflight)
     # ------------------------------------------------------------------
 
     def fetch(
@@ -286,8 +219,8 @@ class RetrievalPlane:
     ) -> object:
         """Resolve ``key`` warm when possible, else coalesce one fetch.
 
-        ``layer`` labels the metrics (``scholar_profile``,
-        ``publons_summary``, ...).  Loader exceptions propagate to the
+        ``layer`` labels the metrics (``scholar_interest``,
+        ``scholar_profile``, ...).  Loader exceptions propagate to the
         leader *and* every coalesced waiter, and nothing is cached — a
         retried request re-draws the same simulated outcome, so warm
         runs degrade exactly like cold ones.
@@ -296,6 +229,15 @@ class RetrievalPlane:
         A value it rejects goes back to the caller that loaded it and to
         no one else: every other caller loads its own, as it would one
         at a time, so loads and requests match at any worker count.
+
+        The leader stores its value before the flight lands, and a new
+        leader first re-checks the store, counting nothing.  A caller
+        whose lookup missed just before an earlier flight stored
+        therefore joins that flight or finds its value — each key loads
+        at most once per epoch, at any worker count.  The caller that
+        ran ``loader`` counts the miss, every other one as coalesced; a
+        waiter on a flight whose value ``keep`` rejected runs its own
+        ``loader`` and counts as a miss.
         """
         epoch_key = (self.epoch, layer, key)
         cached = self._store.get(epoch_key)
@@ -305,7 +247,10 @@ class RetrievalPlane:
         rejected: list[object] = []
 
         def load() -> tuple[object] | None:
-            value = self._load(layer, loader)
+            with get_obs().span(
+                "retrieval.fetch", clock=self._clock, plane=self._name, layer=layer
+            ):
+                value = loader()
             if keep is not None and not keep(value):
                 rejected.append(value)
                 return None
@@ -313,9 +258,17 @@ class RetrievalPlane:
             self._store.put(epoch_key, entry)
             return entry
 
-        entry, loaded = self._load_once(
-            epoch_key, layer, lambda: self._store.peek(epoch_key), load
-        )
+        def lead() -> tuple[tuple[object] | None, bool]:
+            found = self._store.peek(epoch_key)
+            if found is not None:
+                return found, False
+            return load(), True
+
+        (entry, loaded), leader = self._flight.do(epoch_key, lead)
+        loaded = leader and loaded
+        if entry is None and not loaded:
+            entry, loaded = load(), True
+        self._count("miss" if loaded else "coalesced", layer)
         if entry is None:
             return rejected[0]
         if loaded:
@@ -334,112 +287,6 @@ class RetrievalPlane:
         epoch = self.epoch
         entries = self._store.get_hits([(epoch, layer, key) for key in keys])
         hits = {i: entry[0] for i, entry in enumerate(entries) if entry is not None}
-        if hits:
-            self._count("hit", layer, len(hits))
-        return hits
-
-    def _load(self, layer: str, loader: Callable[[], object]) -> object:
-        with get_obs().span(
-            "retrieval.fetch", clock=self._clock, plane=self._name, layer=layer
-        ):
-            return loader()
-
-    def _load_once(
-        self,
-        epoch_key: Hashable,
-        layer: str,
-        recheck: Callable[[], object | None],
-        load: Callable[[], object],
-    ) -> tuple[object, bool]:
-        """Coalesce the load of a looked-up miss and count its outcome.
-
-        ``load`` publishes its value (store put, mirror fold) before the
-        flight lands, and a new leader first re-checks with ``recheck``,
-        which counts nothing.  A caller whose lookup missed just before
-        an earlier flight published therefore joins that flight or finds
-        its value — each key loads at most once per epoch, at any worker
-        count.  ``recheck`` and ``load`` return the same shape; the
-        outcome is whichever the leader produced.  ``loaded`` is true
-        only for the caller that ran ``load``: that lookup counts as the
-        miss, every other one as coalesced.  A ``load`` that publishes
-        nothing returns ``None``; a waiter on such a flight runs its own
-        ``load`` and counts as a miss.
-        """
-
-        def lead() -> tuple[object, bool]:
-            found = recheck()
-            if found is not None:
-                return found, False
-            return load(), True
-
-        (outcome, loaded), leader = self._flight.do(epoch_key, lead)
-        loaded = leader and loaded
-        if outcome is None and not loaded:
-            outcome, loaded = load(), True
-        self._count("miss" if loaded else "coalesced", layer)
-        return outcome, loaded
-
-    # ------------------------------------------------------------------
-    # Interest index
-    # ------------------------------------------------------------------
-
-    def interest_ids(
-        self,
-        source: str,
-        keyword: str,
-        limit: int,
-        loader: Callable[[], list[str]],
-    ) -> list[str]:
-        """Resolve an interest query locally, or fetch-and-fold once.
-
-        ``source`` is ``"scholar"`` or ``"publons"``; ``loader`` issues
-        the real interest query (with ``limit``) on a miss.  After first
-        contact the ranking lives in the local mirror and later queries
-        — including narrower ``limit`` s — never touch the network
-        within the epoch.
-        """
-        mirror = self._mirrors[source]
-        layer = f"{source}_interest"
-        normalized = normalize_keyword(keyword)
-        local = mirror.lookup(normalized, limit)
-        if local is not None:
-            self._count("hit", layer)
-            return local
-
-        def load() -> list[str]:
-            ids = self._load(layer, loader)
-            mirror.fold(normalized, ids, limit)
-            return ids
-
-        ids, loaded = self._load_once(
-            (self.epoch, layer, normalized, limit),
-            layer,
-            lambda: mirror.lookup(normalized, limit),
-            load,
-        )
-        if loaded:
-            get_obs().gauge(
-                "retrieval_index_terms",
-                float(mirror.term_count()),
-                plane=self._name,
-                source=source,
-            )
-        return list(ids[:limit])
-
-    def cached_interest_ids(
-        self, source: str, keywords: Sequence[str], limit: int
-    ) -> dict[int, list[str]]:
-        """Serve a wave's locally resolvable interest queries in one read.
-
-        Returns ``{index: ids}`` for the keywords the mirror answers;
-        like :meth:`cached`, only those hits are counted, and the caller
-        resolves the rest through :meth:`interest_ids`.
-        """
-        layer = f"{source}_interest"
-        found = self._mirrors[source].lookup_many(
-            [normalize_keyword(keyword) for keyword in keywords], limit
-        )
-        hits = {i: ids for i, ids in enumerate(found) if ids is not None}
         if hits:
             self._count("hit", layer, len(hits))
         return hits
@@ -495,15 +342,5 @@ class RetrievalPlane:
             "coalesced": coalesced,
             "hit_rate": round(rate, 4),
             "store_entries": len(self._store),
-            "index_terms": {
-                source: mirror.term_count()
-                for source, mirror in sorted(self._mirrors.items())
-            },
             "layers": layers,
         }
-
-    def clear(self) -> None:
-        """Drop all cached state without advancing the epoch."""
-        self._store.clear()
-        for mirror in self._mirrors.values():
-            mirror.clear()

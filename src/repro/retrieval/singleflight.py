@@ -95,8 +95,3 @@ class SingleFlight:
             # holding a flight that never resolves.
             with self._lock:
                 self._flights.pop(key, None)
-
-    def in_flight(self) -> int:
-        """Number of keys currently being computed (diagnostics)."""
-        with self._lock:
-            return len(self._flights)

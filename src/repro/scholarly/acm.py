@@ -45,14 +45,9 @@ class AcmService(SourceService):
         self._world = world
         self._profiles = DocumentStore(name="acm-profiles")
         self._profiles.create_index("name", lambda d: d["normalized_name"])
-        self._profile_of: dict[str, str] = {}
         self._build()
         self.route("/profile/search", self._search)
         self.route("/profile", self._profile)
-
-    def profile_id_of(self, author_id: str) -> str | None:
-        """The ACM profile id for a world author, if covered."""
-        return self._profile_of.get(author_id)
 
     def _build(self) -> None:
         for author_id in sorted(self._world.authors):
@@ -60,7 +55,6 @@ class AcmService(SourceService):
             if self.source not in author.covered_by:
                 continue
             profile_id = stable_source_id(self.source, author_id, prefix="acm")
-            self._profile_of[author_id] = profile_id
             rng = random.Random(f"acm:{author_id}:index")
             publications = []
             counts = []

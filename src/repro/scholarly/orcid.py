@@ -38,14 +38,9 @@ class OrcidService(SourceService):
         self._world = world
         self._records = DocumentStore(name="orcid-records")
         self._records.create_index("name", lambda d: d["normalized_name"])
-        self._orcid_of: dict[str, str] = {}
         self._build()
         self.route("/search", self._search)
         self.route("/record", self._record)
-
-    def orcid_of(self, author_id: str) -> str | None:
-        """The ORCID iD for a world author, if covered."""
-        return self._orcid_of.get(author_id)
 
     def _build(self) -> None:
         for author_id in sorted(self._world.authors):
@@ -54,7 +49,6 @@ class OrcidService(SourceService):
                 continue
             raw = stable_source_id(self.source, author_id)
             orcid = _format_orcid(raw)
-            self._orcid_of[author_id] = orcid
             employments = [
                 {
                     "institution": a.institution,

@@ -169,10 +169,6 @@ class MergedProfile:
                 return source_id
         return None
 
-    def current_affiliations(self, year: int) -> tuple[Affiliation, ...]:
-        """Affiliations active in ``year``."""
-        return tuple(a for a in self.affiliations if a.active_in(year))
-
 
 def compute_h_index(citation_counts: list[int]) -> int:
     """The h-index of a citation-count list.

@@ -42,6 +42,8 @@ class TenantLoad:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not self.name.strip():
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         if not self.weight > 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
 

@@ -447,12 +447,6 @@ class SimulatedHttpClient:
             rows = list(self._traces)
         return [RequestTrace(*row) for row in rows]
 
-    def clear_traces(self) -> None:
-        """Drop all recorded traces."""
-        if self._traces is not None:
-            with self._lock:
-                self._traces.clear()
-
     def _finish(
         self, obs, entry: _Host, request: HttpRequest, status: int, latency: float
     ) -> None:

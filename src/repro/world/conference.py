@@ -114,15 +114,6 @@ class ConferenceScenario:
         """``(paper_id, manuscript)`` pairs for the batch engine."""
         return [(paper.paper_id, paper.manuscript) for paper in self.papers]
 
-    def planted_assignment(self) -> Assignment:
-        """The planted truth as an :class:`Assignment`."""
-        return Assignment(
-            by_paper={
-                paper.paper_id: sorted(paper.true_reviewers)
-                for paper in self.papers
-            }
-        )
-
     def planted_problem(self) -> AssignmentProblem:
         """The scored matrix whose unique optimum is the planted truth.
 

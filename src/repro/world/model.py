@@ -126,10 +126,6 @@ class ScholarlyWorld:
         """All review records of an author, oldest first."""
         return [self.reviews[r] for r in self.reviews_by_reviewer.get(author_id, [])]
 
-    def author_citations(self, author_id: str) -> list[int]:
-        """Citation counts of the author's publications."""
-        return [p.citation_count for p in self.author_publications(author_id)]
-
     def authors_by_name(self, name: str) -> list[WorldAuthor]:
         """All authors bearing exactly this full name (collision groups)."""
         return [a for a in self.authors.values() if a.name == name]

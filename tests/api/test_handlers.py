@@ -1114,3 +1114,25 @@ class TestWarmPlane:
         cold = self._recommend(api, manuscript).body["recommendations"]
         warm = self._recommend(api, manuscript, warm_cache=True).body["recommendations"]
         assert warm == cold
+
+    def test_metrics_count_interest_lookups_in_the_store(self, api, manuscript):
+        """Interest rankings are store layers: the ``retrieval`` object
+        lists them, and the store's counters count their lookups."""
+        for __ in range(2):
+            assert self._recommend(api, manuscript, warm_cache=True).ok
+        body = api.handle("GET", "/api/v1/metrics").body
+        retrieval = body["retrieval"]
+        assert "index_terms" not in retrieval
+        for layer in ("scholar_interest", "publons_interest"):
+            assert retrieval["layers"][layer]["hit"] > 0
+        counters = body["metrics"]["counters"]
+        store = {
+            name: sum(
+                series["value"]
+                for series in counters[name]
+                if series["labels"]["cache"] == "retrieval"
+            )
+            for name in ("cache_hits_total", "cache_misses_total")
+        }
+        assert store["cache_hits_total"] == retrieval["hits"]
+        assert store["cache_misses_total"] == retrieval["misses"] + retrieval["coalesced"]

@@ -68,7 +68,7 @@ class TestAssessment:
     def test_full_feasible_assignment(self, problem):
         assignment = Assignment(by_paper={"p1": ["r1", "r2"], "p2": ["r1", "r3"]})
         quality = assess_assignment(problem, assignment)
-        assert quality.is_feasible()
+        assert quality.unfilled_slots == 0
         assert quality.total_score == pytest.approx(2.8)
         assert quality.min_paper_score == pytest.approx(1.4)
         assert quality.max_load == 2
@@ -77,7 +77,6 @@ class TestAssessment:
         assignment = Assignment(by_paper={"p1": ["r1"], "p2": []})
         quality = assess_assignment(problem, assignment)
         assert quality.unfilled_slots == 3
-        assert not quality.is_feasible()
 
     def test_overload_rejected(self, problem):
         assignment = Assignment(
@@ -113,4 +112,4 @@ class TestAssessment:
         problem = AssignmentProblem(scores={})
         quality = assess_assignment(problem, Assignment())
         assert quality.total_score == 0.0
-        assert quality.is_feasible()
+        assert quality.unfilled_slots == 0

@@ -50,10 +50,6 @@ class TestRankingWeights:
 
 
 class TestExpertiseConstraints:
-    def test_trivial_detection(self):
-        assert ExpertiseConstraints().is_trivial()
-        assert not ExpertiseConstraints(min_citations=10).is_trivial()
-
     @pytest.mark.parametrize("pair", ["citations", "h_index", "reviews"])
     def test_inverted_range_rejected(self, pair):
         """A minimum above its maximum admits no candidate: both fields are named."""

@@ -19,7 +19,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import Minaret
 from repro.obs import Observability, RequestLedger, use
 from repro.obs.ledger import (
-    active_ledgers,
+    _ACTIVE,
     charge_cache,
     charge_features,
     charge_http,
@@ -29,6 +29,12 @@ from repro.obs.ledger import (
 )
 from repro.scholarly.records import SourceName
 from repro.scholarly.registry import ScholarlyHub, SourceBehaviour
+
+
+def active_ledgers():
+    """The ledgers the ``charge_*`` helpers bill here, outermost first."""
+    return _ACTIVE.get()
+
 
 #: Every source faults now and then, none throttles: the crawler retries
 #: and its backoff waits are charged, while request counts stay exact.

@@ -38,12 +38,12 @@ class TestGauges:
         registry = MetricsRegistry()
         registry.gauge_set("depth", 4.0, pool="a")
         registry.gauge_set("depth", 3.0, pool="a")
-        assert registry.gauge_value("depth", pool="a") == 3.0
-        assert registry.gauge_value("depth", pool="b") == 0.0
+        assert registry.snapshot()["gauges"]["depth"] == [
+            {"labels": {"pool": "a"}, "value": 3.0}
+        ]
 
-    def test_unwritten_gauge_reads_zero(self):
+    def test_unwritten_gauge_has_no_series(self):
         registry = MetricsRegistry()
-        assert registry.gauge_value("depth") == 0.0
         assert registry.snapshot()["gauges"] == {}
 
 

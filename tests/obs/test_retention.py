@@ -126,19 +126,6 @@ class TestPendingBuffer:
         assert stats["evicted_traces"] == 1  # the oldest open trace
         assert stats["evicted_spans"] == 1
 
-    def test_disable_commits_pending(self):
-        tracer = make_tracer()
-        tracer.enable_tail_retention(TailRetentionPolicy())
-        root = tracer.span("root")
-        root.__enter__()
-        with tracer.span("child"):
-            pass
-        assert tracer.finished() == []  # buffered, root still open
-        tracer.disable_tail_retention()
-        assert [s.name for s in tracer.finished()] == ["child"]
-        assert tracer.retention_stats()["enabled"] is False
-        root.__exit__(None, None, None)
-
     def test_clear_drops_pending_state(self):
         import contextvars
 

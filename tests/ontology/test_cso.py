@@ -73,7 +73,7 @@ class TestRoundTrip:
         write_cso_csv(original, path)
         restored = load_cso_csv(path)
         assert len(restored) == len(original)
-        assert restored.edge_count() == original.edge_count()
+        assert set(restored.edges()) == set(original.edges())
         assert restored.topic("rdf").label == "RDF"
         parents = {t.topic_id for t in restored.related("rdf", Relation.BROADER)}
         assert "semantic-web" in parents

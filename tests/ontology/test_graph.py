@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ontology.graph import Relation, Topic, TopicOntology, UnknownTopicError
+from repro.ontology.graph import Edge, Relation, Topic, TopicOntology, UnknownTopicError
 
 
 @pytest.fixture()
@@ -113,8 +113,13 @@ class TestEdges:
         assert "lod" in {t.topic_id for t in onto.related("rdf", Relation.RELATED)}
         assert "rdf" in {t.topic_id for t in onto.related("lod", Relation.RELATED)}
 
-    def test_edge_count_counts_links_once(self, onto):
-        assert onto.edge_count() == 5
+    def test_edges_list_each_link_both_ways(self, onto):
+        edges = set(onto.edges())
+        assert len(edges) == 10
+        assert all(
+            Edge(edge.target, edge.relation.inverse(), edge.source) in edges
+            for edge in edges
+        )
 
     def test_neighbors_unknown_topic(self, onto):
         with pytest.raises(UnknownTopicError):

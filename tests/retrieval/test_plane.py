@@ -2,11 +2,17 @@
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.config import PipelineConfig
+from repro.core.extraction import CandidateExtractor
+from repro.ontology.expansion import ExpandedKeyword
 from repro.retrieval import RetrievalPlane
 from repro.web.clock import SimulatedClock
+from repro.web.crawler import CrawlError
+from repro.web.http import HttpRequest, ServiceUnavailableError
 
 
 @pytest.fixture()
@@ -119,78 +125,179 @@ class TestEpoch:
         assert plane.bump_epoch() == 1
         assert plane.fetch("layer", "k", lambda: "fresh") == "fresh"
 
-    def test_bump_invalidates_interest_mirror(self, plane):
-        plane.interest_ids("scholar", "rdf", 10, lambda: ["a", "b"])
+
+class _InterestQuery:
+    """One source's interest query, recording each keyword it is asked.
+
+    The first ``down`` queries fail as a source down through every
+    retry; each query takes ``delay`` wall seconds.
+    """
+
+    def __init__(self, ids):
+        self.ids = ids
+        self.keywords = []
+        self.down = 0
+        self.delay = 0.0
+
+    def __call__(self, keyword, limit):
+        self.keywords.append(keyword)
+        time.sleep(self.delay)
+        if self.down:
+            self.down -= 1
+            request = HttpRequest.create("scholar.google.com", "/citations")
+            raise CrawlError(
+                request.host, request.path, 4, ServiceUnavailableError(request)
+            )
+        return self.ids[:limit]
+
+
+class TestInterestRankings:
+    """Interest rankings are the ``*_interest`` layers of the plane's store."""
+
+    LIMIT = PipelineConfig().per_keyword_retrieval_limit
+
+    @pytest.fixture()
+    def sources(self):
+        return SimpleNamespace(
+            scholar=SimpleNamespace(scholars_by_interest=_InterestQuery(["u1", "u2"])),
+            publons=SimpleNamespace(reviewers_by_interest=_InterestQuery(["r1"])),
+        )
+
+    @staticmethod
+    def retrieve(plane, sources, *keywords, config=None):
+        expanded = [
+            ExpandedKeyword(keyword=k, topic_id="", score=1.0, seed=k, depth=0)
+            for k in keywords
+        ]
+        extractor = CandidateExtractor(sources, config=config, plane=plane)
+        return extractor.retrieve_candidate_ids(expanded)
+
+    @staticmethod
+    def asked(sources):
+        """The keywords each source was queried for: ``(scholar, publons)``."""
+        return (
+            sources.scholar.scholars_by_interest.keywords,
+            sources.publons.reviewers_by_interest.keywords,
+        )
+
+    def test_repeat_query_is_served_warm(self, plane, sources):
+        first = self.retrieve(plane, sources, "rdf")
+        assert self.retrieve(plane, sources, "rdf") == first
+        assert self.asked(sources) == (["rdf"], ["rdf"])
+        layers = plane.stats()["layers"]
+        for layer in ("scholar_interest", "publons_interest"):
+            assert layers[layer] == {"hit": 1, "miss": 1}
+        store = plane.store.stats()
+        assert (store["hits"], store["misses"]) == (2, 2)
+
+    def test_two_spellings_share_an_entry(self, plane, sources):
+        self.retrieve(plane, sources, "Query Optimization")
+        self.retrieve(plane, sources, "query  optimization")
+        asked = ["Query Optimization"]
+        assert self.asked(sources) == (asked, asked)
+        assert len(plane.store) == 2
+
+    def test_sources_are_independent(self, plane, sources):
+        plane.fetch("scholar_interest", ("rdf", self.LIMIT), lambda: ["u9"])
+        users, reviewers = self.retrieve(plane, sources, "rdf")
+        assert (list(users), list(reviewers)) == (["u9"], ["r1"])
+        assert self.asked(sources) == ([], ["rdf"])
+
+    def test_epoch_bump_loads_again(self, plane, sources):
+        self.retrieve(plane, sources, "rdf")
         plane.bump_epoch()
-        assert plane.interest_ids("scholar", "rdf", 10, lambda: ["c"]) == ["c"]
+        self.retrieve(plane, sources, "rdf")
+        assert self.asked(sources) == (["rdf", "rdf"], ["rdf", "rdf"])
 
-    def test_clear_keeps_epoch(self, plane):
-        plane.fetch("layer", "k", lambda: 1)
-        plane.clear()
-        assert plane.epoch == 0
-        assert len(plane.store) == 0
+    def test_lapsed_ttl_loads_again(self, clock, sources):
+        plane = RetrievalPlane(clock, ttl=10.0)
+        self.retrieve(plane, sources, "rdf")
+        clock.advance(11.0)
+        self.retrieve(plane, sources, "rdf")
+        assert self.asked(sources) == (["rdf", "rdf"], ["rdf", "rdf"])
 
+    def test_rankings_count_against_capacity(self, clock, sources):
+        plane = RetrievalPlane(clock, capacity=2)
+        self.retrieve(plane, sources, "rdf")
+        self.retrieve(plane, sources, *(f"topic {i}" for i in range(100)))
+        assert len(plane.store) == 2
+        self.retrieve(plane, sources, "rdf")
+        assert self.asked(sources)[0].count("rdf") == 2
 
-class TestInterestIndex:
-    def test_second_query_resolves_locally(self, plane):
-        calls = []
-        loader = lambda: calls.append(1) or ["a", "b", "c"]  # noqa: E731
-        assert plane.interest_ids("scholar", "rdf", 10, loader) == ["a", "b", "c"]
-        assert plane.interest_ids("scholar", "rdf", 10, loader) == ["a", "b", "c"]
-        assert calls == [1]
+    def test_mixed_wave_counts_each_lookup_once(self, plane, sources):
+        """The wave read counts the warm keyword, ``fetch`` the cold one,
+        and the store sees each lookup the plane counts."""
+        self.retrieve(plane, sources, "rdf")
+        self.retrieve(plane, sources, "rdf", "lod")
+        assert self.asked(sources) == (["rdf", "lod"], ["rdf", "lod"])
+        layers = plane.stats()["layers"]
+        for layer in ("scholar_interest", "publons_interest"):
+            assert layers[layer] == {"hit": 1, "miss": 2}
+        store = plane.store.stats()
+        assert (store["hits"], store["misses"]) == (plane.hits, plane.misses)
 
-    def test_normalized_keywords_share_postings(self, plane):
-        plane.interest_ids("scholar", "Query Optimization", 10, lambda: ["a"])
-        calls = []
-        ids = plane.interest_ids(
-            "scholar", "query optimization", 10, lambda: calls.append(1) or []
-        )
-        assert ids == ["a"]
-        assert calls == []
+    def test_each_limit_is_its_own_entry(self, plane, sources):
+        """A ranking fetched at one limit never answers another."""
+        narrow = PipelineConfig(per_keyword_retrieval_limit=1)
+        users, __ = self.retrieve(plane, sources, "rdf", config=narrow)
+        assert list(users) == ["u1"]
+        users, __ = self.retrieve(plane, sources, "rdf")
+        assert list(users) == ["u1", "u2"]
+        users, __ = self.retrieve(plane, sources, "rdf", config=narrow)
+        assert list(users) == ["u1"]
+        assert self.asked(sources) == (["rdf", "rdf"], ["rdf", "rdf"])
+        assert len(plane.store) == 4
 
-    def test_narrower_limit_is_a_prefix(self, plane):
-        plane.interest_ids("scholar", "rdf", 10, lambda: ["a", "b", "c"])
-        assert plane.interest_ids("scholar", "rdf", 2, lambda: ["x"]) == ["a", "b"]
+    def test_concurrent_misses_load_once(self, plane, sources):
+        """Single-flight coalesces one ranking's concurrent misses."""
+        workers = 8
+        barrier = threading.Barrier(workers)
+        for query in (
+            sources.scholar.scholars_by_interest,
+            sources.publons.reviewers_by_interest,
+        ):
+            query.delay = 0.01  # keep the flight open for the others
 
-    def test_wider_limit_refetches_when_truncated(self, plane):
-        """A full page at limit N may hide a tail; limit > N must refetch."""
-        plane.interest_ids("scholar", "rdf", 2, lambda: ["a", "b"])
-        wider = plane.interest_ids("scholar", "rdf", 4, lambda: ["a", "b", "c"])
-        assert wider == ["a", "b", "c"]
+        def call():
+            barrier.wait()
+            self.retrieve(plane, sources, "rdf")
 
-    def test_wider_limit_local_when_list_was_exhaustive(self, plane):
-        """Fewer ids than the limit means the source had no more."""
-        calls = []
-        plane.interest_ids("scholar", "rdf", 10, lambda: ["a", "b"])
-        ids = plane.interest_ids(
-            "scholar", "rdf", 50, lambda: calls.append(1) or []
-        )
-        assert ids == ["a", "b"]
-        assert calls == []
+        threads = [threading.Thread(target=call) for __ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert self.asked(sources) == (["rdf"], ["rdf"])
+        for counts in plane.stats()["layers"].values():
+            assert counts["miss"] == 1
+            assert sum(counts.values()) == workers
 
-    def test_cached_interest_ids_counts_hits_only(self, plane):
-        plane.interest_ids("scholar", "RDF", 10, lambda: ["a", "b"])
-        hits = plane.cached_interest_ids("scholar", ["sparql", "rdf"], 1)
-        assert hits == {1: ["a"]}
-        assert plane.stats()["layers"]["scholar_interest"] == {"hit": 1, "miss": 1}
+    def test_failed_load_is_not_stored(self, plane, sources):
+        """A source down through every retry costs that keyword's
+        candidates once; the next query asks the source again."""
+        sources.scholar.scholars_by_interest.down = 1
+        users, reviewers = self.retrieve(plane, sources, "rdf")
+        assert (users, list(reviewers)) == ({}, ["r1"])
+        users, __ = self.retrieve(plane, sources, "rdf")
+        assert list(users) == ["u1", "u2"]
+        assert self.asked(sources) == (["rdf", "rdf"], ["rdf"])
 
-    def test_sources_are_independent(self, plane):
-        plane.interest_ids("scholar", "rdf", 10, lambda: ["a"])
-        assert plane.interest_ids("publons", "rdf", 10, lambda: ["r1"]) == ["r1"]
 
 class TestStats:
     def test_snapshot_shape(self, plane):
         plane.fetch("scholar_profile", "u1", lambda: "p")
         plane.fetch("scholar_profile", "u1", lambda: "p")
-        plane.interest_ids("publons", "rdf", 5, lambda: ["r"])
+        plane.fetch("publons_interest", ("rdf", 5), lambda: ["r"])
         stats = plane.stats()
         assert stats["plane"] == "retrieval"
         assert stats["epoch"] == 0
         assert stats["hits"] == 1
         assert stats["misses"] == 2
-        assert stats["store_entries"] == 1
-        assert stats["index_terms"] == {"publons": 1, "scholar": 0}
-        assert stats["layers"]["scholar_profile"] == {"hit": 1, "miss": 1}
+        assert stats["store_entries"] == 2
+        assert stats["layers"] == {
+            "publons_interest": {"miss": 1},
+            "scholar_profile": {"hit": 1, "miss": 1},
+        }
 
     def test_stats_is_json_serialisable(self, plane):
         import json

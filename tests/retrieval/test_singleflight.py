@@ -1,7 +1,9 @@
 """Unit tests for singleflight call coalescing."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -31,16 +33,25 @@ class TestSequential:
         assert flight.do("b", lambda: 2) == (2, True)
 
     def test_key_forgotten_after_landing(self):
+        """A landed flight keeps no reference to its key, so the keys
+        seen over a deployment's life do not accumulate."""
+
+        class Key:
+            pass
+
         flight = SingleFlight()
-        flight.do("k", lambda: 1)
-        assert flight.in_flight() == 0
+        key = Key()
+        landed = weakref.ref(key)
+        assert flight.do(key, lambda: 1) == (1, True)
+        del key
+        gc.collect()
+        assert landed() is None
 
     def test_exception_propagates_and_key_forgotten(self):
         flight = SingleFlight()
         with pytest.raises(ValueError):
             flight.do("k", lambda: (_ for _ in ()).throw(ValueError("boom")))
-        assert flight.in_flight() == 0
-        # The key is reusable after the failure.
+        # The key is forgotten: it is reusable after the failure.
         assert flight.do("k", lambda: "ok") == ("ok", True)
 
 
@@ -77,7 +88,7 @@ class TestConcurrent:
         assert len(calls) == 1
         assert all(value == "answer" for value, _ in outcomes)
         assert sum(1 for _, leader in outcomes if leader) == 1
-        assert flight.in_flight() == 0
+        assert flight.do("k", lambda: "again") == ("again", True)
 
     def test_burst_failure_fans_out_to_all_waiters(self):
         flight = SingleFlight()
@@ -108,4 +119,4 @@ class TestConcurrent:
         for t in threads:
             t.join(timeout=5)
         assert errors == ["source down"] * workers
-        assert flight.in_flight() == 0
+        assert flight.do("k", lambda: "again") == ("again", True)

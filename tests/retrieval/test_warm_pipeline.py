@@ -13,7 +13,7 @@ from repro.core.errors import IdentityVerificationError
 from repro.core.identity import IdentityVerifier
 from repro.core.models import ManuscriptAuthor
 from repro.core.pipeline import Minaret
-from repro.obs import Observability, use
+from repro.obs import Observability, RequestLedger, use
 from repro.ontology import expansion
 from repro.retrieval import RetrievalPlane
 from repro.scholarly.orcid import ORCID_HOST
@@ -86,7 +86,23 @@ class TestRequestSavings:
         assert minaret.plane.hits > 0
         stats = minaret.plane.stats()
         assert stats["store_entries"] > 0
-        assert stats["index_terms"]["scholar"] > 0
+        assert stats["layers"]["scholar_interest"]["hit"] > 0
+
+    def test_bill_counts_every_plane_lookup(self, world):
+        """A bill's ``caches.retrieval`` row counts interest lookups too."""
+        manuscript = _manuscript(world)
+        minaret = Minaret(
+            ScholarlyHub.deploy(world), config=PipelineConfig(warm_cache=True)
+        )
+        with RequestLedger("cold") as cold:
+            minaret.recommend(manuscript)
+        with RequestLedger("warm") as warm:
+            minaret.recommend(manuscript)
+        plane = minaret.plane
+        rows = [bill.to_dict()["caches"]["retrieval"] for bill in (cold, warm)]
+        assert sum(row["hits"] for row in rows) == plane.hits
+        assert sum(row["misses"] for row in rows) == plane.misses + plane.coalesced
+        assert plane.stats()["layers"]["scholar_interest"]["hit"] > 0
 
     def test_cold_pipeline_has_no_plane(self, world):
         hub = ScholarlyHub.deploy(world)
@@ -149,8 +165,7 @@ class TestConcurrentBatch:
         plane = minaret.plane
         lookups = sum(
             count
-            for layer, outcomes in plane.stats()["layers"].items()
-            if not layer.endswith("_interest")
+            for outcomes in plane.stats()["layers"].values()
             for count in outcomes.values()
         )
         store = plane.store.stats()

@@ -74,13 +74,3 @@ class TestMergedProfile:
         profile = self.make_profile()
         assert profile.source_id(SourceName.DBLP) == "Ada Lovelace"
         assert profile.source_id(SourceName.PUBLONS) is None
-
-    def test_current_affiliations(self):
-        profile = self.make_profile()
-        current = profile.current_affiliations(2019)
-        assert [a.institution for a in current] == ["Babbage Institute"]
-
-    def test_past_affiliations_by_year(self):
-        profile = self.make_profile()
-        past = profile.current_affiliations(2012)
-        assert [a.institution for a in past] == ["Analytical Engines Ltd"]

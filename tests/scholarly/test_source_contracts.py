@@ -6,6 +6,7 @@ These tests hold each source to that contract over the real simulated
 HTTP path, and check that the routes only tests used to reach are gone.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.scholarly.records import SourceName, SourcePage
 from repro.text.strings import name_similarity
 from repro.web.http import NotFoundError
+from tests.scholarly.test_sources import acm_profile_id, orcid_id
 
 
 @dataclass(frozen=True)
@@ -23,7 +25,8 @@ class Contract:
     search: str
     hit_key: str
     page: str
-    id_of: str
+    #: ``(hub, world author id) -> the source's id for that author``.
+    own_id: Callable[[object, str], str | None]
     unknown_id: str
 
 
@@ -35,7 +38,7 @@ CONTRACTS = [
         "search_author",
         "pid",
         "author_page",
-        "pid_of",
+        lambda hub, author_id: hub.dblp_service.pid_of(author_id),
         "Nobody Nowhere 0042",
     ),
     Contract(
@@ -45,7 +48,7 @@ CONTRACTS = [
         "search_author",
         "user",
         "profile_page",
-        "user_of",
+        lambda hub, author_id: hub.scholar_service.user_of(author_id),
         "sch_nonexistent",
     ),
     Contract(
@@ -55,7 +58,7 @@ CONTRACTS = [
         "search_reviewer",
         "reviewer_id",
         "reviewer_profile",
-        "reviewer_id_of",
+        lambda hub, author_id: hub.publons_service.reviewer_id_of(author_id),
         "P-nothere",
     ),
     Contract(
@@ -65,7 +68,7 @@ CONTRACTS = [
         "search_author",
         "profile_id",
         "profile",
-        "profile_id_of",
+        lambda hub, author_id: acm_profile_id(author_id),
         "acm-nothere",
     ),
     Contract(
@@ -75,7 +78,7 @@ CONTRACTS = [
         "search",
         "orcid",
         "record",
-        "orcid_of",
+        lambda hub, author_id: orcid_id(author_id),
         "0000-0000-0000-0000",
     ),
     Contract(
@@ -85,12 +88,14 @@ CONTRACTS = [
         "search",
         "rid",
         "profile",
-        "rid_of",
+        lambda hub, author_id: hub.rid_service.rid_of(author_id),
         "Z-9999-2000",
     ),
 ]
 IDS = [contract.client for contract in CONTRACTS]
 PARTIAL = [c for c in CONTRACTS if c.source is not SourceName.DBLP]
+#: Sources whose service keeps no author → id map: tests mint the id.
+MINTED = {SourceName.ACM_DL, SourceName.ORCID}
 
 
 def covered_author(world, source):
@@ -116,18 +121,14 @@ class TestEverySource:
 
     def test_search_finds_the_authors_own_id(self, shared_hub, world, contract):
         author = covered_author(world, contract.source)
-        own_id = getattr(getattr(shared_hub, contract.service), contract.id_of)(
-            author.author_id
-        )
+        own_id = contract.own_id(shared_hub, author.author_id)
         client = getattr(shared_hub, contract.client)
         hits = getattr(client, contract.search)(author.name)
         assert own_id in [hit[contract.hit_key] for hit in hits]
 
     def test_own_page_names_the_author(self, shared_hub, world, contract):
         author = covered_author(world, contract.source)
-        own_id = getattr(getattr(shared_hub, contract.service), contract.id_of)(
-            author.author_id
-        )
+        own_id = contract.own_id(shared_hub, author.author_id)
         client = getattr(shared_hub, contract.client)
         profile = profile_of(getattr(client, contract.page)(own_id))
         assert profile.source is contract.source
@@ -154,8 +155,13 @@ def test_uncovered_author_has_no_id(world, shared_hub, contract):
         for author_id in sorted(world.authors)
         if contract.source not in world.authors[author_id].covered_by
     )
-    service = getattr(shared_hub, contract.service)
-    assert getattr(service, contract.id_of)(author.author_id) is None
+    own_id = contract.own_id(shared_hub, author.author_id)
+    if contract.source in MINTED:
+        # No map to ask: the id minted from the world id has no page.
+        client = getattr(shared_hub, contract.client)
+        assert getattr(client, contract.page)(own_id) is None
+    else:
+        assert own_id is None
 
 
 def test_duplicate_route_rejected(hub):

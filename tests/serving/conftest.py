@@ -47,3 +47,9 @@ def make_frontend(api, **overrides) -> ServingFrontend:
 @pytest.fixture()
 def frontend(api):
     return make_frontend(api)
+
+
+def queue_depth(metrics) -> float:
+    """The ``serving_queue_depth`` gauge, read from the registry snapshot."""
+    (series,) = metrics.snapshot()["gauges"]["serving_queue_depth"]
+    return series["value"]

@@ -25,6 +25,7 @@ from repro.serving import (
     run_load,
 )
 from repro.serving.harness import _quantile
+from tests.serving.conftest import queue_depth
 
 
 def _requests(world):
@@ -132,7 +133,7 @@ class TestConcurrentSubmission:
         assert all(r.status == 503 for r in shed)
         # The depth gauge is published under the queue lock, so after
         # the storm settles it agrees with the queue exactly.
-        assert front.obs.metrics.gauge_value("serving_queue_depth") == 5
+        assert queue_depth(front.obs.metrics) == 5
         # queue_full sheds refund their token: only the 5 admits spent
         # budget out of the 1000-token burst.
         assert front._bucket_for("storm").available() == pytest.approx(995.0)

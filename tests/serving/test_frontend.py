@@ -10,7 +10,7 @@ from repro.serving import (
     canonical_body,
     request_key,
 )
-from tests.serving.conftest import make_frontend
+from tests.serving.conftest import make_frontend, queue_depth
 
 
 class TestAdmission:
@@ -228,9 +228,9 @@ class TestTelemetry:
             )
             == 1
         )
-        assert metrics.gauge_value("serving_queue_depth") == 1
+        assert queue_depth(metrics) == 1
         front.drain()
-        assert metrics.gauge_value("serving_queue_depth") == 0
+        assert queue_depth(metrics) == 0
         assert (
             metrics.counter_value(
                 "serving_served_total", tenant="default", status="200"

@@ -138,6 +138,11 @@ class TestMixes:
         with pytest.raises(ValueError):
             TenantLoad("t", weight=NAN)
 
+    @pytest.mark.parametrize("name", ["", "  "], ids=["empty", "blank"])
+    def test_blank_tenant_name_rejected(self, name):
+        with pytest.raises(ValueError, match="name must be a non-empty string"):
+            TenantLoad(name)
+
 
 class TestManuscriptTemplates:
     def test_builds_recommend_templates(self, world):

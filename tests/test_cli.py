@@ -349,6 +349,43 @@ class TestAssignCommand:
         assert error == f"error: {named}: {field} must be >= 1, got 0"
         assert "http_requests_total" not in json.loads(summary)["counters"]
 
+    def test_duplicate_paper_id_errors_before_deploy(
+        self, tmp_path, dataset, capsys, monkeypatch
+    ):
+        """The loaded entries are checked before a hub is deployed, so a
+        duplicate id costs no request."""
+        import json
+
+        entries = json.loads(self.batch_file(tmp_path, dataset).read_text())
+        entries[1]["paper_id"] = entries[0]["paper_id"]
+        batch = tmp_path / "duplicate.json"
+        batch.write_text(json.dumps(entries))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hub was deployed before the inputs were checked")
+
+        monkeypatch.setattr("repro.scholarly.registry.ScholarlyHub.deploy", refuse)
+        code = main(["assign", "--world", str(dataset), "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: duplicate paper id 'paper-0'\n"
+        assert captured.out == ""
+
+    def test_value_error_inside_a_run_is_not_an_input_error(
+        self, tmp_path, dataset, capsys, monkeypatch
+    ):
+        """Only typed pipeline errors print ``error: ...``; a ``ValueError``
+        from inside a run is a fault of the program and propagates."""
+        batch = self.batch_file(tmp_path, dataset)
+
+        def broken(self, manuscript):
+            raise ValueError("broken run")
+
+        monkeypatch.setattr("repro.core.pipeline.Minaret.recommend", broken)
+        with pytest.raises(ValueError, match="broken run"):
+            main(["assign", "--world", str(dataset), "--batch", str(batch)])
+        assert "error:" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("paper_id", ["null", "5", '""'])
     def test_bad_paper_id_errors(self, tmp_path, dataset, capsys, paper_id):
         """A paper id is a non-empty JSON string, never ``str()``-coerced."""
@@ -833,6 +870,7 @@ OUT_OF_RANGE = [
     (["serve-bench", "--refill-rate", "nan"], "--refill-rate: refill_rate must be > 0, got nan"),
     (["serve-bench", "--burst", "2:3:nan"], "--burst: multiplier must be > 0, got nan"),
     (["serve-bench", "--tenant", "chairs:nan"], "--tenant: weight must be > 0, got nan"),
+    (["serve-bench", "--tenant", ":1"], "--tenant: name must be a non-empty string, got ''"),
     (
         ["scale-bench", "--pool-size", "300", "--pool-size", "0"],
         "--pool-size must be >= 1, got 0",

@@ -72,11 +72,6 @@ class TestTracing:
         assert len(traces) == 5
         assert traces[0].path == "/p5"
 
-    def test_clear(self, traced_client):
-        traced_client.get("svc", "/p")
-        traced_client.clear_traces()
-        assert traced_client.traces() == []
-
 
 class TestHubAndApiIntegration:
     def test_hub_tracing_opt_in(self, world):

@@ -10,6 +10,7 @@ construction and any shortfall measured later is the solver's fault.
 import pytest
 
 from repro.assignment import (
+    Assignment,
     AssignmentObjective,
     greedy_swap_assignment,
     min_cost_flow_assignment,
@@ -28,6 +29,13 @@ from repro.world.model import GroundTruthOracle
 @pytest.fixture(scope="module")
 def scenario(world):
     return generate_conference(world, ConferenceConfig(paper_count=12, seed=3))
+
+
+def planted_assignment(scenario) -> Assignment:
+    """The planted truth as an :class:`Assignment`."""
+    return Assignment(
+        by_paper={paper.paper_id: sorted(paper.true_reviewers) for paper in scenario.papers}
+    )
 
 
 class TestConfigValidation:
@@ -58,7 +66,7 @@ class TestPlantedStructure:
             assert set(paper.true_reviewers) <= pool
 
     def test_planted_allocation_respects_capacity(self, scenario):
-        loads = scenario.planted_assignment().loads()
+        loads = planted_assignment(scenario).loads()
         assert all(
             load <= scenario.config.max_load for load in loads.values()
         )
@@ -157,7 +165,7 @@ class TestPlantedSeparation:
 
 class TestMetrics:
     def test_planted_assignment_scores_perfectly(self, scenario):
-        planted = scenario.planted_assignment()
+        planted = planted_assignment(scenario)
         assert planted_recall(scenario, planted) == 1.0
         assert precision_at_set(scenario, planted) == 1.0
 
@@ -169,7 +177,7 @@ class TestMetrics:
         assert precision_at_set(scenario, empty) == 0.0
 
     def test_load_spread_counts_idle_pool_members(self, scenario):
-        planted = scenario.planted_assignment()
+        planted = planted_assignment(scenario)
         spread = load_spread(planted, scenario.pool)
         loads = planted.loads()
         busiest = max(loads.values())
@@ -178,7 +186,7 @@ class TestMetrics:
         assert spread >= 0
 
     def test_resolve_maps_ids_before_matching(self, scenario):
-        planted = scenario.planted_assignment()
+        planted = planted_assignment(scenario)
         prefixed = type(planted)(
             by_paper={
                 paper: [f"x:{r}" for r in reviewers]

@@ -40,12 +40,6 @@ class TestWorldAccessors:
                 author.topic_expertise.values()
             )
 
-    def test_author_citations_match_publications(self, world):
-        author_id = next(iter(world.publications_by_author))
-        citations = world.author_citations(author_id)
-        pubs = world.author_publications(author_id)
-        assert citations == [p.citation_count for p in pubs]
-
     def test_authors_by_name(self, world):
         author = next(iter(world.authors.values()))
         assert author in world.authors_by_name(author.name)
