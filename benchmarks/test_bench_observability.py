@@ -369,7 +369,7 @@ def test_bench_retention_memory_and_ledger_cost():
     with use(obs):
         for index in range(BURST_REQUESTS):
             try:
-                with obs.span("request", clock=clock, i=index):
+                with obs.span("request", i=index):
                     client.get(host, f"/item/{index}")
             except ServiceUnavailableError:
                 pass

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 
 from repro.api.router import (
     ApiError,
@@ -271,20 +272,15 @@ class MinaretApi:
             else None
         )
         with use(self._obs):
-            with self._obs.span(
-                "api.request",
-                clock=clock,
-                method=method,
-                path=path,
+            # The ledger opens first, so the span reads its virtual time.
+            with ledger or nullcontext(), self._obs.span(
+                "api.request", method=method, path=path
             ) as span:
                 if not isinstance(debug_cost, bool):
                     response = ApiResponse(
                         400,
                         {"error": f"debug_cost must be a JSON boolean, got {debug_cost!r}"},
                     )
-                elif ledger is not None:
-                    with ledger:
-                        response = self._router.dispatch(method, path, body)
                 else:
                     response = self._router.dispatch(method, path, body)
                 span.set_label("status", response.status)

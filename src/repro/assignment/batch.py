@@ -19,6 +19,7 @@ solve, assess — is :func:`~repro.assignment.conference.assign_conference`.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.assignment.solvers import (
@@ -123,15 +124,14 @@ def recommend_batch(
         # parents under the batch span through the propagated context.
         # The ledger rides the same context: each paper gets its own
         # itemized bill, emitted as a ``request_cost`` event so a batch
-        # log answers "which paper was expensive, and on what?".
-        with obs.span(
-            "manuscript.recommend", clock=clock, paper_id=paper_id
+        # log answers "which paper was expensive, and on what?", and the
+        # span, opened inside it, reads the paper's virtual time from it.
+        ledger = RequestLedger(paper_id) if obs.enabled else None
+        with ledger or nullcontext(), obs.span(
+            "manuscript.recommend", paper_id=paper_id
         ) as span:
             try:
-                if not obs.enabled:
-                    return minaret.recommend(manuscript)
-                with RequestLedger(paper_id) as ledger:
-                    result = minaret.recommend(manuscript)
+                result = minaret.recommend(manuscript)
             except MinaretError as exc:
                 error = type(exc).__name__
                 span.set_label("failed", error)
@@ -146,12 +146,12 @@ def recommend_batch(
                 if on_error == "raise":
                     raise
                 return PaperFailure(paper_id=paper_id, error=error, message=str(exc))
-            obs.emit("request_cost", clock=clock, **ledger.to_dict())
+            if ledger is not None:
+                obs.emit("request_cost", clock=clock, **ledger.to_dict())
             return result
 
     with obs.span(
         "batch.recommend",
-        clock=clock,
         papers=len(entries),
         workers=executor.workers,
         warm=plane is not None,

@@ -122,7 +122,6 @@ def assign_conference(
     )
     objective = objective or AssignmentObjective()
     obs = get_obs()
-    clock = getattr(getattr(minaret, "sources", None), "clock", None)
     outcomes = recommend_batch(
         minaret, entries, executor=executor, workers=workers, on_error=on_error
     )
@@ -147,7 +146,6 @@ def assign_conference(
     )
     with obs.span(
         "conference.solve",
-        clock=clock,
         solver=solver,
         papers=len(problem.papers()),
         reviewers=len(problem.reviewers()),

@@ -1020,6 +1020,25 @@ def _run_scale_bench(args) -> int:
     return 0
 
 
+def _log_record_problem(record) -> str | None:
+    """Why one parsed ``--log-json`` line cannot feed the profiler, or ``None``."""
+    if not isinstance(record, dict):
+        return f"expected a JSON object, got {json.dumps(record)}"
+    if record.get("event") != "span_end":
+        return None
+    for field, kinds, expected in (
+        ("wall_seconds", (int, float), "a number"),
+        ("virtual_seconds", (int, float), "a number"),
+        ("trace_id", int, "an integer"),
+        ("span_id", int, "an integer"),
+        ("parent_id", int, "an integer"),
+    ):
+        value = record.get(field)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+            return f"{field} must be {expected} or null, got {json.dumps(value)}"
+    return None
+
+
 def _run_profile(args) -> int:
     """Roll a ``--log-json`` telemetry log into a phase flame table."""
     from repro.obs import phase_profile, render_flame_table, spans_from_events
@@ -1027,10 +1046,20 @@ def _run_profile(args) -> int:
     records = []
     try:
         with open(args.log, encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    problem = f"not JSON: {exc.msg} (column {exc.colno})"
+                else:
+                    problem = _log_record_problem(record)
+                if problem is not None:
+                    print(f"error: {args.log}:{number}: {problem}", file=sys.stderr)
+                    return 1
+                records.append(record)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read log {args.log!r}: {exc}", file=sys.stderr)
         return 1

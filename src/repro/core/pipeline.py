@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from contextlib import contextmanager
 
 from repro.concurrency import create_executor
 from repro.core.config import (
@@ -25,7 +26,7 @@ from repro.core.identity import IdentityResolver, IdentityVerifier
 from repro.core.models import Manuscript, PhaseReport, RecommendationResult
 from repro.core.ranking import Ranker
 from repro.obs import get_obs
-from repro.obs.ledger import RequestLedger, record_phase
+from repro.obs.ledger import RequestLedger
 from repro.ontology.data import build_seed_ontology
 from repro.ontology.expansion import KeywordExpander
 from repro.ontology.graph import TopicOntology
@@ -44,8 +45,7 @@ class Minaret:
         ``dblp``, ``scholar``, ``publons``, ``acm``, ``orcid``, ``rid``
         — typically a :class:`~repro.scholarly.registry.ScholarlyHub`.
         Phase reports count the requests its clients issue and their
-        virtual time; a ``clock`` attribute also gives spans virtual
-        durations.
+        virtual time.
     ontology:
         The topic ontology for keyword expansion; defaults to the
         curated seed ontology.
@@ -154,7 +154,6 @@ class Minaret:
         """Run the full three-phase workflow on one manuscript."""
         with get_obs().span(
             "pipeline.recommend",
-            clock=getattr(self._sources, "clock", None),
             title=manuscript.title,
             workers=self._config.workers,
         ):
@@ -237,8 +236,7 @@ class Minaret:
         kept_ids = {d.candidate_id for d in result.filter_decisions if d.kept}
         kept = [c for c in result.candidates if c.candidate_id in kept_ids]
         reports = list(result.phase_reports)
-        timer = _PhaseTimer("rerank", reports, self._sources)
-        with timer as report:
+        with self._phase("rerank", reports) as report:
             report.items_in = len(kept)
             # Reuse the pipeline's feature store when the scoring
             # context is unchanged by the overrides (weights /
@@ -289,53 +287,25 @@ class Minaret:
         hits = self._sources.dblp.search_venue(typed)
         return hits[0]["name"] if len(hits) == 1 else typed
 
-    def _phase(self, name: str, reports: list[PhaseReport]) -> "_PhaseTimer":
-        return _PhaseTimer(name, reports, self._sources)
+    @contextmanager
+    def _phase(self, name: str, reports: list[PhaseReport]):
+        """Run one phase, appending its :class:`PhaseReport` if it succeeds.
 
-
-class _PhaseTimer:
-    """Context manager populating a :class:`PhaseReport`.
-
-    The phase's requests and virtual time (latencies plus modelled
-    waits) come from a :class:`~repro.obs.RequestLedger` opened for the
-    phase, not from deltas of the client's global counters: a ledger
-    follows fan-out work into pool threads (the executors propagate
-    context) and ignores requests issued by concurrently running phases
-    of *other* pipeline runs, so batch parallelism cannot cross-pollute
-    phase reports.
-    """
-
-    def __init__(self, name: str, reports: list[PhaseReport], sources):
-        self._report = PhaseReport(phase=name)
-        self._reports = reports
-        self._clock = getattr(sources, "clock", None)
-        self._ledger = RequestLedger(label=name)
-        self._wall_start = 0.0
-        self._span = None
-
-    def __enter__(self) -> PhaseReport:
-        self._span = get_obs().span(f"phase.{self._report.phase}", clock=self._clock)
-        self._span.__enter__()
-        self._wall_start = time.perf_counter()
-        self._ledger.__enter__()
-        return self._report
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._report.wall_seconds = time.perf_counter() - self._wall_start
-        self._ledger.__exit__(exc_type, exc, tb)
-        self._report.requests = self._ledger.requests
-        self._report.virtual_seconds = self._ledger.virtual_seconds
-        if self._span is not None:
-            self._span.set_label("items_in", self._report.items_in)
-            self._span.set_label("items_out", self._report.items_out)
-            self._span.set_label("requests", self._report.requests)
-            self._span.__exit__(exc_type, exc, tb)
-            self._span = None
-        if exc_type is None:
-            self._reports.append(self._report)
-            record_phase(
-                self._report.phase,
-                self._report.wall_seconds,
-                self._report.virtual_seconds,
-                self._report.requests,
-            )
+        The report's requests and virtual time come from a ledger opened
+        for the phase, which follows fan-out work into pool threads and
+        ignores concurrent runs, and the ``phase.*`` span inside it reads
+        the same virtual seconds.
+        """
+        report = PhaseReport(phase=name)
+        with RequestLedger(label=name) as ledger, get_obs().span(f"phase.{name}") as span:
+            start = time.perf_counter()
+            try:
+                yield report
+            finally:
+                report.wall_seconds = time.perf_counter() - start
+                report.requests = ledger.requests
+                report.virtual_seconds = ledger.virtual_seconds
+                span.set_label("items_in", report.items_in)
+                span.set_label("items_out", report.items_out)
+                span.set_label("requests", report.requests)
+        reports.append(report)

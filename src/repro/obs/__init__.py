@@ -3,7 +3,8 @@
 The telemetry plane behind one façade:
 
 - **spans** (:mod:`repro.obs.spans`): hierarchical, contextvars-
-  propagated timing with both wall and virtual durations, plus
+  propagated timing in wall seconds and in the virtual seconds charged
+  to the request ledger in scope, plus
   tail-based retention that keeps full span trees only for interesting
   (erroring / SLO-breaching / marked) traces;
 - **metrics** (:mod:`repro.obs.metrics`): thread-safe counters, gauges
@@ -15,9 +16,10 @@ The telemetry plane behind one façade:
   evaluated over sliding virtual-clock windows with multi-window
   burn-rate alerts;
 - **ledger** (:mod:`repro.obs.ledger`): per-request cost attribution
-  (HTTP by host, waits, cache traffic, feature builds, prune rates,
-  phase timings) on a contextvars stack — the one request-cost channel,
-  which pipeline phases and served requests also read their costs from;
+  (HTTP by host, waits, cache traffic, feature builds, prune rates) on
+  a contextvars stack — the one request-cost channel and the one source
+  of virtual time, which pipeline phases, served requests and spans
+  read their costs from;
 - **profile** (:mod:`repro.obs.profile`): deterministic self-time
   rollups over the span forest, rendered as a flame table;
 - **export** (:mod:`repro.obs.export`): Prometheus text rendering and
@@ -39,7 +41,6 @@ from repro.obs.ledger import (
     charge_http,
     charge_pruning,
     charge_wait,
-    record_phase,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -97,7 +98,6 @@ __all__ = [
     "get_obs",
     "label_key",
     "phase_profile",
-    "record_phase",
     "render_flame_table",
     "render_prometheus",
     "spans_from_events",

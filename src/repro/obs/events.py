@@ -46,21 +46,20 @@ class Event:
 class SpanEndEvent:
     """A ``span_end`` event that renders its finished span when first read.
 
-    It holds the span and the emission timestamps.  ``fields`` is the
-    span's :meth:`~repro.obs.spans.Span.to_dict` with ``name`` moved to
-    ``span`` (``name`` is the event's own), built on first access, so a
-    span whose event nobody reads is never rendered.  It reads the same
-    as an :class:`Event` built at emission time.
+    It holds the span and the wall timestamp of its end.  ``fields`` is
+    the span's :meth:`~repro.obs.spans.Span.to_dict` with ``name`` moved
+    to ``span`` (``name`` is the event's own), built on first access, so
+    a span whose event nobody reads is never rendered.  It reads the
+    same as an :class:`Event` built at emission time with no clock.
     """
 
-    __slots__ = ("span", "wall_time", "virtual_time", "_fields")
+    __slots__ = ("span", "wall_time", "_fields")
 
     name = "span_end"
 
-    def __init__(self, span, wall_time: float, virtual_time: float | None = None):
+    def __init__(self, span, wall_time: float):
         self.span = span
         self.wall_time = wall_time
-        self.virtual_time = virtual_time
         self._fields: dict | None = None
 
     @property
@@ -71,7 +70,8 @@ class SpanEndEvent:
             self._fields = fields
         return self._fields
 
-    to_dict = Event.to_dict
+    def to_dict(self) -> dict:
+        return {"event": self.name, "wall_time": self.wall_time, **self.fields}
 
 
 class RingSink:

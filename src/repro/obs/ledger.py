@@ -12,7 +12,9 @@ under a ledger of its own, whose request count and virtual seconds
 become the phase report's, and the serving front end costs each
 dispatch the same way.  The simulated HTTP client charges each attempt
 once (:func:`charge_http`) and each modelled wait once
-(:func:`charge_wait`).
+(:func:`charge_wait`).  The ledger is also the one source of virtual
+time: a span reads the virtual seconds charged to the innermost active
+ledger (:func:`current_ledger`) while it is open.
 
 Charged dimensions:
 
@@ -21,8 +23,10 @@ Charged dimensions:
 - modelled waits (crawler backoff, rate-limit sleeps), which add to
   virtual time but belong to no host;
 - response/profile cache hits and misses, by cache name;
-- scoring features built vs reused, and recency-pruned candidates;
-- per-phase wall + virtual time (the pipeline's phase timer reports in).
+- scoring features built vs reused, and recency-pruned candidates.
+
+Phases are not listed on the bill: a recommendation's response carries
+its phase reports, and its ``phase.*`` spans their virtual seconds.
 
 Charging is a contextvar read plus, per active ledger, a few integer
 increments under its lock.  Nothing here draws randomness or touches a
@@ -70,7 +74,6 @@ class RequestLedger:
         self._features_reused = 0
         self._candidates_ranked = 0
         self._candidates_pruned = 0
-        self._phases: list[dict] = []
         self._tokens: list = []
 
     # -- charging (called via the module-level helpers) ----------------
@@ -101,19 +104,6 @@ class RequestLedger:
         with self._lock:
             self._candidates_ranked += ranked
             self._candidates_pruned += pruned
-
-    def add_phase(
-        self, phase: str, wall_seconds: float, virtual_seconds: float, requests: int
-    ) -> None:
-        with self._lock:
-            self._phases.append(
-                {
-                    "phase": phase,
-                    "wall_seconds": wall_seconds,
-                    "virtual_seconds": virtual_seconds,
-                    "requests": requests,
-                }
-            )
 
     # -- reading -------------------------------------------------------
 
@@ -159,7 +149,6 @@ class RequestLedger:
             virtual_ns, wait_ns = self._virtual_ns(), self._wait_ns
             built, reused = self._features_built, self._features_reused
             ranked, pruned = self._candidates_ranked, self._candidates_pruned
-            phases = [dict(phase) for phase in self._phases]
         return {
             "label": self.label,
             "requests": sum(entry["requests"] for entry in http.values()),
@@ -179,7 +168,6 @@ class RequestLedger:
                 "pruned": pruned,
                 "prune_rate": round(pruned / ranked, 4) if ranked else 0.0,
             },
-            "phases": phases,
         }
 
     def __enter__(self) -> "RequestLedger":
@@ -191,6 +179,12 @@ class RequestLedger:
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._tokens:
             _ACTIVE.reset(self._tokens.pop())
+
+
+def current_ledger() -> RequestLedger | None:
+    """The innermost active ledger of the calling context, if any."""
+    active = _ACTIVE.get()
+    return active[-1] if active else None
 
 
 def charge_http(host: str, status: int, latency: float) -> None:
@@ -226,11 +220,3 @@ def charge_pruning(ranked: int, pruned: int) -> None:
     """Charge a scoring pass's prune accounting to every active ledger."""
     for ledger in _ACTIVE.get():
         ledger.add_pruning(ranked, pruned)
-
-
-def record_phase(
-    phase: str, wall_seconds: float, virtual_seconds: float, requests: int
-) -> None:
-    """Report one finished pipeline phase to every active ledger."""
-    for ledger in _ACTIVE.get():
-        ledger.add_phase(phase, wall_seconds, virtual_seconds, requests)

@@ -9,6 +9,11 @@ self durations for both clocks, sorted by virtual self time so the most
 expensive layer of the workload tops the list regardless of machine
 noise.
 
+A span's virtual seconds are what the ledger in scope was charged while
+it ran, so a batch's ``phase.*`` rows, each span inside its phase's own
+ledger, and the rows above them read the same at any batch worker
+count.  A span run outside every ledger counts as zero.
+
 Input is anything span-shaped: live :class:`~repro.obs.spans.Span`
 objects, their ``to_dict()`` renderings, or ``span_end`` event records
 from a ``--log-json`` run — which makes ``minaret profile`` a post-hoc
@@ -63,7 +68,8 @@ def phase_profile(spans) -> list[PhaseProfile]:
     parent by a rounding hair, never meaningfully).  Spans whose parent
     is unknown — evicted from the ring, or still open — count as roots.
     Output is sorted by virtual self time (descending), then wall self
-    time, then name, which is deterministic under the virtual clock.
+    time, then name: the rows with virtual self time keep their order
+    from run to run, and wall time orders the rest.
     """
     records = [_as_record(span) for span in spans]
     child_wall: dict[tuple, float] = {}
@@ -74,7 +80,7 @@ def phase_profile(spans) -> list[PhaseProfile]:
             continue
         key = (record.get("trace_id"), parent_id)
         child_wall[key] = child_wall.get(key, 0.0) + float(
-            record.get("wall_seconds", 0.0)
+            record.get("wall_seconds") or 0.0
         )
         child_virtual[key] = child_virtual.get(key, 0.0) + float(
             record.get("virtual_seconds") or 0.0
@@ -85,7 +91,7 @@ def phase_profile(spans) -> list[PhaseProfile]:
         profile = profiles.get(name)
         if profile is None:
             profile = profiles[name] = PhaseProfile(name=name)
-        wall = float(record.get("wall_seconds", 0.0))
+        wall = float(record.get("wall_seconds") or 0.0)
         virtual = float(record.get("virtual_seconds") or 0.0)
         key = (record.get("trace_id"), record.get("span_id"))
         profile.calls += 1

@@ -73,11 +73,11 @@ class Observability:
 
     # -- spans ---------------------------------------------------------
 
-    def span(self, name: str, clock=None, **labels: object):
+    def span(self, name: str, **labels: object):
         """Open a span (see :meth:`~repro.obs.spans.Tracer.span`)."""
         if not self.enabled:
             return NULL_SPAN
-        return self.tracer.span(name, clock=clock, **labels)
+        return self.tracer.span(name, **labels)
 
     # -- metrics -------------------------------------------------------
 

@@ -13,13 +13,17 @@ Every span carries **two** timings:
 
 - ``wall_seconds`` — real elapsed time (``time.perf_counter``), what a
   human watching the process experiences;
-- ``virtual_seconds`` — simulated-clock time, what the modelled network
-  charged (absent when no clock was in reach).
+- ``virtual_seconds`` — what the innermost active
+  :class:`~repro.obs.ledger.RequestLedger` was charged (simulated
+  latency plus modelled waits) while the span was open; ``None`` for a
+  span opened outside every ledger.
 
 They answer different questions (\"is the code slow?\" vs \"is the
 workload expensive?\"), and diverge by design: a parallel run shrinks
 wall time while virtual time — a property of the workload, not the
-schedule — stays put.
+schedule — stays put, because a ledger bills only the work its own
+context caused.  Spans that run at once inside one ledger each read
+all of its growth.
 
 Opening and closing spans never draws randomness or advances the
 simulated clock, so tracing cannot perturb the deterministic run it
@@ -36,6 +40,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from repro.obs.events import SpanEndEvent
+from repro.obs.ledger import current_ledger
 
 _CURRENT_SPAN: ContextVar["Span | None"] = ContextVar(
     "repro_obs_current_span", default=None
@@ -63,12 +68,12 @@ class Span:
         "labels",
         "wall_start",
         "wall_end",
-        "virtual_start",
-        "virtual_end",
         "error",
         "exemplar",
+        "virtual_seconds",
         "_tracer",
-        "_clock",
+        "_ledger",
+        "_virtual_start",
         "_token",
     )
 
@@ -80,7 +85,6 @@ class Span:
         span_id: int,
         parent_id: int | None,
         labels: dict,
-        clock=None,
     ):
         self.trace_id = trace_id
         self.span_id = span_id
@@ -92,11 +96,12 @@ class Span:
         self.labels = labels
         self.wall_start = 0.0
         self.wall_end: float | None = None
-        self.virtual_start: float | None = None
-        self.virtual_end: float | None = None
         self.error: str | None = None
+        #: Set when the span closes, if it opened inside a ledger.
+        self.virtual_seconds: float | None = None
         self._tracer = tracer
-        self._clock = clock
+        self._ledger = None  # the ledger in scope, held only while open
+        self._virtual_start = 0.0
         self._token = None
 
     def set_label(self, key: str, value: object) -> None:
@@ -108,18 +113,6 @@ class Span:
         """Wall-clock duration (up to now while still open)."""
         end = self.wall_end if self.wall_end is not None else time.perf_counter()
         return end - self.wall_start
-
-    @property
-    def virtual_seconds(self) -> float | None:
-        """Simulated-clock duration, or ``None`` without a clock."""
-        if self.virtual_start is None:
-            return None
-        end = self.virtual_end
-        if end is None:
-            end = self._clock.now() if self._clock is not None else None
-        if end is None:
-            return None
-        return end - self.virtual_start
 
     def to_dict(self) -> dict:
         """A JSON-serialisable rendering of this span."""
@@ -140,15 +133,17 @@ class Span:
 
     def __enter__(self) -> "Span":
         self._token = _CURRENT_SPAN.set(self)
+        self._ledger = current_ledger()
+        if self._ledger is not None:
+            self._virtual_start = self._ledger.virtual_seconds
         self.wall_start = time.perf_counter()
-        if self._clock is not None:
-            self.virtual_start = self._clock.now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.wall_end = time.perf_counter()
-        if self._clock is not None:
-            self.virtual_end = self._clock.now()
+        if self._ledger is not None:
+            self.virtual_seconds = self._ledger.virtual_seconds - self._virtual_start
+            self._ledger = None
         if exc_type is not None:
             self.error = f"{exc_type.__name__}: {exc}"
         if self._token is not None:
@@ -191,9 +186,8 @@ class TailRetentionPolicy:
     A trace is kept when any of these hold:
 
     - any of its spans recorded an error and ``keep_errors`` is set;
-    - the root span's duration breaches ``latency_threshold`` (measured
-      on the virtual clock when ``use_virtual`` and a virtual timing is
-      present, wall time otherwise);
+    - the root span's duration breaches ``latency_threshold`` (its
+      virtual seconds when it ran under a ledger, wall time otherwise);
     - something called :meth:`Tracer.mark_retain` on the trace (e.g. an
       SLO engine flagging a breaching request).
 
@@ -204,7 +198,6 @@ class TailRetentionPolicy:
 
     latency_threshold: float | None = None
     keep_errors: bool = True
-    use_virtual: bool = True
     pending_capacity: int = 1024
 
     def __post_init__(self):
@@ -252,20 +245,17 @@ class Tracer:
         self._evicted_traces = 0
         self._evicted_spans = 0
 
-    def span(self, name: str, clock=None, **labels: object) -> Span:
+    def span(self, name: str, **labels: object) -> Span:
         """Open a new span (enter the returned object as a context).
 
         The parent is the calling context's current span; a span with no
-        parent starts a fresh trace.  ``clock`` provides virtual-time
-        stamps and defaults to the parent's clock, so fan-out spans time
-        against the same simulated clock their phase does.
+        parent starts a fresh trace.  Its virtual time comes from the
+        ledger in scope when it is entered.
         """
         parent = _CURRENT_SPAN.get()
         with self._lock:
             span_id = next(self._span_ids)
             trace_id = parent.trace_id if parent is not None else next(self._trace_ids)
-        if clock is None and parent is not None:
-            clock = parent._clock
         return Span(
             tracer=self,
             name=name,
@@ -273,7 +263,6 @@ class Tracer:
             span_id=span_id,
             parent_id=parent.span_id if parent is not None else None,
             labels=dict(labels),
-            clock=clock,
         )
 
     # -- tail-based retention ------------------------------------------
@@ -312,9 +301,7 @@ class Tracer:
         if policy.keep_errors and any(s.error is not None for s in spans):
             return True
         if policy.latency_threshold is not None:
-            duration = None
-            if policy.use_virtual:
-                duration = root.virtual_seconds
+            duration = root.virtual_seconds
             if duration is None:
                 duration = root.wall_seconds
             if duration > policy.latency_threshold:
@@ -347,12 +334,7 @@ class Tracer:
                     self._evicted_traces += 1
                     self._evicted_spans += len(stale)
         if self._events is not None:
-            clock = span._clock
-            self._events.publish(
-                SpanEndEvent(
-                    span, time.time(), clock.now() if clock is not None else None
-                )
-            )
+            self._events.publish(SpanEndEvent(span, time.time()))
 
     def finished(self, name: str | None = None) -> list[Span]:
         """Finished spans, oldest first, optionally filtered by name."""

@@ -247,9 +247,7 @@ class RetrievalPlane:
         rejected: list[object] = []
 
         def load() -> tuple[object] | None:
-            with get_obs().span(
-                "retrieval.fetch", clock=self._clock, plane=self._name, layer=layer
-            ):
+            with get_obs().span("retrieval.fetch", plane=self._name, layer=layer):
                 value = loader()
             if keep is not None and not keep(value):
                 rejected.append(value)

@@ -49,12 +49,6 @@ class Affiliation:
     start_year: int
     end_year: int | None = None
 
-    def active_in(self, year: int) -> bool:
-        """Whether this affiliation covers ``year``."""
-        if year < self.start_year:
-            return False
-        return self.end_year is None or year <= self.end_year
-
     def overlaps(self, other: "Affiliation") -> bool:
         """Whether two affiliation periods intersect in time."""
         end_self = self.end_year if self.end_year is not None else 10_000

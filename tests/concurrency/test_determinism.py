@@ -13,6 +13,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import Minaret
 from repro.scholarly.records import SourceName
 from repro.scholarly.registry import ScholarlyHub, SourceBehaviour
+from repro.world.conference import ConferenceConfig, generate_conference
 from tests.conftest import make_manuscript
 
 WORKER_COUNTS = (1, 2, 8)
@@ -193,3 +194,29 @@ class TestBatchDeterminism:
         for (_, seq_result), (_, par_result) in zip(sequential, parallel):
             assert _request_accounting(par_result) == _request_accounting(seq_result)
         assert hub_par.total_requests() == hub_seq.total_requests()
+
+    def test_warm_batch_phase_totals_identical_across_worker_counts(self, world):
+        # On the warm path a load two papers need at once is billed to
+        # the paper whose worker led it, so one paper's reports may
+        # differ between runs; each phase's totals over the batch may not.
+        entries = generate_conference(
+            world, ConferenceConfig(paper_count=12, seed=1)
+        ).entries()
+        runs = {}
+        for workers in WORKER_COUNTS:
+            hub = ScholarlyHub.deploy(world)
+            minaret = Minaret(hub, config=PipelineConfig(warm_cache=True))
+            totals = {}
+            for _, result in recommend_batch(minaret, entries, workers=workers):
+                for report in result.phase_reports:
+                    requests, nanoseconds = totals.get(report.phase, (0, 0))
+                    totals[report.phase] = (
+                        requests + report.requests,
+                        nanoseconds + round(report.virtual_seconds * 1e9),
+                    )
+            runs[workers] = (totals, hub.total_requests())
+        baseline = runs[WORKER_COUNTS[0]]
+        assert baseline[0]["extract_candidates"][0] > 0
+        assert sum(requests for requests, __ in baseline[0].values()) == baseline[1]
+        for workers in WORKER_COUNTS[1:]:
+            assert runs[workers] == baseline

@@ -131,15 +131,14 @@ class TestSpanEndEvents:
         return fields
 
     def test_ring_and_jsonl_carry_the_span_fields(self, tmp_path):
-        from repro.obs import Observability
-        from repro.web.clock import SimulatedClock
+        from repro.obs import Observability, RequestLedger
+        from repro.obs.ledger import charge_wait
 
         obs = Observability()
-        clock = SimulatedClock()
         path = tmp_path / "events.jsonl"
         sink = obs.add_jsonl_sink(path)
-        with obs.span("outer", clock=clock, k="v") as outer:
-            clock.advance(1.5)
+        with RequestLedger(), obs.span("outer", k="v") as outer:
+            charge_wait(1.5)
             with pytest.raises(ValueError):
                 with obs.span("inner", n=3):
                     raise ValueError("boom")
@@ -153,8 +152,9 @@ class TestSpanEndEvents:
             assert event.fields == self._span_fields(span)
             assert event.to_dict() == line
             assert line["wall_time"] == event.wall_time
-            assert line["virtual_time"] == event.virtual_time == 1.5
+            assert "virtual_time" not in line  # the span's own field carries it
         assert events[0].fields["error"] == "ValueError: boom"
+        assert events[0].fields["virtual_seconds"] == 0.0
         assert events[1].fields["labels"] == {"k": "v"}
         assert events[1].fields["virtual_seconds"] == outer.virtual_seconds == 1.5
 
@@ -167,10 +167,7 @@ class TestSpanEndEvents:
         [event] = obs.ring.events("span_end")
         [span] = obs.tracer.finished("work")
         eager = Event(
-            "span_end",
-            wall_time=event.wall_time,
-            virtual_time=event.virtual_time,
-            fields=self._span_fields(span),
+            "span_end", wall_time=event.wall_time, fields=self._span_fields(span)
         )
         assert event.to_dict() == eager.to_dict()
         assert list(event.to_dict()) == list(eager.to_dict())

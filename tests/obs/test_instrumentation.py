@@ -396,7 +396,6 @@ _LEDGER_CHARGES = (
     "add_cache",
     "add_features",
     "add_pruning",
-    "add_phase",
 )
 
 

@@ -25,7 +25,6 @@ from repro.obs.ledger import (
     charge_http,
     charge_pruning,
     charge_wait,
-    record_phase,
 )
 from repro.scholarly.records import SourceName
 from repro.scholarly.registry import ScholarlyHub, SourceBehaviour
@@ -88,13 +87,6 @@ class TestRequestLedgerUnit:
             "prune_rate": pytest.approx(0.4),
         }
 
-    def test_phases_preserve_order(self):
-        ledger = RequestLedger()
-        ledger.add_phase("resolve", 0.1, 1.0, 2)
-        ledger.add_phase("score", 0.2, 3.0, 5)
-        names = [phase["phase"] for phase in ledger.to_dict()["phases"]]
-        assert names == ["resolve", "score"]
-
     def test_empty_ledger_serialises_cleanly(self):
         payload = RequestLedger("empty").to_dict()
         assert payload["label"] == "empty"
@@ -143,12 +135,10 @@ class TestChargeHelpers:
                 charge_http("b.example", 503, 2.0)
                 charge_features(2, 3)
                 charge_pruning(10, 5)
-                record_phase("score", 0.1, 2.0, 1)
         assert outer.requests == 2
         assert inner.requests == 1
         assert outer.to_dict()["features"]["built"] == 2
         assert inner.to_dict()["pruning"]["pruned"] == 5
-        assert [p["phase"] for p in outer.to_dict()["phases"]] == ["score"]
 
     def test_waits_reach_only_active_ledgers(self):
         with RequestLedger("outer") as outer:
@@ -191,7 +181,7 @@ class TestChargeHelpers:
 
 
 class TestLedgerPipelineWiring:
-    """A real recommendation run bills http, caches, features, phases."""
+    """A real recommendation run bills http, caches and features."""
 
     @pytest.fixture(scope="class")
     def bills(self, world):
@@ -231,13 +221,6 @@ class TestLedgerPipelineWiring:
         assert cold["features"]["built"] > 0
         assert warm["features"]["built"] == 0
         assert warm["features"]["reuse_rate"] == 1.0
-
-    def test_phases_cover_the_pipeline(self, bills):
-        cold, _ = bills
-        phases = {phase["phase"] for phase in cold["phases"]}
-        assert {"verify_authors", "extract_candidates", "rank"} <= phases
-        total_virtual = sum(phase["virtual_seconds"] for phase in cold["phases"])
-        assert total_virtual >= cold["virtual_seconds"] * 0.5
 
     def test_worker_threads_bill_the_request_ledger(self, bills):
         # Phase work runs on pool threads; context propagation means

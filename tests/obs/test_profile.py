@@ -1,9 +1,22 @@
 """Phase profiler: self-time math, input normalisation, rendering."""
 
-from repro.obs import Observability, phase_profile, render_flame_table
+import pytest
+
+from repro.assignment import recommend_batch
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import Minaret
+from repro.obs import (
+    Observability,
+    RequestLedger,
+    phase_profile,
+    render_flame_table,
+    use,
+)
 from repro.obs.events import EventBus, RingSink
+from repro.obs.ledger import charge_wait
 from repro.obs.profile import spans_from_events
-from repro.web.clock import SimulatedClock
+from repro.scholarly.registry import ScholarlyHub
+from repro.world.conference import ConferenceConfig, generate_conference
 
 
 def span_record(
@@ -89,24 +102,22 @@ class TestSelfTimeMath:
 
 class TestInputShapes:
     def test_live_spans_from_a_tracer(self):
-        clock = SimulatedClock()
         obs = Observability()
-        with obs.span("outer", clock=clock):
-            with obs.span("inner", clock=clock):
-                clock.advance(3.0)
-            clock.advance(1.0)
+        with RequestLedger(), obs.span("outer"):
+            with obs.span("inner"):
+                charge_wait(3.0)
+            charge_wait(1.0)
         by_name = {p.name: p for p in phase_profile(obs.tracer.finished())}
         assert by_name["outer"].virtual_self == 1.0
         assert by_name["inner"].virtual_self == 3.0
 
     def test_span_end_events_round_trip(self):
         # The CLI's offline path: events logged to JSONL, read back.
-        clock = SimulatedClock()
         sink = RingSink()
         obs = Observability()
         obs.tracer._events = EventBus([sink])
-        with obs.span("outer", clock=clock):
-            clock.advance(2.0)
+        with RequestLedger(), obs.span("outer"):
+            charge_wait(2.0)
         records = spans_from_events(e.to_dict() for e in sink.events())
         assert len(records) == 1
         (profile,) = phase_profile(records)
@@ -144,3 +155,72 @@ class TestRendering:
         spans = [span_record("a", span_id=1, virtual=1.23456789)]
         (profile,) = phase_profile(spans)
         assert profile.to_dict()["virtual_total"] == 1.234568
+
+
+class TestBatchProfile:
+    """A batch's profile reads the same virtual time at any worker count.
+
+    Each span reads the ledger of its own run, so concurrent papers on
+    one hub, whose requests all advance one shared clock, cannot inflate
+    one another's spans.
+    """
+
+    @pytest.fixture(scope="class")
+    def entries(self, world):
+        return generate_conference(
+            world, ConferenceConfig(paper_count=12, seed=1)
+        ).entries()
+
+    @staticmethod
+    def _profile(world, entries, warm, workers):
+        obs = Observability()
+        with use(obs):
+            minaret = Minaret(
+                ScholarlyHub.deploy(world), config=PipelineConfig(warm_cache=warm)
+            )
+            results = dict(recommend_batch(minaret, entries, workers=workers))
+        spans = obs.tracer.finished()
+        by_id = {span.span_id: span for span in spans}
+        for span in spans:
+            if not span.name.startswith("phase."):
+                continue
+            paper = by_id[by_id[span.parent_id].parent_id]
+            assert paper.name == "manuscript.recommend"
+            [report] = [
+                report
+                for report in results[paper.labels["paper_id"]].phase_reports
+                if f"phase.{report.phase}" == span.name
+            ]
+            assert span.virtual_seconds == report.virtual_seconds
+        return phase_profile(spans)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_identical_at_any_batch_worker_count(self, world, entries, warm):
+        baseline = self._profile(world, entries, warm, workers=1)
+        assert sum(p.virtual_total for p in baseline if p.name.startswith("phase.")) > 0
+        # A warm wave whose items are all stored already maps nothing, and
+        # which items another paper stored first follows the interleaving:
+        # there the number of fan-outs may differ, their virtual time not.
+        varies = {"executor.map"} if warm else set()
+        for workers in (2, 4):
+            profile = self._profile(world, entries, warm, workers)
+            assert {p.name: p.calls for p in profile if p.name not in varies} == {
+                p.name: p.calls for p in baseline if p.name not in varies
+            }
+            assert {
+                (p.name, column): getattr(p, column)
+                for p in profile
+                for column in ("virtual_total", "virtual_self")
+            } == pytest.approx(
+                {
+                    (p.name, column): getattr(p, column)
+                    for p in baseline
+                    for column in ("virtual_total", "virtual_self")
+                },
+                abs=1e-9,
+            )
+            # Rows with virtual self time keep their order; wall time
+            # orders the rest.
+            assert [p.name for p in profile if p.virtual_self > 1e-6] == [
+                p.name for p in baseline if p.virtual_self > 1e-6
+            ]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.obs import Observability, TailRetentionPolicy
+from repro.obs import Observability, RequestLedger, TailRetentionPolicy
 from repro.obs.events import EventBus, RingSink
+from repro.obs.ledger import charge_wait
 from repro.obs.spans import Tracer
-from repro.web.clock import SimulatedClock
 
 
 def make_tracer(events=None):
@@ -70,14 +70,13 @@ class TestRetentionDecisions:
                 raise RuntimeError("boom")
         assert tracer.finished() == []
 
-    def test_slow_trace_retained_on_virtual_clock(self):
-        clock = SimulatedClock()
+    def test_slow_trace_retained_on_virtual_seconds(self):
         tracer = make_tracer()
         tracer.enable_tail_retention(TailRetentionPolicy(latency_threshold=5.0))
-        with tracer.span("slow", clock=clock):
-            clock.advance(9.0)
-        with tracer.span("fast", clock=clock):
-            clock.advance(1.0)
+        with RequestLedger(), tracer.span("slow"):
+            charge_wait(9.0)
+        with RequestLedger(), tracer.span("fast"):
+            charge_wait(1.0)
         assert [s.name for s in tracer.finished()] == ["slow"]
 
     def test_wall_clock_fallback_without_virtual_timing(self):
@@ -95,12 +94,11 @@ class TestRetentionDecisions:
         assert [s.name for s in tracer.finished()] == ["root"]
 
     def test_nested_spans_share_the_root_fate(self):
-        clock = SimulatedClock()
         tracer = make_tracer()
         tracer.enable_tail_retention(TailRetentionPolicy(latency_threshold=5.0))
-        with tracer.span("root", clock=clock):
-            with tracer.span("child", clock=clock):
-                clock.advance(9.0)  # child is slow, so root is slow too
+        with RequestLedger(), tracer.span("root"):
+            with tracer.span("child"):
+                charge_wait(9.0)  # child is slow, so root is slow too
         assert sorted(s.name for s in tracer.finished()) == ["child", "root"]
 
 

@@ -272,7 +272,7 @@ class TestDegradationScenario:
                 nonlocal index
                 for _ in range(count):
                     try:
-                        with obs.span("request", clock=clock, i=index):
+                        with obs.span("request", i=index):
                             client.get(HOST, f"/item/{index}")
                     except ServiceUnavailableError:
                         pass

@@ -1,10 +1,15 @@
 """Tests for hierarchical spans and the tracer."""
 
 import json
+import weakref
 
 import pytest
 
+from repro.concurrency import create_executor
+from repro.core.pipeline import Minaret
+from repro.obs import Observability, RequestLedger, use
 from repro.obs.events import EventBus, RingSink
+from repro.obs.ledger import charge_http, charge_wait
 from repro.obs.spans import NULL_SPAN, Tracer, current_span
 from repro.web.clock import SimulatedClock
 
@@ -69,27 +74,74 @@ class TestTiming:
         assert span.wall_end is not None
         assert span.wall_seconds >= 0.0
 
-    def test_virtual_duration_from_clock(self):
+    def test_virtual_duration_from_the_ledger(self):
         tracer = Tracer()
-        clock = SimulatedClock()
-        with tracer.span("work", clock=clock) as span:
-            clock.advance(3.25)
-        assert span.virtual_seconds == pytest.approx(3.25)
+        with RequestLedger("request"):
+            charge_http("a.example", 200, 1.0)  # before the span: not its own
+            with tracer.span("work") as span:
+                charge_http("a.example", 200, 3.0)
+                charge_wait(0.25)
+            charge_http("a.example", 200, 5.0)  # after it closed
+        assert span.virtual_seconds == 3.25
+        assert span.to_dict()["virtual_seconds"] == 3.25
 
-    def test_virtual_is_none_without_clock(self):
+    def test_virtual_is_none_outside_every_ledger(self):
         tracer = Tracer()
         with tracer.span("work") as span:
-            pass
+            charge_http("a.example", 200, 1.0)  # nobody listening
         assert span.virtual_seconds is None
         assert "virtual_seconds" not in span.to_dict()
 
-    def test_children_inherit_parent_clock(self):
+    def test_children_read_the_innermost_ledger(self):
+        tracer = Tracer()
+        with RequestLedger("outer"):
+            with tracer.span("outer") as outer:
+                charge_http("a.example", 200, 2.0)
+                with RequestLedger("inner"):
+                    with tracer.span("inner") as inner:
+                        charge_http("a.example", 200, 1.0)
+        assert inner.virtual_seconds == 1.0
+        assert outer.virtual_seconds == 3.0  # the inner ledger's charges too
+
+    def test_sibling_ledgers_do_not_leak_into_spans(self):
+        # Two runs at once on one clock: each span reads only its own
+        # context's ledger, never the other run's charges.
         tracer = Tracer()
         clock = SimulatedClock()
-        with tracer.span("outer", clock=clock):
-            with tracer.span("inner") as inner:
-                clock.advance(1.0)
-        assert inner.virtual_seconds == pytest.approx(1.0)
+
+        def run(latency):
+            with RequestLedger(), tracer.span("run") as span:
+                charge_http("a.example", 200, latency)
+                clock.advance(latency)
+            return span
+
+        spans = create_executor(2).map(run, [1.0, 2.0])
+        assert [span.virtual_seconds for span in spans] == [1.0, 2.0]
+        assert clock.now() == 3.0
+
+    def test_closed_span_keeps_no_ledger_alive(self):
+        tracer = Tracer()
+        ledger = RequestLedger("request")
+        with ledger, tracer.span("work") as span:
+            charge_http("a.example", 200, 0.5)
+        reference = weakref.ref(ledger)
+        del ledger
+        assert reference() is None
+        assert tracer.finished() == [span]
+        assert span.virtual_seconds == 0.5
+
+    def test_bare_pipeline_root_has_no_virtual_time(self, hub, manuscript):
+        # Run outside every ledger, the root has no virtual time, while
+        # each phase span reads its phase's ledger, as the report does.
+        obs = Observability()
+        with use(obs):
+            result = Minaret(hub).recommend(manuscript)
+        [root] = obs.tracer.finished("pipeline.recommend")
+        assert root.virtual_seconds is None
+        phases = {s.name: s for s in obs.tracer.finished() if s.name.startswith("phase.")}
+        assert sum(report.virtual_seconds for report in result.phase_reports) > 0
+        for report in result.phase_reports:
+            assert phases[f"phase.{report.phase}"].virtual_seconds == report.virtual_seconds
 
 
 class TestRecording:
@@ -171,10 +223,10 @@ class TestSpanTrees:
 
     def test_trees_are_json_serialisable(self):
         tracer = Tracer()
-        clock = SimulatedClock()
-        with tracer.span("root", clock=clock, n=1):
-            clock.advance(0.5)
-        json.dumps(tracer.span_trees())
+        with RequestLedger(), tracer.span("root", n=1):
+            charge_wait(0.5)
+        [tree] = json.loads(json.dumps(tracer.span_trees()))
+        assert tree["virtual_seconds"] == 0.5
 
 
 class TestNullSpan:

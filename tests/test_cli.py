@@ -604,6 +604,53 @@ class TestProfileCommand:
         assert main(["profile", "--log", str(log)]) == 1
         assert "span" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("5", "expected a JSON object, got 5"),
+            ('"span_end"', 'expected a JSON object, got "span_end"'),
+            ('{"event": "span_end", "span": "a"', "not JSON: Expecting ',' delimiter"),
+            ('{"event": "span_end", "wall_seconds": "abc"}', "wall_seconds must be a number"),
+            ('{"event": "span_end", "virtual_seconds": "abc"}', "virtual_seconds must be a number"),
+            ('{"event": "span_end", "wall_seconds": true}', "wall_seconds must be a number"),
+            ('{"event": "span_end", "trace_id": [1]}', "trace_id must be an integer"),
+            ('{"event": "span_end", "span_id": [1]}', "span_id must be an integer"),
+            ('{"event": "span_end", "parent_id": [1]}', "parent_id must be an integer"),
+            ('{"event": "span_end", "span_id": 1.5}', "span_id must be an integer"),
+        ],
+        ids=[
+            "number",
+            "string",
+            "malformed",
+            "wall-text",
+            "virtual-text",
+            "wall-bool",
+            "trace-list",
+            "span-list",
+            "parent-list",
+            "span-float",
+        ],
+    )
+    def test_bad_record_names_its_line(self, tmp_path, capsys, line, message):
+        log = tmp_path / "events.jsonl"
+        good = '{"event": "span_end", "span": "a", "span_id": 1, "wall_seconds": 0.1}'
+        log.write_text(f"{good}\n\n{line}\n{good}\n")
+        assert main(["profile", "--log", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {log}:3: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_null_timings_and_ids_are_read(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        log.write_text(
+            '{"event": "span_end", "span": "a", "trace_id": null, "span_id": null, '
+            '"parent_id": null, "wall_seconds": null, "virtual_seconds": null}\n'
+        )
+        assert main(["profile", "--log", str(log)]) == 0
+        [__, row] = capsys.readouterr().out.splitlines()
+        assert row.split()[:2] == ["a", "1"]
+
 
 class TestMetricsParity:
     def test_cli_metrics_matches_api_payload_keys(self, capsys):

@@ -12,17 +12,6 @@ def oracle(world):
 
 
 class TestAffiliationRecords:
-    def test_active_in(self):
-        affiliation = Affiliation("X", "Y", 2010, 2015)
-        assert affiliation.active_in(2010)
-        assert affiliation.active_in(2015)
-        assert not affiliation.active_in(2016)
-        assert not affiliation.active_in(2009)
-
-    def test_open_ended_active(self):
-        affiliation = Affiliation("X", "Y", 2010, None)
-        assert affiliation.active_in(2030)
-
     def test_overlaps(self):
         a = Affiliation("X", "Y", 2010, 2015)
         b = Affiliation("X", "Y", 2015, 2020)
